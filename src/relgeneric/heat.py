@@ -18,6 +18,10 @@ yet reached is set to zero.  Zeroing a face keeps mass telescoped exactly,
 keeps that face's entropy production nonnegative and never raises |F|
 above c rbar.  Vacuum-free data and c = INFINITE open every face from the
 start, so there the scheme is the ungated one, bit for bit.
+
+One private kernel evaluates the ungated face flux.  ``run_heat`` calls it
+once per step, and that one array serves both the saturation check of the
+state and, gated, the Euler update, with the arithmetic of ``step_heat``.
 """
 
 from __future__ import annotations
@@ -78,16 +82,49 @@ def saturating_flux(z, params: ModelParams):
 def dissipation_potential(rho: np.ndarray, xi: np.ndarray, grid: LineGrid,
                           params: ModelParams) -> float:
     """K(rho; xi) = nu * sum rho phi*(grad xi) h, face gradients averaged to cells."""
-    g = (np.roll(xi, -1) - xi) / grid.h            # face i+1/2
-    z = 0.5 * (g + np.roll(g, 1))                  # average of the two cell faces
+    g = (_next(xi) - xi) / grid.h                  # face i+1/2
+    z = 0.5 * (g + _prev(g))                       # average of the two cell faces
     return params.nu * float(np.sum(rho * flux_potential(z, params))) * grid.h
 
 
 # ---------------------------------------------------------------------------
 # right-hand side
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """a[i+1] on the periodic line (np.roll(a, -1) without its overhead)."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """a[i-1] on the periodic line."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
+def _divergence(f: np.ndarray, grid: LineGrid) -> np.ndarray:
+    """(F_{i+1/2} - F_{i-1/2}) / h: cell tendency of the face flux f."""
+    return (f - _prev(f)) / grid.h
+
+
 def _gate(flux: np.ndarray, reached) -> np.ndarray:
     return flux if reached is None else np.where(reached, flux, 0.0)
+
+
+def _flux(rho: np.ndarray, grid: LineGrid, params: ModelParams):
+    """Ungated face flux and face mean rbar at faces i+1/2 (see ``face_flux``).
+
+    The one flux kernel: the step, the saturation check and the public
+    ``face_flux`` all read the flux from here.
+    """
+    right = _next(rho)
+    g = (right - rho) / grid.h
+    rbar = 0.5 * (rho + right)
+    if params.classical:
+        return params.nu * g, rbar
+    denom2 = rbar * rbar + (params.nu / params.c) ** 2 * g * g
+    # zero where rbar = g = 0 (vacuum on both sides), without evaluating 0/0
+    flux = np.zeros(rbar.shape)
+    np.divide(params.nu * rbar * g, np.sqrt(denom2), out=flux, where=denom2 > 0.0)
+    return flux, rbar
 
 
 def face_flux(rho: np.ndarray, grid: LineGrid, params: ModelParams,
@@ -99,23 +136,12 @@ def face_flux(rho: np.ndarray, grid: LineGrid, params: ModelParams,
     left out of the boolean mask ``reached`` (see ``reached_faces``) carry
     zero; None gates no face.
     """
-    g = (np.roll(rho, -1) - rho) / grid.h
-    rbar = 0.5 * (rho + np.roll(rho, -1))
-    if params.classical:
-        return _gate(params.nu * g, reached)
-    denom2 = rbar * rbar + (params.nu / params.c) ** 2 * g * g
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flux = params.nu * rbar * g / np.sqrt(denom2)
-    keep = denom2 > 0.0
-    if reached is not None:
-        keep &= reached
-    return np.where(keep, flux, 0.0)
+    return _gate(_flux(rho, grid, params)[0], reached)
 
 
 def heat_rhs(rho: np.ndarray, grid: LineGrid, params: ModelParams,
              reached=None) -> np.ndarray:
-    f = face_flux(rho, grid, params, reached)
-    return (f - np.roll(f, 1)) / grid.h
+    return _divergence(face_flux(rho, grid, params, reached), grid)
 
 
 def heat_rhs_via_potential(rho: np.ndarray, grid: LineGrid,
@@ -127,12 +153,13 @@ def heat_rhs_via_potential(rho: np.ndarray, grid: LineGrid,
     with heat_rhs to round-off away from vacuum; ``reached`` gates the faces
     as in ``face_flux``.
     """
-    g = (np.roll(rho, -1) - rho) / grid.h
-    rbar = 0.5 * (rho + np.roll(rho, -1))
+    right = _next(rho)
+    g = (right - rho) / grid.h
+    rbar = 0.5 * (rho + right)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(rbar > 0.0, g / rbar, 0.0)
     f = _gate(params.nu * rbar * saturating_flux(z, params), reached)
-    return (f - np.roll(f, 1)) / grid.h
+    return _divergence(f, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +211,24 @@ def stable_dt(grid: LineGrid, params: ModelParams) -> float:
     return dt
 
 
+def _check_dt(dt: float, grid: LineGrid, params: ModelParams) -> None:
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    bound = stable_dt(grid, params)
+    if dt > bound * (1.0 + 1e-12):
+        raise StabilityError(f"dt={dt:g} exceeds the stability bound {bound:g}")
+
+
+def _advance(state: HeatState, flux: np.ndarray, grid: LineGrid,
+             params: ModelParams, dt: float) -> HeatState:
+    """Euler step of ``state`` from its ungated face flux: gate, telescope, check."""
+    cone, reached = _cone_and_reached(state, grid, params)
+    rho = state.rho + dt * _divergence(_gate(flux, reached), grid)
+    if rho.min() < NEGATIVE_TOL:
+        raise PositivityError(f"density undershoot {rho.min():.3e} below {NEGATIVE_TOL:g}")
+    return HeatState(rho=rho, t=state.t + dt, cone=cone)
+
+
 def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
               dt: float) -> HeatState:
     """One forward-Euler step in conservation form; mass is telescoped exactly.
@@ -193,18 +238,11 @@ def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
     and the returned state carries it on, so a chain of steps keeps the
     support of the data it started from inside supp rho + B(c (t - t0)).
     Once every face is open the chain carries ``ALL_OPEN`` and the step is
-    the ungated scheme.
+    the ungated scheme.  Raises StabilityError for dt above ``stable_dt``
+    and PositivityError on an undershoot below NEGATIVE_TOL.
     """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    if dt > stable_dt(grid, params) * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt={dt:g} exceeds the stability bound {stable_dt(grid, params):g}")
-    cone, reached = _cone_and_reached(state, grid, params)
-    rho = state.rho + dt * heat_rhs(state.rho, grid, params, reached)
-    if rho.min() < NEGATIVE_TOL:
-        raise PositivityError(f"density undershoot {rho.min():.3e} below {NEGATIVE_TOL:g}")
-    return HeatState(rho=rho, t=state.t + dt, cone=cone)
+    _check_dt(dt, grid, params)
+    return _advance(state, _flux(state.rho, grid, params)[0], grid, params, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +251,7 @@ def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
 def boltzmann_entropy(rho: np.ndarray, grid: LineGrid) -> float:
     """-sum rho log rho * h with 0 log 0 = 0."""
     contrib = np.where(rho > 0.0, rho * np.log(np.maximum(rho, 1e-300)), 0.0)
-    return -float(np.sum(contrib)) * grid.h
+    return -float(contrib.sum()) * grid.h
 
 
 def entropy_rate(rho: np.ndarray, grid: LineGrid, params: ModelParams,
@@ -238,19 +276,21 @@ def support_radius(rho: np.ndarray, grid: LineGrid, threshold: float = 1e-12) ->
     return 0.5 * (idx[-1] + 1 - idx[0]) * grid.h
 
 
+def _saturation(flux: np.ndarray, rbar: np.ndarray, params: ModelParams) -> float:
+    if params.classical:
+        return 0.0
+    cap = params.c * rbar
+    top = float((np.abs(flux) - cap).max())
+    ref = float(cap.max())
+    return top / ref if ref > 0 else top
+
+
 def saturation_excess(rho: np.ndarray, grid: LineGrid, params: ModelParams) -> float:
     """max(|F| - c rbar) over faces, normalized by max c rbar; <= O(eps) always.
 
     Measured on the ungated flux, which bounds the gated one face by face.
     """
-    if params.classical:
-        return 0.0
-    f = face_flux(rho, grid, params)
-    rbar = 0.5 * (rho + np.roll(rho, -1))
-    cap = params.c * rbar
-    top = float(np.max(np.abs(f) - cap))
-    ref = float(np.max(cap))
-    return top / ref if ref > 0 else top
+    return _saturation(*_flux(rho, grid, params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +335,18 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
 
     ``on_record(state)`` is called at t=0, at each cadence point, and at the
     final time; per-step entropy monotonicity and flux saturation are tracked
-    over the whole run.
+    over every state the run visits, the first and the last included.  The
+    step size is checked against ``stable_dt`` once, and each step evaluates
+    the face flux of its state once: that one array gives the state's
+    saturation excess and, gated, the Euler update (the arithmetic of
+    ``step_heat``, bit for bit).
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     # equal steps landing exactly on t_final
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
     step_dt = t_final / n_steps
+    _check_dt(step_dt, grid, params)
     rho0 = np.asarray(rho0, dtype=float).copy()
     state = HeatState(rho=rho0, t=0.0, cone=light_cone(rho0, 0.0, grid, params))
     records = []
@@ -311,19 +356,21 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
             records.append(on_record(st))
 
     record(state)
-    max_sat = saturation_excess(state.rho, grid, params)
+    max_sat = -math.inf
     min_ds = 0.0
     entropy = boltzmann_entropy(state.rho, grid)
     for k in range(n_steps):
-        state = step_heat(state, grid, params, step_dt)
+        flux, rbar = _flux(state.rho, grid, params)
+        max_sat = max(max_sat, _saturation(flux, rbar, params))
+        state = _advance(state, flux, grid, params, step_dt)
         if k == n_steps - 1:
             state = replace(state, t=t_final)
         new_entropy = boltzmann_entropy(state.rho, grid)
         min_ds = min(min_ds, new_entropy - entropy)
         entropy = new_entropy
-        max_sat = max(max_sat, saturation_excess(state.rho, grid, params))
         if (k + 1) % record_every == 0 or k == n_steps - 1:
             record(state)
+    max_sat = max(max_sat, saturation_excess(state.rho, grid, params))
     return HeatRunResult(records=records, state=state,
                          max_saturation_excess=max_sat,
                          min_step_entropy_delta=min_ds)

@@ -329,3 +329,66 @@ def test_run_heat_records_and_saturation(grid):
     assert result.state.t == pytest.approx(0.01, rel=1e-12)
     assert result.max_saturation_excess <= 1e-12
     assert result.min_step_entropy_delta >= -1e-10
+
+
+def reference_run(grid, params, rho0, dt, t_final):
+    """run_heat from public calls: a step_heat chain, with the saturation and
+    entropy checks on every visited state, the first and the last included."""
+    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
+    step_dt = t_final / n_steps
+    state = H.HeatState(rho=rho0.copy(), t=0.0)
+    max_sat = H.saturation_excess(state.rho, grid, params)
+    entropy = H.boltzmann_entropy(state.rho, grid)
+    min_ds = 0.0
+    for _ in range(n_steps):
+        state = H.step_heat(state, grid, params, step_dt)
+        new_entropy = H.boltzmann_entropy(state.rho, grid)
+        min_ds = min(min_ds, new_entropy - entropy)
+        entropy = new_entropy
+        max_sat = max(max_sat, H.saturation_excess(state.rho, grid, params))
+    return state.rho, max_sat, min_ds
+
+
+def run_data(kind, grid):
+    if kind == "near-uniform":
+        return 1.0 + 1e-8 * np.cos(2 * np.pi * grid.x / grid.L)
+    if kind == "plateau":
+        return 0.01 + (np.abs(grid.x - 0.5 * grid.L) < 0.25)
+    return H.initial_profile(kind, grid, sigma=0.2, width=0.5)
+
+
+@pytest.mark.parametrize("kind, params, n_steps", [
+    ("bump", REL, 287),           # vacuum: the cone opens faces during the run
+    ("gaussian", REL, 287),       # saturation excess < 0, largest at the first state
+    ("plateau", REL, 5),          # saturation excess rising: largest at the last state
+    ("near-uniform", REL, 287),   # entropy steps at round-off, some negative
+    ("bump", CLASSICAL, 287),     # c = inf: no gate, no saturation check
+])
+def test_run_heat_matches_public_step_chain(grid, kind, params, n_steps):
+    rho0 = run_data(kind, grid)
+    dt = H.stable_dt(grid, params)
+    t_final = n_steps * dt
+    rho, max_sat, min_ds = reference_run(grid, params, rho0, dt, t_final)
+    result = H.run_heat(grid, params, rho0, dt, t_final, record_every=100)
+    assert np.array_equal(result.state.rho, rho)
+    assert result.max_saturation_excess == max_sat
+    assert result.min_step_entropy_delta == min_ds
+    # the cases reach the extremes at the first and at the last state
+    first, last = (H.saturation_excess(r, grid, params) for r in (rho0, rho))
+    if kind == "gaussian":
+        assert max_sat == first > last
+    if kind == "plateau":
+        assert max_sat == last > first
+    if kind == "near-uniform":
+        assert min_ds < 0.0
+
+
+def test_run_heat_rejects_unstable_dt_and_undershoot(grid):
+    rho0 = H.initial_profile("gaussian", grid, sigma=0.2)
+    dt = 10.0 * H.stable_dt(grid, REL)
+    with pytest.raises(StabilityError):
+        H.run_heat(grid, REL, rho0, dt, dt, record_every=1)
+    # a state prepared below the floor trips the guard on the first step
+    with pytest.raises(PositivityError):
+        H.run_heat(grid, REL, np.full(grid.N, -1e-10), H.stable_dt(grid, REL),
+                   0.01, record_every=1)

@@ -1,9 +1,12 @@
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from relgeneric import generic as G
 from relgeneric.cli import main
 from relgeneric.config import VerifyOptions, load_config, parse_config
 from relgeneric.verify import run_verify
@@ -53,6 +56,39 @@ def test_drift_perturbation_fails_degeneracy(verify_cfg):
     assert not ok
     failing = [r.name for r in results if not r.passed]
     assert any("degeneracy" in name for name in failing)
+
+
+def test_bracket_checks_pass_on_nearly_cancelling_pair(verify_cfg):
+    # seed 1901025285 draws a pair whose Poisson bracket nearly vanishes;
+    # normalized by |b12| + |b21| its round-off read 1.4e-12.  The pairs come
+    # before the positivity samples, so fewer samples leave them as they are.
+    opts = replace(verify_cfg.verify, psd_samples=50)
+    results, report, ok = run_verify(verify_cfg.phase_grid, verify_cfg.params,
+                                     verify_cfg.potential, seed=1901025285, opts=opts)
+    assert ok, report
+    assert "21/21 checks passed" in report
+    brackets = [r for r in results if "bracket" in r.name and "symmetry" in r.name]
+    assert len(brackets) == 2 and all(r.measured <= 1e-15 for r in brackets)
+
+
+def test_bracket_check_catches_nonantisymmetric_poisson(verify_cfg, monkeypatch):
+    # sensitivity control: L' = (1 + 1e-8 w) L with a non-constant weight w
+    # is no longer antisymmetric, and the scaled check must see it
+    grid = verify_cfg.phase_grid
+    weight = 1.0 + 1e-8 * np.cos(2 * np.pi * grid.q_mesh / grid.Lq) \
+        * np.tanh(grid.p_mesh)
+    apply = G.apply_poisson
+
+    def skewed(state, v, grid):
+        drho, de = apply(state, v, grid)
+        return weight * drho, de
+
+    monkeypatch.setattr(G, "apply_poisson", skewed)
+    results, report, ok = run_verify(grid, verify_cfg.params, verify_cfg.potential,
+                                     seed=1, opts=quick_opts())
+    check = next(r for r in results if r.name.startswith("Poisson bracket antisymmetry"))
+    assert not check.passed, report
+    assert not ok
 
 
 # ---------------------------------------------------------------------------
