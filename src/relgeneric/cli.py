@@ -130,7 +130,7 @@ def _run_kfp(cfg: RunConfig, out: Path) -> int:
                         potential=cfg.potential, variant=cfg.variant,
                         dt=cfg.dt, t_final=cfg.t_final,
                         record_every=cfg.record_every, init=cfg.init)
-    res = KF.run_kfp(kcfg, on_record=_kfp_dump_hook(cfg, out))
+    res = KF.integrate(kcfg, on_record=_kfp_dump_hook(cfg, out))
     _dump_kfp(cfg, res, out)
     print(f"kfp run ({cfg.variant.value}) finished at t={res.t_end:g} "
           f"({len(res.records)} records) -> {out}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PhaseGrid
-from .model import ModelParams, Potential, Variant, boltzmann_weight, check_variant, hamiltonian
+from .model import ModelParams, Potential, Variant, grid_fields
 
 # cells below MASK_FLOOR are excluded from entropy-gradient consumption;
 # LOG_FLOOR only guards the log against 0.
@@ -62,7 +62,13 @@ class DiagnosticsRecord:
 
 def grad_q(grid: PhaseGrid, a: np.ndarray) -> np.ndarray:
     """Centered periodic difference along the position axis."""
-    return (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2.0 * grid.hq)
+    # a[i+1] - a[i-1] from slices, with the two wrapped rows done apart
+    out = np.empty(a.shape, np.result_type(a, 1.0))
+    np.subtract(a[2:], a[:-2], out=out[1:-1])
+    np.subtract(a[1:2], a[-1:], out=out[:1])
+    np.subtract(a[:1], a[-2:-1], out=out[-1:])
+    out /= 2.0 * grid.hq
+    return out
 
 
 def div_q(grid: PhaseGrid, f: np.ndarray) -> np.ndarray:
@@ -138,8 +144,7 @@ def log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def energy_functional(state: State, grid: PhaseGrid, params: ModelParams,
                       potential: Potential) -> float:
     """E(rho, e) = sum H rho * cell volume + e."""
-    h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
-                    params, potential)
+    h = grid_fields(grid, params, potential, None).h_cells
     return inner(grid, h, state.rho) + state.e
 
 
@@ -152,9 +157,8 @@ def entropy_functional(state: State, grid: PhaseGrid, params: ModelParams) -> fl
 
 def gradient_energy(state: State, grid: PhaseGrid, params: ModelParams,
                     potential: Potential) -> CotangentVector:
-    h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
-                    params, potential)
-    return CotangentVector(xi=h, r=1.0)
+    """dE = (H, 1); H is the shared read-only cell Hamiltonian."""
+    return CotangentVector(xi=grid_fields(grid, params, potential, None).h_cells, r=1.0)
 
 
 def gradient_entropy(state: State, grid: PhaseGrid, params: ModelParams) -> CotangentVector:
@@ -187,21 +191,11 @@ def dissipative_faces(grid: PhaseGrid, params: ModelParams, potential: Potential
     cell-sampled Hamiltonian, the face diffusion coefficient, the gauged
     Boltzmann weight at cells, and its geometric mean on faces.  The same
     face gradient feeds every occurrence of grad_p H inside M, which is what
-    makes M * dE vanish identically.
+    makes M * dE vanish identically.  The arrays are the shared read-only
+    fields of ``model.grid_fields``.
     """
-    check_variant(variant, params)
-    h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
-                    params, potential)
-    gh = face_grad_p(grid, h)
-    if variant is Variant.DH:
-        mc = params.m * params.c
-        pf = grid.p_faces
-        dface = np.broadcast_to(np.sqrt(mc * mc + pf * pf) / mc, gh.shape)
-    else:
-        dface = np.ones_like(gh)
-    rhat, _ = boltzmann_weight(grid, params, potential)
-    rhat_face = np.sqrt(rhat[:, :-1] * rhat[:, 1:])
-    return gh, dface, rhat, rhat_face
+    f = grid_fields(grid, params, potential, variant)
+    return f.gh_face, f.dface, f.rhat, f.rhat_face
 
 
 def dissipative_face_density(state: State, rhat: np.ndarray,

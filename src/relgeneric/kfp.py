@@ -24,8 +24,8 @@ from .errors import NonConvergenceError, PositivityError, StabilityError
 from .generic import (DiagnosticsRecord, State, div_p, div_q, face_div_p,
                       face_grad_p, grad_p, grad_q, inner)
 from .grid import PhaseGrid
-from .model import (ModelParams, Potential, Variant, boltzmann_weight,
-                    check_variant, hamiltonian, maxwellian, mobility_drift,
+from .model import (ModelParams, Potential, Variant, check_variant, grid_fields,
+                    hamiltonian, maxwellian, mobility_drift,
                     mobility_drift_divergence, velocity)
 
 NEGATIVE_TOL = -1e-12   # allowed undershoot per RK4 step
@@ -60,41 +60,34 @@ class KfpConfig:
 
 
 class KfpOperator:
-    """Precomputed grid fields for fast right-hand-side evaluation."""
+    """Precomputed grid fields for fast right-hand-side evaluation.
+
+    H on cells, its face gradient, D on faces and the Boltzmann weight are
+    the shared read-only arrays of ``model.grid_fields``.
+    """
 
     def __init__(self, grid: PhaseGrid, params: ModelParams, potential: Potential,
                  variant: Variant):
-        check_variant(variant, params)
         self.grid, self.params, self.potential, self.variant = grid, params, potential, variant
-        qv = grid.q_mesh[..., np.newaxis]
-        pv = grid.p_mesh[..., np.newaxis]
-        self.h_cells = hamiltonian(qv, pv, params, potential)
+        fields = grid_fields(grid, params, potential, variant)
+        self.h_cells, self.gh_face, self.dface = fields.h_cells, fields.gh_face, fields.dface
+        self.rhat, self.rhat_face = fields.rhat, fields.rhat_face
         self.gq_h = grad_q(grid, self.h_cells)       # force field is -gq_h
         self.gp_h = grad_p(grid, self.h_cells)       # q-direction velocity
-        self.gh_face = face_grad_p(grid, self.h_cells)
-        if variant is Variant.DH:
-            mc = params.m * params.c
-            pf = grid.p_faces
-            self.dface = np.broadcast_to(np.sqrt(mc * mc + pf * pf) / mc,
-                                         self.gh_face.shape).copy()
-        else:
-            self.dface = np.ones_like(self.gh_face)
-        self.rhat, _ = boltzmann_weight(grid, params, potential)
-        self.rhat_face = np.sqrt(self.rhat[:, :-1] * self.rhat[:, 1:])
         # gamma theta D rhat on faces: one multiply per rhs evaluation
         self.diff_face = params.gamma * params.theta * self.dface * self.rhat_face
-
-    def stable_dt(self) -> float:
-        g = self.grid
-        p = self.params
-        dts = [0.25 * g.hp**2 / (p.gamma * p.theta * float(self.dface.max()))]
+        dts = [0.25 * grid.hp**2 / (params.gamma * params.theta * float(self.dface.max()))]
         vq = float(np.abs(self.gp_h).max())
         vp = float(np.abs(self.gq_h).max())
         if vq > 0:
-            dts.append(0.4 * g.hq / vq)
+            dts.append(0.4 * grid.hq / vq)
         if vp > 0:
-            dts.append(0.4 * g.hp / vp)
-        return min(dts)
+            dts.append(0.4 * grid.hp / vp)
+        self._stable_dt = min(dts)
+
+    def stable_dt(self) -> float:
+        """Largest RK4 step allowed by momentum diffusion and transport."""
+        return self._stable_dt
 
     def dissipative_flux(self, rho: np.ndarray) -> np.ndarray:
         """gamma theta D rhat_f grad_p(rho/rhat) on interior momentum faces."""
@@ -114,11 +107,6 @@ class KfpOperator:
         drho = self.transport_tendency(state.rho) + face_div_p(self.grid, flux)
         de = float(np.sum(self.gh_face * flux)) * self.grid.cell_volume
         return drho, de
-
-
-def kfp_rhs(state: State, op: KfpOperator):
-    """Density and excess-energy tendencies of the coupled system."""
-    return op.rhs(state)
 
 
 def excess_energy_rate(state: State, op: KfpOperator) -> float:
@@ -189,14 +177,17 @@ def make_initial_state(init: InitSpec, grid: PhaseGrid, params: ModelParams,
 # ---------------------------------------------------------------------------
 # time stepping
 
-def step_kfp(state: State, op: KfpOperator, dt: float) -> State:
-    """Classical RK4 on the coupled (rho, e) system with positivity guard."""
+def _check_dt(op: KfpOperator, dt: float) -> None:
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     if dt > op.stable_dt() * (1.0 + 1e-9):
         raise StabilityError(f"dt={dt:g} exceeds the stability bound {op.stable_dt():g}")
+
+
+def _rk4(state: State, op: KfpOperator, dt: float, k1) -> State:
+    """One RK4 step from the first stage k1 = op.rhs(state), positivity-guarded."""
     r0, e0 = state.rho, state.e
-    k1r, k1e = op.rhs(state)
+    k1r, k1e = k1
     k2r, k2e = op.rhs(State(r0 + 0.5 * dt * k1r, e0 + 0.5 * dt * k1e))
     k3r, k3e = op.rhs(State(r0 + 0.5 * dt * k2r, e0 + 0.5 * dt * k2e))
     k4r, k4e = op.rhs(State(r0 + dt * k3r, e0 + dt * k3e))
@@ -205,6 +196,12 @@ def step_kfp(state: State, op: KfpOperator, dt: float) -> State:
     if rho.min() < NEGATIVE_TOL:
         raise PositivityError(f"density undershoot {rho.min():.3e} below {NEGATIVE_TOL:g}")
     return State(rho=rho, e=float(e))
+
+
+def step_kfp(state: State, op: KfpOperator, dt: float) -> State:
+    """Classical RK4 on the coupled (rho, e) system with positivity guard."""
+    _check_dt(op, dt)
+    return _rk4(state, op, dt, op.rhs(state))
 
 
 @dataclass
@@ -224,7 +221,8 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
 
     Stops early once the L1 distance to the closed-form Maxwellian falls
     below ``l1_stop``, when given.  ``on_record(state, t, index)`` fires
-    after each diagnostics record.
+    after each diagnostics record.  The step size is checked once; a
+    record's ``op.rhs`` is the first RK4 stage of the step that follows it.
     """
     grid, params, potential, variant = cfg.grid, cfg.params, cfg.potential, cfg.variant
     op = KfpOperator(grid, params, potential, variant)
@@ -238,7 +236,8 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     aux: list[dict] = []
 
     def record(st: State):
-        drho, de = op.rhs(st)
+        """Append the diagnostics of st; returns (L1 distance, op.rhs(st))."""
+        drho, de = k1 = op.rhs(st)
         v_s = generic.gradient_entropy(st, grid, params)
         deg_l, deg_m = generic.degeneracy_residuals(st, grid, params, potential, variant)
         records.append(DiagnosticsRecord(
@@ -255,30 +254,28 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
         aux.append({"l1": l1_distance(st.rho, rho_inf, grid), "dHrho_dt": -de})
         if on_record is not None:
             on_record(st, t_now, len(records) - 1)
-        return aux[-1]["l1"]
+        return aux[-1]["l1"], k1
 
     t_now = 0.0
-    l1 = record(state)
+    l1, k1 = record(state)
     converged = l1_stop is not None and l1 <= l1_stop
     # equal steps landing exactly on t_final
     n_steps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
     step_dt = cfg.t_final / n_steps
     if not converged:
+        _check_dt(op, step_dt)
         for k in range(n_steps):
-            state = step_kfp(state, op, step_dt)
+            state = _rk4(state, op, step_dt, op.rhs(state) if k1 is None else k1)
+            k1 = None
             t_now = cfg.t_final if k == n_steps - 1 else (k + 1) * step_dt
             if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-                l1 = record(state)
+                l1, k1 = record(state)
                 if l1_stop is not None and l1 <= l1_stop:
                     converged = True
                     break
     e_inf = e0_total - inner(grid, op.h_cells, rho_inf)
     return KfpRunResult(records=records, aux=aux, state=state, rho_inf=rho_inf,
                         e_inf=e_inf, t_end=t_now, converged=converged)
-
-
-def run_kfp(cfg: KfpConfig, state0: State | None = None, on_record=None) -> KfpRunResult:
-    return integrate(cfg, state0=state0, on_record=on_record)
 
 
 def run_to_stationarity(cfg: KfpConfig, l1_target: float = 1e-3,

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,16 +218,55 @@ def tail_weight(params: ModelParams, pmax: float) -> float:
     return math.exp(-(edge - base) / params.theta)
 
 
+class GridFields(NamedTuple):
+    """Grid-constant fields of one (grid, params, potential, variant); read-only."""
+
+    h_cells: np.ndarray    # H at cell centers
+    h_min: float           # gauge constant min H
+    rhat: np.ndarray       # Boltzmann weight exp(-(H - min H)/theta) at cells
+    rhat_face: np.ndarray  # geometric mean of rhat on interior momentum faces
+    gh_face: np.ndarray    # two-point momentum gradient of h_cells on faces
+    dface: np.ndarray | None   # diffusion coefficient on faces; None without a variant
+
+
+@lru_cache(maxsize=8)
+def grid_fields(grid: PhaseGrid, params: ModelParams, potential: Potential,
+                variant: Variant | None) -> GridFields:
+    """Build the grid-constant fields once per (grid, params, potential, variant).
+
+    Every argument is a frozen, hashable value, so the fields are memoized;
+    the arrays are read-only because all callers share them.  With
+    ``variant=None`` the variant-free fields are built and ``dface`` is None;
+    a variant entry reuses those arrays and adds its face diffusion.
+    """
+    if variant is not None:
+        check_variant(variant, params)
+        base = grid_fields(grid, params, potential, None)
+        mc = params.m * params.c
+        d = np.sqrt(mc * mc + grid.p_faces**2) / mc if variant is Variant.DH else 1.0
+        return base._replace(dface=np.broadcast_to(d, base.gh_face.shape))
+    h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
+                    params, potential)
+    h_min = float(h.min())
+    rhat = np.exp(-(h - h_min) / params.theta)
+    # the face gradient is generic.face_grad_p's; M dE = 0 relies on the two agreeing
+    fields = GridFields(h_cells=h, h_min=h_min, rhat=rhat,
+                        rhat_face=np.sqrt(rhat[:, :-1] * rhat[:, 1:]),
+                        gh_face=(h[:, 1:] - h[:, :-1]) / grid.hp, dface=None)
+    for a in (h, rhat, fields.rhat_face, fields.gh_face):
+        a.flags.writeable = False
+    return fields
+
+
 def boltzmann_weight(grid: PhaseGrid, params: ModelParams, potential: Potential):
     """exp(-(H - min H)/theta) at cell centers, plus the gauge constant min H.
 
     The gauge keeps the exponential representable even when the rest energy
     m c^2 is huge; all consumers use ratios, which are gauge-independent.
+    The weight is the shared read-only array of ``grid_fields``.
     """
-    h_cells = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
-                          params, potential)
-    h_min = float(h_cells.min())
-    return np.exp(-(h_cells - h_min) / params.theta), h_min
+    fields = grid_fields(grid, params, potential, None)
+    return fields.rhat, fields.h_min
 
 
 def maxwellian(grid: PhaseGrid, params: ModelParams, potential: Potential):

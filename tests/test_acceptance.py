@@ -78,7 +78,7 @@ def test_criterion_3_coupled_conservation():
     assert (cfg.phase_grid.Nq, cfg.phase_grid.Np) == (64, 64)
     assert cfg.params.gamma == 0.5 and cfg.params.theta == 1.0
     assert cfg.params.m == 1.0 and cfg.params.c == 1.0 and cfg.t_final == 1.0
-    res = KF.run_kfp(kfp_config(cfg))
+    res = KF.integrate(kfp_config(cfg))
     energies = [r.E for r in res.records]
     e_drift = max(abs(e - energies[0]) for e in energies) / abs(energies[0])
     s_min_delta = float(np.diff([r.S for r in res.records]).min())

@@ -234,6 +234,54 @@ def test_dump_mass_recoverable(tmp_path):
     assert abs(float(np.sum(back)) * (meta["Lq"] / meta["Nq"]) - 1.0) <= 1e-15
 
 
+def _per_cell_dump_text(kind, grid, rho, t):
+    """Reference: the dump text written by formatting every cell on its own."""
+    def fmt(x):
+        return format(float(x), ".17g")
+    lines = [f"# kind={kind}"]
+    if kind == "kfp":
+        lines.append(f"# Nq={grid.Nq} Np={grid.Np} Lq={fmt(grid.Lq)} "
+                     f"Pmax={fmt(grid.Pmax)} t={fmt(t)}")
+        lines.append("qIndex,pIndex,q,p,rho")
+        for i in range(grid.Nq):
+            for j in range(grid.Np):
+                lines.append(f"{i},{j},{fmt(grid.q[i])},{fmt(grid.p[j])},{fmt(rho[i, j])}")
+    else:
+        lines.append(f"# Nq={grid.N} Lq={fmt(grid.L)} t={fmt(t)}")
+        lines.append("qIndex,q,rho")
+        for i in range(grid.N):
+            lines.append(f"{i},{fmt(grid.x[i])},{fmt(rho[i])}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dump_bytes_match_per_cell_formatter(tmp_path):
+    special = [0.0, -0.0, 5e-324, 1e-300, math.nan, math.inf, -math.inf, 1.0 / 3.0]
+    # two grids of each kind with equal shapes but different coordinates, and
+    # the first dumped again last: rows cached under a wrong key would show
+    cases = [("kfp", PhaseGrid(Nq=8, Np=10, Lq=3.0, Pmax=2.0)),
+             ("kfp", PhaseGrid(Nq=8, Np=10, Lq=5.0, Pmax=2.5)),
+             ("heat", LineGrid(N=12, L=2.0)),
+             ("heat", LineGrid(N=12, L=3.0))]
+    rng = SplitMix64(9)
+    for n, (kind, grid) in enumerate(cases + cases[:1] + cases[2:3]):
+        shape = grid.shape if kind == "kfp" else (grid.N,)
+        rho = rng.uniforms(int(np.prod(shape))).reshape(shape)
+        rho.flat[n:n + len(special)] = special
+        path = tmp_path / f"density_{n}.txt"
+        dump_density(kind, grid, rho, 0.1 * n, path)
+        assert path.read_bytes() == _per_cell_dump_text(kind, grid, rho, 0.1 * n).encode()
+        back_kind, _, back = load_density(path)
+        assert back_kind == kind
+        assert np.array_equal(back.view(np.uint64), rho.view(np.uint64))
+
+
+def test_dump_rejects_mismatched_density(tmp_path):
+    grid = PhaseGrid(Nq=8, Np=10, Lq=3.0, Pmax=2.0)
+    for rho in (np.ones((10, 8)), np.ones((8, 12)), np.ones(80)):
+        with pytest.raises(ValueError, match="does not fit"):
+            dump_density("kfp", grid, rho, 0.0, tmp_path / "d.txt")
+
+
 def test_heat_rejects_potential():
     with pytest.raises(ConfigError, match=r"potential\.kind"):
         parse_config("potential.kind = harmonic\npotential.stiffness = 1\n", "heat")

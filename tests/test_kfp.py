@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from relgeneric import generic as G
 from relgeneric import kfp as K
-from relgeneric.errors import NonConvergenceError, StabilityError
+from relgeneric.errors import NonConvergenceError, PositivityError, StabilityError
 from relgeneric.grid import PhaseGrid
 from relgeneric.model import (CosinePotential, HarmonicPotential, INFINITE,
-                              ModelParams, Variant, ZeroPotential, maxwellian)
+                              ModelParams, Variant, ZeroPotential, boltzmann_weight,
+                              maxwellian)
 from conftest import make_state
 
 
@@ -160,7 +162,7 @@ def test_step_rejects_unstable_dt(rng):
 
 def test_energy_conserved_to_roundoff():
     cfg = small_cfg(t_final=0.5)
-    res = K.run_kfp(cfg)
+    res = K.integrate(cfg)
     energies = [r.E for r in res.records]
     assert max(abs(e - energies[0]) for e in energies) / abs(energies[0]) <= 1e-12
     masses = [r.mass for r in res.records]
@@ -169,7 +171,7 @@ def test_energy_conserved_to_roundoff():
 
 def test_entropy_nondecreasing_per_step():
     cfg = small_cfg(t_final=0.3, record_every=1)
-    res = K.run_kfp(cfg)
+    res = K.integrate(cfg)
     deltas = np.diff([r.S for r in res.records])
     assert deltas.min() >= -1e-10
 
@@ -178,15 +180,85 @@ def test_entropy_production_rate_consistency():
     # recorded dS/dt must be nonnegative up to the tiny antisymmetric-transport
     # boundary term
     cfg = small_cfg(t_final=0.2)
-    res = K.run_kfp(cfg)
+    res = K.integrate(cfg)
     assert all(r.dSdt >= -1e-10 for r in res.records)
 
 
 def test_degeneracy_residuals_along_run():
     cfg = small_cfg(t_final=0.2)
-    res = K.run_kfp(cfg)
+    res = K.integrate(cfg)
     assert all(r.degM == 0.0 for r in res.records)
     assert all(r.degL > 0.0 for r in res.records)
+
+
+@pytest.mark.parametrize("variant", [Variant.DH, Variant.DMR, Variant.CLASSICAL])
+def test_integrate_records_match_public_functions(variant):
+    # every record and aux entry equals its recomputation from the public
+    # functions, and the recorded states are those of a chain of step_kfp
+    # calls; record_every=2 steps with and without a carried first stage
+    classical = variant is Variant.CLASSICAL
+    params = ModelParams(m=1.0, c=INFINITE if classical else 1.0, gamma=0.5, theta=1.0)
+    grid = PhaseGrid(Nq=32, Np=64, Lq=4 * math.pi, Pmax=8.4 if classical else 34.0)
+    cfg = small_cfg(variant, params=params, grid=grid, record_every=2)
+    pot = cfg.potential
+    op = K.KfpOperator(grid, params, pot, variant)
+    cfg = dataclasses.replace(cfg, t_final=4.5 * op.stable_dt())     # five steps
+    seen = []
+    res = K.integrate(cfg, on_record=lambda st, t, index: seen.append((st, t)))
+    rho_inf, _ = maxwellian(grid, params, pot)
+    assert len(seen) == len(res.records) == 4
+    for rec, extra, (st, t) in zip(res.records, res.aux, seen):
+        drho, de = op.rhs(st)
+        v_s = G.gradient_entropy(st, grid, params)
+        deg_l, deg_m = G.degeneracy_residuals(st, grid, params, pot, variant)
+        assert rec == G.DiagnosticsRecord(
+            t=t, E=G.energy_functional(st, grid, params, pot),
+            S=G.entropy_functional(st, grid, params),
+            mass=float(np.sum(st.rho)) * grid.cell_volume,
+            dSdt=G.inner(grid, v_s.xi, drho) + v_s.r * de, degL=deg_l, degM=deg_m,
+            relEnt=K.relative_entropy(st.rho, rho_inf, grid), e=st.e)
+        assert extra == {"l1": K.l1_distance(st.rho, rho_inf, grid), "dHrho_dt": -de}
+    n_steps = math.ceil(cfg.t_final / op.stable_dt() - 1e-12)
+    chain = [seen[0][0]]
+    for _ in range(n_steps):
+        chain.append(K.step_kfp(chain[-1], op, cfg.t_final / n_steps))
+    recorded = [k for k in range(n_steps + 1) if k % 2 == 0 or k == n_steps]
+    assert len(recorded) == len(seen)
+    for k, (st, _) in zip(recorded, seen):
+        assert np.array_equal(st.rho, chain[k].rho) and st.e == chain[k].e
+    assert res.state is seen[-1][0]
+
+
+def test_integrate_rejects_unstable_dt_and_undershoot():
+    # the step size is checked once per run, after the first record, and
+    # positivity on every step, as step_kfp does
+    cfg = small_cfg(t_final=0.1)
+    op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, cfg.variant)
+    seen = []
+    with pytest.raises(StabilityError):
+        K.integrate(dataclasses.replace(cfg, dt=10.0 * op.stable_dt()),
+                    on_record=lambda st, t, index: seen.append(index))
+    assert seen == [0]
+    rho, _ = maxwellian(cfg.grid, cfg.params, cfg.potential)
+    rho[0, 0] = -1e-9
+    with pytest.raises(PositivityError):
+        K.integrate(cfg, state0=G.State(rho, 0.0))
+
+
+def test_grid_fields_shared_and_read_only():
+    cfg = small_cfg()
+    grid, params, pot = cfg.grid, cfg.params, cfg.potential
+    for variant in (Variant.DH, Variant.DMR):
+        op = K.KfpOperator(grid, params, pot, variant)
+        gh, dface, rhat, rhat_face = G.dissipative_faces(grid, params, pot, variant)
+        assert gh is op.gh_face and dface is op.dface
+        assert rhat is op.rhat and rhat_face is op.rhat_face
+        assert G.gradient_energy(None, grid, params, pot).xi is op.h_cells
+        assert boltzmann_weight(grid, params, pot)[0] is op.rhat
+        assert np.array_equal(op.gh_face, G.face_grad_p(grid, op.h_cells))
+        for field in (op.h_cells, op.gh_face, op.dface, op.rhat, op.rhat_face):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +340,7 @@ def test_shared_stationary_state_small():
 
 def test_e_inf_matches_energy_budget():
     cfg = small_cfg(t_final=0.2)
-    res = K.run_kfp(cfg)
+    res = K.integrate(cfg)
     op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, cfg.variant)
     e0 = res.records[0].E
     expected = e0 - G.inner(cfg.grid, op.h_cells, res.rho_inf)
