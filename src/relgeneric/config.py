@@ -79,12 +79,18 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
 
 
 def _want_float(key, lineno, value):
+    """A finite number; only ``model.c`` also takes inf (classical mode)."""
     if value.lower() in ("inf", "infinite"):
-        return INFINITE
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: key '{key}': expected a number, got {value!r}") from None
+        number = INFINITE
+    else:
+        try:
+            number = float(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: key '{key}': expected a number, "
+                              f"got {value!r}") from None
+    if math.isnan(number) or (math.isinf(number) and key != "model.c"):
+        raise ConfigError(f"line {lineno}: key '{key}': expected a finite number, got {value!r}")
+    return number
 
 
 def _want_int(key, lineno, value):
@@ -189,17 +195,13 @@ def parse_config(text: str, experiment: str) -> RunConfig:
 
     # --- model block
     model_values = {}
-    for name, check, msg in (
-            ("m", lambda v: v > 0 and math.isfinite(v), "must be > 0 and finite"),
-            ("c", lambda v: v > 0, "must be > 0 (use 'inf' for classical mode)"),
-            ("gamma", lambda v: v > 0 and math.isfinite(v), "must be > 0 and finite"),
-            ("theta", lambda v: v > 0 and math.isfinite(v), "must be > 0 and finite"),
-            ("nu", lambda v: v > 0 and math.isfinite(v), "must be > 0 and finite")):
+    for name in ("m", "c", "gamma", "theta", "nu"):
         lineno, value = take(f"model.{name}")
         if value is not None:
             v = _want_float(f"model.{name}", lineno, value)
-            if not check(v):
-                raise ConfigError(f"line {lineno}: key 'model.{name}': {msg}")
+            if not v > 0:
+                hint = " (use 'inf' for classical mode)" if name == "c" else ""
+                raise ConfigError(f"line {lineno}: key 'model.{name}': must be > 0{hint}")
             model_values[name] = v
     lineno, value = take("model.d")
     if value is not None:
@@ -308,11 +310,6 @@ def parse_config(text: str, experiment: str) -> RunConfig:
             cfg.phase_grid = PhaseGrid(Nq=nq, Np=npp, Lq=lq, Pmax=pmax)
         except ValueError as exc:
             raise ConfigError(f"grid.nq/np/lq/pmax: {exc}") from None
-    elif isinstance(cfg.potential, tuple):
-        _, a, lineno_p, period = cfg.potential
-        per = _want_float("potential.period", lineno_p, period) if period is not None \
-            else (cfg.heat_grid.L if cfg.heat_grid else 4.0 * math.pi)
-        cfg.potential = CosinePotential(amplitude=a, period=per)
 
     # --- solver block
     lineno, value = take("solver.dt")
@@ -375,13 +372,9 @@ def parse_config(text: str, experiment: str) -> RunConfig:
     if experiment == "limit-study":
         lineno, value = take("limit.c_values")
         if value is not None:
-            try:
-                cs = tuple(float(part.strip()) for part in value.split(","))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: key 'limit.c_values': expected "
-                                  f"comma-separated numbers, got {value!r}") from None
-            if len(cs) < 2 or any(not (v > 0 and math.isfinite(v)) for v in cs) \
-                    or list(cs) != sorted(cs):
+            cs = tuple(_want_float("limit.c_values", lineno, part.strip())
+                       for part in value.split(","))
+            if len(cs) < 2 or any(not v > 0 for v in cs) or list(cs) != sorted(cs):
                 raise ConfigError(f"line {lineno}: key 'limit.c_values': need at least two "
                                   "finite positive values in increasing order")
             cfg.limit_cs = cs

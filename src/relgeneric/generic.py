@@ -60,10 +60,16 @@ class DiagnosticsRecord:
 # ---------------------------------------------------------------------------
 # discrete calculus
 
-def grad_q(grid: PhaseGrid, a: np.ndarray) -> np.ndarray:
-    """Centered periodic difference along the position axis."""
+def grad_q(grid: PhaseGrid, a: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Centered periodic difference along the position axis.
+
+    Every discrete-calculus function writes into ``out`` when given (it must
+    not overlap the input, and for grad_p and div_p it must be C-contiguous)
+    and otherwise allocates its result.
+    """
     # a[i+1] - a[i-1] from slices, with the two wrapped rows done apart
-    out = np.empty(a.shape, np.result_type(a, 1.0))
+    if out is None:
+        out = np.empty(a.shape, np.result_type(a, 1.0))
     np.subtract(a[2:], a[:-2], out=out[1:-1])
     np.subtract(a[1:2], a[-1:], out=out[:1])
     np.subtract(a[:1], a[-2:-1], out=out[-1:])
@@ -71,26 +77,35 @@ def grad_q(grid: PhaseGrid, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def div_q(grid: PhaseGrid, f: np.ndarray) -> np.ndarray:
+def div_q(grid: PhaseGrid, f: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     # periodic centered difference is skew-adjoint, so -grad_q^T = grad_q
-    return grad_q(grid, f)
+    return grad_q(grid, f, out=out)
 
 
-def grad_p(grid: PhaseGrid, a: np.ndarray) -> np.ndarray:
+def grad_p(grid: PhaseGrid, a: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Centered difference along momentum, one-sided at the truncated edges."""
     hp = grid.hp
-    out = np.empty_like(a)
-    out[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * hp)
+    if out is None:
+        out = np.empty(a.shape, np.result_type(a, 1.0))
+    # a[j+1] - a[j-1] along the flattened rows, in one contiguous pass; the
+    # values this leaves in the edge columns mix rows and are overwritten
+    flat, flat_out = a.reshape(-1), out.reshape(-1, copy=False)
+    np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
+    flat_out[1:-1] /= 2.0 * hp
     out[:, 0] = (a[:, 1] - a[:, 0]) / hp
     out[:, -1] = (a[:, -1] - a[:, -2]) / hp
     return out
 
 
-def div_p(grid: PhaseGrid, f: np.ndarray) -> np.ndarray:
+def div_p(grid: PhaseGrid, f: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Exact negative adjoint of grad_p under the midpoint inner product."""
     hp = grid.hp
-    out = np.empty_like(f)
-    out[:, 2:-2] = (f[:, 3:-1] - f[:, 1:-3]) / (2.0 * hp)
+    if out is None:
+        out = np.empty(f.shape, np.result_type(f, 1.0))
+    # interior as in grad_p; the four edge columns are overwritten below
+    flat, flat_out = f.reshape(-1), out.reshape(-1, copy=False)
+    np.subtract(flat[3:-1], flat[1:-3], out=flat_out[2:-2])
+    flat_out[2:-2] /= 2.0 * hp
     out[:, 0] = f[:, 0] / hp + f[:, 1] / (2.0 * hp)
     out[:, 1] = -f[:, 0] / hp + f[:, 2] / (2.0 * hp)
     out[:, -2] = -f[:, -3] / (2.0 * hp) + f[:, -1] / hp
@@ -98,15 +113,27 @@ def div_p(grid: PhaseGrid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def face_grad_p(grid: PhaseGrid, a: np.ndarray) -> np.ndarray:
+def face_grad_p(grid: PhaseGrid, a: np.ndarray, *,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Two-point gradient on interior momentum faces, shape (Nq, Np-1)."""
-    return (a[:, 1:] - a[:, :-1]) / grid.hp
+    if out is None:
+        out = np.empty((a.shape[0], a.shape[1] - 1), np.result_type(a, 1.0))
+    np.subtract(a[:, 1:], a[:, :-1], out=out)
+    out /= grid.hp
+    return out
 
 
-def face_div_p(grid: PhaseGrid, f: np.ndarray) -> np.ndarray:
+def face_div_p(grid: PhaseGrid, f: np.ndarray, *,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Flux divergence from interior momentum faces; zero flux at +-Pmax."""
-    z = np.zeros((f.shape[0], 1))
-    return (np.concatenate([f, z], axis=1) - np.concatenate([z, f], axis=1)) / grid.hp
+    if out is None:
+        out = np.empty((f.shape[0], f.shape[1] + 1), np.result_type(f, 1.0))
+    # f - 0 and 0 - f as written out, so that signed zeros come out the same
+    np.subtract(f[:, 0], 0.0, out=out[:, 0])
+    np.subtract(f[:, 1:], f[:, :-1], out=out[:, 1:-1])
+    np.subtract(0.0, f[:, -1], out=out[:, -1])
+    out /= grid.hp
+    return out
 
 
 def inner(grid: PhaseGrid, a: np.ndarray, b: np.ndarray) -> float:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import StabilityError
 
 
 @dataclass(frozen=True)
@@ -89,3 +92,15 @@ class LineGrid:
     @property
     def x(self) -> np.ndarray:
         return (np.arange(self.N) + 0.5) * self.h
+
+
+def time_steps(t_final: float, dt: float) -> tuple[int, float]:
+    """Equal steps of at most dt (to 1e-12) landing exactly on t_final: (count, size).
+
+    Raises StabilityError when no finite count of such steps exists.
+    """
+    if not (dt > 0 and math.isfinite(t_final / dt)):
+        raise StabilityError(f"no finite number of steps of dt={dt:g} reaches "
+                             f"t_final={t_final:g}")
+    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
+    return n_steps, t_final / n_steps

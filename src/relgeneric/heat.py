@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PositivityError, StabilityError
-from .grid import LineGrid
+from .grid import LineGrid, time_steps
 from .model import ModelParams
 
 NEGATIVE_TOL = -1e-14   # strictest allowed undershoot per explicit step
@@ -205,9 +205,13 @@ def reached_faces(state: HeatState, grid: LineGrid, params: ModelParams):
 
 
 def stable_dt(grid: LineGrid, params: ModelParams) -> float:
+    """Largest Euler step allowed by diffusion and, for finite c, the flux limit."""
     dt = 0.25 * grid.h**2 / params.nu
     if not params.classical:
         dt = min(dt, 0.25 * grid.h / params.c)
+    if not (math.isfinite(dt) and dt > 0):
+        raise StabilityError(f"the stability bound on dt is {dt!r}; "
+                             "the parameters leave no usable time step")
     return dt
 
 
@@ -343,9 +347,7 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    # equal steps landing exactly on t_final
-    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
-    step_dt = t_final / n_steps
+    n_steps, step_dt = time_steps(t_final, dt)
     _check_dt(step_dt, grid, params)
     rho0 = np.asarray(rho0, dtype=float).copy()
     state = HeatState(rho=rho0, t=0.0, cone=light_cone(rho0, 0.0, grid, params))

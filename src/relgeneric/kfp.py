@@ -23,7 +23,7 @@ from . import generic
 from .errors import NonConvergenceError, PositivityError, StabilityError
 from .generic import (DiagnosticsRecord, State, div_p, div_q, face_div_p,
                       face_grad_p, grad_p, grad_q, inner)
-from .grid import PhaseGrid
+from .grid import PhaseGrid, time_steps
 from .model import (ModelParams, Potential, Variant, check_variant, grid_fields,
                     hamiltonian, maxwellian, mobility_drift,
                     mobility_drift_divergence, velocity)
@@ -63,7 +63,10 @@ class KfpOperator:
     """Precomputed grid fields for fast right-hand-side evaluation.
 
     H on cells, its face gradient, D on faces and the Boltzmann weight are
-    the shared read-only arrays of ``model.grid_fields``.
+    the shared read-only arrays of ``model.grid_fields``.  The operator also
+    owns the workspace its kernel and RK4 write into (four cell arrays), so
+    one operator must not be used by two threads at once.
+    The public methods return fresh arrays that never alias the workspace.
     """
 
     def __init__(self, grid: PhaseGrid, params: ModelParams, potential: Potential,
@@ -73,40 +76,68 @@ class KfpOperator:
         self.h_cells, self.gh_face, self.dface = fields.h_cells, fields.gh_face, fields.dface
         self.rhat, self.rhat_face = fields.rhat, fields.rhat_face
         self.gq_h = grad_q(grid, self.h_cells)       # force field is -gq_h
-        self.gp_h = grad_p(grid, self.h_cells)       # q-direction velocity
+        self.neg_gp_h = -grad_p(grid, self.h_cells)  # minus the q-direction velocity
         # gamma theta D rhat on faces: one multiply per rhs evaluation
         self.diff_face = params.gamma * params.theta * self.dface * self.rhat_face
         dts = [0.25 * grid.hp**2 / (params.gamma * params.theta * float(self.dface.max()))]
-        vq = float(np.abs(self.gp_h).max())
+        vq = float(np.abs(self.neg_gp_h).max())
         vp = float(np.abs(self.gq_h).max())
         if vq > 0:
             dts.append(0.4 * grid.hq / vq)
         if vp > 0:
             dts.append(0.4 * grid.hp / vp)
         self._stable_dt = min(dts)
+        if not (math.isfinite(self._stable_dt) and self._stable_dt > 0):
+            raise StabilityError(f"the stability bound on dt is {self._stable_dt!r}; "
+                                 "the parameters leave no usable time step")
+        # workspace, one block freed in one piece: an RK4 stage density and
+        # slope, and two kernel scratch arrays
+        self._stage, self._slope, self._work, self._work2 = np.empty((4,) + grid.shape)
 
     def stable_dt(self) -> float:
         """Largest RK4 step allowed by momentum diffusion and transport."""
         return self._stable_dt
 
+    def _faces_of(self, cells: np.ndarray) -> np.ndarray:
+        """A C-contiguous face-shaped view on the start of a workspace array.
+
+        np.sum adds such a view in the same order as a fresh face array."""
+        return cells.reshape(-1)[:self.gh_face.size].reshape(self.gh_face.shape)
+
+    def _flux_into(self, rho: np.ndarray) -> np.ndarray:
+        """The dissipative face flux of rho, at the start of _work2."""
+        u = np.divide(rho, self.rhat, out=self._work)
+        flux = face_grad_p(self.grid, u, out=self._faces_of(self._work2))
+        flux *= self.diff_face
+        return flux
+
+    def _transport_into(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        div_q(self.grid, np.multiply(rho, self.neg_gp_h, out=self._work), out=out)
+        out += div_p(self.grid, np.multiply(rho, self.gq_h, out=self._work), out=self._work2)
+        return out
+
+    def _rhs_into(self, rho: np.ndarray, drho: np.ndarray) -> float:
+        """Kernel of rhs: writes drho, returns de.  Only the workspace is touched."""
+        self._transport_into(rho, drho)     # before the flux, which shares _work2
+        flux = self._flux_into(rho)
+        drho += face_div_p(self.grid, flux, out=self._work)
+        prod = np.multiply(self.gh_face, flux, out=self._faces_of(self._work))
+        return float(np.sum(prod)) * self.grid.cell_volume
+
     def dissipative_flux(self, rho: np.ndarray) -> np.ndarray:
         """gamma theta D rhat_f grad_p(rho/rhat) on interior momentum faces."""
-        u = rho / self.rhat
-        return self.diff_face * face_grad_p(self.grid, u)
+        return self._flux_into(rho).copy()
 
     def dissipative_tendency(self, rho: np.ndarray) -> np.ndarray:
-        return face_div_p(self.grid, self.dissipative_flux(rho))
+        return face_div_p(self.grid, self._flux_into(rho))
 
     def transport_tendency(self, rho: np.ndarray) -> np.ndarray:
         """div(rho J grad H) with the cell-centered adjoint-exact calculus."""
-        return (div_q(self.grid, rho * (-self.gp_h))
-                + div_p(self.grid, rho * self.gq_h))
+        return self._transport_into(rho, np.empty(self.grid.shape))
 
     def rhs(self, state: State):
-        flux = self.dissipative_flux(state.rho)
-        drho = self.transport_tendency(state.rho) + face_div_p(self.grid, flux)
-        de = float(np.sum(self.gh_face * flux)) * self.grid.cell_volume
-        return drho, de
+        drho = np.empty(self.grid.shape)
+        return drho, self._rhs_into(state.rho, drho)
 
 
 def excess_energy_rate(state: State, op: KfpOperator) -> float:
@@ -184,14 +215,29 @@ def _check_dt(op: KfpOperator, dt: float) -> None:
         raise StabilityError(f"dt={dt:g} exceeds the stability bound {op.stable_dt():g}")
 
 
-def _rk4(state: State, op: KfpOperator, dt: float, k1) -> State:
-    """One RK4 step from the first stage k1 = op.rhs(state), positivity-guarded."""
+def _rk4(state: State, op: KfpOperator, dt: float, k1=None) -> State:
+    """One RK4 step, positivity-guarded; k1 = op.rhs(state) when the caller has it.
+
+    The stages run in the operator's workspace.  The step's one fresh array
+    holds the first stage when k1 is not given, accumulates
+    ((k1 + 2 k2) + 2 k3) + k4, and becomes the new density.
+    """
     r0, e0 = state.rho, state.e
-    k1r, k1e = k1
-    k2r, k2e = op.rhs(State(r0 + 0.5 * dt * k1r, e0 + 0.5 * dt * k1e))
-    k3r, k3e = op.rhs(State(r0 + 0.5 * dt * k2r, e0 + 0.5 * dt * k2e))
-    k4r, k4e = op.rhs(State(r0 + dt * k3r, e0 + dt * k3e))
-    rho = r0 + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    rho = np.empty(op.grid.shape)
+    k1r, k1e = (rho, op._rhs_into(r0, rho)) if k1 is None else k1
+    stage, slope = op._stage, op._slope
+    half = 0.5 * dt
+    np.add(r0, np.multiply(k1r, half, out=stage), out=stage)   # r0 + dt/2 k1
+    k2e = op._rhs_into(stage, slope)
+    np.add(r0, np.multiply(slope, half, out=stage), out=stage)  # r0 + dt/2 k2
+    np.add(k1r, np.multiply(slope, 2.0, out=slope), out=rho)    # k1 + 2 k2
+    k3e = op._rhs_into(stage, slope)
+    np.add(r0, np.multiply(slope, dt, out=stage), out=stage)    # r0 + dt k3
+    rho += np.multiply(slope, 2.0, out=slope)
+    k4e = op._rhs_into(stage, slope)
+    rho += slope
+    rho *= dt / 6.0
+    np.add(r0, rho, out=rho)
     e = e0 + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
     if rho.min() < NEGATIVE_TOL:
         raise PositivityError(f"density undershoot {rho.min():.3e} below {NEGATIVE_TOL:g}")
@@ -201,7 +247,7 @@ def _rk4(state: State, op: KfpOperator, dt: float, k1) -> State:
 def step_kfp(state: State, op: KfpOperator, dt: float) -> State:
     """Classical RK4 on the coupled (rho, e) system with positivity guard."""
     _check_dt(op, dt)
-    return _rk4(state, op, dt, op.rhs(state))
+    return _rk4(state, op, dt)
 
 
 @dataclass
@@ -259,13 +305,11 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     t_now = 0.0
     l1, k1 = record(state)
     converged = l1_stop is not None and l1 <= l1_stop
-    # equal steps landing exactly on t_final
-    n_steps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
-    step_dt = cfg.t_final / n_steps
+    n_steps, step_dt = time_steps(cfg.t_final, dt)
     if not converged:
         _check_dt(op, step_dt)
         for k in range(n_steps):
-            state = _rk4(state, op, step_dt, op.rhs(state) if k1 is None else k1)
+            state = _rk4(state, op, step_dt, k1)
             k1 = None
             t_now = cfg.t_final if k == n_steps - 1 else (k + 1) * step_dt
             if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:

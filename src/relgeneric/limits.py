@@ -7,14 +7,13 @@ deviations isolate the c-dependence of the dynamics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import heat as HT
 from .config import RunConfig
-from .grid import LineGrid
+from .grid import LineGrid, time_steps
 from .kfp import KfpOperator, State, make_initial_state, step_kfp
 from .model import INFINITE, ModelParams, Variant
 
@@ -70,8 +69,7 @@ def run_limit_kfp(cfg: RunConfig) -> LimitResult:
     if cfg.dt is not None:
         dt = min(dt, cfg.dt)
     # identical equal-step schedule for every member of the sweep
-    n_steps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
-    step_dt = cfg.t_final / n_steps
+    n_steps, step_dt = time_steps(cfg.t_final, dt)
 
     def final_density(op):
         state = State(rho=state0.rho.copy(), e=state0.e)

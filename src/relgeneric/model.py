@@ -237,7 +237,8 @@ def grid_fields(grid: PhaseGrid, params: ModelParams, potential: Potential,
     Every argument is a frozen, hashable value, so the fields are memoized;
     the arrays are read-only because all callers share them.  With
     ``variant=None`` the variant-free fields are built and ``dface`` is None;
-    a variant entry reuses those arrays and adds its face diffusion.
+    a variant entry reuses those arrays and adds its face diffusion.  Raises
+    ValueError when H is not finite on the grid.
     """
     if variant is not None:
         check_variant(variant, params)
@@ -247,6 +248,9 @@ def grid_fields(grid: PhaseGrid, params: ModelParams, potential: Potential,
         return base._replace(dface=np.broadcast_to(d, base.gh_face.shape))
     h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
                     params, potential)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("the Hamiltonian is not finite on the grid; "
+                         "check the potential parameters against the grid")
     h_min = float(h.min())
     rhat = np.exp(-(h - h_min) / params.theta)
     # the face gradient is generic.face_grad_p's; M dE = 0 relies on the two agreeing

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from relgeneric.cli import main
 from relgeneric.config import ConfigError, parse_config, tail_exponent_momentum
 from relgeneric.generic import DiagnosticsRecord
 from relgeneric.grid import LineGrid, PhaseGrid
@@ -64,6 +65,45 @@ def test_classical_c_token():
     assert math.isinf(cfg.params.c)
     cfg = parse_config("model.c = INFINITE\n", "heat")
     assert math.isinf(cfg.params.c)
+
+
+KFP_SMALL = ("model.c = 1.0\ngrid.nq = 16\ngrid.np = 32\ngrid.lq = 12.566\n"
+             "grid.pmax = 34.0\nsolver.t_final = 0.05\n")
+HEAT_SMALL = "grid.n = 64\nsolver.t_final = 0.01\nmodel.c = 1.0\n"
+
+
+# exit 2 (configuration error) or 1 (run failed), never a traceback
+BAD_NUMBERS = {
+    # a non-finite number is rejected for every key but model.c
+    "kfp-t_final-inf": ("kfp", KFP_SMALL.replace("0.05", "inf"), 2),
+    "heat-t_final-inf": ("heat", HEAT_SMALL.replace("0.01", "inf"), 2),
+    "stiffness-inf": ("kfp", KFP_SMALL + "potential.kind = harmonic\n"
+                      "potential.stiffness = inf\n", 2),
+    "amplitude-inf": ("kfp", KFP_SMALL + "potential.kind = cosine\n"
+                      "potential.amplitude = inf\n", 2),
+    "p0-nan": ("kfp", KFP_SMALL + "init.p0 = nan\n", 2),
+    "c-nan": ("kfp", KFP_SMALL.replace("1.0", "nan", 1), 2),
+    "width-1e999": ("heat", HEAT_SMALL + "init.width = 1e999\n", 2),
+    "c_values-nan": ("limit-study", "limit.c_values = 10, nan\n", 2),
+    # finite numbers whose derived quantities break: a named solver error
+    "kfp-gamma-1e308": ("kfp", KFP_SMALL + "model.gamma = 1e308\n", 1),
+    "heat-nu-1e308": ("heat", HEAT_SMALL + "model.nu = 1e308\n", 1),
+    "heat-length-1e-300": ("heat", HEAT_SMALL + "grid.length = 1e-300\n", 1),
+    "kfp-t_final-1e308": ("kfp", KFP_SMALL.replace("0.05", "1e308"), 1),
+    "period-1e-320": ("kfp", KFP_SMALL + "potential.kind = cosine\n"
+                      "potential.period = 1e-320\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_cli_bad_numbers_end_in_named_errors(tmp_path, capsys, case):
+    experiment, text, code = case
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with np.errstate(all="ignore"):
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    prefix = "configuration error:" if code == 2 else "run failed:"
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_kfp_defaults_satisfy_tail_rule():

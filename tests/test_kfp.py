@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,154 @@ def test_integrate_records_match_public_functions(variant):
     for k, (st, _) in zip(recorded, seen):
         assert np.array_equal(st.rho, chain[k].rho) and st.e == chain[k].e
     assert res.state is seen[-1][0]
+
+
+# The allocating calculus, right-hand side and RK4 step the workspace kernel
+# replaced, kept as the reference it must match bit for bit.
+
+def _ref_grad_p(grid, a):
+    hp = grid.hp
+    out = np.empty_like(a)
+    out[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * hp)
+    out[:, 0] = (a[:, 1] - a[:, 0]) / hp
+    out[:, -1] = (a[:, -1] - a[:, -2]) / hp
+    return out
+
+
+def _ref_div_p(grid, f):
+    hp = grid.hp
+    out = np.empty_like(f)
+    out[:, 2:-2] = (f[:, 3:-1] - f[:, 1:-3]) / (2.0 * hp)
+    out[:, 0] = f[:, 0] / hp + f[:, 1] / (2.0 * hp)
+    out[:, 1] = -f[:, 0] / hp + f[:, 2] / (2.0 * hp)
+    out[:, -2] = -f[:, -3] / (2.0 * hp) + f[:, -1] / hp
+    out[:, -1] = -f[:, -2] / (2.0 * hp) - f[:, -1] / hp
+    return out
+
+
+def _ref_face_div_p(grid, f):
+    z = np.zeros((f.shape[0], 1))
+    return (np.concatenate([f, z], axis=1) - np.concatenate([z, f], axis=1)) / grid.hp
+
+
+def _ref_rhs(op, state):
+    grid, rho = op.grid, state.rho
+    u = rho / op.rhat
+    flux = op.diff_face * ((u[:, 1:] - u[:, :-1]) / grid.hp)
+    gp_h = _ref_grad_p(grid, op.h_cells)
+    drho = (G.div_q(grid, rho * (-gp_h)) + _ref_div_p(grid, rho * op.gq_h)
+            + _ref_face_div_p(grid, flux))
+    return drho, float(np.sum(op.gh_face * flux)) * grid.cell_volume
+
+
+def _ref_rk4(state, op, dt, k1=None):
+    r0, e0 = state.rho, state.e
+    k1r, k1e = _ref_rhs(op, state) if k1 is None else k1
+    k2r, k2e = _ref_rhs(op, G.State(r0 + 0.5 * dt * k1r, e0 + 0.5 * dt * k1e))
+    k3r, k3e = _ref_rhs(op, G.State(r0 + 0.5 * dt * k2r, e0 + 0.5 * dt * k2e))
+    k4r, k4e = _ref_rhs(op, G.State(r0 + dt * k3r, e0 + dt * k3e))
+    rho = r0 + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    e = e0 + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+    if rho.min() < K.NEGATIVE_TOL:
+        raise PositivityError(f"density undershoot {rho.min():.3e}")
+    return G.State(rho=rho, e=float(e))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _variant_cfg(variant, record_every, steps):
+    classical = variant is Variant.CLASSICAL
+    params = ModelParams(m=1.0, c=INFINITE if classical else 1.0, gamma=0.5, theta=1.0)
+    grid = PhaseGrid(Nq=32, Np=64, Lq=4 * math.pi, Pmax=8.4 if classical else 34.0)
+    cfg = small_cfg(variant, params=params, grid=grid, record_every=record_every)
+    op = K.KfpOperator(grid, params, cfg.potential, variant)
+    return dataclasses.replace(cfg, t_final=(steps - 0.5) * op.stable_dt()), op
+
+
+def test_calculus_bitwise_equal_to_allocating_reference():
+    # signed zeros included: face_div_p's edge columns are f - 0 and 0 - f
+    grid = PhaseGrid(Nq=8, Np=10, Lq=3.0, Pmax=2.0)
+    choices = np.array([0.0, -0.0, 1.0, -2.5, 3e-300, 0.1])
+    a = choices[np.add.outer(np.arange(8), np.arange(10)) % 6]   # each value in each column
+    for fn, ref, arg in ((G.grad_p, _ref_grad_p, a), (G.div_p, _ref_div_p, a),
+                         (G.face_div_p, _ref_face_div_p, a[:, 1:]),
+                         (G.face_grad_p, lambda g, x: (x[:, 1:] - x[:, :-1]) / g.hp, a)):
+        expected = ref(grid, arg)
+        for x in (arg, np.asfortranarray(arg)):
+            for out in (None, np.full(expected.shape, np.nan)):
+                assert np.array_equal(_bits(fn(grid, x, out=out)), _bits(expected))
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("variant", [Variant.DH, Variant.DMR, Variant.CLASSICAL])
+def test_integrate_bitwise_equal_to_allocating_reference(variant, record_every,
+                                                         monkeypatch):
+    cfg, _ = _variant_cfg(variant, record_every, steps=7)
+
+    def run():
+        seen = []
+        res = K.integrate(cfg, on_record=lambda st, t, index: seen.append(st))
+        return res, seen + [res.state]
+
+    res, states = run()
+    monkeypatch.setattr(K, "_rk4", _ref_rk4)
+    monkeypatch.setattr(K.KfpOperator, "rhs", _ref_rhs)
+    ref, ref_states = run()
+    assert len(states) == len(ref_states) == len(res.records) + 1
+    for st, ref_st in zip(states, ref_states):
+        assert np.array_equal(_bits(st.rho), _bits(ref_st.rho))
+        assert _bits(st.e) == _bits(ref_st.e)
+    for rec, ref_rec in zip(res.records, ref.records):
+        assert np.array_equal(_bits(dataclasses.astuple(rec)),
+                              _bits(dataclasses.astuple(ref_rec)))
+    for extra, ref_extra in zip(res.aux, ref.aux):
+        assert extra.keys() == ref_extra.keys()
+        assert np.array_equal(_bits(list(extra.values())), _bits(list(ref_extra.values())))
+
+
+def test_states_and_returned_arrays_never_alias_the_workspace():
+    cfg, op = _variant_cfg(Variant.DH, record_every=2, steps=7)
+    seen = []
+    res = K.integrate(cfg, on_record=lambda st, t, index: seen.append((st, st.rho.copy())))
+    for st, kept in seen:              # later steps left each handed-out state alone
+        assert np.array_equal(_bits(st.rho), _bits(kept))
+    assert res.state is seen[-1][0]
+
+    state = seen[0][0]
+    stepped = K.step_kfp(state, op, op.stable_dt())
+    kept = stepped.rho.copy()
+    K.step_kfp(K.step_kfp(stepped, op, op.stable_dt()), op, op.stable_dt())
+    assert np.array_equal(_bits(stepped.rho), _bits(kept))
+
+    held = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
+    returned = []
+    for _ in range(2):
+        returned += [op.rhs(state)[0], op.transport_tendency(state.rho),
+                     op.dissipative_flux(state.rho), op.dissipative_tendency(state.rho),
+                     K.step_kfp(state, op, op.stable_dt()).rho]
+    for i, a in enumerate(returned):
+        for b in held + returned[:i] + [state.rho]:
+            assert not np.shares_memory(a, b)
+
+
+def test_step_allocation_budget_at_64x256():
+    # a warm step allocates its new density and little else; the allocating
+    # step it replaced peaked at about ten grid arrays
+    params = ModelParams(m=1.0, c=2.0, gamma=1.0, theta=1.0)
+    grid = PhaseGrid(Nq=64, Np=256, Lq=4 * math.pi, Pmax=20.0)
+    pot = CosinePotential(amplitude=1.0, period=grid.Lq)
+    op = K.KfpOperator(grid, params, pot, Variant.DMR)
+    state = K.make_initial_state(K.InitSpec(p0=0.5), grid, params, pot)
+    state = K.step_kfp(state, op, op.stable_dt())
+    tracemalloc.start()
+    try:
+        K.step_kfp(state, op, op.stable_dt())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * state.rho.nbytes
 
 
 def test_integrate_rejects_unstable_dt_and_undershoot():
