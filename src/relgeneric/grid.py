@@ -9,6 +9,10 @@ import numpy as np
 
 from .errors import StabilityError
 
+# A run needing more steps than this would not end in any useful time (the
+# committed configs need at most 32768); time_steps rejects it up front.
+MAX_STEPS = 10**8
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -97,10 +101,14 @@ class LineGrid:
 def time_steps(t_final: float, dt: float) -> tuple[int, float]:
     """Equal steps of at most dt (to 1e-12) landing exactly on t_final: (count, size).
 
-    Raises StabilityError when no finite count of such steps exists.
+    Raises StabilityError when no finite count of such steps exists, or when
+    the count exceeds MAX_STEPS.
     """
     if not (dt > 0 and math.isfinite(t_final / dt)):
         raise StabilityError(f"no finite number of steps of dt={dt:g} reaches "
                              f"t_final={t_final:g}")
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
+    if n_steps > MAX_STEPS:
+        raise StabilityError(f"reaching t_final={t_final:g} in steps of dt={dt:g} takes "
+                             f"{n_steps:.3g} steps, more than the limit {MAX_STEPS:.0e}")
     return n_steps, t_final / n_steps

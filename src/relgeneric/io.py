@@ -2,9 +2,9 @@
 
 Floats are written with 17 significant digits so every file round-trips
 bitwise; regression baselines can therefore be compared exactly.  A density
-dump's rows come from a per-grid template that holds the formatted indices
-and coordinates, so each dump formats only the density values; the bytes
-are the same as formatting every cell with ``format(x, ".17g")``.
+dump's rows come from cached per-row templates that hold the formatted
+indices and coordinates, so each dump formats only the density values; the
+bytes are the same as formatting every cell with ``format(x, ".17g")``.
 """
 
 from __future__ import annotations
@@ -68,18 +68,21 @@ def read_timeseries_csv(path) -> list[DiagnosticsRecord]:
 
 
 @lru_cache(maxsize=4)
-def _row_template(grid) -> str:
-    """Every row of a dump of ``grid``, with the density left as ``%.17g``."""
+def _row_templates(grid) -> tuple[str, ...]:
+    """The rows of a dump of ``grid``, one template per q-row (one in all for
+    a line grid), with the density left as ``%.17g``."""
     if isinstance(grid, PhaseGrid):
         p = [_fmt(v) for v in grid.p]
-        return "".join(f"{i},{j},{q},{pj},%.17g\n"
-                       for i, q in enumerate(map(_fmt, grid.q))
-                       for j, pj in enumerate(p))
-    return "".join(f"{i},{_fmt(x)},%.17g\n" for i, x in enumerate(grid.x))
+        return tuple("".join(f"{i},{j},{q},{pj},%.17g\n" for j, pj in enumerate(p))
+                     for i, q in enumerate(map(_fmt, grid.q)))
+    return ("".join(f"{i},{_fmt(x)},%.17g\n" for i, x in enumerate(grid.x)),)
 
 
 def dump_density(kind: str, grid, rho: np.ndarray, t: float, path) -> None:
-    """Text dump of a density field; heat dumps omit the momentum columns."""
+    """Text dump of a density field; heat dumps omit the momentum columns.
+
+    The body is written q-row by q-row, so only one row's text is held at once.
+    """
     if kind == "kfp":
         assert isinstance(grid, PhaseGrid)
         header = (f"# kind=kfp\n# Nq={grid.Nq} Np={grid.Np} Lq={_fmt(grid.Lq)} "
@@ -94,11 +97,13 @@ def dump_density(kind: str, grid, rho: np.ndarray, t: float, path) -> None:
     rho = np.asarray(rho)
     if rho.shape != shape:
         raise ValueError(f"density of shape {rho.shape} does not fit the grid {shape}")
-    body = _row_template(grid) % tuple(rho.ravel().tolist())
+    templates = _row_templates(grid)
+    rows = rho.reshape(len(templates), -1)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header)
-            fh.write(body)
+            for tmpl, row in zip(templates, rows):
+                fh.write(tmpl % tuple(row.tolist()))
     except OSError as exc:
         raise OSError(f"failed to write density dump to {path}: {exc}") from exc
 

@@ -9,7 +9,14 @@ dissipative momentum flux written in equilibrium-weighted form,
 which keeps the grid-sampled Maxwellian an exact steady state of the
 dissipative operator.  The excess-energy variable absorbs exactly the heat
 the dissipative flux exchanges, so the coupled total energy is a linear
-invariant of the semi-discretization and is conserved to round-off by RK4.
+invariant of the semi-discretization.
+
+A time step follows the GENERIC split dz/dt = L dE + M dS (Strang): half a
+step of the dissipative part, one RK4 step of the transport alone, and
+another dissipative half step.  Only transport limits the step.  The
+dissipative half step is TR-BDF2 through a precomputed dense map applied in
+flux form, so mass telescopes, the total energy stays a linear invariant
+and the Maxwellian stays a fixed point, each to round-off.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from .model import (ModelParams, Potential, Variant, check_variant, grid_fields,
                     hamiltonian, maxwellian, mobility_drift,
                     mobility_drift_divergence, velocity)
 
-NEGATIVE_TOL = -1e-12   # allowed undershoot per RK4 step
+NEGATIVE_TOL = -1e-12   # allowed undershoot per time step
+TRBDF2_GAMMA = 2.0 - math.sqrt(2.0)   # the L-stable choice; its stages share one matrix
 
 
 @dataclass(frozen=True)
@@ -64,8 +72,9 @@ class KfpOperator:
 
     H on cells, its face gradient, D on faces and the Boltzmann weight are
     the shared read-only arrays of ``model.grid_fields``.  The operator also
-    owns the workspace its kernel and RK4 write into (four cell arrays), so
-    one operator must not be used by two threads at once.
+    owns the workspace its kernels and the time step write into (five cell
+    arrays) and the last dissipative map it built, so one operator must not
+    be used by two threads at once.
     The public methods return fresh arrays that never alias the workspace.
     """
 
@@ -79,24 +88,89 @@ class KfpOperator:
         self.neg_gp_h = -grad_p(grid, self.h_cells)  # minus the q-direction velocity
         # gamma theta D rhat on faces: one multiply per rhs evaluation
         self.diff_face = params.gamma * params.theta * self.dface * self.rhat_face
-        dts = [0.25 * grid.hp**2 / (params.gamma * params.theta * float(self.dface.max()))]
+        self._tridiag = self._dissipative_matrix()
+        dts = []
         vq = float(np.abs(self.neg_gp_h).max())
         vp = float(np.abs(self.gq_h).max())
         if vq > 0:
             dts.append(0.4 * grid.hq / vq)
         if vp > 0:
             dts.append(0.4 * grid.hp / vp)
-        self._stable_dt = min(dts)
+        self._stable_dt = min(dts, default=math.inf)
         if not (math.isfinite(self._stable_dt) and self._stable_dt > 0):
             raise StabilityError(f"the stability bound on dt is {self._stable_dt!r}; "
                                  "the parameters leave no usable time step")
-        # workspace, one block freed in one piece: an RK4 stage density and
-        # slope, and two kernel scratch arrays
-        self._stage, self._slope, self._work, self._work2 = np.empty((4,) + grid.shape)
+        self._map_h, self._w_map = None, None    # the last dissipative map and its h
+        # workspace, one block freed in one piece: the density after the first
+        # dissipative half step, an RK4 stage density and slope (the stage also
+        # holds a dissipative stage state), and two kernel scratch arrays
+        self._mid, self._stage, self._slope, self._work, self._work2 = \
+            np.empty((5,) + grid.shape)
 
     def stable_dt(self) -> float:
-        """Largest RK4 step allowed by momentum diffusion and transport."""
+        """Largest time step: the RK4 transport bounds 0.4 h / v in q and in p.
+
+        Momentum diffusion sets no bound; its half steps are L-stable.
+        """
         return self._stable_dt
+
+    def _dissipative_matrix(self):
+        """Diagonals (lower, main, upper) of the dissipative operator on one q-row.
+
+        d rho_j/dt = (F_j - F_j-1) / hp with F_j = diff_face_j (u_j+1 - u_j) / hp
+        and u = rho / rhat.  Every q-row has the same matrix: D depends on p
+        alone and the factor exp(-V(q)/theta) cancels from rhat_face / rhat.
+        The row of least V is used.  lower[0] and upper[-1] are 0.
+        """
+        i = int(np.argmin(self.h_cells[:, 0]))
+        c = self.diff_face[i] / self.grid.hp**2
+        r = self.rhat[i]
+        lower, main, upper = np.zeros((3, self.grid.Np))
+        upper[:-1] = c / r[1:]
+        lower[1:] = c / r[:-1]
+        main[:-1] -= c / r[:-1]
+        main[1:] -= c / r[1:]
+        if not np.all(np.isfinite([lower, main, upper])):
+            raise StabilityError("the dissipative operator's coefficients are not finite; "
+                                 "check gamma, theta and the grid")
+        return lower, main, upper
+
+    def _map(self, h: float) -> np.ndarray:
+        """The TR-BDF2 map W of a dissipative substep of length h, kept for the next h.
+
+        With the matrix A of _dissipative_matrix and the stage weights
+        d = gamma/2 and b = (1 - d)/2 of TR-BDF2 written as a stiffly
+        accurate ESDIRK, the stages are Y2 = (I - d h A)^-1 (I + d h A) and
+        Y3 = (I - d h A)^-1 (I + b h A (I + Y2)), and the substep is
+        rho' = rho + h A W rho with W = b (I + Y2) + d Y3.  A r = 0 gives
+        W r = r for a Maxwellian row r.  Built by Thomas sweeps over the
+        columns of the identity; raises StabilityError when W is not finite.
+        """
+        if h == self._map_h:
+            return self._w_map
+        lower, main, upper = self._tridiag
+        d = 0.5 * TRBDF2_GAMMA
+        b = 0.5 * (1.0 - d)
+        n = self.grid.Np
+        diag = np.arange(n)
+        y2 = np.zeros((n, n))                       # I + d h A
+        y2[diag, diag] = 1.0 + d * h * main
+        y2[diag[1:], diag[:-1]] = d * h * lower[1:]
+        y2[diag[:-1], diag[1:]] = d * h * upper[:-1]
+        solve = (-d * h * lower, 1.0 - d * h * main, -d * h * upper)
+        _thomas_inplace(*solve, y2)
+        y2[diag, diag] += 1.0                       # I + Y2
+        w_map = _tridiag_apply(lower, main, upper, y2)
+        w_map *= b * h
+        w_map[diag, diag] += 1.0                    # I + b h A (I + Y2)
+        _thomas_inplace(*solve, w_map)              # Y3
+        w_map *= d
+        w_map += np.multiply(y2, b, out=y2)
+        if not np.all(np.isfinite(w_map)):
+            raise StabilityError(f"the dissipative map of a substep of {h:g} is not finite; "
+                                 "check gamma, theta and the grid")
+        self._map_h, self._w_map = h, w_map
+        return w_map
 
     def _faces_of(self, cells: np.ndarray) -> np.ndarray:
         """A C-contiguous face-shaped view on the start of a workspace array.
@@ -115,6 +189,25 @@ class KfpOperator:
         div_q(self.grid, np.multiply(rho, self.neg_gp_h, out=self._work), out=out)
         out += div_p(self.grid, np.multiply(rho, self.gq_h, out=self._work), out=self._work2)
         return out
+
+    def _dissipate_into(self, rho: np.ndarray, h: float, out: np.ndarray) -> float:
+        """A dissipative substep of length h from rho into out (which may be rho).
+
+        Flux form: out = rho + h face_div_p(F(W rho)).  Returns the energy the
+        excess variable gains, h sum(gh_face F) times the cell volume.
+        Touches _stage, _work and _work2.
+        """
+        w = np.matmul(rho, self._map(h).T, out=self._stage)
+        flux = self._flux_into(w)
+        prod = np.multiply(self.gh_face, flux, out=self._faces_of(self._work))
+        de = h * float(np.sum(prod)) * self.grid.cell_volume
+        if not math.isfinite(de):
+            raise StabilityError(f"the dissipative energy exchange is {de!r}; "
+                                 "check gamma, theta and the grid")
+        div = face_div_p(self.grid, flux, out=self._work)
+        div *= h
+        np.add(rho, div, out=out)
+        return de
 
     def _rhs_into(self, rho: np.ndarray, drho: np.ndarray) -> float:
         """Kernel of rhs: writes drho, returns de.  Only the workspace is touched."""
@@ -138,6 +231,34 @@ class KfpOperator:
     def rhs(self, state: State):
         drho = np.empty(self.grid.shape)
         return drho, self._rhs_into(state.rho, drho)
+
+
+def _thomas_inplace(lower, main, upper, b: np.ndarray) -> None:
+    """Solve the tridiagonal system for every column of b at once, in place.
+
+    No pivoting: the matrices here are I - d h A with A's off-diagonals
+    nonnegative and its columns summing to zero, so they are column
+    diagonally dominant.
+    """
+    n = main.size
+    ratio = np.empty(n)
+    den = main[0]
+    for j in range(n):
+        if j:
+            den = main[j] - lower[j] * ratio[j - 1]
+            b[j] -= lower[j] * b[j - 1]
+        b[j] /= den
+        ratio[j] = upper[j] / den
+    for j in range(n - 2, -1, -1):
+        b[j] -= ratio[j] * b[j + 1]
+
+
+def _tridiag_apply(lower, main, upper, x: np.ndarray) -> np.ndarray:
+    """The tridiagonal matrix times every column of x, as a fresh array."""
+    out = main[:, np.newaxis] * x
+    out[1:] += lower[1:, np.newaxis] * x[:-1]
+    out[:-1] += upper[:-1, np.newaxis] * x[1:]
+    return out
 
 
 def excess_energy_rate(state: State, op: KfpOperator) -> float:
@@ -215,39 +336,49 @@ def _check_dt(op: KfpOperator, dt: float) -> None:
         raise StabilityError(f"dt={dt:g} exceeds the stability bound {op.stable_dt():g}")
 
 
-def _rk4(state: State, op: KfpOperator, dt: float, k1=None) -> State:
-    """One RK4 step, positivity-guarded; k1 = op.rhs(state) when the caller has it.
+def _transport_rk4(r0: np.ndarray, op: KfpOperator, dt: float, rho: np.ndarray) -> None:
+    """Classical RK4 on the transport alone, from r0 into rho (a distinct array).
 
-    The stages run in the operator's workspace.  The step's one fresh array
-    holds the first stage when k1 is not given, accumulates
-    ((k1 + 2 k2) + 2 k3) + k4, and becomes the new density.
+    The stages run in the operator's _stage and _slope; rho accumulates
+    ((k1 + 2 k2) + 2 k3) + k4 and then becomes r0 + dt/6 times that sum.
+    Transport leaves e unchanged.
     """
-    r0, e0 = state.rho, state.e
-    rho = np.empty(op.grid.shape)
-    k1r, k1e = (rho, op._rhs_into(r0, rho)) if k1 is None else k1
     stage, slope = op._stage, op._slope
     half = 0.5 * dt
-    np.add(r0, np.multiply(k1r, half, out=stage), out=stage)   # r0 + dt/2 k1
-    k2e = op._rhs_into(stage, slope)
+    op._transport_into(r0, rho)                                 # k1
+    np.add(r0, np.multiply(rho, half, out=stage), out=stage)   # r0 + dt/2 k1
+    op._transport_into(stage, slope)
     np.add(r0, np.multiply(slope, half, out=stage), out=stage)  # r0 + dt/2 k2
-    np.add(k1r, np.multiply(slope, 2.0, out=slope), out=rho)    # k1 + 2 k2
-    k3e = op._rhs_into(stage, slope)
+    np.add(rho, np.multiply(slope, 2.0, out=slope), out=rho)    # k1 + 2 k2
+    op._transport_into(stage, slope)
     np.add(r0, np.multiply(slope, dt, out=stage), out=stage)    # r0 + dt k3
     rho += np.multiply(slope, 2.0, out=slope)
-    k4e = op._rhs_into(stage, slope)
+    op._transport_into(stage, slope)
     rho += slope
     rho *= dt / 6.0
     np.add(r0, rho, out=rho)
-    e = e0 + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+
+
+def _split_step(state: State, op: KfpOperator, dt: float) -> State:
+    """One Strang step: dissipative half step, transport RK4, dissipative half step.
+
+    Positivity-guarded.  Everything runs in the operator's workspace except
+    the step's one fresh array, the new density.
+    """
+    h = 0.5 * dt
+    de_first = op._dissipate_into(state.rho, h, op._mid)
+    rho = np.empty(op.grid.shape)
+    _transport_rk4(op._mid, op, dt, rho)
+    de_second = op._dissipate_into(rho, h, rho)
     if rho.min() < NEGATIVE_TOL:
         raise PositivityError(f"density undershoot {rho.min():.3e} below {NEGATIVE_TOL:g}")
-    return State(rho=rho, e=float(e))
+    return State(rho=rho, e=state.e + de_first + de_second)
 
 
 def step_kfp(state: State, op: KfpOperator, dt: float) -> State:
-    """Classical RK4 on the coupled (rho, e) system with positivity guard."""
+    """One GENERIC-split step of the coupled (rho, e) system with positivity guard."""
     _check_dt(op, dt)
-    return _rk4(state, op, dt)
+    return _split_step(state, op, dt)
 
 
 @dataclass
@@ -267,8 +398,7 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
 
     Stops early once the L1 distance to the closed-form Maxwellian falls
     below ``l1_stop``, when given.  ``on_record(state, t, index)`` fires
-    after each diagnostics record.  The step size is checked once; a
-    record's ``op.rhs`` is the first RK4 stage of the step that follows it.
+    after each diagnostics record.  The step size is checked once.
     """
     grid, params, potential, variant = cfg.grid, cfg.params, cfg.potential, cfg.variant
     op = KfpOperator(grid, params, potential, variant)
@@ -282,8 +412,8 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     aux: list[dict] = []
 
     def record(st: State):
-        """Append the diagnostics of st; returns (L1 distance, op.rhs(st))."""
-        drho, de = k1 = op.rhs(st)
+        """Append the diagnostics of st; returns its L1 distance."""
+        drho, de = op.rhs(st)
         v_s = generic.gradient_entropy(st, grid, params)
         deg_l, deg_m = generic.degeneracy_residuals(st, grid, params, potential, variant)
         records.append(DiagnosticsRecord(
@@ -300,20 +430,19 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
         aux.append({"l1": l1_distance(st.rho, rho_inf, grid), "dHrho_dt": -de})
         if on_record is not None:
             on_record(st, t_now, len(records) - 1)
-        return aux[-1]["l1"], k1
+        return aux[-1]["l1"]
 
     t_now = 0.0
-    l1, k1 = record(state)
+    l1 = record(state)
     converged = l1_stop is not None and l1 <= l1_stop
     n_steps, step_dt = time_steps(cfg.t_final, dt)
     if not converged:
         _check_dt(op, step_dt)
         for k in range(n_steps):
-            state = _rk4(state, op, step_dt, k1)
-            k1 = None
+            state = _split_step(state, op, step_dt)
             t_now = cfg.t_final if k == n_steps - 1 else (k + 1) * step_dt
             if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-                l1, k1 = record(state)
+                l1 = record(state)
                 if l1_stop is not None and l1 <= l1_stop:
                     converged = True
                     break

@@ -6,7 +6,8 @@ import pytest
 from relgeneric.cli import main
 from relgeneric.config import ConfigError, parse_config, tail_exponent_momentum
 from relgeneric.generic import DiagnosticsRecord
-from relgeneric.grid import LineGrid, PhaseGrid
+from relgeneric.errors import StabilityError
+from relgeneric.grid import MAX_STEPS, LineGrid, PhaseGrid, time_steps
 from relgeneric.io import (dump_density, load_density, read_timeseries_csv,
                            write_timeseries_csv)
 from relgeneric.model import CosinePotential, HarmonicPotential, Variant
@@ -104,6 +105,14 @@ def test_cli_bad_numbers_end_in_named_errors(tmp_path, capsys, case):
         assert main([experiment, "--config", str(path), "--out", str(tmp_path / "o")]) == code
     prefix = "configuration error:" if code == 2 else "run failed:"
     assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_step_count_bounded():
+    # an absurd but finite count is refused before any step is taken
+    assert time_steps(1.0, 1.0 / MAX_STEPS) == (MAX_STEPS, 1.0 / MAX_STEPS)
+    for t_final, dt in ((1.0, 0.99 / MAX_STEPS), (0.05, 3.5e-302)):
+        with pytest.raises(StabilityError, match="more than the limit"):
+            time_steps(t_final, dt)
 
 
 def test_kfp_defaults_satisfy_tail_rule():

@@ -1,18 +1,26 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relgeneric import generic as G
 from relgeneric import kfp as K
+from relgeneric.config import load_config
 from relgeneric.errors import NonConvergenceError, PositivityError, StabilityError
 from relgeneric.grid import PhaseGrid
 from relgeneric.model import (CosinePotential, HarmonicPotential, INFINITE,
                               ModelParams, Variant, ZeroPotential, boltzmann_weight,
                               maxwellian)
 from conftest import make_state
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def small_cfg(variant=Variant.DH, t_final=0.2, **kw):
@@ -196,7 +204,7 @@ def test_degeneracy_residuals_along_run():
 def test_integrate_records_match_public_functions(variant):
     # every record and aux entry equals its recomputation from the public
     # functions, and the recorded states are those of a chain of step_kfp
-    # calls; record_every=2 steps with and without a carried first stage
+    # calls; record_every=2 records after some steps and not after others
     classical = variant is Variant.CLASSICAL
     params = ModelParams(m=1.0, c=INFINITE if classical else 1.0, gamma=0.5, theta=1.0)
     grid = PhaseGrid(Nq=32, Np=64, Lq=4 * math.pi, Pmax=8.4 if classical else 34.0)
@@ -230,8 +238,8 @@ def test_integrate_records_match_public_functions(variant):
     assert res.state is seen[-1][0]
 
 
-# The allocating calculus, right-hand side and RK4 step the workspace kernel
-# replaced, kept as the reference it must match bit for bit.
+# The allocating calculus, right-hand side and split step the workspace
+# kernels replaced, kept as the reference they must match bit for bit.
 
 def _ref_grad_p(grid, a):
     hp = grid.hp
@@ -258,27 +266,41 @@ def _ref_face_div_p(grid, f):
     return (np.concatenate([f, z], axis=1) - np.concatenate([z, f], axis=1)) / grid.hp
 
 
+def _ref_flux(op, rho):
+    u = rho / op.rhat
+    return op.diff_face * ((u[:, 1:] - u[:, :-1]) / op.grid.hp)
+
+
+def _ref_transport(op, rho):
+    grid = op.grid
+    return (G.div_q(grid, rho * (-_ref_grad_p(grid, op.h_cells)))
+            + _ref_div_p(grid, rho * op.gq_h))
+
+
 def _ref_rhs(op, state):
     grid, rho = op.grid, state.rho
-    u = rho / op.rhat
-    flux = op.diff_face * ((u[:, 1:] - u[:, :-1]) / grid.hp)
-    gp_h = _ref_grad_p(grid, op.h_cells)
-    drho = (G.div_q(grid, rho * (-gp_h)) + _ref_div_p(grid, rho * op.gq_h)
-            + _ref_face_div_p(grid, flux))
+    flux = _ref_flux(op, rho)
+    drho = _ref_transport(op, rho) + _ref_face_div_p(grid, flux)
     return drho, float(np.sum(op.gh_face * flux)) * grid.cell_volume
 
 
-def _ref_rk4(state, op, dt, k1=None):
-    r0, e0 = state.rho, state.e
-    k1r, k1e = _ref_rhs(op, state) if k1 is None else k1
-    k2r, k2e = _ref_rhs(op, G.State(r0 + 0.5 * dt * k1r, e0 + 0.5 * dt * k1e))
-    k3r, k3e = _ref_rhs(op, G.State(r0 + 0.5 * dt * k2r, e0 + 0.5 * dt * k2e))
-    k4r, k4e = _ref_rhs(op, G.State(r0 + dt * k3r, e0 + dt * k3e))
-    rho = r0 + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    e = e0 + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+def _ref_dissipate(op, rho, h):
+    flux = _ref_flux(op, rho @ op._map(h).T)
+    return (rho + h * _ref_face_div_p(op.grid, flux),
+            h * float(np.sum(op.gh_face * flux)) * op.grid.cell_volume)
+
+
+def _ref_split_step(state, op, dt):
+    r0, de_first = _ref_dissipate(op, state.rho, 0.5 * dt)
+    k1 = _ref_transport(op, r0)
+    k2 = _ref_transport(op, r0 + 0.5 * dt * k1)
+    k3 = _ref_transport(op, r0 + 0.5 * dt * k2)
+    k4 = _ref_transport(op, r0 + dt * k3)
+    rho = r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rho, de_second = _ref_dissipate(op, rho, 0.5 * dt)
     if rho.min() < K.NEGATIVE_TOL:
         raise PositivityError(f"density undershoot {rho.min():.3e}")
-    return G.State(rho=rho, e=float(e))
+    return G.State(rho=rho, e=state.e + de_first + de_second)
 
 
 def _bits(values):
@@ -320,7 +342,7 @@ def test_integrate_bitwise_equal_to_allocating_reference(variant, record_every,
         return res, seen + [res.state]
 
     res, states = run()
-    monkeypatch.setattr(K, "_rk4", _ref_rk4)
+    monkeypatch.setattr(K, "_split_step", _ref_split_step)
     monkeypatch.setattr(K.KfpOperator, "rhs", _ref_rhs)
     ref, ref_states = run()
     assert len(states) == len(ref_states) == len(res.records) + 1
@@ -380,8 +402,9 @@ def test_step_allocation_budget_at_64x256():
 
 def test_integrate_rejects_unstable_dt_and_undershoot():
     # the step size is checked once per run, after the first record, and
-    # positivity on every step, as step_kfp does
-    cfg = small_cfg(t_final=0.1)
+    # positivity on every step, as step_kfp does; t_final exceeds ten times
+    # the bound, so the too-large step is not cut down to t_final
+    cfg = small_cfg(t_final=2.0)
     op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, cfg.variant)
     seen = []
     with pytest.raises(StabilityError):
@@ -392,6 +415,152 @@ def test_integrate_rejects_unstable_dt_and_undershoot():
     rho[0, 0] = -1e-9
     with pytest.raises(PositivityError):
         K.integrate(cfg, state0=G.State(rho, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the dissipative half step of the split
+
+def _half_step(op, rho, h):
+    out = np.empty(op.grid.shape)
+    de = op._dissipate_into(rho, h, out)
+    return out, de
+
+
+def test_dissipative_half_step_keeps_maxwellian():
+    cfg = small_cfg()
+    for variant in (Variant.DH, Variant.DMR):
+        op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, variant)
+        rinf, _ = maxwellian(cfg.grid, cfg.params, cfg.potential)
+        h = 0.5 * op.stable_dt()
+        assert float(np.abs(rinf @ op._map(h).T - rinf).max()) <= 1e-14 * float(rinf.max())
+        rho, de = _half_step(op, rinf, h)
+        assert float(np.abs(rho - rinf).max()) <= 1e-14 * float(rinf.max())
+        assert abs(de) <= 1e-14
+
+
+def test_dissipative_half_step_conserves_mass_and_energy(rng):
+    cfg = small_cfg()
+    grid, params, pot = cfg.grid, cfg.params, cfg.potential
+    for variant in (Variant.DH, Variant.DMR):
+        op = K.KfpOperator(grid, params, pot, variant)
+        for h in (0.5 * op.stable_dt(), 10.0 * op.stable_dt()):
+            state = make_state(rng, grid, params, pot, e=0.3)
+            rho, de = _half_step(op, state.rho, h)
+            assert abs(float(np.sum(rho - state.rho))) * grid.cell_volume <= 1e-14
+            e_before = G.energy_functional(state, grid, params, pot)
+            e_after = G.energy_functional(G.State(rho, state.e + de), grid, params, pot)
+            assert abs(e_after - e_before) <= 1e-14 * abs(e_before)
+            assert abs(de) > 1e-6         # the step did exchange energy
+
+
+def test_dissipative_map_is_dense_trbdf2():
+    # the Thomas-built map against dense solves of the same TR-BDF2 stages
+    cfg = small_cfg()
+    op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, Variant.DMR)
+    lower, main, upper = op._tridiag
+    a = np.diag(main) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    d = 0.5 * K.TRBDF2_GAMMA
+    b = 0.5 * (1.0 - d)
+    eye = np.eye(cfg.grid.Np)
+    for h in (0.01, 0.5 * op.stable_dt(), 5.0):
+        y2 = np.linalg.solve(eye - d * h * a, eye + d * h * a)
+        y3 = np.linalg.solve(eye - d * h * a, eye + b * h * a @ (eye + y2))
+        assert float(np.abs(op._map(h) - (b * (eye + y2) + d * y3)).max()) <= 1e-13
+
+
+def test_dissipative_substep_converges_at_second_order():
+    cfg = small_cfg()
+    grid = cfg.grid
+    op = K.KfpOperator(grid, cfg.params, cfg.potential, Variant.DH)
+    rinf, _ = maxwellian(grid, cfg.params, cfg.potential)
+    rho0 = rinf * (1.0 + 0.5 * np.sin(grid.p_mesh) * np.cos(grid.q_mesh))
+
+    def substeps(total, n):
+        rho = rho0.copy()
+        for _ in range(n):
+            op._dissipate_into(rho, total / n, rho)
+        return rho
+
+    total = 0.2
+    ref = substeps(total, 256)
+    errs = [float(np.sum(np.abs(substeps(total, n) - ref))) * grid.cell_volume
+            for n in (1, 2, 4, 8)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.6 <= coarse / fine <= 4.8
+
+
+def test_kfp_conserve_matches_fine_rk4_reference():
+    # the committed kfp_conserve run against classical RK4 on the full
+    # right-hand side at a quarter of the step RK4 was stable at
+    cfg = load_config(CONFIGS / "kfp_conserve.cfg", "kfp")
+    grid, params, pot = cfg.phase_grid, cfg.params, cfg.potential
+    kcfg = K.KfpConfig(grid=grid, params=params, potential=pot, variant=cfg.variant,
+                       dt=None, t_final=cfg.t_final, record_every=10**9, init=cfg.init)
+    split = K.integrate(kcfg).state.rho
+    op = K.KfpOperator(grid, params, pot, cfg.variant)
+    diffusion_dt = 0.25 * grid.hp**2 / (params.gamma * params.theta * float(op.dface.max()))
+    assert diffusion_dt < op.stable_dt()
+    n_steps = math.ceil(cfg.t_final / (0.25 * diffusion_dt))
+    dt = cfg.t_final / n_steps
+    state = K.make_initial_state(cfg.init, grid, params, pot)
+    for _ in range(n_steps):
+        r0, e0 = state.rho, state.e
+        k1, k1e = op.rhs(state)
+        k2, k2e = op.rhs(G.State(r0 + 0.5 * dt * k1, e0 + 0.5 * dt * k1e))
+        k3, k3e = op.rhs(G.State(r0 + 0.5 * dt * k2, e0 + 0.5 * dt * k2e))
+        k4, k4e = op.rhs(G.State(r0 + dt * k3, e0 + dt * k3e))
+        state = G.State(r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                        e0 + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e))
+    assert K.l1_distance(split, state.rho, grid) <= 1e-4
+
+
+def test_dissipative_overflow_is_a_stability_error():
+    cfg = small_cfg()
+    params = dataclasses.replace(cfg.params, gamma=1e308)
+    with np.errstate(all="ignore"), pytest.raises(StabilityError, match="not finite"):
+        K.KfpOperator(cfg.grid, params, cfg.potential, Variant.DH)
+    op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, Variant.DH)
+    with np.errstate(all="ignore"), pytest.raises(StabilityError, match="not finite"):
+        op._map(1e308)
+
+
+def test_split_step_loads_no_scipy_and_no_lapack(tmp_path):
+    # the map is built by Thomas sweeps: no scipy import and no call into
+    # numpy.linalg's LAPACK gufuncs, checked in a fresh interpreter
+    script = tmp_path / "guard.py"
+    script.write_text(textwrap.dedent("""
+        import sys
+        import numpy as np
+        import numpy.linalg._linalg as linalg
+
+        class NoLapack:
+            def __getattr__(self, name):
+                raise AssertionError(f"LAPACK entry point {name} used")
+
+        linalg._umath_linalg = NoLapack()
+        import relgeneric
+        from relgeneric import kfp as K
+        from relgeneric.grid import PhaseGrid
+        from relgeneric.model import CosinePotential, ModelParams, Variant
+
+        grid = PhaseGrid(Nq=16, Np=32, Lq=12.566, Pmax=34.0)
+        params = ModelParams(m=1.0, c=1.0, gamma=0.5, theta=1.0)
+        pot = CosinePotential(amplitude=1.0, period=grid.Lq)
+        op = K.KfpOperator(grid, params, pot, Variant.DH)
+        state = K.make_initial_state(K.InitSpec(p0=0.5), grid, params, pot)
+        K.step_kfp(state, op, op.stable_dt())
+        assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        try:
+            np.linalg.solve(np.eye(2), np.ones(2))
+        except AssertionError:
+            print("guarded")
+    """))
+    src = str(Path(K.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "guarded"
 
 
 def test_grid_fields_shared_and_read_only():
