@@ -145,7 +145,11 @@ def tail_exponent_momentum(params: ModelParams) -> float:
     if params.classical:
         return math.sqrt(2.0 * params.m * a)
     mc = params.m * params.c
-    return math.sqrt((mc + a / params.c) ** 2 - mc * mc)
+    x = a / params.c
+    try:
+        return math.sqrt((mc + x) ** 2 - mc * mc)
+    except OverflowError:       # m c too large to square: the same difference, factored
+        return math.sqrt(x * (2.0 * mc + x))
 
 
 def _auto_lq(params: ModelParams, potential: Potential) -> float:
@@ -306,6 +310,10 @@ def parse_config(text: str, experiment: str) -> RunConfig:
             cfg.potential = CosinePotential(amplitude=a, period=per)
         elif lq is None:
             lq = _auto_lq(cfg.params, cfg.potential)
+        for key, extent in (("grid.lq", lq), ("grid.pmax", pmax)):
+            if not math.isfinite(extent):      # 'auto' with extreme theta, m or stiffness
+                raise ConfigError(f"key '{key}': 'auto' gives {extent!r} for these "
+                                  "parameters; set it explicitly")
         try:
             cfg.phase_grid = PhaseGrid(Nq=nq, Np=npp, Lq=lq, Pmax=pmax)
         except ValueError as exc:

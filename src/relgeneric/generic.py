@@ -157,10 +157,14 @@ def log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aa, bb = np.broadcast_to(a, out.shape)[ok], np.broadcast_to(b, out.shape)[ok]
     f = (aa - bb) / (aa + bb)       # (z-1)/(z+1) without forming the ratio
     f2 = f * f
-    series = 1.0 + f2 * (1.0 / 3.0 + f2 * (1.0 / 5.0 + f2 / 7.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exact = (np.log(aa) - np.log(bb)) / (2.0 * f)
-    val = np.where(f2 >= 1e-4, exact, series)
+    # each face takes one branch: the exact form where |f| >= 0.01 (so f != 0),
+    # the series elsewhere (NaN included)
+    exact = f2 >= 1e-4
+    series = ~exact
+    val = np.empty(f.shape)
+    val[exact] = (np.log(aa[exact]) - np.log(bb[exact])) / (2.0 * f[exact])
+    s2 = f2[series]
+    val[series] = 1.0 + s2 * (1.0 / 3.0 + s2 * (1.0 / 5.0 + s2 / 7.0))
     out[ok] = (aa + bb) / (2.0 * val)
     return out
 

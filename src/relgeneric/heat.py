@@ -19,15 +19,25 @@ keeps that face's entropy production nonnegative and never raises |F|
 above c rbar.  Vacuum-free data and c = INFINITE open every face from the
 start, so there the scheme is the ungated one, bit for bit.
 
-One private kernel evaluates the ungated face flux.  ``run_heat`` calls it
-once per step, and that one array serves both the saturation check of the
-state and, gated, the Euler update, with the arithmetic of ``step_heat``.
+One private kernel, ``_step_into``, makes every Euler step, for
+``step_heat`` and ``run_heat`` alike.  It writes into a workspace
+(``_Workspace``) whose density rows carry a ghost copy of cell 0, so the
+periodic neighbour is a view, not a copy.  It evaluates the ungated face
+flux once (``_flux``, the one flux formula, which also serves ``face_flux``
+and ``saturation_excess``), copies it to a face array whose closed faces
+stay zero, updates with ``out=`` buffers and checks positivity, every step.  ``run_heat`` keeps the ungated
+flux and face mean of the last few states and the states themselves, and
+checks a block of ``_BLOCK`` states at once: their saturation excess and
+Boltzmann entropy, bit for bit the values of the per-state calls.  The gate
+mask is rebuilt only when t passes the next closed face's opening time.
+A workspace serves one chain of steps at a time, so it is not thread-safe;
+``run_heat`` makes its own, and states it hands out never alias it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +46,7 @@ from .grid import LineGrid, time_steps
 from .model import ModelParams
 
 NEGATIVE_TOL = -1e-14   # strictest allowed undershoot per explicit step
+_BLOCK = 8              # states whose entropy and saturation are checked together
 
 
 # the cone of a chain with no closed face: nothing to gate
@@ -51,6 +62,19 @@ class HeatState:
     rho: np.ndarray
     t: float
     cone: np.ndarray | None = None
+
+
+# ---------------------------------------------------------------------------
+# periodic neighbours
+
+def _ghost_cell(a: np.ndarray) -> np.ndarray:
+    """a followed by a ghost copy of a[0]: [1:] is a[i+1] on the periodic line."""
+    return np.concatenate((a, a[:1]))
+
+
+def _ghost_face(a: np.ndarray) -> np.ndarray:
+    """a led by a ghost copy of a[-1]: [:-1] is a[i-1] on the periodic line."""
+    return np.concatenate((a[-1:], a))
 
 
 # ---------------------------------------------------------------------------
@@ -82,48 +106,58 @@ def saturating_flux(z, params: ModelParams):
 def dissipation_potential(rho: np.ndarray, xi: np.ndarray, grid: LineGrid,
                           params: ModelParams) -> float:
     """K(rho; xi) = nu * sum rho phi*(grad xi) h, face gradients averaged to cells."""
-    g = (_next(xi) - xi) / grid.h                  # face i+1/2
-    z = 0.5 * (g + _prev(g))                       # average of the two cell faces
+    cells = _ghost_cell(xi)
+    g = _ghost_face((cells[1:] - cells[:-1]) / grid.h)   # face i+1/2 at g[i+1]
+    z = 0.5 * (g[1:] + g[:-1])                           # average of the two cell faces
     return params.nu * float(np.sum(rho * flux_potential(z, params))) * grid.h
 
 
 # ---------------------------------------------------------------------------
 # right-hand side
 
-def _next(a: np.ndarray) -> np.ndarray:
-    """a[i+1] on the periodic line (np.roll(a, -1) without its overhead)."""
-    return np.concatenate((a[1:], a[:1]))
-
-
-def _prev(a: np.ndarray) -> np.ndarray:
-    """a[i-1] on the periodic line."""
-    return np.concatenate((a[-1:], a[:-1]))
-
-
-def _divergence(f: np.ndarray, grid: LineGrid) -> np.ndarray:
-    """(F_{i+1/2} - F_{i-1/2}) / h: cell tendency of the face flux f."""
-    return (f - _prev(f)) / grid.h
+def _divergence(faces: np.ndarray, grid: LineGrid, *,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """(F_{i+1/2} - F_{i-1/2}) / h from the face flux led by its ghost (``_ghost_face``)."""
+    out = np.subtract(faces[1:], faces[:-1], out=out)
+    out /= grid.h
+    return out
 
 
 def _gate(flux: np.ndarray, reached) -> np.ndarray:
     return flux if reached is None else np.where(reached, flux, 0.0)
 
 
-def _flux(rho: np.ndarray, grid: LineGrid, params: ModelParams):
+def _flux(cells: np.ndarray, grid: LineGrid, params: ModelParams, *,
+          out: np.ndarray | None = None, rbar: np.ndarray | None = None,
+          work: tuple | None = None, mask: np.ndarray | None = None):
     """Ungated face flux and face mean rbar at faces i+1/2 (see ``face_flux``).
 
-    The one flux kernel: the step, the saturation check and the public
-    ``face_flux`` all read the flux from here.
+    ``cells`` is the density followed by its ghost cell (``_ghost_cell``).
+    The one flux formula: the step, the saturation check and the public
+    ``face_flux`` all read the flux from here.  The flux and rbar go to
+    ``out`` and ``rbar``; the two face arrays ``work`` and the boolean face
+    array ``mask`` are scratch.  Any buffer left out is allocated.
     """
-    right = _next(rho)
-    g = (right - rho) / grid.h
-    rbar = 0.5 * (rho + right)
+    rho, right = cells[:-1], cells[1:]
+    g, tmp = np.empty((2, rho.shape[0])) if work is None else work
+    nu, c = params.nu, params.c
+    np.subtract(right, rho, out=g)
+    g /= grid.h
+    rbar = np.add(rho, right, out=rbar)
+    rbar *= 0.5
     if params.classical:
-        return params.nu * g, rbar
-    denom2 = rbar * rbar + (params.nu / params.c) ** 2 * g * g
+        return np.multiply(g, nu, out=out), rbar
+    np.multiply(g, (nu / c) ** 2, out=tmp)
+    tmp *= g
+    flux = np.multiply(rbar, rbar, out=out)
+    tmp += flux                                   # rbar^2 + (nu g / c)^2
     # zero where rbar = g = 0 (vacuum on both sides), without evaluating 0/0
-    flux = np.zeros(rbar.shape)
-    np.divide(params.nu * rbar * g, np.sqrt(denom2), out=flux, where=denom2 > 0.0)
+    nonzero = np.greater(tmp, 0.0, out=mask)
+    np.sqrt(tmp, out=tmp)
+    np.multiply(rbar, nu, out=flux)
+    g *= flux                                     # nu rbar g
+    flux.fill(0.0)
+    np.divide(g, tmp, out=flux, where=nonzero)
     return flux, rbar
 
 
@@ -136,12 +170,12 @@ def face_flux(rho: np.ndarray, grid: LineGrid, params: ModelParams,
     left out of the boolean mask ``reached`` (see ``reached_faces``) carry
     zero; None gates no face.
     """
-    return _gate(_flux(rho, grid, params)[0], reached)
+    return _gate(_flux(_ghost_cell(rho), grid, params)[0], reached)
 
 
 def heat_rhs(rho: np.ndarray, grid: LineGrid, params: ModelParams,
              reached=None) -> np.ndarray:
-    return _divergence(face_flux(rho, grid, params, reached), grid)
+    return _divergence(_ghost_face(face_flux(rho, grid, params, reached)), grid)
 
 
 def heat_rhs_via_potential(rho: np.ndarray, grid: LineGrid,
@@ -153,13 +187,13 @@ def heat_rhs_via_potential(rho: np.ndarray, grid: LineGrid,
     with heat_rhs to round-off away from vacuum; ``reached`` gates the faces
     as in ``face_flux``.
     """
-    right = _next(rho)
-    g = (right - rho) / grid.h
-    rbar = 0.5 * (rho + right)
+    cells = _ghost_cell(rho)
+    g = (cells[1:] - cells[:-1]) / grid.h
+    rbar = 0.5 * (cells[:-1] + cells[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(rbar > 0.0, g / rbar, 0.0)
     f = _gate(params.nu * rbar * saturating_flux(z, params), reached)
-    return _divergence(f, grid)
+    return _divergence(_ghost_face(f), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +223,24 @@ def light_cone(rho: np.ndarray, t: float, grid: LineGrid,
     return t + np.minimum(cells_left, cells_right) * (grid.h / params.c)
 
 
+def _reached(cone: np.ndarray, t: float):
+    """Boolean mask of the faces the cone has reached at t, None when it has
+    reached every face."""
+    reached = cone <= t
+    return None if reached.all() else reached
+
+
+def _next_opening(cone: np.ndarray, t: float) -> float:
+    """The first time after t at which the cone reaches a face; inf if none."""
+    upcoming = cone[cone > t]
+    return float(upcoming.min()) if upcoming.size else math.inf
+
+
 def _cone_and_reached(state: HeatState, grid: LineGrid, params: ModelParams):
     cone = state.cone if state.cone is not None else \
         light_cone(state.rho, state.t, grid, params)
-    reached = cone <= state.t
-    if np.count_nonzero(reached) == reached.size:
-        return ALL_OPEN, None
-    return cone, reached
+    reached = _reached(cone, state.t)
+    return (ALL_OPEN if reached is None else cone), reached
 
 
 def reached_faces(state: HeatState, grid: LineGrid, params: ModelParams):
@@ -223,14 +268,81 @@ def _check_dt(dt: float, grid: LineGrid, params: ModelParams) -> None:
         raise StabilityError(f"dt={dt:g} exceeds the stability bound {bound:g}")
 
 
-def _advance(state: HeatState, flux: np.ndarray, grid: LineGrid,
-             params: ModelParams, dt: float) -> HeatState:
-    """Euler step of ``state`` from its ungated face flux: gate, telescope, check."""
-    cone, reached = _cone_and_reached(state, grid, params)
-    rho = state.rho + dt * _divergence(_gate(flux, reached), grid)
-    if rho.min() < NEGATIVE_TOL:
-        raise PositivityError(f"density undershoot {rho.min():.3e} below {NEGATIVE_TOL:g}")
-    return HeatState(rho=rho, t=state.t + dt, cone=cone)
+# ---------------------------------------------------------------------------
+# the stepping kernel
+
+class _Workspace:
+    """The buffers one chain of heat steps writes into; not thread-safe.
+
+    ``rows[j]`` is a density followed by its ghost cell.  A step reads row j,
+    writes row j + 1 and leaves the ungated flux and face mean of row j in
+    ``flux[j]`` and ``rbar[j]``; ``checks`` and ``check_mask`` are scratch
+    of the block checks.  ``faces`` holds the gated flux led by its ghost;
+    its gated faces stay zero from one ``gate`` call to the next.
+    """
+
+    def __init__(self, n: int, block: int):
+        self.rows = np.empty((block + 1, n + 1))
+        self.flux, self.rbar = np.empty((2, block, n))
+        self.checks = np.empty((block, n + 1))
+        self.check_mask = np.empty((block, n + 1), dtype=bool)
+        self.faces = np.empty(n + 1)
+        self.work = tuple(np.empty((2, n)))
+        self.mask = np.empty(n, dtype=bool)
+        # the views step j works on, made once: a step is bound by call overhead
+        self.steps = [(self.rows[j], self.rows[j + 1], self.flux[j], self.rbar[j])
+                      for j in range(block)]
+        self.gated, self.div = self.faces[1:], self.work[0]
+        self.gate(None)
+
+    def load(self, rho: np.ndarray) -> None:
+        """Put rho in row 0."""
+        self.rows[0, :-1] = rho
+        self.rows[0, -1] = rho[0]
+
+    def flux_of(self, j: int, grid: LineGrid, params: ModelParams) -> np.ndarray:
+        """``_flux`` of row j, into flux[j] and rbar[j]."""
+        cells, _, out, rbar = self.steps[j]
+        return _flux(cells, grid, params, out=out, rbar=rbar, work=self.work,
+                     mask=self.mask)[0]
+
+    def saturations(self, size: int, params: ModelParams) -> list:
+        """``saturation_excess`` of rows 0 to size - 1, from the flux left by
+        ``flux_of``; uses up that flux."""
+        return _saturations(self.flux[:size], self.rbar[:size], params)
+
+    def entropies(self, first: int, size: int, grid: LineGrid) -> list:
+        """``boltzmann_entropy`` of rows first to first + size - 1."""
+        return _entropies(self.rows[first:first + size], grid,
+                          self.checks[:size], self.check_mask[:size])
+
+    def gate(self, reached) -> None:
+        """Let the steps pass flux only through the faces in the boolean mask
+        ``reached`` (None: every face)."""
+        self.reached = reached
+        self.faces.fill(0.0)
+
+
+def _step_into(ws: _Workspace, j: int, grid: LineGrid, params: ModelParams,
+               dt: float) -> None:
+    """Euler step from ws.rows[j] into ws.rows[j + 1] through the faces of
+    the last ``ws.gate``; raises PositivityError on an undershoot below
+    NEGATIVE_TOL."""
+    flux = ws.flux_of(j, grid, params)
+    cells, new = ws.steps[j][:2]
+    faces, gated = ws.faces, ws.gated
+    if ws.reached is None:
+        gated[...] = flux
+    else:
+        np.copyto(gated, flux, where=ws.reached)
+    faces[0] = faces[-1]
+    div = _divergence(faces, grid, out=ws.div)
+    div *= dt
+    np.add(cells[:-1], div, out=new[:-1])
+    new[-1] = new[0]
+    low = np.minimum.reduce(new)
+    if low < NEGATIVE_TOL:
+        raise PositivityError(f"density undershoot {low:.3e} below {NEGATIVE_TOL:g}")
 
 
 def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
@@ -246,16 +358,33 @@ def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
     and PositivityError on an undershoot below NEGATIVE_TOL.
     """
     _check_dt(dt, grid, params)
-    return _advance(state, _flux(state.rho, grid, params)[0], grid, params, dt)
+    cone, reached = _cone_and_reached(state, grid, params)
+    ws = _Workspace(grid.N, 1)
+    ws.load(state.rho)
+    ws.gate(reached)
+    _step_into(ws, 0, grid, params, dt)
+    return HeatState(rho=ws.rows[1, :-1].copy(), t=state.t + dt, cone=cone)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 
+def _entropies(rows: np.ndarray, grid: LineGrid, work: np.ndarray | None = None,
+               mask: np.ndarray | None = None) -> list:
+    """``boltzmann_entropy`` of the first grid.N cells of each row of ``rows``,
+    with scratch of its shape; a row may end in a ghost cell."""
+    contrib = np.maximum(rows, 1e-300, out=work)
+    np.log(contrib, out=contrib)
+    contrib *= rows
+    vacuum = np.greater(rows, 0.0, out=mask)
+    np.logical_not(vacuum, out=vacuum)
+    np.copyto(contrib, 0.0, where=vacuum)
+    return (-contrib[:, :grid.N].sum(axis=1) * grid.h).tolist()
+
+
 def boltzmann_entropy(rho: np.ndarray, grid: LineGrid) -> float:
     """-sum rho log rho * h with 0 log 0 = 0."""
-    contrib = np.where(rho > 0.0, rho * np.log(np.maximum(rho, 1e-300)), 0.0)
-    return -float(contrib.sum()) * grid.h
+    return _entropies(rho[np.newaxis], grid)[0]
 
 
 def entropy_rate(rho: np.ndarray, grid: LineGrid, params: ModelParams,
@@ -280,13 +409,16 @@ def support_radius(rho: np.ndarray, grid: LineGrid, threshold: float = 1e-12) ->
     return 0.5 * (idx[-1] + 1 - idx[0]) * grid.h
 
 
-def _saturation(flux: np.ndarray, rbar: np.ndarray, params: ModelParams) -> float:
+def _saturations(flux: np.ndarray, rbar: np.ndarray, params: ModelParams) -> list:
+    """``saturation_excess`` of each row of ungated fluxes and face means;
+    overwrites both arrays."""
     if params.classical:
-        return 0.0
-    cap = params.c * rbar
-    top = float((np.abs(flux) - cap).max())
-    ref = float(cap.max())
-    return top / ref if ref > 0 else top
+        return [0.0] * flux.shape[0]
+    cap = np.multiply(rbar, params.c, out=rbar)
+    excess = np.abs(flux, out=flux)
+    excess -= cap
+    tops, refs = excess.max(axis=1).tolist(), cap.max(axis=1).tolist()
+    return [top / ref if ref > 0 else top for top, ref in zip(tops, refs)]
 
 
 def saturation_excess(rho: np.ndarray, grid: LineGrid, params: ModelParams) -> float:
@@ -294,7 +426,8 @@ def saturation_excess(rho: np.ndarray, grid: LineGrid, params: ModelParams) -> f
 
     Measured on the ungated flux, which bounds the gated one face by face.
     """
-    return _saturation(*_flux(rho, grid, params), params)
+    flux, rbar = _flux(_ghost_cell(rho), grid, params)
+    return _saturations(flux[np.newaxis], rbar[np.newaxis], params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +473,20 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
     ``on_record(state)`` is called at t=0, at each cadence point, and at the
     final time; per-step entropy monotonicity and flux saturation are tracked
     over every state the run visits, the first and the last included.  The
-    step size is checked against ``stable_dt`` once, and each step evaluates
-    the face flux of its state once: that one array gives the state's
-    saturation excess and, gated, the Euler update (the arithmetic of
-    ``step_heat``, bit for bit).
+    step size is checked against ``stable_dt`` once.  The steps run in one
+    workspace through the kernel of ``step_heat``, bit for bit, and the
+    saturation and entropy of each block of ``_BLOCK`` states are computed
+    together from the flux the steps evaluated; states handed out are copies.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     n_steps, step_dt = time_steps(t_final, dt)
     _check_dt(step_dt, grid, params)
     rho0 = np.asarray(rho0, dtype=float).copy()
-    state = HeatState(rho=rho0, t=0.0, cone=light_cone(rho0, 0.0, grid, params))
+    cone = light_cone(rho0, 0.0, grid, params)
+    state = HeatState(rho=rho0, t=0.0, cone=cone)
+    ws = _Workspace(grid.N, _BLOCK)
+    ws.load(rho0)
     records = []
 
     def record(st):
@@ -360,19 +496,30 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
     record(state)
     max_sat = -math.inf
     min_ds = 0.0
-    entropy = boltzmann_entropy(state.rho, grid)
-    for k in range(n_steps):
-        flux, rbar = _flux(state.rho, grid, params)
-        max_sat = max(max_sat, _saturation(flux, rbar, params))
-        state = _advance(state, flux, grid, params, step_dt)
-        if k == n_steps - 1:
-            state = replace(state, t=t_final)
-        new_entropy = boltzmann_entropy(state.rho, grid)
-        min_ds = min(min_ds, new_entropy - entropy)
-        entropy = new_entropy
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            record(state)
-    max_sat = max(max_sat, saturation_excess(state.rho, grid, params))
+    entropy = ws.entropies(0, 1, grid)[0]
+    t = opens_at = 0.0
+    for start in range(0, n_steps, _BLOCK):
+        size = min(_BLOCK, n_steps - start)
+        for j in range(size):
+            if t >= opens_at:               # the gate changes only here
+                reached = _reached(cone, t)
+                ws.gate(reached)
+                opens_at = _next_opening(cone, t)
+            _step_into(ws, j, grid, params, step_dt)
+            k = start + j + 1
+            t = t_final if k == n_steps else t + step_dt
+            if k % record_every == 0 or k == n_steps:
+                state = HeatState(rho=ws.rows[j + 1, :-1].copy(), t=t,
+                                  cone=ALL_OPEN if reached is None else cone)
+                record(state)
+        for sat, new_entropy in zip(ws.saturations(size, params),
+                                    ws.entropies(1, size, grid)):
+            max_sat = max(max_sat, sat)
+            min_ds = min(min_ds, new_entropy - entropy)
+            entropy = new_entropy
+        ws.rows[0] = ws.rows[size]
+    ws.flux_of(0, grid, params)             # the last state, now in row 0
+    max_sat = max(max_sat, ws.saturations(1, params)[0])
     return HeatRunResult(records=records, state=state,
                          max_saturation_excess=max_sat,
                          min_step_entropy_delta=min_ds)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relgeneric.cli import main
-from relgeneric.config import ConfigError, parse_config, tail_exponent_momentum
+from relgeneric.config import (ConfigError, RunConfig, load_config, parse_config,
+                               tail_exponent_momentum)
 from relgeneric.generic import DiagnosticsRecord
 from relgeneric.errors import StabilityError
 from relgeneric.grid import MAX_STEPS, LineGrid, PhaseGrid, time_steps
@@ -86,6 +89,10 @@ BAD_NUMBERS = {
     "c-nan": ("kfp", KFP_SMALL.replace("1.0", "nan", 1), 2),
     "width-1e999": ("heat", HEAT_SMALL + "init.width = 1e999\n", 2),
     "c_values-nan": ("limit-study", "limit.c_values = 10, nan\n", 2),
+    # finite numbers that leave no finite momentum domain: m c^2 squared
+    # overflows, or theta makes the auto-sized tail infinite
+    "kfp-c-1e308": ("kfp", KFP_SMALL.replace("1.0", "1e308", 1), 2),
+    "kfp-theta-1e308": ("kfp", KFP_SMALL.replace("34.0", "auto") + "model.theta = 1e308\n", 2),
     # finite numbers whose derived quantities break: a named solver error
     "kfp-gamma-1e308": ("kfp", KFP_SMALL + "model.gamma = 1e308\n", 1),
     "heat-nu-1e308": ("heat", HEAT_SMALL + "model.nu = 1e308\n", 1),
@@ -94,6 +101,78 @@ BAD_NUMBERS = {
     "period-1e-320": ("kfp", KFP_SMALL + "potential.kind = cosine\n"
                       "potential.period = 1e-320\n", 1),
 }
+
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the parser: a config either parses or ends in ConfigError
+
+EXTREME = st.sampled_from([
+    "nan", "NaN", "-nan", "inf", "-inf", "infinite", "Infinity", "1e999", "-1e999",
+    "1e308", "1.7976931348623157e308", "1e-308", "5e-324", "1e-320", "0", "-0.0",
+    "-1", "1e300", "1e-300", "1e200", "1e-200", "2", "0.5", "1_000", "0x10", "",
+]) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+PLAIN = st.sampled_from(["1.0", "0.5", "2.0", "3.0", "12.0"])
+FUZZ_KEYS = {
+    "heat": ("model.c", "model.nu", "model.m", "model.theta", "model.gamma",
+             "grid.length", "solver.dt", "solver.t_final", "init.sigma", "init.width"),
+    "kfp": ("model.c", "model.m", "model.theta", "model.gamma", "model.nu", "grid.lq",
+            "grid.pmax", "solver.dt", "solver.t_final", "init.p0", "init.q0",
+            "init.sigma_q", "init.sigma_p", "potential.stiffness"),
+    "stationary": ("model.c", "model.m", "model.theta", "model.gamma", "grid.pmax",
+                   "potential.stiffness", "stationary.l1_target", "solver.t_final"),
+    "limit-study": ("model.c", "model.m", "model.theta", "model.nu", "limit.c_values",
+                    "solver.t_final", "grid.length", "grid.pmax"),
+}
+FIXED = {
+    "heat": "grid.n = 16\n",
+    "kfp": "grid.nq = 8\ngrid.np = 8\npotential.kind = harmonic\n",
+    "stationary": "grid.nq = 8\ngrid.np = 8\npotential.kind = harmonic\n",
+    "limit-study": "",
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    experiment = draw(st.sampled_from(sorted(FUZZ_KEYS)))
+    keys = draw(st.lists(st.sampled_from(FUZZ_KEYS[experiment]), unique=True, max_size=6))
+    lines = [FIXED[experiment]]
+    if experiment == "limit-study":
+        kind = draw(st.sampled_from(["heat", "kfp"]))
+        lines.append(f"limit.kind = {kind}\n")
+        keys = [k for k in keys if not k.startswith("grid.")
+                or (k == "grid.length") == (kind == "heat")]
+    for key in keys:
+        if key == "limit.c_values":
+            value = ", ".join(draw(st.lists(EXTREME | PLAIN, min_size=1, max_size=3)))
+        else:
+            value = draw(EXTREME | PLAIN)
+        lines.append(f"{key} = {value}\n")
+    if experiment in ("kfp", "stationary") and draw(st.booleans()):
+        lines.append("model.c = inf\nmodel.variant = classical\n"
+                     if "model.c" not in keys else "model.variant = dmr\n")
+    return experiment, "".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=fuzzed_configs())
+def test_fuzzed_config_parses_or_raises_config_error(tmp_path_factory, case):
+    # NaN, +-inf, overflowing literals, and extreme c, theta and m c^2 / theta:
+    # no solver runs, and the parser's only failure is ConfigError
+    experiment, text = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        cfg = load_config(str(path), experiment)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    numbers = [cfg.t_final, cfg.params.m, cfg.params.theta, cfg.params.gamma, cfg.params.nu]
+    numbers += [] if cfg.dt is None else [cfg.dt]
+    grid = cfg.heat_grid or cfg.phase_grid
+    numbers += [grid.L] if cfg.heat_grid else [grid.Lq, grid.Pmax]
+    assert all(math.isfinite(x) and x > 0 for x in numbers), text
+    assert cfg.params.c > 0 and not math.isnan(cfg.params.c), text
 
 
 @pytest.mark.parametrize("case", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())

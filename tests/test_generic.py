@@ -55,6 +55,46 @@ def test_log_mean():
     assert np.all(lm <= np.maximum(x, y) + 1e-15)
 
 
+def _log_mean_both_branches(a, b):
+    """log_mean as it was when it evaluated both branches on every face."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros(np.broadcast(a, b).shape)
+    ok = (a > 0) & (b > 0)
+    aa, bb = np.broadcast_to(a, out.shape)[ok], np.broadcast_to(b, out.shape)[ok]
+    f = (aa - bb) / (aa + bb)
+    f2 = f * f
+    series = 1.0 + f2 * (1.0 / 3.0 + f2 * (1.0 / 5.0 + f2 / 7.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = (np.log(aa) - np.log(bb)) / (2.0 * f)
+    val = np.where(f2 >= 1e-4, exact, series)
+    out[ok] = (aa + bb) / (2.0 * val)
+    return out
+
+
+def test_log_mean_bitwise_equal_to_both_branch_form():
+    rng = np.random.default_rng(5)
+    # f = (a - b) / (a + b) on both sides of the branch switch f^2 = 1e-4,
+    # near it, at f = 0 and far from it; then zero, negative and huge arguments
+    f = np.concatenate([0.01 * (1.0 + np.linspace(-1e-3, 1e-3, 41)), [0.01, 0.0, 0.5, -0.3],
+                        rng.uniform(-0.02, 0.02, 200), rng.uniform(-1.0, 1.0, 200)])
+    b = 10.0 ** rng.uniform(-300, 300, f.size)
+    a = b * (1.0 + f) / (1.0 - f)
+    a[:4], b[4:8] = 0.0, 0.0
+    a[8:10], b[10:12] = -1.0, -0.0
+    a[12], b[13] = np.inf, 1e308
+    f2 = ((a[14:] - b[14:]) / (a[14:] + b[14:])) ** 2
+    assert np.count_nonzero(abs(f2 - 1e-4) < 3e-7) >= 20 and np.any(f2 < 1e-4) \
+        and np.any(f2 >= 1e-4)
+    cases = [(a, b), (b, a), (a[:, None], b[None, :60]), (a[:7, None, None], b[None, :5, None]),
+             (np.float64(3.0), b), (2.0, 2.0 * (1 + 1e-3)), (0.0, 1.0)]
+    for x, y in cases:
+        with np.errstate(invalid="ignore"):
+            new, old = G.log_mean(x, y), _log_mean_both_branches(x, y)
+        assert new.shape == old.shape == np.broadcast(x, y).shape
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # functionals
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -392,3 +393,136 @@ def test_run_heat_rejects_unstable_dt_and_undershoot(grid):
     with pytest.raises(PositivityError):
         H.run_heat(grid, REL, np.full(grid.N, -1e-10), H.stable_dt(grid, REL),
                    0.01, record_every=1)
+
+
+# ---------------------------------------------------------------------------
+# block-batched checks of run_heat against the public step chain
+#
+# On the 64-cell fixture the stable step is 2**-12, so every step count lands
+# exactly on t_final and a run started from any state of a chain repeats the
+# chain bit for bit.
+
+def chain(grid, params, rho0, dt, n_steps):
+    """Densities of a step_heat chain from rho0, the first and the last included."""
+    states = [H.HeatState(rho=rho0.copy(), t=0.0)]
+    for _ in range(n_steps):
+        states.append(H.step_heat(states[-1], grid, params, dt))
+    return [s.rho for s in states]
+
+
+def assert_matches_reference(grid, params, rho0, dt, n_steps):
+    rho, max_sat, min_ds = reference_run(grid, params, rho0, dt, n_steps * dt)
+    result = H.run_heat(grid, params, rho0, dt, n_steps * dt, record_every=5)
+    assert np.array_equal(result.state.rho.view(np.uint64), rho.view(np.uint64))
+    assert result.max_saturation_excess == max_sat
+    assert result.min_step_entropy_delta == min_ds
+    return result
+
+
+@pytest.mark.parametrize("n_steps", [H._BLOCK - 3, H._BLOCK, 3 * H._BLOCK + 5])
+@pytest.mark.parametrize("kind", ["near-uniform", "plateau", "bump"])
+def test_run_heat_block_boundaries(grid, kind, n_steps):
+    # below one block, exactly one block, and a partial last block
+    dt = H.stable_dt(grid, REL)
+    assert dt == 2.0 ** -12
+    assert_matches_reference(grid, REL, run_data(kind, grid), dt, n_steps)
+
+
+@pytest.mark.parametrize("kind, pick", [
+    ("plateau", max),        # saturation excess rises for 9 steps, then falls
+    ("near-uniform", min),   # entropy steps at round-off, some negative
+])
+def test_run_heat_extremum_inside_a_block(grid, kind, pick):
+    dt = H.stable_dt(grid, REL)
+    rhos = chain(grid, REL, run_data(kind, grid), dt, 6 * H._BLOCK)
+    if pick is max:
+        values = [H.saturation_excess(r, grid, REL) for r in rhos[:-1]]
+    else:
+        entropies = [H.boltzmann_entropy(r, grid) for r in rhos]
+        values = [b - a for a, b in zip(entropies, entropies[1:])]
+    # start the run where the extremum of the states it checks in blocks
+    # (the saturation of each state it steps from, the entropy change of each
+    # step) falls in the middle of a block
+    start = next(s for s in range(len(values))
+                 if values[s:].index(pick(values[s:])) % H._BLOCK == H._BLOCK // 2)
+    result = assert_matches_reference(grid, REL, rhos[start], dt, len(values) - start)
+    if pick is max:
+        assert result.max_saturation_excess == max(values[start:])
+        assert result.max_saturation_excess > H.saturation_excess(rhos[-1], grid, REL)
+    else:
+        assert result.min_step_entropy_delta == min(values[start:]) < 0.0
+
+
+def test_run_heat_cone_opens_inside_a_block(grid):
+    # c = 3: the cone reaches a new face every h / c = 42.7 steps
+    params = ModelParams(m=1.0, c=3.0, gamma=1.0, theta=1.0, nu=1.0)
+    rho0 = two_bumps(grid)
+    dt = H.stable_dt(grid, params)
+    assert dt == 2.0 ** -12
+    n_steps = 6 * H._BLOCK + 3
+    cone = H.light_cone(rho0, 0.0, grid, params)
+    opened = [k for k in range(1, n_steps)
+              if np.any((cone <= k * dt) != (cone <= (k - 1) * dt))]
+    assert any(0 < k % H._BLOCK < H._BLOCK - 1 for k in opened)
+    result = assert_matches_reference(grid, params, rho0, dt, n_steps)
+    assert np.array_equal(result.state.cone, cone)
+
+
+def test_run_heat_positivity_error_at_the_reference_step(grid):
+    # negative data diffuse backward: the grid-scale ripple grows until the
+    # 69th step undershoots NEGATIVE_TOL; step index 68 is mid-block
+    rho0 = -5e-15 + 3e-18 * (-1.0) ** np.arange(grid.N)
+    dt = H.stable_dt(grid, REL)
+    states = [H.HeatState(rho=rho0.copy(), t=0.0)]
+    with pytest.raises(PositivityError) as expected:
+        while True:
+            states.append(H.step_heat(states[-1], grid, REL, dt))
+    failing_step = len(states) - 1
+    assert failing_step == 68 and 0 < failing_step % H._BLOCK < H._BLOCK - 1
+    seen = []
+    with pytest.raises(PositivityError) as caught:
+        H.run_heat(grid, REL, rho0, dt, 100 * dt, record_every=1,
+                   on_record=lambda st: seen.append(st.rho.copy()))
+    assert str(caught.value) == str(expected.value)
+    assert len(seen) == len(states)
+    assert all(np.array_equal(a, s.rho) for a, s in zip(seen, states))
+
+
+def test_run_heat_states_never_alias_the_workspace(grid):
+    params = ModelParams(m=1.0, c=2.0, gamma=1.0, theta=1.0, nu=1.0)
+    dt = H.stable_dt(grid, params)
+    result = H.run_heat(grid, params, two_bumps(grid), dt, (3 * H._BLOCK + 5) * dt,
+                        record_every=1, on_record=lambda st: (st, st.rho.tobytes()))
+    seen = result.records
+    assert len(seen) == 3 * H._BLOCK + 6 and seen[-1][0] is result.state
+    # later steps left every handed-out state as it was handed out
+    assert all(st.rho.tobytes() == snapshot for st, snapshot in seen)
+    for i, (a, _) in enumerate(seen):
+        assert a.rho.flags.owndata
+        assert not any(np.shares_memory(a.rho, b.rho) for b, _ in seen[i + 1:])
+
+
+def test_run_heat_allocation_budget_at_512():
+    # the workspace and the first state exist at the first record; the steps
+    # after it allocate the final state and little else.  The allocating loop
+    # this replaced peaked at about eleven grid arrays above that point
+    grid = LineGrid(N=512, L=4.0)
+    rho0 = H.initial_profile("bump", grid, width=1.0)
+    dt = H.stable_dt(grid, REL)
+    H.run_heat(grid, REL, rho0, dt, 64 * dt, record_every=10**9)
+    at_first_record = []
+
+    def on_record(st):
+        if not at_first_record:
+            at_first_record.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        H.run_heat(grid, REL, rho0, dt, 64 * dt, record_every=10**9, on_record=on_record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - at_first_record[0] <= 3 * rho0.nbytes
+    # a small block: the whole run, workspace included, stays below 48 grid arrays
+    assert peak <= 48 * rho0.nbytes

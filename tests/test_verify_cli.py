@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relgeneric
 from relgeneric import generic as G
 from relgeneric.cli import main
 from relgeneric.config import VerifyOptions, load_config, parse_config
@@ -145,10 +147,13 @@ def test_cli_entry_point_subprocess(tmp_path):
                    "verify.bracket_pairs = 5\nverify.assembly_states = 2\n"
                    "verify.refinement = false\nverify.jacobi = false\n"
                    "grid.nq = 16\ngrid.np = 16\ngrid.lq = 16.0\ngrid.pmax = 34.0\n")
+    # the child imports the package under test, installed or not
+    src = str(Path(relgeneric.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
         [sys.executable, "-m", "relgeneric.cli", "verify",
          "--config", str(cfg), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
 
