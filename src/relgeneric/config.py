@@ -146,10 +146,9 @@ def tail_exponent_momentum(params: ModelParams) -> float:
         return math.sqrt(2.0 * params.m * a)
     mc = params.m * params.c
     x = a / params.c
-    try:
-        return math.sqrt((mc + x) ** 2 - mc * mc)
-    except OverflowError:       # m c too large to square: the same difference, factored
-        return math.sqrt(x * (2.0 * mc + x))
+    # sqrt((mc + x)^2 - (mc)^2), factored: squaring m c overflows for huge c,
+    # and the difference cancels to 0 once x is below an ulp of m c
+    return math.sqrt(2.0 * x) * math.sqrt(mc + 0.5 * x)
 
 
 def _auto_lq(params: ModelParams, potential: Potential) -> float:

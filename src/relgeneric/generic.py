@@ -276,7 +276,13 @@ def dissipative_bracket(state: State, v1: CotangentVector, v2: CotangentVector,
 def degeneracy_residuals(state: State, grid: PhaseGrid, params: ModelParams,
                          potential: Potential, variant: Variant):
     """(|L dS|_2, |M dE|_2) under the grid norm (e-component included)."""
-    v_s = gradient_entropy(state, grid, params)
+    return _degeneracy_residuals(state, gradient_entropy(state, grid, params), grid,
+                                 params, potential, variant)
+
+
+def _degeneracy_residuals(state: State, v_s: CotangentVector, grid: PhaseGrid,
+                          params: ModelParams, potential: Potential, variant: Variant):
+    """degeneracy_residuals with the entropy gradient v_s of state already taken."""
     v_e = gradient_energy(state, grid, params, potential)
     l_rho, l_e = apply_poisson(state, v_s, grid)
     m_rho, m_e = apply_dissipative(state, v_e, grid, params, potential, variant)

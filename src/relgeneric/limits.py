@@ -14,7 +14,7 @@ import numpy as np
 from . import heat as HT
 from .config import RunConfig
 from .grid import LineGrid, time_steps
-from .kfp import KfpOperator, State, make_initial_state, step_kfp
+from .kfp import KfpOperator, make_initial_state, step_kfp
 from .model import INFINITE, ModelParams, Variant
 
 
@@ -72,10 +72,7 @@ def run_limit_kfp(cfg: RunConfig) -> LimitResult:
     n_steps, step_dt = time_steps(cfg.t_final, dt)
 
     def final_density(op):
-        state = State(rho=state0.rho.copy(), e=state0.e)
-        for _ in range(n_steps):
-            state = step_kfp(state, op, step_dt)
-        return state.rho
+        return step_kfp(state0, op, step_dt, steps=n_steps).rho
 
     rho_classical = final_density(ops[-1])
     deviations = [(p.c, float(np.abs(final_density(op) - rho_classical).max()))

@@ -249,8 +249,8 @@ def grid_fields(grid: PhaseGrid, params: ModelParams, potential: Potential,
     h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
                     params, potential)
     if not np.all(np.isfinite(h)):
-        raise ValueError("the Hamiltonian is not finite on the grid; "
-                         "check the potential parameters against the grid")
+        raise ValueError("the Hamiltonian is not finite on the grid; check model.c, "
+                         "model.m and the potential parameters against the grid")
     h_min = float(h.min())
     rhat = np.exp(-(h - h_min) / params.theta)
     # the face gradient is generic.face_grad_p's; M dE = 0 relies on the two agreeing

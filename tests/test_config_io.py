@@ -13,7 +13,7 @@ from relgeneric.errors import StabilityError
 from relgeneric.grid import MAX_STEPS, LineGrid, PhaseGrid, time_steps
 from relgeneric.io import (dump_density, load_density, read_timeseries_csv,
                            write_timeseries_csv)
-from relgeneric.model import CosinePotential, HarmonicPotential, Variant
+from relgeneric.model import CosinePotential, HarmonicPotential, ModelParams, Variant
 from relgeneric.rng import SplitMix64
 
 
@@ -89,11 +89,12 @@ BAD_NUMBERS = {
     "c-nan": ("kfp", KFP_SMALL.replace("1.0", "nan", 1), 2),
     "width-1e999": ("heat", HEAT_SMALL + "init.width = 1e999\n", 2),
     "c_values-nan": ("limit-study", "limit.c_values = 10, nan\n", 2),
-    # finite numbers that leave no finite momentum domain: m c^2 squared
-    # overflows, or theta makes the auto-sized tail infinite
-    "kfp-c-1e308": ("kfp", KFP_SMALL.replace("1.0", "1e308", 1), 2),
+    # a finite number that leaves no finite momentum domain: theta makes
+    # the auto-sized tail infinite
     "kfp-theta-1e308": ("kfp", KFP_SMALL.replace("34.0", "auto") + "model.theta = 1e308\n", 2),
     # finite numbers whose derived quantities break: a named solver error
+    # (c = 1e308 needs a Pmax of about 8, but the rest energy m c^2 overflows)
+    "kfp-c-1e308": ("kfp", KFP_SMALL.replace("1.0", "1e308", 1), 1, "model.c, model.m"),
     "kfp-gamma-1e308": ("kfp", KFP_SMALL + "model.gamma = 1e308\n", 1),
     "heat-nu-1e308": ("heat", HEAT_SMALL + "model.nu = 1e308\n", 1),
     "heat-length-1e-300": ("heat", HEAT_SMALL + "grid.length = 1e-300\n", 1),
@@ -177,13 +178,15 @@ def test_fuzzed_config_parses_or_raises_config_error(tmp_path_factory, case):
 
 @pytest.mark.parametrize("case", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
 def test_cli_bad_numbers_end_in_named_errors(tmp_path, capsys, case):
-    experiment, text, code = case
+    experiment, text, code, *names = case     # names: text the message must contain
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     with np.errstate(all="ignore"):
         assert main([experiment, "--config", str(path), "--out", str(tmp_path / "o")]) == code
     prefix = "configuration error:" if code == 2 else "run failed:"
-    assert capsys.readouterr().err.startswith(prefix)
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert all(name in err for name in names)
 
 
 def test_step_count_bounded():
@@ -192,6 +195,15 @@ def test_step_count_bounded():
     for t_final, dt in ((1.0, 0.99 / MAX_STEPS), (0.05, 3.5e-302)):
         with pytest.raises(StabilityError, match="more than the limit"):
             time_steps(t_final, dt)
+
+
+def test_tail_momentum_finite_for_huge_c():
+    # the relativistic tail momentum tends to the classical one as c grows;
+    # neither squaring m c nor cancellation may lose it
+    classical = tail_exponent_momentum(ModelParams(m=1.0, c=math.inf))
+    for c in (1e8, 1e9, 1e100, 1e154, 1e155, 1e308):
+        assert tail_exponent_momentum(ModelParams(m=1.0, c=c)) == pytest.approx(
+            classical, rel=1e-7)
 
 
 def test_kfp_defaults_satisfy_tail_rule():

@@ -167,6 +167,8 @@ def test_step_rejects_unstable_dt(rng):
     state = make_state(rng, cfg.grid, cfg.params, cfg.potential)
     with pytest.raises(StabilityError):
         K.step_kfp(state, op, 100.0 * op.stable_dt())
+    with pytest.raises(ValueError, match="steps"):
+        K.step_kfp(state, op, op.stable_dt(), steps=0)
 
 
 def test_energy_conserved_to_roundoff():
@@ -204,7 +206,8 @@ def test_degeneracy_residuals_along_run():
 def test_integrate_records_match_public_functions(variant):
     # every record and aux entry equals its recomputation from the public
     # functions, and the recorded states are those of a chain of step_kfp
-    # calls; record_every=2 records after some steps and not after others
+    # calls, one per record interval; record_every=2 records after some
+    # steps and not after others
     classical = variant is Variant.CLASSICAL
     params = ModelParams(m=1.0, c=INFINITE if classical else 1.0, gamma=0.5, theta=1.0)
     grid = PhaseGrid(Nq=32, Np=64, Lq=4 * math.pi, Pmax=8.4 if classical else 34.0)
@@ -228,14 +231,22 @@ def test_integrate_records_match_public_functions(variant):
             relEnt=K.relative_entropy(st.rho, rho_inf, grid), e=st.e)
         assert extra == {"l1": K.l1_distance(st.rho, rho_inf, grid), "dHrho_dt": -de}
     n_steps = math.ceil(cfg.t_final / op.stable_dt() - 1e-12)
+    dt = cfg.t_final / n_steps
     chain = [seen[0][0]]
-    for _ in range(n_steps):
-        chain.append(K.step_kfp(chain[-1], op, cfg.t_final / n_steps))
-    recorded = [k for k in range(n_steps + 1) if k % 2 == 0 or k == n_steps]
-    assert len(recorded) == len(seen)
-    for k, (st, _) in zip(recorded, seen):
-        assert np.array_equal(st.rho, chain[k].rho) and st.e == chain[k].e
+    for steps in (2, 2, 1):
+        chain.append(K.step_kfp(chain[-1], op, dt, steps=steps))
+    assert len(chain) == len(seen)
+    for (st, _), ref in zip(seen, chain):
+        assert np.array_equal(st.rho, ref.rho) and st.e == ref.e
     assert res.state is seen[-1][0]
+    # merging adjacent half steps moves only round-off from single steps
+    single = [seen[0][0]]
+    for _ in range(n_steps):
+        single.append(K.step_kfp(single[-1], op, dt))
+    for (st, _), rec, k in zip(seen, res.records, (0, 2, 4, 5)):
+        ref = single[k]
+        assert float(np.abs(st.rho - ref.rho).max()) <= 1e-13 * float(ref.rho.max())
+        assert abs(st.e - ref.e) <= 1e-13 * abs(rec.E)
 
 
 # The allocating calculus, right-hand side and split step the workspace
@@ -284,23 +295,42 @@ def _ref_rhs(op, state):
     return drho, float(np.sum(op.gh_face * flux)) * grid.cell_volume
 
 
-def _ref_dissipate(op, rho, h):
-    flux = _ref_flux(op, rho @ op._map(h).T)
-    return (rho + h * _ref_face_div_p(op.grid, flux),
-            h * float(np.sum(op.gh_face * flux)) * op.grid.cell_volume)
+def _ref_pair_map(op, h):
+    # W2 = W + (h/2) W A W, the map of two merged substeps
+    lower, main, upper = op._tridiag
+    w = op._map(h)
+    aw = main[:, np.newaxis] * w
+    aw[1:] += lower[1:, np.newaxis] * w[:-1]
+    aw[:-1] += upper[:-1, np.newaxis] * w[1:]
+    return w + (0.5 * h) * (w @ aw)
 
 
-def _ref_split_step(state, op, dt):
-    r0, de_first = _ref_dissipate(op, state.rho, 0.5 * dt)
+def _ref_dissipate(op, rho, h, pair=False):
+    w_map, length = (_ref_pair_map(op, h), 2.0 * h) if pair else (op._map(h), h)
+    flux = _ref_flux(op, rho @ w_map.T)
+    return (rho + length * _ref_face_div_p(op.grid, flux),
+            length * float(np.sum(op.gh_face * flux)) * op.grid.cell_volume)
+
+
+def _ref_transport_rk4(op, r0, dt):
     k1 = _ref_transport(op, r0)
     k2 = _ref_transport(op, r0 + 0.5 * dt * k1)
     k3 = _ref_transport(op, r0 + 0.5 * dt * k2)
     k4 = _ref_transport(op, r0 + dt * k3)
-    rho = r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    rho, de_second = _ref_dissipate(op, rho, 0.5 * dt)
-    if rho.min() < K.NEGATIVE_TOL:
-        raise PositivityError(f"density undershoot {rho.min():.3e}")
-    return G.State(rho=rho, e=state.e + de_first + de_second)
+    return r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _ref_step_kfp(state, op, dt, steps=1):
+    # D(h) [T D2]^(steps - 1) T D(h), positivity checked after each D2 and at the end
+    rho, de = _ref_dissipate(op, state.rho, 0.5 * dt)
+    e = state.e + de
+    for k in range(steps):
+        rho, de = _ref_dissipate(op, _ref_transport_rk4(op, rho, dt), 0.5 * dt,
+                                 pair=k < steps - 1)
+        e += de
+        if rho.min() < K.NEGATIVE_TOL:
+            raise PositivityError(f"density undershoot {rho.min():.3e}")
+    return G.State(rho=rho, e=e)
 
 
 def _bits(values):
@@ -342,7 +372,7 @@ def test_integrate_bitwise_equal_to_allocating_reference(variant, record_every,
         return res, seen + [res.state]
 
     res, states = run()
-    monkeypatch.setattr(K, "_split_step", _ref_split_step)
+    monkeypatch.setattr(K, "step_kfp", _ref_step_kfp)
     monkeypatch.setattr(K.KfpOperator, "rhs", _ref_rhs)
     ref, ref_states = run()
     assert len(states) == len(ref_states) == len(res.records) + 1
@@ -383,21 +413,22 @@ def test_states_and_returned_arrays_never_alias_the_workspace():
 
 
 def test_step_allocation_budget_at_64x256():
-    # a warm step allocates its new density and little else; the allocating
-    # step it replaced peaked at about ten grid arrays
+    # a warm step, single or merged, allocates its new density and little
+    # else; the allocating step it replaced peaked at about ten grid arrays
     params = ModelParams(m=1.0, c=2.0, gamma=1.0, theta=1.0)
     grid = PhaseGrid(Nq=64, Np=256, Lq=4 * math.pi, Pmax=20.0)
     pot = CosinePotential(amplitude=1.0, period=grid.Lq)
     op = K.KfpOperator(grid, params, pot, Variant.DMR)
     state = K.make_initial_state(K.InitSpec(p0=0.5), grid, params, pot)
-    state = K.step_kfp(state, op, op.stable_dt())
-    tracemalloc.start()
-    try:
-        K.step_kfp(state, op, op.stable_dt())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * state.rho.nbytes
+    state = K.step_kfp(state, op, op.stable_dt(), steps=2)
+    for steps in (1, 4):
+        tracemalloc.start()
+        try:
+            K.step_kfp(state, op, op.stable_dt(), steps=steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * state.rho.nbytes
 
 
 def test_integrate_rejects_unstable_dt_and_undershoot():
@@ -451,6 +482,77 @@ def test_dissipative_half_step_conserves_mass_and_energy(rng):
             e_after = G.energy_functional(G.State(rho, state.e + de), grid, params, pot)
             assert abs(e_after - e_before) <= 1e-14 * abs(e_before)
             assert abs(de) > 1e-6         # the step did exchange energy
+
+
+def test_pair_update_is_two_half_steps(rng):
+    # D2 = D(h) D(h): one update of length 2h through W2 against two half steps
+    cfg = small_cfg()
+    for variant in (Variant.DH, Variant.DMR):
+        op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, variant)
+        for h in (0.5 * op.stable_dt(), 10.0 * op.stable_dt()):
+            state = make_state(rng, cfg.grid, cfg.params, cfg.potential)
+            once, de_once = _half_step(op, state.rho, h)
+            twice, de_twice = _half_step(op, once, h)
+            merged = np.empty(cfg.grid.shape)
+            de_merged = op._dissipate_into(state.rho, h, merged, pair=True)
+            assert float(np.abs(merged - twice).max()) <= 1e-14 * float(twice.max())
+            energy = G.energy_functional(state, cfg.grid, cfg.params, cfg.potential)
+            assert abs(de_merged - (de_once + de_twice)) <= 1e-14 * abs(energy)
+
+
+def test_pair_map_keeps_maxwellian():
+    cfg = small_cfg()
+    for variant in (Variant.DH, Variant.DMR):
+        op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, variant)
+        rinf, _ = maxwellian(cfg.grid, cfg.params, cfg.potential)
+        h = 0.5 * op.stable_dt()
+        assert float(np.abs(rinf @ op._pair_map(h).T - rinf).max()) <= 1e-14 * float(rinf.max())
+        rho = np.empty(cfg.grid.shape)
+        de = op._dissipate_into(rinf, h, rho, pair=True)
+        assert float(np.abs(rho - rinf).max()) <= 1e-14 * float(rinf.max())
+        assert abs(de) <= 1e-14
+
+
+def test_merged_steps_match_single_steps_and_conserve():
+    # step_kfp(steps=50) against 50 single steps; mass and total energy of
+    # the merged run hold to round-off
+    cfg = small_cfg()
+    grid, params, pot = cfg.grid, cfg.params, cfg.potential
+    for variant in (Variant.DH, Variant.DMR):
+        op = K.KfpOperator(grid, params, pot, variant)
+        state0 = K.make_initial_state(cfg.init, grid, params, pot)
+        dt = op.stable_dt()
+        merged = K.step_kfp(state0, op, dt, steps=50)
+        single = state0
+        for _ in range(50):
+            single = K.step_kfp(single, op, dt)
+        e0 = G.energy_functional(state0, grid, params, pot)
+        assert float(np.abs(merged.rho - single.rho).max()) <= 1e-13 * float(single.rho.max())
+        assert abs(merged.e - single.e) <= 1e-13 * abs(e0)
+        assert abs(float(np.sum(merged.rho)) * grid.cell_volume - 1.0) <= 1e-13
+        assert abs(G.energy_functional(merged, grid, params, pot) - e0) <= 1e-13 * abs(e0)
+        assert abs(merged.e) > 1e-3        # the run did exchange energy
+
+
+@pytest.mark.parametrize("record_every, intervals", [(1, 7), (3, 3), (10, 1)])
+def test_dissipative_update_count(record_every, intervals, monkeypatch):
+    # n steps in r record intervals make n + r dissipative updates and n
+    # positivity checks (one per merged update, one per interval end); with
+    # a record every step no pair map is built
+    cfg, _ = _variant_cfg(Variant.DH, record_every, steps=7)
+    updates, pair_maps, checks = [], [], []
+    dissipate, pair_map = K.KfpOperator._dissipate_into, K.KfpOperator._pair_map
+    check_positive = K._check_positive
+    monkeypatch.setattr(K.KfpOperator, "_dissipate_into",
+                        lambda op, *a, **kw: updates.append(1) or dissipate(op, *a, **kw))
+    monkeypatch.setattr(K.KfpOperator, "_pair_map",
+                        lambda op, h: pair_maps.append(h) or pair_map(op, h))
+    monkeypatch.setattr(K, "_check_positive", lambda rho: checks.append(1) or check_positive(rho))
+    res = K.integrate(cfg)
+    assert len(res.records) == intervals + 1
+    assert len(updates) == 7 + intervals
+    assert len(pair_maps) == 7 - intervals
+    assert len(checks) == 7
 
 
 def test_dissipative_map_is_dense_trbdf2():
