@@ -10,7 +10,8 @@ import numpy as np
 from .errors import StabilityError
 
 # A run needing more steps than this would not end in any useful time (the
-# committed configs need at most 32768); time_steps rejects it up front.
+# committed configs need at most 25600, limit_heat at c = 1000); time_steps
+# rejects it up front.
 MAX_STEPS = 10**8
 
 

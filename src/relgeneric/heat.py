@@ -6,6 +6,12 @@ scheme reduces to the standard second-order discretization of the heat
 equation.  The same right-hand side can be assembled from the convex
 dissipation potential, and the two assemblies are compared in the tests.
 
+Time stepping is forward Euler at up to ``stable_dt``, min(h^2 / (2 nu),
+h / (4 c)), or just under h^2 / (2 nu) at c = INFINITE.  Up to that step the Euler map is a doubly stochastic matrix
+built from the face diffusivities, so every step keeps the density
+nonnegative, obeys the min/max principle, conserves mass and does not lower
+the Boltzmann entropy; ``stable_dt`` gives the proof.
+
 A saturated flux still moves mass one cell per explicit step, so by itself
 the three-point scheme would carry mass into vacuum far faster than c when
 dt is set by diffusion.  The exact flow obeys
@@ -46,6 +52,7 @@ from .grid import LineGrid, time_steps
 from .model import ModelParams
 
 NEGATIVE_TOL = -1e-14   # strictest allowed undershoot per explicit step
+_CLASSICAL_MARGIN = 1.0 - 2.0**-20   # stable_dt below h^2/(2 nu) at c = inf
 _BLOCK = 8              # states whose entropy and saturation are checked together
 
 
@@ -250,9 +257,42 @@ def reached_faces(state: HeatState, grid: LineGrid, params: ModelParams):
 
 
 def stable_dt(grid: LineGrid, params: ModelParams) -> float:
-    """Largest Euler step allowed by diffusion and, for finite c, the flux limit."""
-    dt = 0.25 * grid.h**2 / params.nu
-    if not params.classical:
+    """Largest Euler step: min(h^2 / (2 nu), h / (4 c)), and just under
+    h^2 / (2 nu) for c = INFINITE.
+
+    At this step the Euler map is doubly stochastic, which proves the
+    H-theorem step by step.  The flux at face i+1/2 is F = D g, with g the
+    face gradient and the face diffusivity D = nu rbar / sqrt(rbar^2 +
+    (nu g / c)^2) in [0, nu]: a face the light cone has not reached has
+    D = 0, and c = INFINITE gives D = nu.  With D frozen at the old state
+    the step is new = P rho, where
+
+        P[i, i+1] = dt D_{i+1/2} / h^2,   P[i, i-1] = dt D_{i-1/2} / h^2,
+        P[i, i] = 1 - dt (D_{i+1/2} + D_{i-1/2}) / h^2.
+
+    P is symmetric and its rows sum to 1, and dt <= h^2 / (2 nu) makes its
+    diagonal nonnegative, so P is doubly stochastic for every c.  Each new
+    value is a convex combination of its old neighbours: positivity and the
+    min/max principle.  The column sums give exact mass.  For the concave
+    eta(x) = -x log x, Jensen gives sum_i eta(new_i) >= sum_i sum_j P_ij
+    eta(rho_j) = sum_j eta(rho_j): the Boltzmann entropy never falls.
+
+    The flux bound h / (4 c) keeps a saturated front, which moves at c,
+    under a quarter cell per step.  On a cell flanked by vacuum it also
+    keeps the diagonal of P at least 3/4: there rbar = rho_i / 2 and
+    |g| = rho_i / h, so with x = nu / (c h) each face has dt D / h^2 <=
+    min(1/2, x/4) / sqrt(1 + 4 x^2) <= 1/8.  At c = INFINITE there is no
+    such bound and the exact h^2 / (2 nu) zeroes the diagonal of P on every
+    cell; the flux-form update then leaves a cell flanked by vacuum at
+    rho_i - rho_i (1 + O(eps)), up to a few ulps of rho_i below zero, which
+    breaks NEGATIVE_TOL once rho_i exceeds about 25.  So c = INFINITE
+    steps at (1 - 2^-20) h^2 / (2 nu), which leaves such a cell about
+    1e-6 rho_i, far above round-off.
+    """
+    dt = 0.5 * grid.h**2 / params.nu
+    if params.classical:
+        dt *= _CLASSICAL_MARGIN
+    else:
         dt = min(dt, 0.25 * grid.h / params.c)
     if not (math.isfinite(dt) and dt > 0):
         raise StabilityError(f"the stability bound on dt is {dt!r}; "
@@ -327,7 +367,7 @@ def _step_into(ws: _Workspace, j: int, grid: LineGrid, params: ModelParams,
                dt: float) -> None:
     """Euler step from ws.rows[j] into ws.rows[j + 1] through the faces of
     the last ``ws.gate``; raises PositivityError on an undershoot below
-    NEGATIVE_TOL."""
+    NEGATIVE_TOL and StabilityError on a density that is not finite."""
     flux = ws.flux_of(j, grid, params)
     cells, new = ws.steps[j][:2]
     faces, gated = ws.faces, ws.gated
@@ -340,8 +380,12 @@ def _step_into(ws: _Workspace, j: int, grid: LineGrid, params: ModelParams,
     div *= dt
     np.add(cells[:-1], div, out=new[:-1])
     new[-1] = new[0]
-    low = np.minimum.reduce(new)
-    if low < NEGATIVE_TOL:
+    low = np.minimum.reduce(new)            # nan if any cell is nan
+    if not low >= NEGATIVE_TOL:
+        if not math.isfinite(low):
+            raise StabilityError(f"the heat step left a density that is not finite "
+                                 f"(min {low!r}); at finite c the face flux "
+                                 "overflows for densities above about 1e154")
         raise PositivityError(f"density undershoot {low:.3e} below {NEGATIVE_TOL:g}")
 
 
@@ -355,7 +399,8 @@ def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
     support of the data it started from inside supp rho + B(c (t - t0)).
     Once every face is open the chain carries ``ALL_OPEN`` and the step is
     the ungated scheme.  Raises StabilityError for dt above ``stable_dt``
-    and PositivityError on an undershoot below NEGATIVE_TOL.
+    or a result that is not finite, and PositivityError on an undershoot
+    below NEGATIVE_TOL.
     """
     _check_dt(dt, grid, params)
     cone, reached = _cone_and_reached(state, grid, params)

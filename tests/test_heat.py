@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgeneric import heat as H
+from relgeneric.config import load_config
 from relgeneric.errors import PositivityError, StabilityError
-from relgeneric.grid import LineGrid
+from relgeneric.grid import LineGrid, time_steps
+from relgeneric.limits import heat_initial
 from relgeneric.model import INFINITE, ModelParams
 from relgeneric.rng import SplitMix64
 
 REL = ModelParams(m=1.0, c=1.0, gamma=1.0, theta=1.0, nu=1.0)
 CLASSICAL = ModelParams(m=1.0, c=INFINITE, gamma=1.0, theta=1.0, nu=1.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -183,6 +188,19 @@ def test_entropy_rate_nonnegative(grid):
         assert H.entropy_rate(rho, grid, REL) >= -1e-12
 
 
+def test_step_rejects_a_density_that_is_not_finite(grid):
+    # rbar**2 overflows in the face flux above about 1e154, which turns the
+    # step's output nan; the step and the run say so instead of going on
+    rho = np.zeros(grid.N)
+    rho[10] = 1e200
+    dt = H.stable_dt(grid, REL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StabilityError, match="not finite"):
+            H.step_heat(H.HeatState(rho=rho, t=0.0), grid, REL, dt)
+        with pytest.raises(StabilityError, match="not finite"):
+            H.run_heat(grid, REL, rho, dt, 0.01, record_every=1)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -307,6 +325,98 @@ def test_run_heat_keeps_cone_on_final_state(grid):
     assert H.step_heat(later, grid, params, dt).cone is H.ALL_OPEN
 
 
+# ---------------------------------------------------------------------------
+# the Euler step at stable_dt is a doubly stochastic map (see stable_dt)
+
+@st.composite
+def monotone_step_cases(draw):
+    """A grid, parameters and a state with exact-vacuum cells, isolated
+    spikes flanked by vacuum and, for finite c, faces its light cone has not
+    reached: the cone is that of the cells in a drawn subset of the support."""
+    n = draw(st.integers(8, 48))
+    grid = LineGrid(N=n, L=draw(st.floats(0.25, 8.0)))
+    nu = 10.0 ** draw(st.floats(-2.0, 2.0))
+    c = draw(st.one_of(st.just(INFINITE), st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)))
+    params = ModelParams(m=1.0, c=c, gamma=1.0, theta=1.0, nu=nu)
+    rho = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                                 min_size=n, max_size=n)))
+    spikes = draw(st.lists(st.tuples(st.integers(0, n - 1), st.floats(1.0, 1e6)),
+                           max_size=3))
+    for k, height in spikes:
+        rho[[k - 1, (k + 1) % n]] = 0.0
+        rho[k] = height
+    seeds = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    cone = H.light_cone(np.where(seeds, rho, 0.0), 0.0, grid, params)
+    t = draw(st.floats(0.0, 1.0)) * float(cone.max()) if cone.size else 0.0
+    return grid, params, H.HeatState(rho=rho, t=t, cone=cone)
+
+
+def euler_matrix(state, grid, params, dt):
+    """P of new = P rho, from the face diffusivities D = F / g = nu rbar /
+    sqrt(rbar**2 + (nu g / c)**2) frozen at the state, zero on closed faces:
+    P[i, i+1] = P[i+1, i] = dt D_{i+1/2} / h**2, rows summing to 1."""
+    rho, n = state.rho, grid.N
+    right = np.roll(rho, -1)
+    g, rbar = (right - rho) / grid.h, 0.5 * (rho + right)
+    if params.classical:
+        d = np.full(n, params.nu)
+    else:
+        denom = np.sqrt(rbar**2 + (params.nu * g / params.c) ** 2)
+        d = np.divide(params.nu * rbar, denom, out=np.zeros(n), where=denom > 0)
+    reached = H.reached_faces(state, grid, params)
+    if reached is not None:
+        d[~reached] = 0.0
+    assert np.all((d >= 0.0) & (d <= params.nu))
+    w = dt * d / grid.h**2
+    i = np.arange(n)
+    p = np.zeros((n, n))
+    p[i, (i + 1) % n] = p[(i + 1) % n, i] = w
+    p[i, i] = 1.0 - w - np.roll(w, 1)
+    return p
+
+
+def entropy_terms(rho, grid):
+    """sum |rho log rho| h: the scale of the entropy's round-off."""
+    return float(np.sum(np.abs(rho * np.log(np.where(rho > 0.0, rho, 1.0))))) * grid.h
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=monotone_step_cases())
+def test_step_at_stable_dt_is_doubly_stochastic(case):
+    grid, params, state = case
+    rho, dt = state.rho, H.stable_dt(grid, params)
+    new = H.step_heat(state, grid, params, dt).rho     # raises on an undershoot
+    p = euler_matrix(state, grid, params, dt)
+    assert p.min() >= -4 * EPS
+    assert np.all(np.abs(p.sum(axis=0) - 1.0) <= 4 * EPS)
+    assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 4 * EPS)
+    assert np.all(np.abs(p @ rho - new) <= 16 * EPS * rho.max())
+    # min/max principle over each cell and its two neighbours
+    near = np.stack([np.roll(rho, 1), rho, np.roll(rho, -1)])
+    low, high = near.min(axis=0), near.max(axis=0)
+    assert np.all(new >= low - 8 * EPS * high)
+    assert np.all(new <= high + 8 * EPS * high)
+    mass = float(np.sum(rho)) * grid.h
+    assert abs(float(np.sum(new)) * grid.h - mass) <= 4 * grid.N * EPS * mass
+    gain = H.boltzmann_entropy(new, grid) - H.boltzmann_entropy(rho, grid)
+    assert gain >= -64 * EPS * (entropy_terms(rho, grid) + entropy_terms(new, grid) + mass)
+    assert H.saturation_excess(new, grid, params) <= 0.0
+
+
+def test_heat_bump_auto_step_matches_quarter_step_run():
+    # the auto step halves heat_bump's step count; its error against the
+    # same scheme at a quarter of the step stays within ROADMAP item 3's
+    # 1e-3 L1 gate
+    cfg = load_config(CONFIGS / "heat_bump.cfg", "heat")
+    grid, params = cfg.heat_grid, cfg.params
+    rho0 = heat_initial(cfg, grid)
+    dt = H.stable_dt(grid, params)
+    assert time_steps(cfg.t_final, dt) == (16384, 2.0 ** -15)
+    coarse, fine = (H.run_heat(grid, params, rho0, step, cfg.t_final, 10**9).state.rho
+                    for step in (dt, 0.25 * dt))
+    assert float(np.sum(np.abs(coarse - fine))) * grid.h <= 1e-3
+
+
 def test_initial_profiles(grid):
     for kind, kwargs in (("uniform", {}), ("gaussian", {"sigma": 0.2}),
                          ("bump", {"width": 0.5})):
@@ -398,9 +508,9 @@ def test_run_heat_rejects_unstable_dt_and_undershoot(grid):
 # ---------------------------------------------------------------------------
 # block-batched checks of run_heat against the public step chain
 #
-# On the 64-cell fixture the stable step is 2**-12, so every step count lands
-# exactly on t_final and a run started from any state of a chain repeats the
-# chain bit for bit.
+# On the 64-cell fixture these tests step at 2**-12, half the stable step
+# h**2 / (2 nu) = 2**-11, so every step count lands exactly on t_final and a
+# run started from any state of a chain repeats the chain bit for bit.
 
 def chain(grid, params, rho0, dt, n_steps):
     """Densities of a step_heat chain from rho0, the first and the last included."""
@@ -423,8 +533,8 @@ def assert_matches_reference(grid, params, rho0, dt, n_steps):
 @pytest.mark.parametrize("kind", ["near-uniform", "plateau", "bump"])
 def test_run_heat_block_boundaries(grid, kind, n_steps):
     # below one block, exactly one block, and a partial last block
-    dt = H.stable_dt(grid, REL)
-    assert dt == 2.0 ** -12
+    dt = 2.0 ** -12
+    assert dt == 0.5 * H.stable_dt(grid, REL)
     assert_matches_reference(grid, REL, run_data(kind, grid), dt, n_steps)
 
 
@@ -433,7 +543,7 @@ def test_run_heat_block_boundaries(grid, kind, n_steps):
     ("near-uniform", min),   # entropy steps at round-off, some negative
 ])
 def test_run_heat_extremum_inside_a_block(grid, kind, pick):
-    dt = H.stable_dt(grid, REL)
+    dt = 2.0 ** -12
     rhos = chain(grid, REL, run_data(kind, grid), dt, 6 * H._BLOCK)
     if pick is max:
         values = [H.saturation_excess(r, grid, REL) for r in rhos[:-1]]
@@ -457,8 +567,8 @@ def test_run_heat_cone_opens_inside_a_block(grid):
     # c = 3: the cone reaches a new face every h / c = 42.7 steps
     params = ModelParams(m=1.0, c=3.0, gamma=1.0, theta=1.0, nu=1.0)
     rho0 = two_bumps(grid)
-    dt = H.stable_dt(grid, params)
-    assert dt == 2.0 ** -12
+    dt = 2.0 ** -12
+    assert dt == 0.5 * H.stable_dt(grid, params)
     n_steps = 6 * H._BLOCK + 3
     cone = H.light_cone(rho0, 0.0, grid, params)
     opened = [k for k in range(1, n_steps)
@@ -472,7 +582,7 @@ def test_run_heat_positivity_error_at_the_reference_step(grid):
     # negative data diffuse backward: the grid-scale ripple grows until the
     # 69th step undershoots NEGATIVE_TOL; step index 68 is mid-block
     rho0 = -5e-15 + 3e-18 * (-1.0) ** np.arange(grid.N)
-    dt = H.stable_dt(grid, REL)
+    dt = 2.0 ** -12
     states = [H.HeatState(rho=rho0.copy(), t=0.0)]
     with pytest.raises(PositivityError) as expected:
         while True:
