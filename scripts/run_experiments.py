@@ -5,8 +5,8 @@ Usage: python scripts/run_experiments.py [--out-root OUT] [--only NAME ...]
 
 Each config in scripts/configs/ maps to one experiment; outputs land in
 OUT/<config-stem>/.  Exits nonzero if any experiment reports a check failure.
-The whole set takes about four seconds on a 2-CPU x86-64 VM; verify and
-limit_heat take most of it.
+The whole set takes 4 to 9 seconds on a 2-CPU x86-64 VM, depending on its
+load; verify and limit_heat take most of it.
 """
 
 import argparse

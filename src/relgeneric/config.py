@@ -48,7 +48,7 @@ class RunConfig:
     potential: Potential = field(default_factory=ZeroPotential)
     heat_grid: LineGrid | None = None
     phase_grid: PhaseGrid | None = None
-    dt: float | None = None          # None: stability bound
+    dt: float | None = None          # None: the experiment's auto step
     t_final: float = 1.0
     record_every: int = 10
     init: InitSpec = field(default_factory=InitSpec)

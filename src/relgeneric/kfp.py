@@ -13,10 +13,17 @@ invariant of the semi-discretization.
 
 A time step follows the GENERIC split dz/dt = L dE + M dS (Strang): half a
 step of the dissipative part, one RK4 step of the transport alone, and
-another dissipative half step.  Only transport limits the step.  The
-dissipative half step is TR-BDF2 through a precomputed dense map applied in
-flux form, so mass telescopes, the total energy stays a linear invariant
-and the Maxwellian stays a fixed point, each to round-off.
+another dissipative half step.  The dissipative half step is TR-BDF2
+through a precomputed dense map applied in flux form, so mass telescopes,
+the total energy stays a linear invariant and the Maxwellian stays a fixed
+point, each to round-off.
+
+Only transport limits the step, and two steps derive from its velocities:
+the split step's stability bound ``KfpOperator.stable_dt``, and the
+smaller ``KfpOperator.transient_dt``, which bounds the Strang splitting
+error.  ``integrate`` steps at the stability bound when it stops at
+stationarity (``run_to_stationarity``), where only the end state counts,
+and at the transient step otherwise.
 
 Between two records the trailing half step of one step and the leading half
 step of the next run back to back, so ``step_kfp(..., steps=n)`` merges each
@@ -61,7 +68,7 @@ class KfpConfig:
     params: ModelParams
     potential: Potential
     variant: Variant
-    dt: float | None          # None: use the stability bound
+    dt: float | None          # None: the auto step of integrate
     t_final: float
     record_every: int
     init: InitSpec
@@ -97,17 +104,14 @@ class KfpOperator:
         # gamma theta D rhat on faces: one multiply per rhs evaluation
         self.diff_face = params.gamma * params.theta * self.dface * self.rhat_face
         self._tridiag = self._dissipative_matrix()
-        dts = []
-        vq = float(np.abs(self.neg_gp_h).max())
-        vp = float(np.abs(self.gq_h).max())
-        if vq > 0:
-            dts.append(0.4 * grid.hq / vq)
-        if vp > 0:
-            dts.append(0.4 * grid.hp / vp)
-        self._stable_dt = min(dts, default=math.inf)
+        speeds = [(float(np.abs(self.neg_gp_h).max()), grid.hq),
+                  (float(np.abs(self.gq_h).max()), grid.hp)]
+        rate = sum(v / h for v, h in speeds)
+        self._stable_dt = 2.0 / rate if rate > 0 else math.inf
         if not (math.isfinite(self._stable_dt) and self._stable_dt > 0):
             raise StabilityError(f"the stability bound on dt is {self._stable_dt!r}; "
                                  "the parameters leave no usable time step")
+        self._transient_dt = min(0.4 * h / v for v, h in speeds if v > 0)
         # the last dissipative map, its h and its pair map (built on first use)
         self._map_h, self._w_map, self._w_pair = None, None, None
         # workspace, one block freed in one piece: the density after the first
@@ -117,11 +121,34 @@ class KfpOperator:
             np.empty((5,) + grid.shape)
 
     def stable_dt(self) -> float:
-        """Largest time step: the RK4 transport bounds 0.4 h / v in q and in p.
+        """Largest stable split step, 2 / (max|v_q|/h_q + max|F_p|/h_p).
 
-        Momentum diffusion sets no bound; its half steps are L-stable.
+        v_q = dH/dp and F_p = -dH/dq are the transport velocities.  RK4 is
+        stable on the imaginary axis up to 2 sqrt(2); the centred transport's
+        spectral radius lies below the sum of the two directional rates
+        (13.23 against 13.54 on the 64x256 stationary_dmr grid); its
+        one-sided momentum edges make it slightly non-skew (max Re lambda
+        0.08 there), which the dissipative half steps damp.  On that grid the
+        split step's largest eigenvalue moduli are 1, 1 and 0.961 at this
+        step and stay <= 1 up to 1.75x it.  On small grids its spectral
+        radius is at most 1 + 2e-14 for every variant, cosine and harmonic
+        potentials and gamma from 0.05 to 20, and reaches 4.5 at twice the
+        step (12x24, DMR, cosine, gamma = 0.05).  Momentum diffusion sets no
+        bound; its half steps are L-stable.  ``step_kfp`` checks dt against
+        this bound.
         """
         return self._stable_dt
+
+    def transient_dt(self) -> float:
+        """The step of transient runs, 0.4 min(h_q / max|v_q|, h_p / max|F_p|).
+
+        It lies between 0.2x and 0.4x the stability bound and holds the
+        Strang splitting error, not stability: on kfp_conserve the final L1
+        distance to RK4 on the full right-hand side at a far smaller step is
+        3.2e-5 at this step, 8.9e-5 at 1.6x it and 3.6e-4 at 3.3x (the
+        stability bound there), against that test's bound of 1e-4.
+        """
+        return self._transient_dt
 
     def _dissipative_matrix(self):
         """Diagonals (lower, main, upper) of the dissipative operator on one q-row.
@@ -437,14 +464,19 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     one ``step_kfp`` call, so its interior dissipative half steps merge.
     Stops early once the L1 distance to the closed-form Maxwellian falls
     below ``l1_stop``, when given.  ``on_record(state, t, index)`` fires
-    after each diagnostics record.
+    after each diagnostics record.  Without ``cfg.dt`` a run with
+    ``l1_stop`` needs only its end state and steps at the stability bound;
+    any other run steps at the transient step.
     """
     grid, params, potential, variant = cfg.grid, cfg.params, cfg.potential, cfg.variant
     op = KfpOperator(grid, params, potential, variant)
     rho_inf, _ = maxwellian(grid, params, potential)
     state = state0 if state0 is not None else make_initial_state(
         cfg.init, grid, params, potential)
-    dt = cfg.dt if cfg.dt is not None else op.stable_dt()
+    if cfg.dt is not None:
+        dt = cfg.dt
+    else:
+        dt = op.stable_dt() if l1_stop is not None else op.transient_dt()
 
     e0_total = generic.energy_functional(state, grid, params, potential)
     records: list[DiagnosticsRecord] = []

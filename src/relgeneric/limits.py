@@ -1,8 +1,9 @@
 """Newtonian-limit study: sweep the speed of light against a classical baseline.
 
 All runs in a sweep share the identical initial data and the identical time
-step (the most restrictive stability bound across the sweep), so measured
-deviations isolate the c-dependence of the dynamics.
+step (the smallest auto step across the sweep: the heat stability bound, or
+the kinetic transient step), so measured deviations isolate the
+c-dependence of the dynamics.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def run_limit_kfp(cfg: RunConfig) -> LimitResult:
     # identical initial data: built once from the classical parameters
     state0 = make_initial_state(cfg.init, grid, baseline, cfg.potential)
     ops = [KfpOperator(grid, p, cfg.potential, v) for p, v in runs]
-    dt = min(op.stable_dt() for op in ops)
+    dt = min(op.transient_dt() for op in ops)
     if cfg.dt is not None:
         dt = min(dt, cfg.dt)
     # identical equal-step schedule for every member of the sweep

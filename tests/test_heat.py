@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relgeneric import heat as H
@@ -354,15 +354,17 @@ def monotone_step_cases(draw):
 def euler_matrix(state, grid, params, dt):
     """P of new = P rho, from the face diffusivities D = F / g = nu rbar /
     sqrt(rbar**2 + (nu g / c)**2) frozen at the state, zero on closed faces:
-    P[i, i+1] = P[i+1, i] = dt D_{i+1/2} / h**2, rows summing to 1."""
+    P[i, i+1] = P[i+1, i] = dt D_{i+1/2} / h**2, rows summing to 1.  D is
+    evaluated as nu / sqrt(1 + (nu g / (c rbar))**2), which stays <= nu in
+    floating point, and is 0 where rbar = 0."""
     rho, n = state.rho, grid.N
     right = np.roll(rho, -1)
     g, rbar = (right - rho) / grid.h, 0.5 * (rho + right)
     if params.classical:
         d = np.full(n, params.nu)
     else:
-        denom = np.sqrt(rbar**2 + (params.nu * g / params.c) ** 2)
-        d = np.divide(params.nu * rbar, denom, out=np.zeros(n), where=denom > 0)
+        ratio = np.divide(params.nu * g, params.c * rbar, out=np.zeros(n), where=rbar > 0)
+        d = np.where(rbar > 0, params.nu / np.sqrt(1.0 + ratio**2), 0.0)
     reached = H.reached_faces(state, grid, params)
     if reached is not None:
         d[~reached] = 0.0
@@ -382,6 +384,11 @@ def entropy_terms(rho, grid):
 
 @settings(max_examples=300, deadline=None)
 @given(case=monotone_step_cases())
+# a flat vacuum edge (g = 0) where nu rbar / sqrt(rbar**2) rounds above nu
+@example(case=(LineGrid(N=8, L=1.0),
+               ModelParams(m=1.0, c=1.0, gamma=1.0, theta=1.0, nu=0.9821718891880378),
+               H.HeatState(rho=np.array([0.0] * 6 + [0.001, 0.001]), t=0.0,
+                           cone=np.array([]))))
 def test_step_at_stable_dt_is_doubly_stochastic(case):
     grid, params, state = case
     rho, dt = state.rho, H.stable_dt(grid, params)

@@ -14,7 +14,7 @@ from relgeneric import generic as G
 from relgeneric import kfp as K
 from relgeneric.config import load_config
 from relgeneric.errors import NonConvergenceError, PositivityError, StabilityError
-from relgeneric.grid import PhaseGrid
+from relgeneric.grid import PhaseGrid, time_steps
 from relgeneric.model import (CosinePotential, HarmonicPotential, INFINITE,
                               ModelParams, Variant, ZeroPotential, boltzmann_weight,
                               maxwellian)
@@ -171,6 +171,76 @@ def test_step_rejects_unstable_dt(rng):
         K.step_kfp(state, op, op.stable_dt(), steps=0)
 
 
+def _split_step_matrix(op, dt):
+    """The dense matrix of one split step D(dt/2) T D(dt/2) on the density,
+    assembled column by column from the stepper's kernels (no dt check)."""
+    n = op.grid.Nq * op.grid.Np
+    matrix = np.empty((n, n))
+    unit, out = np.zeros(op.grid.shape), np.empty(op.grid.shape)
+    for k in range(n):
+        unit.flat[k] = 1.0
+        op._dissipate_into(unit, 0.5 * dt, op._mid)
+        K._transport_rk4(op._mid, op, dt, out)
+        op._dissipate_into(out, 0.5 * dt, out)
+        matrix[:, k] = out.ravel()
+        unit.flat[k] = 0.0
+    return matrix
+
+
+def _radius(matrix):
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
+
+
+def _stability_op(nq, npp, variant, potential, gamma):
+    classical = variant is Variant.CLASSICAL
+    params = ModelParams(m=1.0, c=INFINITE if classical else 1.0, gamma=gamma, theta=1.0)
+    grid = PhaseGrid(Nq=nq, Np=npp, Lq=4 * math.pi, Pmax=8.4 if classical else 34.0)
+    pot = (CosinePotential(amplitude=1.0, period=grid.Lq) if potential == "cosine"
+           else HarmonicPotential(stiffness=0.25))
+    return K.KfpOperator(grid, params, pot, variant)
+
+
+STABILITY_CASES = [
+    pytest.param(shape, v, pot, gamma, id=f"{shape[0]}x{shape[1]}-{v.value}-{pot}-{gamma:g}")
+    for shape, v, pot, gamma in
+    [((12, 24), v, pot, gamma) for v in Variant for pot in ("cosine", "harmonic")
+     for gamma in (0.05, 20.0)]
+    + [((8, 64), Variant.DH, "cosine", 0.05), ((8, 64), Variant.DMR, "harmonic", 20.0),
+       ((8, 64), Variant.CLASSICAL, "harmonic", 0.05)]]
+
+
+@pytest.mark.parametrize("shape,variant,potential,gamma", STABILITY_CASES)
+def test_split_step_is_stable_at_stable_dt(shape, variant, potential, gamma):
+    op = _stability_op(*shape, variant, potential, gamma)
+    assert op.transient_dt() < op.stable_dt()
+    assert _radius(_split_step_matrix(op, op.stable_dt())) <= 1.0 + 1e-12
+
+
+def test_split_step_is_unstable_at_twice_stable_dt():
+    # the stability test above detects a bound set too high
+    op = _stability_op(12, 24, Variant.DMR, "cosine", 0.05)
+    assert _radius(_split_step_matrix(op, 2.0 * op.stable_dt())) > 1.5
+
+
+def test_auto_step_is_the_bound_for_stationarity_and_transient_otherwise(monkeypatch):
+    cfg = small_cfg(record_every=1)
+    op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, cfg.variant)
+    cfg = dataclasses.replace(cfg, t_final=3.5 * op.stable_dt())
+    dts = []
+    step = K.step_kfp
+    monkeypatch.setattr(K, "step_kfp", lambda st, op, dt, steps=1:
+                        dts.append(dt) or step(st, op, dt, steps=steps))
+    K.integrate(cfg)
+    assert dts == [time_steps(cfg.t_final, op.transient_dt())[1]] * 15
+    dts.clear()
+    # half the initial L1: not met before the last of the four steps
+    rho0 = K.make_initial_state(cfg.init, cfg.grid, cfg.params, cfg.potential).rho
+    l1_0 = K.l1_distance(rho0, maxwellian(cfg.grid, cfg.params, cfg.potential)[0], cfg.grid)
+    res = K.run_to_stationarity(cfg, l1_target=0.5 * l1_0)
+    assert dts == [time_steps(cfg.t_final, op.stable_dt())[1]] * 4
+    assert res.t_end == cfg.t_final
+
+
 def test_energy_conserved_to_roundoff():
     cfg = small_cfg(t_final=0.5)
     res = K.integrate(cfg)
@@ -214,7 +284,7 @@ def test_integrate_records_match_public_functions(variant):
     cfg = small_cfg(variant, params=params, grid=grid, record_every=2)
     pot = cfg.potential
     op = K.KfpOperator(grid, params, pot, variant)
-    cfg = dataclasses.replace(cfg, t_final=4.5 * op.stable_dt())     # five steps
+    cfg = dataclasses.replace(cfg, t_final=4.5 * op.transient_dt())  # five steps
     seen = []
     res = K.integrate(cfg, on_record=lambda st, t, index: seen.append((st, t)))
     rho_inf, _ = maxwellian(grid, params, pot)
@@ -230,7 +300,7 @@ def test_integrate_records_match_public_functions(variant):
             dSdt=G.inner(grid, v_s.xi, drho) + v_s.r * de, degL=deg_l, degM=deg_m,
             relEnt=K.relative_entropy(st.rho, rho_inf, grid), e=st.e)
         assert extra == {"l1": K.l1_distance(st.rho, rho_inf, grid), "dHrho_dt": -de}
-    n_steps = math.ceil(cfg.t_final / op.stable_dt() - 1e-12)
+    n_steps = math.ceil(cfg.t_final / op.transient_dt() - 1e-12)
     dt = cfg.t_final / n_steps
     chain = [seen[0][0]]
     for steps in (2, 2, 1):
@@ -343,7 +413,7 @@ def _variant_cfg(variant, record_every, steps):
     grid = PhaseGrid(Nq=32, Np=64, Lq=4 * math.pi, Pmax=8.4 if classical else 34.0)
     cfg = small_cfg(variant, params=params, grid=grid, record_every=record_every)
     op = K.KfpOperator(grid, params, cfg.potential, variant)
-    return dataclasses.replace(cfg, t_final=(steps - 0.5) * op.stable_dt()), op
+    return dataclasses.replace(cfg, t_final=(steps - 0.5) * op.transient_dt()), op
 
 
 def test_calculus_bitwise_equal_to_allocating_reference():
@@ -435,7 +505,7 @@ def test_integrate_rejects_unstable_dt_and_undershoot():
     # the step size is checked once per run, after the first record, and
     # positivity on every step, as step_kfp does; t_final exceeds ten times
     # the bound, so the too-large step is not cut down to t_final
-    cfg = small_cfg(t_final=2.0)
+    cfg = small_cfg(t_final=8.0)
     op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, cfg.variant)
     seen = []
     with pytest.raises(StabilityError):
@@ -790,7 +860,7 @@ def test_newtonian_limit_harmonic_64x64():
                                   grid, classical, pot)
     ops = [K.KfpOperator(grid, base, pot, Variant.DH),
            K.KfpOperator(grid, classical, pot, Variant.CLASSICAL)]
-    dt = min(op.stable_dt() for op in ops)
+    dt = min(op.transient_dt() for op in ops)
     finals = []
     for op in ops:
         state = G.State(state0.rho.copy(), 0.0)
