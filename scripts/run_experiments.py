@@ -4,12 +4,14 @@
 Usage: python scripts/run_experiments.py [--out-root OUT] [--only NAME ...]
 
 Each config in scripts/configs/ maps to one experiment; outputs land in
-OUT/<config-stem>/.  Exits nonzero if any experiment reports a check failure.
+OUT/<config-stem>/, and OUT/timings.json records each config's exit code and
+wall time in seconds.  Exits nonzero if any experiment reports a check failure.
 The whole set takes 4 to 9 seconds on a 2-CPU x86-64 VM, depending on its
 load; verify and limit_heat take most of it.
 """
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -34,17 +36,21 @@ def run():
                         help="config stems to run (default: all)")
     args = parser.parse_args()
 
-    failures = []
+    failures, timings = [], {}
     for cfg in sorted(CONFIGS.glob("*.cfg")):
         if args.only and cfg.stem not in args.only:
             continue
         out = Path(args.out_root) / cfg.stem
         print(f"== {cfg.stem} ({experiment_of(cfg)}) -> {out}")
-        t0 = time.time()
+        t0 = time.perf_counter()
         code = cli_main([experiment_of(cfg), "--config", str(cfg), "--out", str(out)])
-        print(f"   exit {code} in {time.time() - t0:.1f}s")
+        wall_s = time.perf_counter() - t0
+        print(f"   exit {code} in {wall_s:.1f}s")
+        timings[cfg.stem] = {"exit": code, "wall_s": wall_s}
         if code != 0:
             failures.append(cfg.stem)
+    Path(args.out_root).mkdir(parents=True, exist_ok=True)
+    (Path(args.out_root) / "timings.json").write_text(json.dumps(timings, indent=1) + "\n")
     if failures:
         print(f"failed experiments: {', '.join(failures)}")
         return 1

@@ -6,11 +6,14 @@ scheme reduces to the standard second-order discretization of the heat
 equation.  The same right-hand side can be assembled from the convex
 dissipation potential, and the two assemblies are compared in the tests.
 
-Time stepping is forward Euler at up to ``stable_dt``, min(h^2 / (2 nu),
-h / (4 c)), or just under h^2 / (2 nu) at c = INFINITE.  Up to that step the Euler map is a doubly stochastic matrix
-built from the face diffusivities, so every step keeps the density
-nonnegative, obeys the min/max principle, conserves mass and does not lower
-the Boltzmann entropy; ``stable_dt`` gives the proof.
+The flux at face i+1/2 is F = (nu / h) G in undivided, ratio form
+(``_flux``): G = r d, d = rho_{i+1} - rho_i, with the ratio of the face
+diffusivity to nu r = s / hypot(s, kappa d) in [0, 1], s = rho_i +
+rho_{i+1} and kappa = 2 nu / (c h).  Forward Euler steps rho + lam
+(G_{i+1/2} - G_{i-1/2}), lam = dt nu / h^2 <= 1/2, at up to ``stable_dt``;
+there the Euler map is doubly stochastic, so every step keeps the density
+nonnegative, obeys the min/max principle, conserves mass and does not
+lower the Boltzmann entropy.
 
 A saturated flux still moves mass one cell per explicit step, so by itself
 the three-point scheme would carry mass into vacuum far faster than c when
@@ -26,18 +29,16 @@ above c rbar.  Vacuum-free data and c = INFINITE open every face from the
 start, so there the scheme is the ungated one, bit for bit.
 
 One private kernel, ``_step_into``, makes every Euler step, for
-``step_heat`` and ``run_heat`` alike.  It writes into a workspace
-(``_Workspace``) whose density rows carry a ghost copy of cell 0, so the
-periodic neighbour is a view, not a copy.  It evaluates the ungated face
-flux once (``_flux``, the one flux formula, which also serves ``face_flux``
-and ``saturation_excess``), copies it to a face array whose closed faces
-stay zero, updates with ``out=`` buffers and checks positivity, every step.  ``run_heat`` keeps the ungated
-flux and face mean of the last few states and the states themselves, and
-checks a block of ``_BLOCK`` states at once: their saturation excess and
-Boltzmann entropy, bit for bit the values of the per-state calls.  The gate
-mask is rebuilt only when t passes the next closed face's opening time.
-A workspace serves one chain of steps at a time, so it is not thread-safe;
-``run_heat`` makes its own, and states it hands out never alias it.
+``step_heat`` and ``run_heat`` alike, in a workspace (``_Workspace``) that
+binds lam and kappa once per chain and whose density rows end in a ghost
+copy of cell 0.  A step evaluates the ungated flux once (``_flux``, which
+also serves ``face_flux``, ``heat_rhs`` and ``saturation_excess``),
+multiplies it by the open faces and checks positivity and finiteness.
+``run_heat`` checks a block of ``_BLOCK`` states at once from their kept
+flux: saturation excess and Boltzmann entropy, bit for bit the values of
+the per-state calls.  A workspace serves one chain at a time, so it is not
+thread-safe; ``run_heat`` makes its own, and states it hands out never
+alias it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .model import ModelParams
 NEGATIVE_TOL = -1e-14   # strictest allowed undershoot per explicit step
 _CLASSICAL_MARGIN = 1.0 - 2.0**-20   # stable_dt below h^2/(2 nu) at c = inf
 _BLOCK = 8              # states whose entropy and saturation are checked together
+_TINY = math.ulp(0.0)   # smallest positive double: moves no face mean above 1e-307
 
 
 # the cone of a chain with no closed face: nothing to gate
@@ -122,50 +124,45 @@ def dissipation_potential(rho: np.ndarray, xi: np.ndarray, grid: LineGrid,
 # ---------------------------------------------------------------------------
 # right-hand side
 
-def _divergence(faces: np.ndarray, grid: LineGrid, *,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """(F_{i+1/2} - F_{i-1/2}) / h from the face flux led by its ghost (``_ghost_face``)."""
-    out = np.subtract(faces[1:], faces[:-1], out=out)
-    out /= grid.h
-    return out
-
-
 def _gate(flux: np.ndarray, reached) -> np.ndarray:
     return flux if reached is None else np.where(reached, flux, 0.0)
 
 
-def _flux(cells: np.ndarray, grid: LineGrid, params: ModelParams, *,
-          out: np.ndarray | None = None, rbar: np.ndarray | None = None,
-          work: tuple | None = None, mask: np.ndarray | None = None):
-    """Ungated face flux and face mean rbar at faces i+1/2 (see ``face_flux``).
+def _kappa(grid: LineGrid, params: ModelParams):
+    """kappa = 2 nu / (c h) of the ratio form (``_flux``); None at c = INFINITE."""
+    return None if params.classical else 2.0 * params.nu / (params.c * grid.h)
 
-    ``cells`` is the density followed by its ghost cell (``_ghost_cell``).
-    The one flux formula: the step, the saturation check and the public
-    ``face_flux`` all read the flux from here.  The flux and rbar go to
-    ``out`` and ``rbar``; the two face arrays ``work`` and the boolean face
-    array ``mask`` are scratch.  Any buffer left out is allocated.
+
+def _flux(cells: np.ndarray, kappa, *, out: np.ndarray | None = None,
+          rbar: np.ndarray | None = None, work: tuple | None = None):
+    """Ungated flux G = r d in ratio form and face mean rbar at faces i+1/2.
+
+    The one flux formula; ``face_flux`` is (nu / h) G.  ``cells`` ends in
+    its ghost cell.  With d = rho_{i+1} - rho_i and s = 2 rbar, r = s /
+    hypot(s, kappa d) is 1 / R, R = sign(s) sqrt(1 + (kappa q)^2), where
+    q = d / s lies in [-1, 1] for nonnegative data and rbar = rho_i + d / 2
+    overflows for no finite density.  q divides by rbar + ``_TINY``, so
+    vacuum on both sides gives G = 0 without 0/0.  At c = INFINITE G = d
+    and rbar is None.  Results go to ``out`` and ``rbar``, the face arrays
+    ``work`` are scratch (R is left in ``work[1]``), and buffers left out
+    are allocated.
     """
     rho, right = cells[:-1], cells[1:]
-    g, tmp = np.empty((2, rho.shape[0])) if work is None else work
-    nu, c = params.nu, params.c
-    np.subtract(right, rho, out=g)
-    g /= grid.h
-    rbar = np.add(rho, right, out=rbar)
-    rbar *= 0.5
-    if params.classical:
-        return np.multiply(g, nu, out=out), rbar
-    np.multiply(g, (nu / c) ** 2, out=tmp)
-    tmp *= g
-    flux = np.multiply(rbar, rbar, out=out)
-    tmp += flux                                   # rbar^2 + (nu g / c)^2
-    # zero where rbar = g = 0 (vacuum on both sides), without evaluating 0/0
-    nonzero = np.greater(tmp, 0.0, out=mask)
-    np.sqrt(tmp, out=tmp)
-    np.multiply(rbar, nu, out=flux)
-    g *= flux                                     # nu rbar g
-    flux.fill(0.0)
-    np.divide(g, tmp, out=flux, where=nonzero)
-    return flux, rbar
+    if kappa is None:
+        return np.subtract(right, rho, out=out), None
+    d, q = np.empty((2, rho.shape[0])) if work is None else work
+    flux = np.empty_like(d) if out is None else out
+    np.subtract(right, rho, out=d)
+    np.multiply(d, 0.5, out=q)
+    rbar = np.add(rho, q, out=rbar)
+    np.add(rbar, _TINY, out=flux)
+    np.divide(q, flux, out=q)
+    q *= kappa
+    np.multiply(q, q, out=q)
+    q += 1.0
+    np.sqrt(q, out=q)
+    np.copysign(q, rbar, out=q)
+    return np.divide(d, q, out=flux), rbar
 
 
 def face_flux(rho: np.ndarray, grid: LineGrid, params: ModelParams,
@@ -173,16 +170,23 @@ def face_flux(rho: np.ndarray, grid: LineGrid, params: ModelParams,
     """Density flux at face i+1/2 (periodic): nu rbar g / sqrt(rbar^2 + (nu g/c)^2).
 
     g is the face density gradient and rbar the arithmetic face mean, so the
-    flux saturates at c * rbar and reduces to nu g when c = INFINITE.  Faces
-    left out of the boolean mask ``reached`` (see ``reached_faces``) carry
-    zero; None gates no face.
+    flux saturates at c * rbar and reduces to nu g when c = INFINITE; it is
+    evaluated as (nu / h) G from the ratio form of ``_flux``.  Faces left
+    out of the boolean mask ``reached`` (see ``reached_faces``) carry zero;
+    None gates no face.
     """
-    return _gate(_flux(_ghost_cell(rho), grid, params)[0], reached)
+    return _gate(_flux(_ghost_cell(rho), _kappa(grid, params))[0] * (params.nu / grid.h),
+                 reached)
 
 
 def heat_rhs(rho: np.ndarray, grid: LineGrid, params: ModelParams,
              reached=None) -> np.ndarray:
-    return _divergence(_ghost_face(face_flux(rho, grid, params, reached)), grid)
+    """(nu / h^2) (G_{i+1/2} - G_{i-1/2}) for the flux G of ``_flux``, gated
+    by ``reached`` as in ``face_flux``.  ``step_heat`` adds lam = dt nu / h^2
+    times the same difference: rho + dt * heat_rhs bit for bit whenever
+    nu / h^2 is a power of two, else to an ulp or two of the increment."""
+    flux = _ghost_face(_gate(_flux(_ghost_cell(rho), _kappa(grid, params))[0], reached))
+    return (flux[1:] - flux[:-1]) * (params.nu / grid.h**2)
 
 
 def heat_rhs_via_potential(rho: np.ndarray, grid: LineGrid,
@@ -199,8 +203,8 @@ def heat_rhs_via_potential(rho: np.ndarray, grid: LineGrid,
     rbar = 0.5 * (cells[:-1] + cells[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(rbar > 0.0, g / rbar, 0.0)
-    f = _gate(params.nu * rbar * saturating_flux(z, params), reached)
-    return _divergence(_ghost_face(f), grid)
+    f = _ghost_face(_gate(params.nu * rbar * saturating_flux(z, params), reached))
+    return (f[1:] - f[:-1]) / grid.h
 
 
 # ---------------------------------------------------------------------------
@@ -261,33 +265,32 @@ def stable_dt(grid: LineGrid, params: ModelParams) -> float:
     h^2 / (2 nu) for c = INFINITE.
 
     At this step the Euler map is doubly stochastic, which proves the
-    H-theorem step by step.  The flux at face i+1/2 is F = D g, with g the
-    face gradient and the face diffusivity D = nu rbar / sqrt(rbar^2 +
-    (nu g / c)^2) in [0, nu]: a face the light cone has not reached has
-    D = 0, and c = INFINITE gives D = nu.  With D frozen at the old state
-    the step is new = P rho, where
+    H-theorem step by step.  The step is new_i = rho_i + lam (G_{i+1/2} -
+    G_{i-1/2}), lam = dt nu / h^2, with G = r d and r in [0, 1] (``_flux``):
+    a face the light cone has not reached has r = 0, and c = INFINITE gives
+    r = 1.  With r frozen at the old state the step is new = P rho, where
 
-        P[i, i+1] = dt D_{i+1/2} / h^2,   P[i, i-1] = dt D_{i-1/2} / h^2,
-        P[i, i] = 1 - dt (D_{i+1/2} + D_{i-1/2}) / h^2.
+        P[i, i+1] = lam r_{i+1/2},   P[i, i-1] = lam r_{i-1/2},
+        P[i, i] = 1 - lam (r_{i+1/2} + r_{i-1/2}).
 
-    P is symmetric and its rows sum to 1, and dt <= h^2 / (2 nu) makes its
-    diagonal nonnegative, so P is doubly stochastic for every c.  Each new
-    value is a convex combination of its old neighbours: positivity and the
-    min/max principle.  The column sums give exact mass.  For the concave
-    eta(x) = -x log x, Jensen gives sum_i eta(new_i) >= sum_i sum_j P_ij
-    eta(rho_j) = sum_j eta(rho_j): the Boltzmann entropy never falls.
+    P is symmetric and its rows sum to 1, and dt <= h^2 / (2 nu), i.e.
+    lam <= 1/2, makes its diagonal nonnegative, so P is doubly stochastic
+    for every c.  Each new value is a convex combination of its old
+    neighbours: positivity and the min/max principle.  The column sums give
+    exact mass.  For the concave eta(x) = -x log x, Jensen gives
+    sum_i eta(new_i) >= sum_i sum_j P_ij eta(rho_j) = sum_j eta(rho_j): the
+    Boltzmann entropy never falls.
 
     The flux bound h / (4 c) keeps a saturated front, which moves at c,
-    under a quarter cell per step.  On a cell flanked by vacuum it also
-    keeps the diagonal of P at least 3/4: there rbar = rho_i / 2 and
-    |g| = rho_i / h, so with x = nu / (c h) each face has dt D / h^2 <=
-    min(1/2, x/4) / sqrt(1 + 4 x^2) <= 1/8.  At c = INFINITE there is no
-    such bound and the exact h^2 / (2 nu) zeroes the diagonal of P on every
-    cell; the flux-form update then leaves a cell flanked by vacuum at
-    rho_i - rho_i (1 + O(eps)), up to a few ulps of rho_i below zero, which
-    breaks NEGATIVE_TOL once rho_i exceeds about 25.  So c = INFINITE
-    steps at (1 - 2^-20) h^2 / (2 nu), which leaves such a cell about
-    1e-6 rho_i, far above round-off.
+    under a quarter cell per step.  On a cell flanked by vacuum (|d| = s,
+    r = 1 / sqrt(1 + kappa^2)) lam <= min(1/2, kappa / 8) also keeps
+    lam r <= 1/8, so the diagonal of P stays at least 3/4.  At c = INFINITE
+    there is no such bound and the exact h^2 / (2 nu) zeroes the diagonal of
+    P on every cell; the flux-form update then leaves a cell flanked by
+    vacuum at rho_i - rho_i (1 + O(eps)), up to a few ulps of rho_i below
+    zero, which breaks NEGATIVE_TOL once rho_i exceeds about 25.  So
+    c = INFINITE steps at (1 - 2^-20) h^2 / (2 nu), which leaves such a cell
+    about 1e-6 rho_i, far above round-off.
     """
     dt = 0.5 * grid.h**2 / params.nu
     if params.classical:
@@ -312,81 +315,78 @@ def _check_dt(dt: float, grid: LineGrid, params: ModelParams) -> None:
 # the stepping kernel
 
 class _Workspace:
-    """The buffers one chain of heat steps writes into; not thread-safe.
+    """The buffers and constants of one chain of heat steps; not thread-safe.
 
-    ``rows[j]`` is a density followed by its ghost cell.  A step reads row j,
-    writes row j + 1 and leaves the ungated flux and face mean of row j in
-    ``flux[j]`` and ``rbar[j]``; ``checks`` and ``check_mask`` are scratch
-    of the block checks.  ``faces`` holds the gated flux led by its ghost;
-    its gated faces stay zero from one ``gate`` call to the next.
+    ``rows[j]`` is a density followed by its ghost cell; row 0 starts as
+    ``rho``.  A step reads row j, writes row j + 1 and leaves the ungated
+    flux and face mean of row j in ``flux[j]`` and ``rbar[j]``; ``checks``
+    and ``check_mask`` are scratch of the block checks.  ``open`` is 1.0 on
+    the faces the last ``gate`` opened and 0.0 elsewhere (None: all open);
+    ``faces`` holds the flux through them, led by its ghost.
     """
 
-    def __init__(self, n: int, block: int):
+    def __init__(self, grid: LineGrid, params: ModelParams, dt: float, block: int,
+                 rho: np.ndarray):
+        n = grid.N
+        self.grid, self.kappa = grid, _kappa(grid, params)
+        self.lam = dt * (params.nu / grid.h**2)
         self.rows = np.empty((block + 1, n + 1))
+        self.rows[0, :-1], self.rows[0, -1] = rho, rho[0]
         self.flux, self.rbar = np.empty((2, block, n))
         self.checks = np.empty((block, n + 1))
         self.check_mask = np.empty((block, n + 1), dtype=bool)
         self.faces = np.empty(n + 1)
         self.work = tuple(np.empty((2, n)))
-        self.mask = np.empty(n, dtype=bool)
         # the views step j works on, made once: a step is bound by call overhead
         self.steps = [(self.rows[j], self.rows[j + 1], self.flux[j], self.rbar[j])
                       for j in range(block)]
-        self.gated, self.div = self.faces[1:], self.work[0]
-        self.gate(None)
+        self.gated, self.open = self.faces[1:], None
 
-    def load(self, rho: np.ndarray) -> None:
-        """Put rho in row 0."""
-        self.rows[0, :-1] = rho
-        self.rows[0, -1] = rho[0]
-
-    def flux_of(self, j: int, grid: LineGrid, params: ModelParams) -> np.ndarray:
+    def flux_of(self, j: int) -> np.ndarray:
         """``_flux`` of row j, into flux[j] and rbar[j]."""
-        cells, _, out, rbar = self.steps[j]
-        return _flux(cells, grid, params, out=out, rbar=rbar, work=self.work,
-                     mask=self.mask)[0]
+        cells, _, flux, rbar = self.steps[j]
+        return _flux(cells, self.kappa, out=flux, rbar=rbar, work=self.work)[0]
 
-    def saturations(self, size: int, params: ModelParams) -> list:
+    def saturations(self, size: int) -> list:
         """``saturation_excess`` of rows 0 to size - 1, from the flux left by
         ``flux_of``; uses up that flux."""
-        return _saturations(self.flux[:size], self.rbar[:size], params)
+        return _saturations(self.flux[:size], self.rbar[:size], self.kappa)
 
-    def entropies(self, first: int, size: int, grid: LineGrid) -> list:
+    def entropies(self, first: int, size: int) -> list:
         """``boltzmann_entropy`` of rows first to first + size - 1."""
-        return _entropies(self.rows[first:first + size], grid,
+        return _entropies(self.rows[first:first + size], self.grid,
                           self.checks[:size], self.check_mask[:size])
 
     def gate(self, reached) -> None:
         """Let the steps pass flux only through the faces in the boolean mask
         ``reached`` (None: every face)."""
-        self.reached = reached
-        self.faces.fill(0.0)
+        self.open = None if reached is None else np.where(reached, 1.0, 0.0)
 
 
-def _step_into(ws: _Workspace, j: int, grid: LineGrid, params: ModelParams,
-               dt: float) -> None:
-    """Euler step from ws.rows[j] into ws.rows[j + 1] through the faces of
-    the last ``ws.gate``; raises PositivityError on an undershoot below
-    NEGATIVE_TOL and StabilityError on a density that is not finite."""
-    flux = ws.flux_of(j, grid, params)
+def _step_into(ws: _Workspace, j: int, t: float) -> None:
+    """Euler step rho + lam (G_{i+1/2} - G_{i-1/2}) from ws.rows[j], the
+    state at time t, into ws.rows[j + 1] through the faces of ``ws.gate``;
+    raises the errors ``step_heat`` names, with the lowest cell and t."""
+    flux = ws.flux_of(j)
     cells, new = ws.steps[j][:2]
     faces, gated = ws.faces, ws.gated
-    if ws.reached is None:
+    if ws.open is None:
         gated[...] = flux
     else:
-        np.copyto(gated, flux, where=ws.reached)
+        np.multiply(flux, ws.open, out=gated)
     faces[0] = faces[-1]
-    div = _divergence(faces, grid, out=ws.div)
-    div *= dt
+    div = np.subtract(faces[1:], faces[:-1], out=ws.work[0])
+    div *= ws.lam
     np.add(cells[:-1], div, out=new[:-1])
     new[-1] = new[0]
     low = np.minimum.reduce(new)            # nan if any cell is nan
     if not low >= NEGATIVE_TOL:
+        where = f"at cell {int(np.argmin(new[:-1]))} in the step from t = {float(t)!r}"
         if not math.isfinite(low):
             raise StabilityError(f"the heat step left a density that is not finite "
-                                 f"(min {low!r}); at finite c the face flux "
-                                 "overflows for densities above about 1e154")
-        raise PositivityError(f"density undershoot {low:.3e} below {NEGATIVE_TOL:g}")
+                                 f"({float(low)!r}) {where}; densities above about 9e307 "
+                                 "can overflow it")
+        raise PositivityError(f"density undershoot {low:.3e} below {NEGATIVE_TOL:g} {where}")
 
 
 def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
@@ -400,14 +400,13 @@ def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
     Once every face is open the chain carries ``ALL_OPEN`` and the step is
     the ungated scheme.  Raises StabilityError for dt above ``stable_dt``
     or a result that is not finite, and PositivityError on an undershoot
-    below NEGATIVE_TOL.
+    below NEGATIVE_TOL; the errors of the step name its lowest cell and state.t.
     """
     _check_dt(dt, grid, params)
     cone, reached = _cone_and_reached(state, grid, params)
-    ws = _Workspace(grid.N, 1)
-    ws.load(state.rho)
+    ws = _Workspace(grid, params, dt, 1, state.rho)
     ws.gate(reached)
-    _step_into(ws, 0, grid, params, dt)
+    _step_into(ws, 0, state.t)
     return HeatState(rho=ws.rows[1, :-1].copy(), t=state.t + dt, cone=cone)
 
 
@@ -454,15 +453,16 @@ def support_radius(rho: np.ndarray, grid: LineGrid, threshold: float = 1e-12) ->
     return 0.5 * (idx[-1] + 1 - idx[0]) * grid.h
 
 
-def _saturations(flux: np.ndarray, rbar: np.ndarray, params: ModelParams) -> list:
-    """``saturation_excess`` of each row of ungated fluxes and face means;
-    overwrites both arrays."""
-    if params.classical:
+def _saturations(flux: np.ndarray, rbar: np.ndarray, kappa) -> list:
+    """``saturation_excess`` of each row of ungated fluxes G and face means:
+    max((kappa / 2) |G| - rbar) / max(rbar), as |F| = c (kappa / 2) |G|;
+    overwrites the fluxes."""
+    if kappa is None:
         return [0.0] * flux.shape[0]
-    cap = np.multiply(rbar, params.c, out=rbar)
     excess = np.abs(flux, out=flux)
-    excess -= cap
-    tops, refs = excess.max(axis=1).tolist(), cap.max(axis=1).tolist()
+    excess *= 0.5 * kappa
+    excess -= rbar
+    tops, refs = excess.max(axis=1).tolist(), rbar.max(axis=1).tolist()
     return [top / ref if ref > 0 else top for top, ref in zip(tops, refs)]
 
 
@@ -471,8 +471,9 @@ def saturation_excess(rho: np.ndarray, grid: LineGrid, params: ModelParams) -> f
 
     Measured on the ungated flux, which bounds the gated one face by face.
     """
-    flux, rbar = _flux(_ghost_cell(rho), grid, params)
-    return _saturations(flux[np.newaxis], rbar[np.newaxis], params)[0]
+    flux, rbar = _flux(_ghost_cell(rho), kappa := _kappa(grid, params))
+    return _saturations(flux[np.newaxis], rbar if kappa is None else rbar[np.newaxis],
+                        kappa)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +531,7 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
     rho0 = np.asarray(rho0, dtype=float).copy()
     cone = light_cone(rho0, 0.0, grid, params)
     state = HeatState(rho=rho0, t=0.0, cone=cone)
-    ws = _Workspace(grid.N, _BLOCK)
-    ws.load(rho0)
+    ws = _Workspace(grid, params, step_dt, _BLOCK, rho0)
     records = []
 
     def record(st):
@@ -541,7 +541,7 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
     record(state)
     max_sat = -math.inf
     min_ds = 0.0
-    entropy = ws.entropies(0, 1, grid)[0]
+    entropy = ws.entropies(0, 1)[0]
     t = opens_at = 0.0
     for start in range(0, n_steps, _BLOCK):
         size = min(_BLOCK, n_steps - start)
@@ -550,21 +550,20 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
                 reached = _reached(cone, t)
                 ws.gate(reached)
                 opens_at = _next_opening(cone, t)
-            _step_into(ws, j, grid, params, step_dt)
+            _step_into(ws, j, t)
             k = start + j + 1
             t = t_final if k == n_steps else t + step_dt
             if k % record_every == 0 or k == n_steps:
                 state = HeatState(rho=ws.rows[j + 1, :-1].copy(), t=t,
                                   cone=ALL_OPEN if reached is None else cone)
                 record(state)
-        for sat, new_entropy in zip(ws.saturations(size, params),
-                                    ws.entropies(1, size, grid)):
+        for sat, new_entropy in zip(ws.saturations(size), ws.entropies(1, size)):
             max_sat = max(max_sat, sat)
             min_ds = min(min_ds, new_entropy - entropy)
             entropy = new_entropy
         ws.rows[0] = ws.rows[size]
-    ws.flux_of(0, grid, params)             # the last state, now in row 0
-    max_sat = max(max_sat, ws.saturations(1, params)[0])
+    ws.flux_of(0)                           # the last state, now in row 0
+    max_sat = max(max_sat, ws.saturations(1)[0])
     return HeatRunResult(records=records, state=state,
                          max_saturation_excess=max_sat,
                          min_step_entropy_delta=min_ds)

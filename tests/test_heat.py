@@ -188,17 +188,62 @@ def test_entropy_rate_nonnegative(grid):
         assert H.entropy_rate(rho, grid, REL) >= -1e-12
 
 
-def test_step_rejects_a_density_that_is_not_finite(grid):
-    # rbar**2 overflows in the face flux above about 1e154, which turns the
-    # step's output nan; the step and the run say so instead of going on
+@pytest.mark.parametrize("params, spike", [
+    (REL, 1e200),            # far above 1e154, where rbar**2 overflows
+    (ModelParams(m=1.0, c=0.5, gamma=1.0, theta=1.0, nu=1.0), 1e307),   # kappa = 128
+    (REL, 1.7e308),          # near the largest double, still stepped exactly
+])
+def test_huge_spike_steps_without_overflow(grid, params, spike):
+    # the ratio form takes d / s before it squares anything, and at kappa =
+    # 128 kappa d alone would overflow near 1e307: the flux to each vacuum
+    # neighbour must be lam r spike, with r = 1 / sqrt(1 + kappa**2), not 0
     rho = np.zeros(grid.N)
-    rho[10] = 1e200
-    dt = H.stable_dt(grid, REL)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(StabilityError, match="not finite"):
-            H.step_heat(H.HeatState(rho=rho, t=0.0), grid, REL, dt)
-        with pytest.raises(StabilityError, match="not finite"):
-            H.run_heat(grid, REL, rho, dt, 0.01, record_every=1)
+    rho[10] = spike
+    dt = H.stable_dt(grid, params)
+    lam, kappa = dt * params.nu / grid.h**2, 2.0 * params.nu / (params.c * grid.h)
+    state = H.step_heat(H.HeatState(rho=rho, t=0.0), grid, params, dt)
+    share = lam / math.sqrt(1.0 + kappa**2)
+    assert state.rho[9] == state.rho[11] == pytest.approx(share * spike, rel=4 * EPS)
+    assert state.rho[10] == pytest.approx((1.0 - 2.0 * share) * spike, rel=4 * EPS)
+    for _ in range(4):
+        state = H.step_heat(state, grid, params, dt)
+    scaled = state.rho / spike
+    assert np.all(np.isfinite(scaled)) and np.all(scaled >= 0.0)
+    assert abs(float(np.sum(scaled)) - 1.0) <= 4 * grid.N * EPS
+    assert np.count_nonzero(scaled) == 3     # the light cone opens no face in 5 steps
+
+
+def test_step_near_the_largest_double_is_the_scaled_step(grid):
+    # the step is homogeneous of degree one and scaling by a power of two is
+    # exact, so data near the largest double, where rho_i + rho_{i+1}
+    # overflows, step bit for bit as the same data scaled by 2**-600
+    rho = np.zeros(grid.N)
+    rho[10], rho[11], rho[30] = 1e308, 1.5e308, 1.7e308
+    for params in (REL, ModelParams(m=1.0, c=0.5, gamma=1.0, theta=1.0, nu=1.0)):
+        dt = H.stable_dt(grid, params)
+        big = H.step_heat(H.HeatState(rho=rho, t=0.0), grid, params, dt).rho
+        small = H.step_heat(H.HeatState(rho=rho * 2.0**-600, t=0.0), grid, params, dt).rho
+        assert np.all(np.isfinite(big))
+        assert np.array_equal(big * 2.0**-600, small)
+
+
+def test_step_rejects_a_density_that_is_not_finite(grid):
+    # genuinely non-finite steps: a nan cell, and a spike of 1e308 at c = inf,
+    # where G = d and the difference of the spike's two faces overflows; the
+    # step and the run raise the same text, naming the cell and the time
+    nan_cell = np.full(grid.N, 0.5)
+    nan_cell[7] = math.nan
+    spike = np.zeros(grid.N)
+    spike[10] = 1e308
+    for params, rho, cell in ((REL, nan_cell, 6), (CLASSICAL, spike, 10)):
+        dt = H.stable_dt(grid, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StabilityError, match="not finite") as stepped:
+                H.step_heat(H.HeatState(rho=rho, t=0.25), grid, params, dt)
+            with pytest.raises(StabilityError) as run:
+                H.run_heat(grid, params, rho, dt, 0.01, record_every=1)
+        assert f"at cell {cell} in the step from t = 0.25;" in str(stepped.value)
+        assert str(run.value) == str(stepped.value).replace("t = 0.25", "t = 0.0")
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +377,15 @@ def test_run_heat_keeps_cone_on_final_state(grid):
 def monotone_step_cases(draw):
     """A grid, parameters and a state with exact-vacuum cells, isolated
     spikes flanked by vacuum and, for finite c, faces its light cone has not
-    reached: the cone is that of the cells in a drawn subset of the support."""
+    reached: the cone is that of the cells in a drawn subset of the support.
+    c is infinite, in [1e-2, 1e4], or in [nu / (2 h), 1e6], where the flux
+    bound h / (4 c) sets stable_dt."""
     n = draw(st.integers(8, 48))
     grid = LineGrid(N=n, L=draw(st.floats(0.25, 8.0)))
     nu = 10.0 ** draw(st.floats(-2.0, 2.0))
-    c = draw(st.one_of(st.just(INFINITE), st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)))
+    low = nu / (2.0 * grid.h)
+    c = draw(st.one_of(st.just(INFINITE), st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e),
+                       st.floats(0.0, 1.0).map(lambda u: low * (1e6 / low) ** u)))
     params = ModelParams(m=1.0, c=c, gamma=1.0, theta=1.0, nu=nu)
     rho = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
                                  min_size=n, max_size=n)))
@@ -393,6 +442,11 @@ def test_step_at_stable_dt_is_doubly_stochastic(case):
     grid, params, state = case
     rho, dt = state.rho, H.stable_dt(grid, params)
     new = H.step_heat(state, grid, params, dt).rho     # raises on an undershoot
+    if not params.classical:
+        # the ratio r = 1 / R of the flux to nu g, R left in work[1] by _flux
+        work = np.empty((2, grid.N))
+        H._flux(np.append(rho, rho[0]), H._kappa(grid, params), work=work)
+        assert np.all((1.0 / work[1] >= 0.0) & (1.0 / work[1] <= 1.0))
     p = euler_matrix(state, grid, params, dt)
     assert p.min() >= -4 * EPS
     assert np.all(np.abs(p.sum(axis=0) - 1.0) <= 4 * EPS)
@@ -601,6 +655,11 @@ def test_run_heat_positivity_error_at_the_reference_step(grid):
         H.run_heat(grid, REL, rho0, dt, 100 * dt, record_every=1,
                    on_record=lambda st: seen.append(st.rho.copy()))
     assert str(caught.value) == str(expected.value)
+    # the error names the lowest cell of the failed step and the time it stepped from
+    last = states[-1]
+    undershoot = last.rho + dt * H.heat_rhs(last.rho, grid, REL)
+    assert str(expected.value).endswith(
+        f"at cell {np.argmin(undershoot)} in the step from t = {last.t!r}")
     assert len(seen) == len(states)
     assert all(np.array_equal(a, s.rho) for a, s in zip(seen, states))
 

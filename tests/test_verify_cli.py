@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -156,6 +157,21 @@ def test_cli_entry_point_subprocess(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
+
+
+def test_run_experiments_writes_timings(tmp_path):
+    # each config run writes its exit code and wall time to <out-root>/timings.json
+    script = CONFIGS.parent / "run_experiments.py"
+    src = str(Path(relgeneric.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(script), "--out-root", str(out),
+                           "--only", "heat_bump_classical", "kfp_conserve"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    timings = json.loads((out / "timings.json").read_text())
+    assert sorted(timings) == ["heat_bump_classical", "kfp_conserve"]
+    assert all(t["exit"] == 0 and 0.0 < t["wall_s"] < 60.0 for t in timings.values())
 
 
 def test_all_committed_configs_parse():
