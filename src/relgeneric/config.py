@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .grid import LineGrid, PhaseGrid
 from .kfp import InitSpec
 from .model import (INFINITE, CosinePotential, HarmonicPotential, ModelParams,
-                    Potential, Variant, ZeroPotential)
+                    Potential, Variant, ZeroPotential, check_variant)
 
 EXPERIMENTS = ("heat", "kfp", "verify", "stationary", "limit-study")
 
@@ -219,11 +219,11 @@ def parse_config(text: str, experiment: str) -> RunConfig:
         _want_choice("model.variant", lineno, value, ("dh", "dmr", "classical"))
         cfg.variant = Variant(value)
     if experiment in ("kfp", "stationary"):
-        if cfg.variant is Variant.CLASSICAL and not cfg.params.classical:
-            raise ConfigError("key 'model.variant': classical variant requires model.c = inf")
-        if cfg.variant is not Variant.CLASSICAL and cfg.params.classical:
-            raise ConfigError(f"key 'model.variant': variant '{cfg.variant.value}' "
-                              "requires finite model.c")
+        try:
+            check_variant(cfg.variant, cfg.params)
+        except ValueError as exc:
+            raise ConfigError(f"key 'model.variant': {exc}; set model.c = inf for the "
+                              "classical variant or a finite model.c for dh and dmr") from None
 
     # --- potential block
     lineno, value = take("potential.kind", "zero")

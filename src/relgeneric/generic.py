@@ -1,8 +1,9 @@
 """GENERIC skeleton on a phase grid.
 
 State, energy/entropy functionals and their derivatives, the antisymmetric
-(Poisson) and symmetric positive-semidefinite (dissipative) operators, the
-associated brackets, degeneracy residuals, and a finite-dimensional
+(Poisson) operator L(z) and the symmetric positive-semidefinite
+(dissipative) operator M(z) frozen at a state in one ``Brackets`` object,
+with their brackets and degeneracy residuals, and a finite-dimensional
 Jacobi-identity checker.
 
 Discrete calculus convention: the cell-centered gradient uses centered
@@ -16,6 +17,7 @@ round-off instead of to discretization error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -206,89 +208,71 @@ def gradient_entropy(state: State, grid: PhaseGrid, params: ModelParams) -> Cota
 # ---------------------------------------------------------------------------
 # operators
 
-def apply_poisson(state: State, v: CotangentVector, grid: PhaseGrid):
-    """L(z)(xi, r) = (div(rho J grad xi), 0) with J the canonical symplectic matrix."""
-    gq = grad_q(grid, v.xi)
-    gp = grad_p(grid, v.xi)
-    drho = div_q(grid, -state.rho * gp) + div_p(grid, state.rho * gq)
-    return drho, 0.0
+class Brackets:
+    """The GENERIC operators L(z) and M(z) frozen at one state z.
 
-
-def dissipative_faces(grid: PhaseGrid, params: ModelParams, potential: Potential,
-                      variant: Variant):
-    """Shared face data for the dissipative operator.
-
-    Returns (gH, dface, rhat, rhat_face): the discrete face gradient of the
-    cell-sampled Hamiltonian, the face diffusion coefficient, the gauged
-    Boltzmann weight at cells, and its geometric mean on faces.  The same
-    face gradient feeds every occurrence of grad_p H inside M, which is what
-    makes M * dE vanish identically.  The arrays are the shared read-only
-    fields of ``model.grid_fields``.
+    Built once per (state, grid, params, potential, variant): the
+    constructor reads the shared ``model.grid_fields`` (kept as ``fields``)
+    and computes the log-mean face density ``rho_f`` of the state, which
+    every application of M reuses.  ``rho_f = rhat_f * logmean(rho/rhat)``
+    is positive, second-order, and chosen so that M applied to the entropy
+    gradient reproduces the equilibrium-weighted flux form used by the
+    kinetic solver exactly.  The state's entropy gradient is taken at most
+    once, on first use of ``entropy_gradient``.
     """
-    f = grid_fields(grid, params, potential, variant)
-    return f.gh_face, f.dface, f.rhat, f.rhat_face
 
+    def __init__(self, state: State, grid: PhaseGrid, params: ModelParams,
+                 potential: Potential, variant: Variant):
+        self.state, self.grid, self.params = state, grid, params
+        self.fields = grid_fields(grid, params, potential, variant)
+        u = state.rho / self.fields.rhat
+        self.rho_f = self.fields.rhat_face * log_mean(u[:, :-1], u[:, 1:])
+        self.face_weight = self.fields.dface * self.rho_f    # D rho_f on faces
 
-def dissipative_face_density(state: State, rhat: np.ndarray,
-                             rhat_face: np.ndarray) -> np.ndarray:
-    """Face density rho_f = rhat_f * logmean(rho/rhat): positive, second-order,
-    and chosen so that M applied to the entropy gradient reproduces the
-    equilibrium-weighted flux form used by the kinetic solver exactly."""
-    u = state.rho / rhat
-    return rhat_face * log_mean(u[:, :-1], u[:, 1:])
+    @cached_property
+    def entropy_gradient(self) -> CotangentVector:
+        return gradient_entropy(self.state, self.grid, self.params)
 
+    def poisson(self, v: CotangentVector):
+        """L(z)(xi, r) = (div(rho J grad xi), 0) with J the canonical symplectic matrix."""
+        rho, grid = self.state.rho, self.grid
+        gq = grad_q(grid, v.xi)
+        gp = grad_p(grid, v.xi)
+        drho = div_q(grid, -rho * gp) + div_p(grid, rho * gq)
+        return drho, 0.0
 
-def apply_dissipative(state: State, v: CotangentVector, grid: PhaseGrid,
-                      params: ModelParams, potential: Potential, variant: Variant,
-                      drift_perturbation: float = 0.0):
-    """M(z)(xi, r): friction-diffusion block of the GENERIC evolution.
+    def dissipative(self, v: CotangentVector):
+        """M(z)(xi, r): friction-diffusion block of the GENERIC evolution.
 
-    Returns (drho, de) with
-        drho = gamma * div_p( D rho_f (r grad_p H - grad_p xi) )
-        de   = gamma * sum D grad_p H (r grad_p H - grad_p xi) rho_f * vol
-    assembled from one shared face gradient so that symmetry and the
-    degeneracy M dE = 0 are exact.  ``drift_perturbation`` scales the drift
-    column by (1 + eps); it exists purely as a sensitivity hook for tests.
-    """
-    gh, dface, rhat, rhat_face = dissipative_faces(grid, params, potential, variant)
-    drift = gh * (1.0 + drift_perturbation)
-    rho_f = dissipative_face_density(state, rhat, rhat_face)
-    gxi = face_grad_p(grid, v.xi)
-    combo = dface * rho_f * (v.r * drift - gxi)
-    drho = params.gamma * face_div_p(grid, combo)
-    de = params.gamma * float(np.sum(drift * combo)) * grid.cell_volume
-    return drho, de
+        Returns (drho, de) with
+            drho = gamma * div_p( D rho_f (r grad_p H - grad_p xi) )
+            de   = gamma * sum D grad_p H (r grad_p H - grad_p xi) rho_f * vol
+        assembled from one shared face gradient of the cell-sampled H, which
+        feeds every occurrence of grad_p H, so that symmetry and the
+        degeneracy M dE = 0 are exact.
+        """
+        gh, gamma = self.fields.gh_face, self.params.gamma
+        combo = self.face_weight * (v.r * gh - face_grad_p(self.grid, v.xi))
+        drho = gamma * face_div_p(self.grid, combo)
+        de = gamma * float(np.sum(gh * combo)) * self.grid.cell_volume
+        return drho, de
 
+    def poisson_bracket(self, v1: CotangentVector, v2: CotangentVector) -> float:
+        drho, de = self.poisson(v2)
+        return inner(self.grid, v1.xi, drho) + v1.r * de
 
-def poisson_bracket(state: State, v1: CotangentVector, v2: CotangentVector,
-                    grid: PhaseGrid) -> float:
-    drho, de = apply_poisson(state, v2, grid)
-    return inner(grid, v1.xi, drho) + v1.r * de
+    def dissipative_bracket(self, v1: CotangentVector, v2: CotangentVector) -> float:
+        drho, de = self.dissipative(v2)
+        return inner(self.grid, v1.xi, drho) + v1.r * de
 
-
-def dissipative_bracket(state: State, v1: CotangentVector, v2: CotangentVector,
-                        grid: PhaseGrid, params: ModelParams, potential: Potential,
-                        variant: Variant) -> float:
-    drho, de = apply_dissipative(state, v2, grid, params, potential, variant)
-    return inner(grid, v1.xi, drho) + v1.r * de
-
-
-def degeneracy_residuals(state: State, grid: PhaseGrid, params: ModelParams,
-                         potential: Potential, variant: Variant):
-    """(|L dS|_2, |M dE|_2) under the grid norm (e-component included)."""
-    return _degeneracy_residuals(state, gradient_entropy(state, grid, params), grid,
-                                 params, potential, variant)
-
-
-def _degeneracy_residuals(state: State, v_s: CotangentVector, grid: PhaseGrid,
-                          params: ModelParams, potential: Potential, variant: Variant):
-    """degeneracy_residuals with the entropy gradient v_s of state already taken."""
-    v_e = gradient_energy(state, grid, params, potential)
-    l_rho, l_e = apply_poisson(state, v_s, grid)
-    m_rho, m_e = apply_dissipative(state, v_e, grid, params, potential, variant)
-    res_l = float(np.sqrt(grid_norm(grid, l_rho) ** 2 + l_e**2))
-    res_m = float(np.sqrt(grid_norm(grid, m_rho) ** 2 + m_e**2))
-    return res_l, res_m
+    def degeneracy_residuals(self):
+        """(|L dS|_2, |M dE|_2) under the grid norm (e-component included)."""
+        grid = self.grid
+        l_rho, l_e = self.poisson(self.entropy_gradient)
+        m_rho, m_e = self.dissipative(CotangentVector(self.fields.h_cells, 1.0))
+        res_l = float(np.sqrt(grid_norm(grid, l_rho) ** 2 + l_e**2))
+        res_m = float(np.sqrt(grid_norm(grid, m_rho) ** 2 + m_e**2))
+        return res_l, res_m
 
 
 def second_momentum_moment(state: State, grid: PhaseGrid) -> float:

@@ -409,9 +409,15 @@ def _transport_rk4(r0: np.ndarray, op: KfpOperator, dt: float, rho: np.ndarray) 
     np.add(r0, rho, out=rho)
 
 
-def _check_positive(rho: np.ndarray) -> None:
+def _check_positive(rho: np.ndarray, update: int, steps: int) -> None:
+    """Raise PositivityError naming the lowest cell if rho undershoots NEGATIVE_TOL;
+    rho follows dissipative update ``update`` (1 to steps + 1) of a step_kfp call."""
     if rho.min() < NEGATIVE_TOL:
-        raise PositivityError(f"density undershoot {rho.min():.3e} below {NEGATIVE_TOL:g}")
+        iq, ip = np.unravel_index(np.argmin(rho), rho.shape)
+        raise PositivityError(
+            f"density undershoot {rho[iq, ip]:.3e} below {NEGATIVE_TOL:g} at cell "
+            f"(q {iq}, p {ip}) after dissipative update {update} of {steps + 1} "
+            f"of a {steps}-step call")
 
 
 def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1) -> State:
@@ -422,7 +428,8 @@ def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1) -> State:
     the call makes D(h) [T D2]^(steps-1) T D(h): steps + 1 dissipative
     updates.  The result equals that of ``steps`` single calls up to
     round-off, and with steps=1 it is the single step bit for bit.
-    Positivity is checked after each merged update and at the end.
+    Positivity is checked after each merged update and at the end; a
+    PositivityError names the lowest cell and the update it followed.
     Everything runs in the operator's workspace except the one fresh array,
     the new density.
     """
@@ -435,13 +442,13 @@ def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1) -> State:
     h = 0.5 * dt
     e = state.e + op._dissipate_into(state.rho, h, op._mid)
     rho = np.empty(op.grid.shape)
-    for _ in range(steps - 1):
+    for update in range(2, steps + 1):
         _transport_rk4(op._mid, op, dt, rho)
         e += op._dissipate_into(rho, h, op._mid, pair=True)
-        _check_positive(op._mid)
+        _check_positive(op._mid, update, steps)
     _transport_rk4(op._mid, op, dt, rho)
     e += op._dissipate_into(rho, h, rho)
-    _check_positive(rho)
+    _check_positive(rho, steps + 1, steps)
     return State(rho=rho, e=e)
 
 
@@ -466,7 +473,8 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     below ``l1_stop``, when given.  ``on_record(state, t, index)`` fires
     after each diagnostics record.  Without ``cfg.dt`` a run with
     ``l1_stop`` needs only its end state and steps at the stability bound;
-    any other run steps at the transient step.
+    any other run steps at the transient step.  A PositivityError adds the
+    time its record interval started from.
     """
     grid, params, potential, variant = cfg.grid, cfg.params, cfg.potential, cfg.variant
     op = KfpOperator(grid, params, potential, variant)
@@ -485,9 +493,9 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     def record(st: State):
         """Append the diagnostics of st; returns its L1 distance."""
         drho, de = op.rhs(st)
-        v_s = generic.gradient_entropy(st, grid, params)
-        deg_l, deg_m = generic._degeneracy_residuals(st, v_s, grid, params, potential,
-                                                     variant)
+        brackets = generic.Brackets(st, grid, params, potential, variant)
+        v_s = brackets.entropy_gradient
+        deg_l, deg_m = brackets.degeneracy_residuals()
         records.append(DiagnosticsRecord(
             t=t_now,
             E=generic.energy_functional(st, grid, params, potential),
@@ -511,7 +519,11 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     done = 0
     while not converged and done < n_steps:
         steps = min(cfg.record_every, n_steps - done)
-        state = step_kfp(state, op, step_dt, steps=steps)
+        try:
+            state = step_kfp(state, op, step_dt, steps=steps)
+        except PositivityError as exc:
+            msg = f"{exc}, in the record interval from t = {t_now!r}"
+            raise PositivityError(msg) from None
         done += steps
         t_now = cfg.t_final if done == n_steps else done * step_dt
         l1 = record(state)

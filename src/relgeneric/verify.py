@@ -131,22 +131,22 @@ def _bracket_pair(apply, v1: G.CotangentVector, v2: G.CotangentVector,
 
 
 def operator_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
-                    potential: Potential, opts: VerifyOptions,
-                    drift_perturbation: float = 0.0) -> list[CheckResult]:
+                    potential: Potential, opts: VerifyOptions) -> list[CheckResult]:
     out = []
     states = [random_state(rng, grid, params, potential) for _ in range(5)]
+    variants = (Variant.DH, Variant.DMR)
+    # one object per (state, variant); L does not depend on the variant
+    brackets = [{variant: G.Brackets(state, grid, params, potential, variant)
+                 for variant in variants} for state in states]
 
     worst_l = worst_m = 0.0
     for k in range(opts.bracket_pairs):
-        state = states[k % len(states)]
+        at = brackets[k % len(states)]
         v1, v2 = random_cotangent(rng, grid), random_cotangent(rng, grid)
-        b12, b21, scale = _bracket_pair(
-            lambda v: G.apply_poisson(state, v, grid), v1, v2, grid)
+        b12, b21, scale = _bracket_pair(at[Variant.DH].poisson, v1, v2, grid)
         worst_l = max(worst_l, abs(b12 + b21) / scale)
-        for variant in (Variant.DH, Variant.DMR):
-            m12, m21, scale = _bracket_pair(
-                lambda v: G.apply_dissipative(state, v, grid, params, potential, variant),
-                v1, v2, grid)
+        for variant in variants:
+            m12, m21, scale = _bracket_pair(at[variant].dissipative, v1, v2, grid)
             worst_m = max(worst_m, abs(m12 - m21) / scale)
     out.append(_check("Poisson bracket antisymmetry (relative)", worst_l, 1e-12,
                       note=f"{opts.bracket_pairs} pairs"))
@@ -155,15 +155,12 @@ def operator_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
 
     worst_psd = np.inf
     for k in range(opts.psd_samples):
-        state = states[k % len(states)]
-        variant = Variant.DH if k % 2 == 0 else Variant.DMR
+        br = brackets[k % len(states)][variants[k % 2]]
         v = random_cotangent(rng, grid)
-        quad = G.dissipative_bracket(state, v, v, grid, params, potential, variant)
-        gh, dface, rhat, rhat_face = G.dissipative_faces(grid, params, potential, variant)
-        rho_f = G.dissipative_face_density(state, rhat, rhat_face)
+        quad = br.dissipative_bracket(v, v)
         gxi = G.face_grad_p(grid, v.xi)
         scale = params.gamma * float(np.sum(
-            dface * rho_f * (np.abs(gxi) + abs(v.r) * np.abs(gh)) ** 2)) \
+            br.face_weight * (np.abs(gxi) + abs(v.r) * np.abs(br.fields.gh_face)) ** 2)) \
             * grid.cell_volume + 1e-300
         worst_psd = min(worst_psd, quad / scale)
     out.append(_check("dissipative bracket positivity: min [v,v]/scale",
@@ -173,18 +170,16 @@ def operator_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
     worst_mass = 0.0
     for k in range(20):
         state = states[k % len(states)]
-        variant = Variant.DH if k % 2 == 0 else Variant.DMR
+        br = brackets[k % len(states)][variants[k % 2]]
         v_e = G.gradient_energy(state, grid, params, potential)
-        m_rho, m_e = G.apply_dissipative(state, v_e, grid, params, potential, variant,
-                                         drift_perturbation=drift_perturbation)
-        half_rho, half_e = G.apply_dissipative(
-            state, G.CotangentVector(v_e.xi, 0.0), grid, params, potential, variant)
+        m_rho, m_e = br.dissipative(v_e)
+        half_rho, half_e = br.dissipative(G.CotangentVector(v_e.xi, 0.0))
         ref = math.sqrt(G.grid_norm(grid, half_rho) ** 2 + half_e**2) + 1e-300
         worst_deg = max(worst_deg,
                         math.sqrt(G.grid_norm(grid, m_rho) ** 2 + m_e**2) / ref)
         v = random_cotangent(rng, grid)
-        l_rho, _ = G.apply_poisson(state, v, grid)
-        d_rho, _ = G.apply_dissipative(state, v, grid, params, potential, variant)
+        l_rho, _ = br.poisson(v)
+        d_rho, _ = br.dissipative(v)
         for tend in (l_rho, d_rho):
             scale = float(np.sum(np.abs(tend))) * grid.cell_volume + 1e-300
             worst_mass = max(worst_mass,
@@ -280,8 +275,8 @@ def refinement_checks() -> list[CheckResult]:
             * np.exp(-0.125 * grid.p_mesh**2)
         rho = np.exp(-0.5 * grid.p_mesh**2) * np.exp(w)
         rho /= float(np.sum(rho)) * grid.cell_volume
-        deg_l, _ = G.degeneracy_residuals(G.State(rho, 0.0), grid, params, pot,
-                                          Variant.DH)
+        deg_l, _ = G.Brackets(G.State(rho, 0.0), grid, params, pot,
+                              Variant.DH).degeneracy_residuals()
         resid.append(deg_l)
     slope = -float(np.polyfit(np.log([1.0, 2.0, 4.0]), np.log(resid), 1)[0])
     out.append(_check("L dS refinement order in [1.7, 2.3] (32/64/128)",
@@ -298,8 +293,9 @@ def refinement_checks() -> list[CheckResult]:
     for n in (32, 64, 128):
         grid = PhaseGrid(Nq=n, Np=n, Lq=2 * qe, Pmax=pmax)
         rinf, _ = maxwellian(grid, rel, hpot)
-        v_e = G.gradient_energy(G.State(rinf, 0.0), grid, rel, hpot)
-        l_rho, _ = G.apply_poisson(G.State(rinf, 0.0), v_e, grid)
+        state = G.State(rinf, 0.0)
+        v_e = G.gradient_energy(state, grid, rel, hpot)
+        l_rho, _ = G.Brackets(state, grid, rel, hpot, Variant.DH).poisson(v_e)
         resid.append(G.grid_norm(grid, l_rho))
     slope = -float(np.polyfit(np.log([1.0, 2.0, 4.0]), np.log(resid), 1)[0])
     out.append(_check("transport residual at Maxwellian: refinement order",
@@ -317,10 +313,9 @@ def assembly_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
         for variant in (Variant.DH, Variant.DMR):
             op = KfpOperator(grid, params, potential, variant)
             drho1, de1 = op.rhs(state)
-            v_e = G.gradient_energy(state, grid, params, potential)
-            v_s = G.gradient_entropy(state, grid, params)
-            l_rho, l_e = G.apply_poisson(state, v_e, grid)
-            m_rho, m_e = G.apply_dissipative(state, v_s, grid, params, potential, variant)
+            br = G.Brackets(state, grid, params, potential, variant)
+            l_rho, l_e = br.poisson(G.gradient_energy(state, grid, params, potential))
+            m_rho, m_e = br.dissipative(br.entropy_gradient)
             drho2, de2 = l_rho + m_rho, l_e + m_e
             scale = max(np.abs(drho1).max(), np.abs(drho2).max(),
                         abs(de1), abs(de2), 1e-300)
@@ -347,14 +342,12 @@ def assembly_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
 # suite driver
 
 def run_verify(grid: PhaseGrid, params: ModelParams, potential: Potential,
-               seed: int, opts: VerifyOptions,
-               drift_perturbation: float = 0.0):
+               seed: int, opts: VerifyOptions):
     """Run all enabled check groups; returns (results, report_text, all_passed)."""
     rng = SplitMix64(seed)
     results: list[CheckResult] = []
     results += model_checks(rng, opts.fd_samples)
-    results += operator_checks(rng, grid, params, potential, opts,
-                               drift_perturbation=drift_perturbation)
+    results += operator_checks(rng, grid, params, potential, opts)
     if opts.jacobi:
         results += jacobi_checks(rng)
     results += gradient_checks(rng, grid, params, potential, opts.gradient_checks)

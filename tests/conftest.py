@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relgeneric.generic import State
+from relgeneric.generic import Brackets, State
 from relgeneric.grid import PhaseGrid
 from relgeneric.model import HarmonicPotential, ModelParams, boltzmann_weight
 from relgeneric.rng import SplitMix64
@@ -41,3 +41,14 @@ def make_state(rng, grid, params, potential, e=0.0):
 @pytest.fixture
 def state(rng, grid, params, potential):
     return make_state(rng, grid, params, potential, e=0.3)
+
+
+def perturb_drift(monkeypatch, eps):
+    """Scale the drift column grad_p H of every M(z) built from now on by 1 + eps."""
+    init = Brackets.__init__
+
+    def perturbed(self, *args):
+        init(self, *args)
+        self.fields = self.fields._replace(gh_face=self.fields.gh_face * (1.0 + eps))
+
+    monkeypatch.setattr(Brackets, "__init__", perturbed)

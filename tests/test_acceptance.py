@@ -58,8 +58,8 @@ def test_criterion_2_degeneracy_refinement():
             * np.exp(-0.125 * grid.p_mesh**2)
         rho = np.exp(-0.5 * grid.p_mesh**2) * np.exp(w)
         rho /= float(np.sum(rho)) * grid.cell_volume
-        deg_l, deg_m = G.degeneracy_residuals(G.State(rho, 0.0), grid, params,
-                                              ZeroPotential(), Variant.DH)
+        deg_l, deg_m = G.Brackets(G.State(rho, 0.0), grid, params,
+                                  ZeroPotential(), Variant.DH).degeneracy_residuals()
         assert deg_m == 0.0
         resid.append(deg_l)
     order = -float(np.polyfit(np.log([1.0, 2.0, 4.0]), np.log(resid), 1)[0])
@@ -199,9 +199,9 @@ def test_criterion_7_dual_assembly():
             drho1, de1 = op.rhs(state)
             v_e = G.gradient_energy(state, grid, params, potential)
             v_s = G.gradient_entropy(state, grid, params)
-            l_rho, l_e = G.apply_poisson(state, v_e, grid)
-            m_rho, m_e = G.apply_dissipative(state, v_s, grid, params, potential,
-                                             variant)
+            brackets = G.Brackets(state, grid, params, potential, variant)
+            l_rho, l_e = brackets.poisson(v_e)
+            m_rho, m_e = brackets.dissipative(v_s)
             scale = max(float(np.abs(drho1).max()), abs(de1), 1e-300)
             worst_kfp = max(worst_kfp,
                             float(np.abs(drho1 - (l_rho + m_rho)).max()) / scale,

@@ -9,7 +9,7 @@ from relgeneric.model import (HarmonicPotential, ModelParams, Variant,
                               ZeroPotential, hamiltonian, maxwellian)
 from relgeneric.rng import SplitMix64
 
-from conftest import make_state
+from conftest import make_state, perturb_drift
 
 ZERO = ZeroPotential()
 
@@ -192,9 +192,9 @@ def test_functional_gradients_match_fd(grid, params, potential, rng):
 # ---------------------------------------------------------------------------
 # Poisson operator
 
-def test_poisson_constant_covector(grid, state):
+def test_poisson_constant_covector(grid, params, potential, state):
     v = G.CotangentVector(np.full(grid.shape, 3.3), 0.4)
-    drho, de = G.apply_poisson(state, v, grid)
+    drho, de = G.Brackets(state, grid, params, potential, Variant.DH).poisson(v)
     assert np.all(drho == 0.0)
     assert de == 0.0
 
@@ -206,17 +206,18 @@ def test_poisson_bracket_antisymmetry(grid, params, potential, rng):
                                rng.uniform(-1, 1))
         v2 = G.CotangentVector(rng.uniforms(grid.Nq * grid.Np, -1, 1).reshape(grid.shape),
                                rng.uniform(-1, 1))
-        b12 = G.poisson_bracket(state, v1, v2, grid)
-        b21 = G.poisson_bracket(state, v2, v1, grid)
+        brackets = G.Brackets(state, grid, params, potential, Variant.DH)
+        b12 = brackets.poisson_bracket(v1, v2)
+        b21 = brackets.poisson_bracket(v2, v1)
         scale = abs(b12) + abs(b21) + 1e-300
         assert abs(b12 + b21) <= 1e-12 * scale
-        bff = G.poisson_bracket(state, v1, v1, grid)
+        bff = brackets.poisson_bracket(v1, v1)
         assert abs(bff) <= 1e-12 * (2 * abs(b12) + 1e-300)
 
 
-def test_poisson_mass_conserving(grid, state, rng):
+def test_poisson_mass_conserving(grid, params, potential, state, rng):
     v = G.CotangentVector(rng.uniforms(grid.Nq * grid.Np, -1, 1).reshape(grid.shape), 0.0)
-    drho, _ = G.apply_poisson(state, v, grid)
+    drho, _ = G.Brackets(state, grid, params, potential, Variant.DH).poisson(v)
     assert abs(float(np.sum(drho)) * grid.cell_volume) \
         <= 1e-12 * float(np.sum(np.abs(drho))) * grid.cell_volume
 
@@ -233,7 +234,7 @@ def test_transport_at_maxwellian_refines_at_second_order():
         g = PhaseGrid(Nq=n, Np=n, Lq=2 * qe, Pmax=pmax)
         rinf, _ = maxwellian(g, params, pot)
         v = G.gradient_energy(G.State(rinf, 0.0), g, params, pot)
-        drho, _ = G.apply_poisson(G.State(rinf, 0.0), v, g)
+        drho, _ = G.Brackets(G.State(rinf, 0.0), g, params, pot, Variant.DH).poisson(v)
         resid.append(G.grid_norm(g, drho))
     order = math.log2(resid[1] / resid[2])
     assert 1.7 <= order <= 2.3
@@ -245,7 +246,7 @@ def test_transport_at_maxwellian_refines_at_second_order():
 @pytest.mark.parametrize("variant", [Variant.DH, Variant.DMR])
 def test_dissipative_energy_degeneracy_exact(grid, params, potential, state, variant):
     v_e = G.gradient_energy(state, grid, params, potential)
-    drho, de = G.apply_dissipative(state, v_e, grid, params, potential, variant)
+    drho, de = G.Brackets(state, grid, params, potential, variant).dissipative(v_e)
     assert np.all(drho == 0.0)
     assert de == 0.0
 
@@ -258,10 +259,11 @@ def test_dissipative_symmetry_and_psd(grid, params, potential, rng, variant):
                                rng.uniform(-1, 1))
         v2 = G.CotangentVector(rng.uniforms(grid.Nq * grid.Np, -1, 1).reshape(grid.shape),
                                rng.uniform(-1, 1))
-        m12 = G.dissipative_bracket(state, v1, v2, grid, params, potential, variant)
-        m21 = G.dissipative_bracket(state, v2, v1, grid, params, potential, variant)
+        brackets = G.Brackets(state, grid, params, potential, variant)
+        m12 = brackets.dissipative_bracket(v1, v2)
+        m21 = brackets.dissipative_bracket(v2, v1)
         assert abs(m12 - m21) <= 1e-12 * (abs(m12) + abs(m21) + 1e-300)
-        quad = G.dissipative_bracket(state, v1, v1, grid, params, potential, variant)
+        quad = brackets.dissipative_bracket(v1, v1)
         assert quad >= -1e-14 * (abs(m12) + abs(quad) + 1e-300)
 
 
@@ -272,29 +274,31 @@ def test_dissipative_bracket_quadratic_form_identity(grid, params, potential, st
                            rng.uniform(-1, 1))
     v2 = G.CotangentVector(rng.uniforms(grid.Nq * grid.Np, -1, 1).reshape(grid.shape),
                            rng.uniform(-1, 1))
-    bracket = G.dissipative_bracket(state, v1, v2, grid, params, potential, variant)
-    gh, dface, rhat, rhat_face = G.dissipative_faces(grid, params, potential, variant)
-    rho_f = G.dissipative_face_density(state, rhat, rhat_face)
+    brackets = G.Brackets(state, grid, params, potential, variant)
+    bracket = brackets.dissipative_bracket(v1, v2)
+    gh, dface, rho_f = brackets.fields.gh_face, brackets.fields.dface, brackets.rho_f
     g1 = G.face_grad_p(grid, v1.xi) - v1.r * gh
     g2 = G.face_grad_p(grid, v2.xi) - v2.r * gh
     direct = params.gamma * float(np.sum(dface * rho_f * g1 * g2)) * grid.cell_volume
     assert bracket == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
-def test_dissipative_drift_perturbation_hook(grid, params, potential, state):
+def test_dissipative_drift_perturbation_hook(grid, params, potential, state, monkeypatch):
     v_e = G.gradient_energy(state, grid, params, potential)
-    drho, de = G.apply_dissipative(state, v_e, grid, params, potential, Variant.DH,
-                                   drift_perturbation=1e-6)
+    perturb_drift(monkeypatch, 1e-6)
+    drho, de = G.Brackets(state, grid, params, potential, Variant.DH).dissipative(v_e)
     assert float(np.abs(drho).max()) > 0.0
 
 
 def test_degeneracy_residuals(grid, params, potential, state):
-    res_l, res_m = G.degeneracy_residuals(state, grid, params, potential, Variant.DH)
+    brackets = G.Brackets(state, grid, params, potential, Variant.DH)
+    res_l, res_m = brackets.degeneracy_residuals()
     assert res_m == 0.0
     assert res_l > 0.0
     # uniform density with V = 0: the entropy gradient is constant, so L dS = 0
     rho = np.full(grid.shape, 1.0 / (grid.Lq * 2 * grid.Pmax))
-    res_l, _ = G.degeneracy_residuals(G.State(rho, 0.0), grid, params, ZERO, Variant.DH)
+    res_l, _ = G.Brackets(G.State(rho, 0.0), grid, params, ZERO,
+                          Variant.DH).degeneracy_residuals()
     assert res_l <= 1e-14
 
 
@@ -306,7 +310,8 @@ def test_degeneracy_refinement_order():
         w = 0.4 * np.sin(2 * np.pi * g.q_mesh / g.Lq) * np.exp(-0.125 * g.p_mesh**2)
         rho = np.exp(-0.5 * g.p_mesh**2) * np.exp(w)
         rho /= float(np.sum(rho)) * g.cell_volume
-        res_l, _ = G.degeneracy_residuals(G.State(rho, 0.0), g, params, ZERO, Variant.DH)
+        res_l, _ = G.Brackets(G.State(rho, 0.0), g, params, ZERO,
+                              Variant.DH).degeneracy_residuals()
         resid.append(res_l)
     assert 1.7 <= math.log2(resid[0] / resid[1]) <= 2.3 or \
         1.7 <= math.log2(resid[1] / resid[2]) <= 2.3
@@ -414,11 +419,10 @@ def test_entropy_production_vanishes_at_equilibrium(grid, params, potential):
     rinf, _ = maxwellian(grid, params, potential)
     state = G.State(rinf, 0.0)
     v_s = G.gradient_entropy(state, grid, params)
-    production = G.dissipative_bracket(state, v_s, v_s, grid, params, potential,
-                                       Variant.DH)
-    ref = G.dissipative_bracket(state, G.CotangentVector(v_s.xi, 0.0),
-                                G.CotangentVector(v_s.xi, 0.0), grid, params,
-                                potential, Variant.DH)
+    brackets = G.Brackets(state, grid, params, potential, Variant.DH)
+    production = brackets.dissipative_bracket(v_s, v_s)
+    ref = brackets.dissipative_bracket(G.CotangentVector(v_s.xi, 0.0),
+                                       G.CotangentVector(v_s.xi, 0.0))
     assert 0.0 <= production <= 1e-12 * ref
 
 
@@ -436,6 +440,7 @@ def test_poisson_bracket_with_entropy_gradient_refines():
         probe = G.CotangentVector(np.cos(2 * np.pi * g.q_mesh / g.Lq)
                                   * np.exp(-0.2 * g.p_mesh**2), 0.0)
         v_s = G.gradient_entropy(state, g, params)
-        vals.append(abs(G.poisson_bracket(state, probe, v_s, g)))
+        brackets = G.Brackets(state, g, params, ZERO, Variant.DH)
+        vals.append(abs(brackets.poisson_bracket(probe, v_s)))
     assert vals[2] < vals[1] < vals[0]
     assert vals[2] <= vals[0] / 8.0

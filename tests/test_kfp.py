@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,12 +13,13 @@ import pytest
 
 from relgeneric import generic as G
 from relgeneric import kfp as K
+from relgeneric.cli import main
 from relgeneric.config import load_config
 from relgeneric.errors import NonConvergenceError, PositivityError, StabilityError
 from relgeneric.grid import PhaseGrid, time_steps
 from relgeneric.model import (CosinePotential, HarmonicPotential, INFINITE,
                               ModelParams, Variant, ZeroPotential, boltzmann_weight,
-                              maxwellian)
+                              grid_fields, maxwellian)
 from conftest import make_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -79,9 +81,9 @@ def test_dual_assembly_identity(rng):
             drho1, de1 = op.rhs(state)
             v_e = G.gradient_energy(state, cfg.grid, cfg.params, cfg.potential)
             v_s = G.gradient_entropy(state, cfg.grid, cfg.params)
-            l_rho, l_e = G.apply_poisson(state, v_e, cfg.grid)
-            m_rho, m_e = G.apply_dissipative(state, v_s, cfg.grid, cfg.params,
-                                             cfg.potential, variant)
+            brackets = G.Brackets(state, cfg.grid, cfg.params, cfg.potential, variant)
+            l_rho, l_e = brackets.poisson(v_e)
+            m_rho, m_e = brackets.dissipative(v_s)
             scale = max(float(np.abs(drho1).max()), abs(de1), 1e-300)
             assert float(np.abs(drho1 - (l_rho + m_rho)).max()) <= 1e-10 * scale
             assert abs(de1 - (l_e + m_e)) <= 1e-10 * scale
@@ -292,7 +294,7 @@ def test_integrate_records_match_public_functions(variant):
     for rec, extra, (st, t) in zip(res.records, res.aux, seen):
         drho, de = op.rhs(st)
         v_s = G.gradient_entropy(st, grid, params)
-        deg_l, deg_m = G.degeneracy_residuals(st, grid, params, pot, variant)
+        deg_l, deg_m = G.Brackets(st, grid, params, pot, variant).degeneracy_residuals()
         assert rec == G.DiagnosticsRecord(
             t=t, E=G.energy_functional(st, grid, params, pot),
             S=G.entropy_functional(st, grid, params),
@@ -518,6 +520,27 @@ def test_integrate_rejects_unstable_dt_and_undershoot():
         K.integrate(cfg, state0=G.State(rho, 0.0))
 
 
+def test_positivity_error_names_cell_update_and_time(tmp_path, capsys):
+    rho = np.ones((6, 9))
+    rho[3, 5] = -2e-12
+    with pytest.raises(PositivityError, match=r"-2\.000e-12 below -1e-12 at cell "
+                       r"\(q 3, p 5\) after dissipative update 4 of 8 of a 7-step call"):
+        K._check_positive(rho, 4, 7)
+    # the harmonic trap on the stationary_dmr grid undershoots in the momentum
+    # tail (ROADMAP item 4); the run ends in exit 1 naming the cell and time
+    text = (CONFIGS / "stationary_dmr.cfg").read_text()
+    text = text.replace("potential.kind = cosine", "potential.kind = harmonic")
+    text = text.replace("potential.amplitude = 1.0", "potential.stiffness = 1.0")
+    text = re.sub(r"(?m)^grid\.lq = .*$", "grid.lq = auto", text)
+    cfg = tmp_path / "trap.cfg"
+    cfg.write_text(text)
+    assert main(["stationary", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert re.search(r"density undershoot -\d\.\d{3}e-\d+ below -1e-12 at cell "
+                     r"\(q \d+, p \d+\) after dissipative update \d+ of \d+ of a "
+                     r"\d+-step call, in the record interval from t = \d",
+                     capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # the dissipative half step of the split
 
@@ -617,7 +640,8 @@ def test_dissipative_update_count(record_every, intervals, monkeypatch):
                         lambda op, *a, **kw: updates.append(1) or dissipate(op, *a, **kw))
     monkeypatch.setattr(K.KfpOperator, "_pair_map",
                         lambda op, h: pair_maps.append(h) or pair_map(op, h))
-    monkeypatch.setattr(K, "_check_positive", lambda rho: checks.append(1) or check_positive(rho))
+    monkeypatch.setattr(K, "_check_positive",
+                        lambda rho, *at: checks.append(1) or check_positive(rho, *at))
     res = K.integrate(cfg)
     assert len(res.records) == intervals + 1
     assert len(updates) == 7 + intervals
@@ -740,9 +764,9 @@ def test_grid_fields_shared_and_read_only():
     grid, params, pot = cfg.grid, cfg.params, cfg.potential
     for variant in (Variant.DH, Variant.DMR):
         op = K.KfpOperator(grid, params, pot, variant)
-        gh, dface, rhat, rhat_face = G.dissipative_faces(grid, params, pot, variant)
-        assert gh is op.gh_face and dface is op.dface
-        assert rhat is op.rhat and rhat_face is op.rhat_face
+        fields = grid_fields(grid, params, pot, variant)
+        assert fields.gh_face is op.gh_face and fields.dface is op.dface
+        assert fields.rhat is op.rhat and fields.rhat_face is op.rhat_face
         assert G.gradient_energy(None, grid, params, pot).xi is op.h_cells
         assert boltzmann_weight(grid, params, pot)[0] is op.rhat
         assert np.array_equal(op.gh_face, G.face_grad_p(grid, op.h_cells))

@@ -12,7 +12,10 @@ import relgeneric
 from relgeneric import generic as G
 from relgeneric.cli import main
 from relgeneric.config import VerifyOptions, load_config, parse_config
-from relgeneric.verify import run_verify
+from relgeneric.rng import SplitMix64
+from relgeneric.verify import operator_checks, run_verify
+
+from conftest import perturb_drift
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -51,14 +54,27 @@ def test_report_depends_on_seed(verify_cfg):
     assert r1 != r2
 
 
-def test_drift_perturbation_fails_degeneracy(verify_cfg):
+def test_drift_perturbation_fails_degeneracy(verify_cfg, monkeypatch):
     # sensitivity control: a 1e-6 drift-column perturbation must break M dE = 0
+    perturb_drift(monkeypatch, 1e-6)
     results, report, ok = run_verify(verify_cfg.phase_grid, verify_cfg.params,
-                                     verify_cfg.potential, seed=1, opts=quick_opts(),
-                                     drift_perturbation=1e-6)
+                                     verify_cfg.potential, seed=1, opts=quick_opts())
     assert not ok
     failing = [r.name for r in results if not r.passed]
     assert any("degeneracy" in name for name in failing)
+
+
+def test_operator_checks_take_one_face_density_per_state_and_variant(verify_cfg,
+                                                                      monkeypatch):
+    # M(z) is built once per (state, variant), 5 states x 2 variants, however
+    # many cotangent vectors the checks apply it to
+    calls = []
+    log_mean = G.log_mean
+    monkeypatch.setattr(G, "log_mean", lambda a, b: calls.append(1) or log_mean(a, b))
+    results = operator_checks(SplitMix64(1), verify_cfg.phase_grid, verify_cfg.params,
+                              verify_cfg.potential, quick_opts())
+    assert all(r.passed for r in results)
+    assert 0 < len(calls) <= 10
 
 
 def test_bracket_checks_pass_on_nearly_cancelling_pair(verify_cfg):
@@ -80,13 +96,13 @@ def test_bracket_check_catches_nonantisymmetric_poisson(verify_cfg, monkeypatch)
     grid = verify_cfg.phase_grid
     weight = 1.0 + 1e-8 * np.cos(2 * np.pi * grid.q_mesh / grid.Lq) \
         * np.tanh(grid.p_mesh)
-    apply = G.apply_poisson
+    apply = G.Brackets.poisson
 
-    def skewed(state, v, grid):
-        drho, de = apply(state, v, grid)
+    def skewed(self, v):
+        drho, de = apply(self, v)
         return weight * drho, de
 
-    monkeypatch.setattr(G, "apply_poisson", skewed)
+    monkeypatch.setattr(G.Brackets, "poisson", skewed)
     results, report, ok = run_verify(grid, verify_cfg.params, verify_cfg.potential,
                                      seed=1, opts=quick_opts())
     check = next(r for r in results if r.name.startswith("Poisson bracket antisymmetry"))
