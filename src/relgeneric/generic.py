@@ -12,6 +12,11 @@ divergence is the exact negative adjoint of the matching gradient under the
 plain midpoint inner product.  That single choice makes the antisymmetry of
 the Poisson operator and the symmetry of the dissipative operator hold to
 round-off instead of to discretization error.
+
+The calculus, ``inner``, ``grid_norm``, ``log_mean``, the functionals and
+``Brackets`` write into caller-given buffers (``out=``, ``work=``) when
+given, with the same bits as their allocating calls, so that a kinetic
+record needs no grid-sized temporary.
 """
 
 from __future__ import annotations
@@ -138,36 +143,72 @@ def face_div_p(grid: PhaseGrid, f: np.ndarray, *,
     return out
 
 
-def inner(grid: PhaseGrid, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b)) * grid.cell_volume
+def faces_of(cells: np.ndarray) -> np.ndarray:
+    """A C-contiguous (Nq, Np-1) face-shaped view on the start of a C-contiguous
+    cell array.
+
+    np.sum adds such a view in the same order as a fresh face array, so a
+    face pass written into one gives the same bits as the allocating pass.
+    """
+    nq, np_ = cells.shape
+    return cells.reshape(-1)[:nq * (np_ - 1)].reshape(nq, np_ - 1)
 
 
-def grid_norm(grid: PhaseGrid, a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(a * a) * grid.cell_volume))
+# The products of inner and grid_norm go into ``work`` when given (an array
+# of the operands' shape, C-contiguous like them), so that neither allocates.
+
+def inner(grid: PhaseGrid, a: np.ndarray, b: np.ndarray, *,
+          work: np.ndarray | None = None) -> float:
+    return float(np.sum(np.multiply(a, b, out=work))) * grid.cell_volume
 
 
-def log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def grid_norm(grid: PhaseGrid, a: np.ndarray, *, work: np.ndarray | None = None) -> float:
+    return float(np.sqrt(np.sum(np.multiply(a, a, out=work)) * grid.cell_volume))
+
+
+def log_mean(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None,
+             work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Stable logarithmic mean (a-b)/(log a - log b), with log_mean(x,x)=x.
 
     Zero arguments give zero (the one-sided limit), matching the convention
-    that vacuum cells carry no dissipative face flux.
+    that vacuum cells carry no dissipative face flux.  Writes into ``out``
+    and takes its two float temporaries from ``work`` (a pair of arrays of
+    the broadcast shape), when given, and otherwise allocates them; out must
+    not overlap a, b or work.  Every face takes one branch: the exact form
+    where f = (a-b)/(a+b) has |f| >= 0.01 (so f != 0), the series elsewhere
+    (NaN included); faces outside a, b > 0 are then set to zero.  Each face
+    is computed alone, so buffers change no bit of the result.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.zeros(np.broadcast(a, b).shape)
-    ok = (a > 0) & (b > 0)
-    aa, bb = np.broadcast_to(a, out.shape)[ok], np.broadcast_to(b, out.shape)[ok]
-    f = (aa - bb) / (aa + bb)       # (z-1)/(z+1) without forming the ratio
-    f2 = f * f
-    # each face takes one branch: the exact form where |f| >= 0.01 (so f != 0),
-    # the series elsewhere (NaN included)
-    exact = f2 >= 1e-4
-    series = ~exact
-    val = np.empty(f.shape)
-    val[exact] = (np.log(aa[exact]) - np.log(bb[exact])) / (2.0 * f[exact])
-    s2 = f2[series]
-    val[series] = 1.0 + s2 * (1.0 / 3.0 + s2 * (1.0 / 5.0 + s2 / 7.0))
-    out[ok] = (aa + bb) / (2.0 * val)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    if out is None:
+        out = np.empty(shape)
+    t, f = (np.empty(shape), np.empty(shape)) if work is None else work
+    mask = np.empty(shape, dtype=bool)
+    # faces outside a, b > 0 may warn here; they are zeroed at the end
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(np.subtract(a, b, out=f), np.add(a, b, out=t), out=f)
+        f2 = np.multiply(f, f, out=t)
+        np.greater_equal(f2, 1e-4, out=mask)
+        # the series 1 + f2 (1/3 + f2 (1/5 + f2/7)) on every face
+        np.divide(f2, 7.0, out=out)
+        out += 1.0 / 5.0
+        out *= f2
+        out += 1.0 / 3.0
+        out *= f2
+        out += 1.0
+        # the exact form (log a - log b) / (2 f) where the mask is set
+        log_a = np.log(a, out=t, where=mask)
+        np.log(b, out=out, where=mask)
+        np.subtract(log_a, out, out=log_a, where=mask)
+        np.multiply(f, 2.0, out=f, where=mask)
+        np.divide(log_a, f, out=out, where=mask)
+        # (a + b) / (2 val), and zero unless a, b > 0 (NaN not)
+        out *= 2.0
+        np.divide(np.add(a, b, out=t), out, out=out)
+    np.logical_not(np.greater(np.minimum(a, b, out=t), 0.0, out=mask), out=mask)
+    np.copyto(out, 0.0, where=mask)
     return out
 
 
@@ -175,16 +216,30 @@ def log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # functionals and their derivatives
 
 def energy_functional(state: State, grid: PhaseGrid, params: ModelParams,
-                      potential: Potential) -> float:
-    """E(rho, e) = sum H rho * cell volume + e."""
+                      potential: Potential, *, work: np.ndarray | None = None) -> float:
+    """E(rho, e) = sum H rho * cell volume + e; the product goes into ``work``."""
     h = grid_fields(grid, params, potential, None).h_cells
-    return inner(grid, h, state.rho) + state.e
+    return inner(grid, h, state.rho, work=work) + state.e
 
 
-def entropy_functional(state: State, grid: PhaseGrid, params: ModelParams) -> float:
+def log_density(rho: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """log(max(rho, LOG_FLOOR)), the one log the entropy and its gradient share."""
+    return np.log(np.maximum(rho, LOG_FLOOR, out=out), out=out)
+
+
+# S and dS take the state's log_density as ``log_rho`` when the caller has
+# it; S writes its terms into ``work``, dS its grid part into ``out`` (which
+# may be log_rho itself).
+
+def entropy_functional(state: State, grid: PhaseGrid, params: ModelParams, *,
+                       log_rho: np.ndarray | None = None,
+                       work: np.ndarray | None = None) -> float:
     """S(rho, e) = -theta sum rho log rho * cell volume + e, with 0 log 0 = 0."""
     rho = state.rho
-    contrib = np.where(rho > 0.0, rho * np.log(np.maximum(rho, LOG_FLOOR)), 0.0)
+    if log_rho is None:
+        log_rho = work = log_density(rho, out=work)
+    contrib = np.multiply(rho, log_rho, out=work)
+    np.copyto(contrib, 0.0, where=np.logical_not(rho > 0.0))
     return -params.theta * float(np.sum(contrib)) * grid.cell_volume + state.e
 
 
@@ -194,14 +249,19 @@ def gradient_energy(state: State, grid: PhaseGrid, params: ModelParams,
     return CotangentVector(xi=grid_fields(grid, params, potential, None).h_cells, r=1.0)
 
 
-def gradient_entropy(state: State, grid: PhaseGrid, params: ModelParams) -> CotangentVector:
+def gradient_entropy(state: State, grid: PhaseGrid, params: ModelParams, *,
+                     log_rho: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> CotangentVector:
     rho = state.rho
     masked = rho < MASK_FLOOR
-    if masked.sum() > 0.5 * rho.size:
+    if np.count_nonzero(masked) > 0.5 * rho.size:
         raise ValueError("degenerate state: more than half of all cells are "
                          f"below the density floor {MASK_FLOOR:.0e}")
-    xi = -params.theta * (np.log(np.maximum(rho, LOG_FLOOR)) + 1.0)
-    xi[masked] = 0.0
+    if log_rho is None:
+        log_rho = out = log_density(rho, out=out)
+    xi = np.add(log_rho, 1.0, out=out)
+    xi *= -params.theta
+    np.copyto(xi, 0.0, where=masked)
     return CotangentVector(xi=xi, r=1.0)
 
 
@@ -213,35 +273,62 @@ class Brackets:
 
     Built once per (state, grid, params, potential, variant): the
     constructor reads the shared ``model.grid_fields`` (kept as ``fields``)
-    and computes the log-mean face density ``rho_f`` of the state, which
-    every application of M reuses.  ``rho_f = rhat_f * logmean(rho/rhat)``
+    and computes from the log-mean face density
+    ``rho_f = rhat_f * logmean(rho/rhat)`` the face weight
+    ``face_weight = D rho_f``, which every application of M reuses.  rho_f
     is positive, second-order, and chosen so that M applied to the entropy
     gradient reproduces the equilibrium-weighted flux form used by the
     kinetic solver exactly.  The state's entropy gradient is taken at most
-    once, on first use of ``entropy_gradient``.
+    once, on first use of ``entropy_gradient``, unless the caller passes it.
+
+    With ``work``, four C-contiguous cell arrays, the object allocates no
+    grid array: ``face_weight`` lives in the first and the methods write
+    into the other three, so each result is valid only until the next call.
+    Without it every array is fresh.  The values are the same bit for bit.
     """
 
     def __init__(self, state: State, grid: PhaseGrid, params: ModelParams,
-                 potential: Potential, variant: Variant):
+                 potential: Potential, variant: Variant, *,
+                 entropy_gradient: CotangentVector | None = None,
+                 work: tuple[np.ndarray, ...] | None = None):
         self.state, self.grid, self.params = state, grid, params
         self.fields = grid_fields(grid, params, potential, variant)
-        u = state.rho / self.fields.rhat
-        self.rho_f = self.fields.rhat_face * log_mean(u[:, :-1], u[:, 1:])
-        self.face_weight = self.fields.dface * self.rho_f    # D rho_f on faces
+        if entropy_gradient is not None:
+            self.entropy_gradient = entropy_gradient
+        self._work = work
+        weight = faces_of(work[0]) if work is not None else np.empty(self.fields.gh_face.shape)
+        u, t, f = self._scratch(3)
+        np.divide(state.rho, self.fields.rhat, out=u)
+        log_mean(u[:, :-1], u[:, 1:], out=weight, work=(faces_of(t), faces_of(f)))
+        weight *= self.fields.rhat_face     # rho_f
+        weight *= self.fields.dface
+        self.face_weight = weight
+
+    def _scratch(self, n: int):
+        """n cell arrays to write into: the last n work arrays, or fresh ones.
+
+        A method's result takes the first, so the last is free after it."""
+        if self._work is None:
+            return [np.empty(self.grid.shape) for _ in range(n)]
+        return self._work[-n:]
 
     @cached_property
     def entropy_gradient(self) -> CotangentVector:
         return gradient_entropy(self.state, self.grid, self.params)
 
     def poisson(self, v: CotangentVector):
-        """L(z)(xi, r) = (div(rho J grad xi), 0) with J the canonical symplectic matrix."""
+        """L(z)(xi, r) = (div(rho J grad xi), 0) with J the canonical symplectic matrix.
+
+        drho = div_p(rho grad_q xi) - div_q(rho grad_p xi)."""
         rho, grid = self.state.rho, self.grid
-        gq = grad_q(grid, v.xi)
-        gp = grad_p(grid, v.xi)
-        drho = div_q(grid, -rho * gp) + div_p(grid, rho * gq)
+        drho, gq, gp = self._scratch(3)
+        grad_q(grid, v.xi, out=gq)
+        grad_p(grid, v.xi, out=gp)
+        div_p(grid, np.multiply(rho, gq, out=gq), out=drho)
+        drho -= div_q(grid, np.multiply(rho, gp, out=gp), out=gq)
         return drho, 0.0
 
-    def dissipative(self, v: CotangentVector):
+    def dissipative(self, v: CotangentVector, *, face_grad: np.ndarray | None = None):
         """M(z)(xi, r): friction-diffusion block of the GENERIC evolution.
 
         Returns (drho, de) with
@@ -249,29 +336,39 @@ class Brackets:
             de   = gamma * sum D grad_p H (r grad_p H - grad_p xi) rho_f * vol
         assembled from one shared face gradient of the cell-sampled H, which
         feeds every occurrence of grad_p H, so that symmetry and the
-        degeneracy M dE = 0 are exact.
+        degeneracy M dE = 0 are exact.  ``face_grad`` is face_grad_p of xi
+        when the caller has it.
         """
-        gh, gamma = self.fields.gh_face, self.params.gamma
-        combo = self.face_weight * (v.r * gh - face_grad_p(self.grid, v.xi))
-        drho = gamma * face_div_p(self.grid, combo)
-        de = gamma * float(np.sum(gh * combo)) * self.grid.cell_volume
+        gh, gamma, grid = self.fields.gh_face, self.params.gamma, self.grid
+        drho, combo, prod = self._scratch(3)
+        combo, prod = faces_of(combo), faces_of(prod)
+        if face_grad is None:
+            face_grad = face_grad_p(grid, v.xi, out=prod)
+        np.multiply(gh, v.r, out=combo)
+        combo -= face_grad
+        combo *= self.face_weight
+        face_div_p(grid, combo, out=drho)
+        drho *= gamma
+        de = gamma * float(np.sum(np.multiply(gh, combo, out=prod))) * grid.cell_volume
         return drho, de
 
     def poisson_bracket(self, v1: CotangentVector, v2: CotangentVector) -> float:
         drho, de = self.poisson(v2)
         return inner(self.grid, v1.xi, drho) + v1.r * de
 
-    def dissipative_bracket(self, v1: CotangentVector, v2: CotangentVector) -> float:
-        drho, de = self.dissipative(v2)
+    def dissipative_bracket(self, v1: CotangentVector, v2: CotangentVector, *,
+                            face_grad: np.ndarray | None = None) -> float:
+        drho, de = self.dissipative(v2, face_grad=face_grad)
         return inner(self.grid, v1.xi, drho) + v1.r * de
 
     def degeneracy_residuals(self):
         """(|L dS|_2, |M dE|_2) under the grid norm (e-component included)."""
         grid = self.grid
+        spare = None if self._work is None else self._work[-1]
         l_rho, l_e = self.poisson(self.entropy_gradient)
+        res_l = float(np.sqrt(grid_norm(grid, l_rho, work=spare) ** 2 + l_e**2))
         m_rho, m_e = self.dissipative(CotangentVector(self.fields.h_cells, 1.0))
-        res_l = float(np.sqrt(grid_norm(grid, l_rho) ** 2 + l_e**2))
-        res_m = float(np.sqrt(grid_norm(grid, m_rho) ** 2 + m_e**2))
+        res_m = float(np.sqrt(grid_norm(grid, m_rho, work=spare) ** 2 + m_e**2))
         return res_l, res_m
 
 

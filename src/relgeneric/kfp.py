@@ -43,7 +43,7 @@ import numpy as np
 from . import generic
 from .errors import NonConvergenceError, PositivityError, StabilityError
 from .generic import (DiagnosticsRecord, State, div_p, div_q, face_div_p,
-                      face_grad_p, grad_p, grad_q, inner)
+                      face_grad_p, faces_of, grad_p, grad_q, inner)
 from .grid import PhaseGrid, time_steps
 from .model import (ModelParams, Potential, Variant, check_variant, grid_fields,
                     hamiltonian, maxwellian, mobility_drift,
@@ -86,10 +86,10 @@ class KfpOperator:
 
     H on cells, its face gradient, D on faces and the Boltzmann weight are
     the shared read-only arrays of ``model.grid_fields``.  The operator also
-    owns the workspace its kernels and the time step write into (five cell
-    arrays) and the last dissipative map it built, with its pair map once a
-    merged step needed it, so one operator must not be used by two threads
-    at once.
+    owns the workspace its kernels, the time step and, between steps, the
+    ``RecordPass`` write into (five cell arrays) and the last dissipative
+    map it built, with its pair map once a merged step needed it, so one
+    operator must not be used by two threads at once.
     The public methods return fresh arrays that never alias the workspace.
     """
 
@@ -226,16 +226,10 @@ class KfpOperator:
             self._w_pair = w_pair
         return self._w_pair
 
-    def _faces_of(self, cells: np.ndarray) -> np.ndarray:
-        """A C-contiguous face-shaped view on the start of a workspace array.
-
-        np.sum adds such a view in the same order as a fresh face array."""
-        return cells.reshape(-1)[:self.gh_face.size].reshape(self.gh_face.shape)
-
     def _flux_into(self, rho: np.ndarray) -> np.ndarray:
         """The dissipative face flux of rho, at the start of _work2."""
         u = np.divide(rho, self.rhat, out=self._work)
-        flux = face_grad_p(self.grid, u, out=self._faces_of(self._work2))
+        flux = face_grad_p(self.grid, u, out=faces_of(self._work2))
         flux *= self.diff_face
         return flux
 
@@ -256,7 +250,7 @@ class KfpOperator:
         w_map, length = (self._pair_map(h), 2.0 * h) if pair else (self._map(h), h)
         w = np.matmul(rho, w_map.T, out=self._stage)
         flux = self._flux_into(w)
-        prod = np.multiply(self.gh_face, flux, out=self._faces_of(self._work))
+        prod = np.multiply(self.gh_face, flux, out=faces_of(self._work))
         de = length * float(np.sum(prod)) * self.grid.cell_volume
         if not math.isfinite(de):
             raise StabilityError(f"the dissipative energy exchange is {de!r}; "
@@ -271,7 +265,7 @@ class KfpOperator:
         self._transport_into(rho, drho)     # before the flux, which shares _work2
         flux = self._flux_into(rho)
         drho += face_div_p(self.grid, flux, out=self._work)
-        prod = np.multiply(self.gh_face, flux, out=self._faces_of(self._work))
+        prod = np.multiply(self.gh_face, flux, out=faces_of(self._work))
         return float(np.sum(prod)) * self.grid.cell_volume
 
     def dissipative_flux(self, rho: np.ndarray) -> np.ndarray:
@@ -341,23 +335,93 @@ def excess_energy_rate_quadrature(state: State, grid: PhaseGrid,
     return float(np.sum(state.rho * weight[np.newaxis, :])) * grid.cell_volume
 
 
-def relative_entropy(rho: np.ndarray, rho_inf: np.ndarray, grid: PhaseGrid) -> float:
-    """sum rho log(rho/rho_inf) * cell volume, with 0 log 0 = 0; nonnegative."""
-    for name, dens in (("rho", rho), ("rho_inf", rho_inf)):
-        mass = float(np.sum(dens)) * grid.cell_volume
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(f"{name} must have discrete mass 1, got {mass!r}")
+def _check_mass(name: str, mass: float) -> None:
+    if abs(mass - 1.0) > 1e-6:
+        raise ValueError(f"{name} must have discrete mass 1, got {mass!r}")
+
+
+def _support_gaps(rho_inf: np.ndarray, grid: PhaseGrid):
+    """Check the mass of rho_inf; the mask of cells where it is not positive,
+    or None when it is positive everywhere."""
+    _check_mass("rho_inf", float(np.sum(rho_inf)) * grid.cell_volume)
+    gaps = ~(rho_inf > 0.0)
+    return gaps if gaps.any() else None
+
+
+def _relative_entropy(rho: np.ndarray, rho_inf: np.ndarray, gaps, grid: PhaseGrid, *,
+                      work: np.ndarray | None = None) -> float:
+    """relative_entropy after the mass checks, with ``gaps`` from _support_gaps;
+    its terms go into ``work`` when given."""
     pos = rho > 0.0
-    if np.any(pos & ~(rho_inf > 0.0)):
+    if gaps is not None and np.any(pos & gaps):
         raise ValueError("rho_inf must be positive wherever rho is")
-    ratio = np.ones_like(rho)
-    np.divide(rho, rho_inf, out=ratio, where=pos)
-    contrib = np.where(pos, rho * np.log(ratio), 0.0)
+    # rho log(rho / rho_inf) where rho > 0, and 0 elsewhere
+    contrib = np.divide(rho, rho_inf, out=work, where=pos)
+    np.log(contrib, out=contrib, where=pos)
+    np.multiply(rho, contrib, out=contrib, where=pos)
+    np.copyto(contrib, 0.0, where=np.logical_not(pos, out=pos))
     return float(np.sum(contrib)) * grid.cell_volume
 
 
-def l1_distance(rho_a: np.ndarray, rho_b: np.ndarray, grid: PhaseGrid) -> float:
-    return float(np.sum(np.abs(rho_a - rho_b))) * grid.cell_volume
+def relative_entropy(rho: np.ndarray, rho_inf: np.ndarray, grid: PhaseGrid) -> float:
+    """sum rho log(rho/rho_inf) * cell volume, with 0 log 0 = 0; nonnegative."""
+    _check_mass("rho", float(np.sum(rho)) * grid.cell_volume)
+    return _relative_entropy(rho, rho_inf, _support_gaps(rho_inf, grid), grid)
+
+
+def l1_distance(rho_a: np.ndarray, rho_b: np.ndarray, grid: PhaseGrid, *,
+                work: np.ndarray | None = None) -> float:
+    diff = np.subtract(rho_a, rho_b, out=work)
+    return float(np.sum(np.abs(diff, out=diff))) * grid.cell_volume
+
+
+class RecordPass:
+    """The diagnostics record of a kinetic state, in one pass over preallocated arrays.
+
+    Built once per run for an operator and the equilibrium rho_inf, whose
+    mass and positivity it checks once.  Called on (state, t) it returns the
+    DiagnosticsRecord and the aux entry {"l1", "dHrho_dt"}.  Each value comes
+    from the public function that defines it (``KfpOperator.rhs``'s kernel,
+    ``generic``'s functionals and ``Brackets.degeneracy_residuals``,
+    ``relative_entropy``, ``l1_distance``), called with buffers, so it is
+    the same bit for bit; one ``log_density`` feeds both S and dS, and one
+    sum of rho both the mass and the relative entropy's mass check.  It
+    writes only into the operator's five workspace arrays, which are free
+    between ``step_kfp`` calls.
+    """
+
+    def __init__(self, op: KfpOperator, rho_inf: np.ndarray):
+        self.op, self.rho_inf = op, rho_inf
+        self.gaps = _support_gaps(rho_inf, op.grid)
+
+    def __call__(self, state: State, t: float):
+        op, rho = self.op, state.rho
+        grid, params, potential = op.grid, op.params, op.potential
+        drho, log_rho, work = op._mid, op._stage, op._slope
+        de = op._rhs_into(rho, drho)        # touches _work and _work2
+        generic.log_density(rho, out=log_rho)
+        entropy = generic.entropy_functional(state, grid, params, log_rho=log_rho, work=work)
+        v_s = generic.gradient_entropy(state, grid, params, log_rho=log_rho, out=log_rho)
+        dsdt = inner(grid, v_s.xi, drho, work=work) + v_s.r * de
+        brackets = generic.Brackets(state, grid, params, potential, op.variant,
+                                    entropy_gradient=v_s,
+                                    work=(drho, work, op._work, op._work2))
+        deg_l, deg_m = brackets.degeneracy_residuals()
+        mass = float(np.sum(rho)) * grid.cell_volume
+        _check_mass("rho", mass)
+        record = DiagnosticsRecord(
+            t=t,
+            E=generic.energy_functional(state, grid, params, potential, work=work),
+            S=entropy,
+            mass=mass,
+            dSdt=dsdt,
+            degL=deg_l,
+            degM=deg_m,
+            relEnt=_relative_entropy(rho, self.rho_inf, self.gaps, grid, work=work),
+            e=state.e,
+        )
+        return record, {"l1": l1_distance(rho, self.rho_inf, grid, work=work),
+                        "dHrho_dt": -de}
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +535,12 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     one ``step_kfp`` call, so its interior dissipative half steps merge.
     Stops early once the L1 distance to the closed-form Maxwellian falls
     below ``l1_stop``, when given.  ``on_record(state, t, index)`` fires
-    after each diagnostics record.  Without ``cfg.dt`` a run with
-    ``l1_stop`` needs only its end state and steps at the stability bound;
-    any other run steps at the transient step.  A PositivityError adds the
-    time its record interval started from.
+    after each diagnostics record.  Each record is one ``RecordPass`` over
+    the operator's workspace, free between step_kfp calls, so a record
+    allocates no grid array.  Without ``cfg.dt`` a run with ``l1_stop``
+    needs only its end state and steps at the stability bound; any other
+    run steps at the transient step.  A PositivityError or StabilityError
+    from a step adds the time its record interval started from.
     """
     grid, params, potential, variant = cfg.grid, cfg.params, cfg.potential, cfg.variant
     op = KfpOperator(grid, params, potential, variant)
@@ -487,30 +553,18 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
         dt = op.stable_dt() if l1_stop is not None else op.transient_dt()
 
     e0_total = generic.energy_functional(state, grid, params, potential)
+    record_pass = RecordPass(op, rho_inf)
     records: list[DiagnosticsRecord] = []
     aux: list[dict] = []
 
     def record(st: State):
         """Append the diagnostics of st; returns its L1 distance."""
-        drho, de = op.rhs(st)
-        brackets = generic.Brackets(st, grid, params, potential, variant)
-        v_s = brackets.entropy_gradient
-        deg_l, deg_m = brackets.degeneracy_residuals()
-        records.append(DiagnosticsRecord(
-            t=t_now,
-            E=generic.energy_functional(st, grid, params, potential),
-            S=generic.entropy_functional(st, grid, params),
-            mass=float(np.sum(st.rho)) * grid.cell_volume,
-            dSdt=inner(grid, v_s.xi, drho) + v_s.r * de,
-            degL=deg_l,
-            degM=deg_m,
-            relEnt=relative_entropy(st.rho, rho_inf, grid),
-            e=st.e,
-        ))
-        aux.append({"l1": l1_distance(st.rho, rho_inf, grid), "dHrho_dt": -de})
+        rec, extra = record_pass(st, t_now)
+        records.append(rec)
+        aux.append(extra)
         if on_record is not None:
             on_record(st, t_now, len(records) - 1)
-        return aux[-1]["l1"]
+        return extra["l1"]
 
     t_now = 0.0
     l1 = record(state)
@@ -521,9 +575,9 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
         steps = min(cfg.record_every, n_steps - done)
         try:
             state = step_kfp(state, op, step_dt, steps=steps)
-        except PositivityError as exc:
+        except (PositivityError, StabilityError) as exc:
             msg = f"{exc}, in the record interval from t = {t_now!r}"
-            raise PositivityError(msg) from None
+            raise type(exc)(msg) from None
         done += steps
         t_now = cfg.t_final if done == n_steps else done * step_dt
         l1 = record(state)

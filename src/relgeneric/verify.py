@@ -157,8 +157,8 @@ def operator_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
     for k in range(opts.psd_samples):
         br = brackets[k % len(states)][variants[k % 2]]
         v = random_cotangent(rng, grid)
-        quad = br.dissipative_bracket(v, v)
         gxi = G.face_grad_p(grid, v.xi)
+        quad = br.dissipative_bracket(v, v, face_grad=gxi)
         scale = params.gamma * float(np.sum(
             br.face_weight * (np.abs(gxi) + abs(v.r) * np.abs(br.fields.gh_face)) ** 2)) \
             * grid.cell_volume + 1e-300

@@ -72,7 +72,7 @@ def _log_mean_both_branches(a, b):
     return out
 
 
-def test_log_mean_bitwise_equal_to_both_branch_form():
+def _log_mean_cases():
     rng = np.random.default_rng(5)
     # f = (a - b) / (a + b) on both sides of the branch switch f^2 = 1e-4,
     # near it, at f = 0 and far from it; then zero, negative and huge arguments
@@ -86,13 +86,26 @@ def test_log_mean_bitwise_equal_to_both_branch_form():
     f2 = ((a[14:] - b[14:]) / (a[14:] + b[14:])) ** 2
     assert np.count_nonzero(abs(f2 - 1e-4) < 3e-7) >= 20 and np.any(f2 < 1e-4) \
         and np.any(f2 >= 1e-4)
-    cases = [(a, b), (b, a), (a[:, None], b[None, :60]), (a[:7, None, None], b[None, :5, None]),
-             (np.float64(3.0), b), (2.0, 2.0 * (1 + 1e-3)), (0.0, 1.0)]
-    for x, y in cases:
+    return [(a, b), (b, a), (a[:, None], b[None, :60]), (a[:7, None, None], b[None, :5, None]),
+            (np.float64(3.0), b), (2.0, 2.0 * (1 + 1e-3)), (0.0, 1.0)]
+
+
+def test_log_mean_bitwise_equal_to_both_branch_form():
+    for x, y in _log_mean_cases():
         with np.errstate(invalid="ignore"):
             new, old = G.log_mean(x, y), _log_mean_both_branches(x, y)
         assert new.shape == old.shape == np.broadcast(x, y).shape
         assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+def test_log_mean_into_buffers_bitwise_equal_to_allocating():
+    # out and work start as garbage (NaN); broadcast inputs included
+    for x, y in _log_mean_cases():
+        shape = np.broadcast(x, y).shape
+        out, t, f = (np.full(shape, np.nan) for _ in range(3))
+        got = G.log_mean(x, y, out=out, work=(t, f))
+        assert got is out
+        assert np.array_equal(out.view(np.uint64), G.log_mean(x, y).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +289,9 @@ def test_dissipative_bracket_quadratic_form_identity(grid, params, potential, st
                            rng.uniform(-1, 1))
     brackets = G.Brackets(state, grid, params, potential, variant)
     bracket = brackets.dissipative_bracket(v1, v2)
-    gh, dface, rho_f = brackets.fields.gh_face, brackets.fields.dface, brackets.rho_f
+    fields = brackets.fields
+    gh, dface, u = fields.gh_face, fields.dface, state.rho / fields.rhat
+    rho_f = fields.rhat_face * G.log_mean(u[:, :-1], u[:, 1:])
     g1 = G.face_grad_p(grid, v1.xi) - v1.r * gh
     g2 = G.face_grad_p(grid, v2.xi) - v2.r * gh
     direct = params.gamma * float(np.sum(dface * rho_f * g1 * g2)) * grid.cell_volume

@@ -321,6 +321,70 @@ def test_integrate_records_match_public_functions(variant):
         assert abs(st.e - ref.e) <= 1e-13 * abs(rec.E)
 
 
+def _record_shape_cfg(t_steps):
+    """The kfp_conserve physics on the 128x128 grid of the record-bound
+    benchmark (DH, harmonic trap), a record after every step, t_steps steps."""
+    cfg = load_config(CONFIGS / "kfp_conserve.cfg", "kfp")
+    grid = dataclasses.replace(cfg.phase_grid, Nq=128, Np=128)
+    op = K.KfpOperator(grid, cfg.params, cfg.potential, cfg.variant)
+    kcfg = K.KfpConfig(grid=grid, params=cfg.params, potential=cfg.potential,
+                       variant=cfg.variant, dt=None,
+                       t_final=(t_steps - 0.5) * op.transient_dt(), record_every=1,
+                       init=cfg.init)
+    return kcfg, op
+
+
+def test_record_pass_bitwise_equal_to_public_functions_at_record_shape():
+    # every record and aux value of a run at the record-bound shape has the
+    # bits of its recomputation from the public functions
+    cfg, op = _record_shape_cfg(4)
+    grid, params, pot, variant = cfg.grid, cfg.params, cfg.potential, cfg.variant
+    seen = []
+    res = K.integrate(cfg, on_record=lambda st, t, index: seen.append((st, t)))
+    rho_inf, _ = maxwellian(grid, params, pot)
+    assert len(seen) == len(res.records) == 5
+    for rec, extra, (st, t) in zip(res.records, res.aux, seen):
+        drho, de = op.rhs(st)
+        v_s = G.gradient_entropy(st, grid, params)
+        deg_l, deg_m = G.Brackets(st, grid, params, pot, variant).degeneracy_residuals()
+        ref = G.DiagnosticsRecord(
+            t=t, E=G.energy_functional(st, grid, params, pot),
+            S=G.entropy_functional(st, grid, params),
+            mass=float(np.sum(st.rho)) * grid.cell_volume,
+            dSdt=G.inner(grid, v_s.xi, drho) + v_s.r * de, degL=deg_l, degM=deg_m,
+            relEnt=K.relative_entropy(st.rho, rho_inf, grid), e=st.e)
+        assert np.array_equal(_bits(dataclasses.astuple(rec)), _bits(dataclasses.astuple(ref)))
+        assert list(extra) == ["l1", "dHrho_dt"]
+        assert np.array_equal(_bits(list(extra.values())),
+                              _bits([K.l1_distance(st.rho, rho_inf, grid), -de]))
+
+
+def test_record_pass_allocates_no_grid_array():
+    # one record at the record-bound shape runs in the operator's workspace.
+    # numpy's own ufunc buffers (up to three operands of np.getbufsize()
+    # doubles, 192 KiB by default) do not scale with the grid; with them
+    # shrunk, the rest of the pass stays under half a grid array, so a single
+    # full-grid temporary fails here
+    cfg, op = _record_shape_cfg(1)
+    rho_inf, _ = maxwellian(cfg.grid, cfg.params, cfg.potential)
+    state = K.step_kfp(K.make_initial_state(cfg.init, cfg.grid, cfg.params, cfg.potential),
+                       op, op.transient_dt())
+    record_pass = K.RecordPass(op, rho_inf)
+    first = record_pass(state, 0.0)
+    grid_bytes = state.rho.nbytes
+    for bufsize, budget in ((np.getbufsize(), 2 * grid_bytes), (1024, grid_bytes // 2)):
+        old = np.setbufsize(bufsize)
+        tracemalloc.start()
+        try:
+            again = record_pass(state, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(old)
+        assert peak < budget
+        assert again == first
+
+
 # The allocating calculus, right-hand side and split step the workspace
 # kernels replaced, kept as the reference they must match bit for bit.
 
@@ -432,6 +496,18 @@ def test_calculus_bitwise_equal_to_allocating_reference():
                 assert np.array_equal(_bits(fn(grid, x, out=out)), _bits(expected))
 
 
+@pytest.mark.parametrize("variant", [Variant.DH, Variant.DMR, Variant.CLASSICAL])
+def test_rhs_bitwise_equal_to_allocating_reference(variant, rng):
+    # the kernel the record pass shares with rhs, which the integrate test
+    # below can no longer swap for the reference
+    cfg, op = _variant_cfg(variant, record_every=1, steps=1)
+    for _ in range(3):
+        state = make_state(rng, cfg.grid, cfg.params, cfg.potential, e=0.3)
+        drho, de = op.rhs(state)
+        ref_drho, ref_de = _ref_rhs(op, state)
+        assert np.array_equal(_bits(drho), _bits(ref_drho)) and _bits(de) == _bits(ref_de)
+
+
 @pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("variant", [Variant.DH, Variant.DMR, Variant.CLASSICAL])
 def test_integrate_bitwise_equal_to_allocating_reference(variant, record_every,
@@ -539,6 +615,31 @@ def test_positivity_error_names_cell_update_and_time(tmp_path, capsys):
                      r"\(q \d+, p \d+\) after dissipative update \d+ of \d+ of a "
                      r"\d+-step call, in the record interval from t = \d",
                      capsys.readouterr().err)
+
+
+def test_stability_error_names_record_interval(monkeypatch):
+    # a non-finite energy exchange planted after the second record ends the
+    # next step in a StabilityError that names the interval's start time
+    ops, times = [], []
+    init = K.KfpOperator.__init__
+
+    def capture(self, *args):
+        init(self, *args)
+        ops.append(self)
+
+    def plant(st, t, index):
+        times.append(t)
+        if index == 1:
+            ops[0].gh_face = np.full_like(ops[0].gh_face, np.inf)
+
+    monkeypatch.setattr(K.KfpOperator, "__init__", capture)
+    cfg = small_cfg(record_every=1)
+    with np.errstate(all="ignore"), pytest.raises(StabilityError) as raised:
+        K.integrate(cfg, on_record=plant)
+    assert len(ops) == 1 and len(times) == 2 and times[1] > 0.0
+    assert re.fullmatch(r"the dissipative energy exchange is (nan|-?inf); check gamma, "
+                        r"theta and the grid, in the record interval from t = "
+                        + re.escape(repr(times[1])), str(raised.value))
 
 
 # ---------------------------------------------------------------------------

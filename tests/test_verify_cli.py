@@ -70,11 +70,29 @@ def test_operator_checks_take_one_face_density_per_state_and_variant(verify_cfg,
     # many cotangent vectors the checks apply it to
     calls = []
     log_mean = G.log_mean
-    monkeypatch.setattr(G, "log_mean", lambda a, b: calls.append(1) or log_mean(a, b))
+    monkeypatch.setattr(G, "log_mean",
+                        lambda *args, **kw: calls.append(1) or log_mean(*args, **kw))
     results = operator_checks(SplitMix64(1), verify_cfg.phase_grid, verify_cfg.params,
                               verify_cfg.potential, quick_opts())
     assert all(r.passed for r in results)
     assert 0 < len(calls) <= 10
+
+
+def test_positivity_samples_take_one_face_gradient_each(verify_cfg, monkeypatch):
+    # the positivity loop reuses the face gradient of each sampled covector
+    # for its scale: 50 more samples cost 50 more face gradients, not 100
+    calls = []
+    face_grad_p = G.face_grad_p
+    monkeypatch.setattr(G, "face_grad_p",
+                        lambda *args, **kw: calls.append(1) or face_grad_p(*args, **kw))
+    counts = []
+    for samples in (50, 100):
+        calls.clear()
+        results = operator_checks(SplitMix64(1), verify_cfg.phase_grid, verify_cfg.params,
+                                  verify_cfg.potential, replace(quick_opts(), psd_samples=samples))
+        assert all(r.passed for r in results)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 50
 
 
 def test_bracket_checks_pass_on_nearly_cancelling_pair(verify_cfg):
