@@ -17,7 +17,7 @@ import numpy as np
 
 from . import heat as HT
 from . import kfp as KF
-from .config import EXPERIMENTS, ConfigError, RunConfig, load_config
+from .config import EXPERIMENTS, ConfigError, RunConfig, load_config, parse_value
 from .errors import NonConvergenceError, PositivityError, StabilityError
 from .generic import DiagnosticsRecord
 from .io import dump_density, write_timeseries_csv
@@ -125,12 +125,15 @@ def _kfp_dump_hook(cfg: RunConfig, out: Path):
     return lambda state, t, index: dump(state.rho, t, index)
 
 
-def _run_kfp(cfg: RunConfig, out: Path) -> int:
-    kcfg = KF.KfpConfig(grid=cfg.phase_grid, params=cfg.params,
+def _kfp_config(cfg: RunConfig) -> KF.KfpConfig:
+    return KF.KfpConfig(grid=cfg.phase_grid, params=cfg.params,
                         potential=cfg.potential, variant=cfg.variant,
                         dt=cfg.dt, t_final=cfg.t_final,
                         record_every=cfg.record_every, init=cfg.init)
-    res = KF.integrate(kcfg, on_record=_kfp_dump_hook(cfg, out))
+
+
+def _run_kfp(cfg: RunConfig, out: Path) -> int:
+    res = KF.integrate(_kfp_config(cfg), on_record=_kfp_dump_hook(cfg, out))
     _dump_kfp(cfg, res, out)
     print(f"kfp run ({cfg.variant.value}) finished at t={res.t_end:g} "
           f"({len(res.records)} records) -> {out}")
@@ -138,11 +141,7 @@ def _run_kfp(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_stationary(cfg: RunConfig, out: Path) -> int:
-    kcfg = KF.KfpConfig(grid=cfg.phase_grid, params=cfg.params,
-                        potential=cfg.potential, variant=cfg.variant,
-                        dt=cfg.dt, t_final=cfg.t_final,
-                        record_every=cfg.record_every, init=cfg.init)
-    res = KF.run_to_stationarity(kcfg, l1_target=cfg.l1_target,
+    res = KF.run_to_stationarity(_kfp_config(cfg), l1_target=cfg.l1_target,
                                  on_record=_kfp_dump_hook(cfg, out))
     _dump_kfp(cfg, res, out)
     print(f"stationary run ({cfg.variant.value}) ended at t={res.t_end:g}, "
@@ -186,16 +185,14 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        p.add_argument("--seed", default=None,
+                       help="override the config seed, an integer in [0, 2**64)")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config, args.experiment)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            cfg.seed = args.seed
+            cfg.seed = parse_value("seed", args.seed, "--seed")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

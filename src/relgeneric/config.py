@@ -1,15 +1,19 @@
 """Strict flat-key configuration parsing.
 
 Documents are plain text, one ``section.key = value`` per line, ``#`` starts
-a comment.  Unknown keys, duplicate keys, type mismatches, and physics
-constraint violations are all hard errors naming the offending key, so a
-typo can never silently change an experiment.
+a comment.  Unknown keys, duplicate keys, empty values, type mismatches, and
+physics constraint violations are all hard errors naming the offending key,
+so a typo can never silently change an experiment.
+
+Each key is declared once, in ``KEYS``: its parser, default, range rule and
+the runs that take it.  Only the rules that tie keys together are code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from .grid import LineGrid, PhaseGrid
 from .kfp import InitSpec
@@ -28,37 +32,191 @@ class ConfigError(Exception):
 
 @dataclass
 class VerifyOptions:
-    bracket_pairs: int = 200
-    psd_samples: int = 10000
-    fd_samples: int = 10000
-    gradient_checks: int = 10
-    assembly_states: int = 20
-    refinement: bool = True
-    jacobi: bool = True
+    bracket_pairs: int
+    psd_samples: int
+    fd_samples: int
+    gradient_checks: int
+    assembly_states: int
+    refinement: bool
+    jacobi: bool
 
 
 @dataclass
 class RunConfig:
+    """One run's settings; ``parse_config`` fills every field, from ``KEYS``."""
     experiment: str
-    seed: int = 1
-    out_dir: str = "out"
-    dump_every: int = 0
-    params: ModelParams = field(default_factory=ModelParams)
-    variant: Variant = Variant.DH
-    potential: Potential = field(default_factory=ZeroPotential)
-    heat_grid: LineGrid | None = None
-    phase_grid: PhaseGrid | None = None
-    dt: float | None = None          # None: the experiment's auto step
-    t_final: float = 1.0
-    record_every: int = 10
-    init: InitSpec = field(default_factory=InitSpec)
-    heat_init_kind: str = "gaussian"
-    heat_sigma: float | None = None
-    heat_width: float | None = None
-    l1_target: float = 1e-3
-    limit_kind: str = "heat"
-    limit_cs: tuple = (10.0, 100.0, 1000.0)
-    verify: VerifyOptions = field(default_factory=VerifyOptions)
+    seed: int
+    out_dir: str
+    dump_every: int
+    params: ModelParams
+    variant: Variant
+    potential: Potential
+    heat_grid: LineGrid | None
+    phase_grid: PhaseGrid | None
+    dt: float | None                 # None: the experiment's auto step
+    t_final: float
+    record_every: int
+    init: InitSpec
+    heat_init_kind: str
+    heat_sigma: float | None
+    heat_width: float | None
+    l1_target: float
+    limit_kind: str
+    limit_cs: tuple
+    verify: VerifyOptions
+
+
+# --- value parsers: text -> value, or ValueError saying what was expected
+
+def _number(text, inf_ok=False):
+    """A finite number; ``inf_ok`` also takes inf (classical ``model.c``)."""
+    if text.lower() in ("inf", "infinite"):
+        number = INFINITE
+    else:
+        try:
+            number = float(text)
+        except ValueError:
+            raise ValueError(f"expected a number, got {text!r}") from None
+    if math.isnan(number) or (math.isinf(number) and not inf_ok):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return number
+
+
+def _integer(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _boolean(text):
+    if text.lower() in ("true", "yes", "1", "false", "no", "0"):
+        return text.lower() in ("true", "yes", "1")
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _choice(*options, cast=str):
+    def parse(text):
+        if text not in options:
+            raise ValueError(f"expected one of {options}, got {text!r}")
+        return cast(text)
+    return parse
+
+
+def _auto(text):
+    """``auto`` (None: sized or stepped by the run) or a finite number."""
+    return None if text == "auto" else _number(text)
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+
+
+class Key(NamedTuple):
+    """One config key.  ``rule`` is (predicate, message when it fails), and
+    ``field`` the ``RunConfig`` field it sets (``params.m``: ``params``' field
+    ``m``).  A run takes the key when its experiment, its solver (``heat`` or
+    ``kfp``) and its ``potential.kind`` match; ``None`` matches any."""
+    name: str
+    parse: Callable[[str], object]
+    default: object = None
+    rule: tuple | None = None
+    field: str | None = None
+    experiments: tuple = EXPERIMENTS
+    solver: str | None = None
+    potential: str | None = None
+
+    def read(self, text: str, where: str):
+        """The value ``text`` gives this key; errors begin with ``where``."""
+        if not text:
+            raise ConfigError(f"{where}: empty value")
+        try:
+            value = self.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if self.rule and not self.rule[0](value):
+            raise ConfigError(f"{where}: {self.rule[1]}")
+        return value
+
+
+_STEPPED = ("heat", "kfp", "stationary", "limit-study")  # runs that take solver.*
+
+KEYS = (
+    Key("experiment", str),
+    Key("seed", _integer, 1, (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"), field="seed"),
+    Key("output.dir", str, "out", field="out_dir"),
+    Key("output.dump_every", _integer, 0, _NONNEGATIVE, field="dump_every"),
+    Key("model.m", _number, 1.0, _POSITIVE, field="params.m"),
+    Key("model.c", lambda text: _number(text, inf_ok=True), 1.0,
+        (lambda v: v > 0, "must be > 0 (use 'inf' for classical mode)"), field="params.c"),
+    Key("model.gamma", _number, 1.0, _POSITIVE, field="params.gamma"),
+    Key("model.theta", _number, 1.0, _POSITIVE, field="params.theta"),
+    Key("model.nu", _number, 1.0, _POSITIVE, field="params.nu"),
+    Key("model.d", _integer, 1, (lambda v: v == 1, "solvers support d = 1 only"),
+        field="params.d"),
+    Key("model.variant", _choice("dh", "dmr", "classical", cast=Variant), Variant.DH,
+        field="variant"),
+    Key("potential.kind", _choice("zero", "harmonic", "cosine"), "zero"),
+    Key("potential.stiffness", _number, 1.0, _NONNEGATIVE, potential="harmonic"),
+    Key("potential.amplitude", _number, 1.0, _NONNEGATIVE, potential="cosine"),
+    Key("potential.period", _number, None, _POSITIVE, potential="cosine"),  # None: Lq
+    Key("limit.kind", _choice("heat", "kfp"), "heat", field="limit_kind",
+        experiments=("limit-study",)),
+    Key("limit.c_values", lambda text: tuple(_number(v.strip()) for v in text.split(",")),
+        (10.0, 100.0, 1000.0),
+        (lambda cs: len(cs) >= 2 and cs[0] > 0 and all(a < b for a, b in zip(cs, cs[1:])),
+         "need at least two finite positive values in strictly increasing order"),
+        field="limit_cs", experiments=("limit-study",)),
+    Key("grid.n", _integer, 256, solver="heat"),
+    Key("grid.length", _number, 2.0, solver="heat"),
+    Key("grid.nq", _integer, 64, solver="kfp"),
+    Key("grid.np", _integer, 64, solver="kfp"),
+    Key("grid.lq", _auto, solver="kfp"),
+    Key("grid.pmax", _auto, solver="kfp"),
+    Key("solver.dt", _auto, None, (lambda v: v is None or v > 0, "must be > 0 or 'auto'"),
+        field="dt", experiments=_STEPPED),
+    Key("solver.t_final", _number, 1.0, _POSITIVE, field="t_final", experiments=_STEPPED),
+    Key("solver.record_every", _integer, 10, _AT_LEAST_1, field="record_every",
+        experiments=_STEPPED),
+    Key("init.kind", _choice("uniform", "gaussian", "bump"), "gaussian",
+        field="heat_init_kind", experiments=_STEPPED, solver="heat"),
+    Key("init.sigma", _number, None, _POSITIVE, field="heat_sigma", solver="heat"),
+    Key("init.width", _number, None, _POSITIVE, field="heat_width", solver="heat"),
+    *(Key(f"init.{name}", parse, default, field=f"init.{name}", experiments=_STEPPED,
+          solver="kfp")
+      for name, parse, default in (
+          ("kind", _choice("shifted-maxwellian", "gaussian", "uniform"), "shifted-maxwellian"),
+          ("p0", _number, 0.0), ("q0", _number, 0.0),
+          ("sigma_q", _number, 1.0), ("sigma_p", _number, 1.0))),
+    Key("stationary.l1_target", _number, 1e-3, _POSITIVE, field="l1_target",
+        experiments=("stationary",)),
+    *(Key(f"verify.{name}", _integer, default, _AT_LEAST_1, field=f"verify.{name}",
+          experiments=("verify",))
+      for name, default in (("bracket_pairs", 200), ("psd_samples", 10000),
+                            ("fd_samples", 10000), ("gradient_checks", 10),
+                            ("assembly_states", 20))),
+    *(Key(f"verify.{name}", _boolean, True, field=f"verify.{name}",
+          experiments=("verify",)) for name in ("refinement", "jacobi")),
+)
+
+
+def _scope(key: Key, experiment: str, values: dict) -> str | None:
+    """Why this run does not take ``key``, or None when it does; ``values``
+    holds the keys read so far (``limit.kind`` and ``potential.kind`` first)."""
+    if experiment not in key.experiments:
+        return f"not valid for experiment '{experiment}'"
+    solver = "heat" if values.get("limit.kind", experiment) == "heat" else "kfp"
+    if key.solver not in (None, solver):
+        return f"only valid for the {'heat' if key.solver == 'heat' else 'kinetic'} solver"
+    if key.potential not in (None, values.get("potential.kind")):
+        return f"only valid for potential.kind = {key.potential}"
+    return None
+
+
+def parse_value(name: str, text: str, where: str):
+    """The value ``text`` gives key ``name`` by its ``KEYS`` entry."""
+    return next(key for key in KEYS if key.name == name).read(text, where)
 
 
 def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
@@ -78,67 +236,6 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
     return entries
 
 
-def _want_float(key, lineno, value):
-    """A finite number; only ``model.c`` also takes inf (classical mode)."""
-    if value.lower() in ("inf", "infinite"):
-        number = INFINITE
-    else:
-        try:
-            number = float(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: key '{key}': expected a number, "
-                              f"got {value!r}") from None
-    if math.isnan(number) or (math.isinf(number) and key != "model.c"):
-        raise ConfigError(f"line {lineno}: key '{key}': expected a finite number, got {value!r}")
-    return number
-
-
-def _want_int(key, lineno, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: key '{key}': expected an integer, got {value!r}") from None
-
-
-def _want_bool(key, lineno, value):
-    if value.lower() in ("true", "yes", "1"):
-        return True
-    if value.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"line {lineno}: key '{key}': expected true/false, got {value!r}")
-
-
-def _want_choice(key, lineno, value, choices):
-    if value not in choices:
-        raise ConfigError(f"line {lineno}: key '{key}': expected one of {choices}, got {value!r}")
-    return value
-
-
-_COMMON_KEYS = {
-    "experiment", "seed", "output.dir", "output.dump_every",
-    "model.m", "model.c", "model.gamma", "model.theta", "model.nu", "model.d",
-    "model.variant",
-    "potential.kind", "potential.stiffness", "potential.amplitude", "potential.period",
-}
-_HEAT_KEYS = {"grid.n", "grid.length", "solver.dt", "solver.t_final",
-              "solver.record_every", "init.kind", "init.sigma", "init.width"}
-_KFP_KEYS = {"grid.nq", "grid.np", "grid.lq", "grid.pmax", "solver.dt",
-             "solver.t_final", "solver.record_every", "init.kind", "init.p0",
-             "init.q0", "init.sigma_q", "init.sigma_p"}
-_ALLOWED = {
-    "heat": _COMMON_KEYS | _HEAT_KEYS,
-    "kfp": _COMMON_KEYS | _KFP_KEYS,
-    "stationary": _COMMON_KEYS | _KFP_KEYS | {"stationary.l1_target"},
-    "verify": _COMMON_KEYS | {"grid.nq", "grid.np", "grid.lq", "grid.pmax",
-                              "verify.bracket_pairs", "verify.psd_samples",
-                              "verify.fd_samples", "verify.gradient_checks",
-                              "verify.assembly_states", "verify.refinement",
-                              "verify.jacobi"},
-    "limit-study": _COMMON_KEYS | _HEAT_KEYS | _KFP_KEYS
-                   | {"limit.kind", "limit.c_values"},
-}
-
-
 def tail_exponent_momentum(params: ModelParams) -> float:
     """Smallest Pmax whose Boltzmann tail weight is safely below the cutoff."""
     a = params.theta * _TAIL_EXPONENT
@@ -151,275 +248,86 @@ def tail_exponent_momentum(params: ModelParams) -> float:
     return math.sqrt(2.0 * x) * math.sqrt(mc + 0.5 * x)
 
 
-def _auto_lq(params: ModelParams, potential: Potential) -> float:
-    if isinstance(potential, HarmonicPotential) and potential.stiffness > 0:
-        a = params.theta * _TAIL_EXPONENT
-        return 2.0 * math.sqrt(2.0 * a / potential.stiffness) * 1.01
-    return 4.0 * math.pi
-
-
 def parse_config(text: str, experiment: str) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{experiment}'")
     entries = _parse_lines(text)
-    allowed = _ALLOWED[experiment]
-    for key, (lineno, _) in entries.items():
-        if key not in allowed:
-            raise ConfigError(
-                f"line {lineno}: unknown key '{key}' for experiment '{experiment}'")
+    values = {}             # each key this run takes
+    fields = {}             # each Key.field: fields[""]["seed"], fields["params"]["m"]
+    for key in KEYS:
+        value = key.default
+        if _scope(key, experiment, values) is None:
+            if key.name in entries:
+                lineno, given = entries[key.name]
+                value = key.read(given, f"line {lineno}: key '{key.name}'")
+            values[key.name] = value
+        if key.field:
+            head, _, attr = key.field.rpartition(".")
+            fields.setdefault(head, {})[attr] = value
+    for name, (lineno, _) in entries.items():
+        if name not in values:
+            why = [_scope(key, experiment, values) for key in KEYS if key.name == name]
+            raise ConfigError(f"line {lineno}: " + (f"key '{name}' is {why[0]}" if why else
+                              f"unknown key '{name}' for experiment '{experiment}'"))
 
-    def take(key, default=None):
-        return entries.pop(key, (0, default))
-
-    def has(key):
-        return key in entries
-
-    # experiment tag (optional in the file, must agree with the subcommand)
-    lineno, value = take("experiment")
-    if value is not None and value != experiment:
-        raise ConfigError(f"line {lineno}: key 'experiment': file says {value!r} "
-                          f"but the command line selected '{experiment}'")
-
-    cfg = RunConfig(experiment=experiment)
-
-    lineno, value = take("seed")
-    if value is not None:
-        cfg.seed = _want_int("seed", lineno, value)
-        if cfg.seed < 0:
-            raise ConfigError(f"line {lineno}: key 'seed': must be >= 0")
-    lineno, value = take("output.dir")
-    if value is not None:
-        cfg.out_dir = value
-    lineno, value = take("output.dump_every")
-    if value is not None:
-        cfg.dump_every = _want_int("output.dump_every", lineno, value)
-        if cfg.dump_every < 0:
-            raise ConfigError(f"line {lineno}: key 'output.dump_every': must be >= 0")
-
-    # --- model block
-    model_values = {}
-    for name in ("m", "c", "gamma", "theta", "nu"):
-        lineno, value = take(f"model.{name}")
-        if value is not None:
-            v = _want_float(f"model.{name}", lineno, value)
-            if not v > 0:
-                hint = " (use 'inf' for classical mode)" if name == "c" else ""
-                raise ConfigError(f"line {lineno}: key 'model.{name}': must be > 0{hint}")
-            model_values[name] = v
-    lineno, value = take("model.d")
-    if value is not None:
-        dval = _want_int("model.d", lineno, value)
-        if dval != 1:
-            raise ConfigError(f"line {lineno}: key 'model.d': solvers support d = 1 only")
-        model_values["d"] = dval
-    cfg.params = ModelParams(**model_values)
-
-    lineno, value = take("model.variant")
-    if value is not None:
-        _want_choice("model.variant", lineno, value, ("dh", "dmr", "classical"))
-        cfg.variant = Variant(value)
+    # --- rules that tie keys together
+    if values["experiment"] not in (None, experiment):
+        raise ConfigError(f"line {entries['experiment'][0]}: key 'experiment': file says "
+                          f"{values['experiment']!r} but the command line selected '{experiment}'")
+    run, params, init = fields[""], ModelParams(**fields["params"]), InitSpec(**fields["init"])
     if experiment in ("kfp", "stationary"):
         try:
-            check_variant(cfg.variant, cfg.params)
+            check_variant(run["variant"], params)
         except ValueError as exc:
             raise ConfigError(f"key 'model.variant': {exc}; set model.c = inf for the "
                               "classical variant or a finite model.c for dh and dmr") from None
+    kind = values["potential.kind"]
+    heat_solver = values.get("limit.kind", experiment) == "heat"
+    if heat_solver and kind != "zero":
+        raise ConfigError("key 'potential.kind': the heat solver carries no external potential")
+    if init.kind == "gaussian" and (init.sigma_q <= 0 or init.sigma_p <= 0):
+        raise ConfigError("key 'init.sigma_q'/'init.sigma_p': must be > 0")
 
-    # --- potential block
-    lineno, value = take("potential.kind", "zero")
-    kind = _want_choice("potential.kind", lineno, value, ("zero", "harmonic", "cosine"))
-    lineno_s, stiffness = take("potential.stiffness")
-    lineno_a, amplitude = take("potential.amplitude")
-    lineno_p, period = take("potential.period")
-    if kind == "zero":
-        for key, v in (("potential.stiffness", stiffness), ("potential.amplitude", amplitude),
-                       ("potential.period", period)):
-            if v is not None:
-                raise ConfigError(f"key '{key}' is only valid for the matching potential.kind")
-        cfg.potential = ZeroPotential()
-    elif kind == "harmonic":
-        if amplitude is not None or period is not None:
-            raise ConfigError("keys 'potential.amplitude'/'potential.period' are not "
-                              "valid for potential.kind = harmonic")
-        k = _want_float("potential.stiffness", lineno_s, stiffness or "1.0")
-        if k < 0:
-            raise ConfigError(f"line {lineno_s}: key 'potential.stiffness': must be >= 0")
-        cfg.potential = HarmonicPotential(stiffness=k)
-    else:
-        if stiffness is not None:
-            raise ConfigError("key 'potential.stiffness' is not valid for potential.kind = cosine")
-        a = _want_float("potential.amplitude", lineno_a, amplitude or "1.0")
-        if a < 0:
-            raise ConfigError(f"line {lineno_a}: key 'potential.amplitude': must be >= 0")
-        cfg.potential = ("pending-cosine", a, lineno_p, period)  # resolved once Lq is known
-
-    # --- grids (limit.kind decides which solver a limit study drives)
-    if experiment == "limit-study":
-        lineno, value = take("limit.kind")
-        cfg.limit_kind = _want_choice("limit.kind", lineno, value or "heat", ("heat", "kfp"))
-    need_heat = experiment == "heat" or \
-        (experiment == "limit-study" and cfg.limit_kind == "heat")
-    need_phase = experiment in ("kfp", "stationary", "verify") or \
-        (experiment == "limit-study" and cfg.limit_kind == "kfp")
-    if not need_heat:
-        for key in ("grid.n", "grid.length"):
-            if has(key):
-                raise ConfigError(f"key '{key}' is only valid for the heat solver")
-    if not need_phase:
-        for key in ("grid.nq", "grid.np", "grid.lq", "grid.pmax"):
-            if has(key):
-                raise ConfigError(f"key '{key}' is only valid for the kinetic solver")
-        if kind != "zero":
-            raise ConfigError("key 'potential.kind': the heat solver carries no "
-                              "external potential")
-
-    if need_heat:
-        lineno, value = take("grid.n")
-        n = _want_int("grid.n", lineno, value) if value is not None else 256
-        lineno, value = take("grid.length")
-        length = _want_float("grid.length", lineno, value) if value is not None else 2.0
+    potential, heat_grid, phase_grid = ZeroPotential(), None, None
+    if heat_solver:
         try:
-            cfg.heat_grid = LineGrid(N=n, L=length)
+            heat_grid = LineGrid(N=values["grid.n"], L=values["grid.length"])
         except ValueError as exc:
             raise ConfigError(f"grid.n/grid.length: {exc}") from None
-
-    if need_phase:
-        lineno, value = take("grid.nq")
-        nq = _want_int("grid.nq", lineno, value) if value is not None else 64
-        lineno, value = take("grid.np")
-        npp = _want_int("grid.np", lineno, value) if value is not None else 64
-        lineno, value = take("grid.lq")
-        if value is None or value == "auto":
-            lq = None
-        else:
-            lq = _want_float("grid.lq", lineno, value)
-        lineno, value = take("grid.pmax")
-        if value is None or value == "auto":
-            pmax = tail_exponent_momentum(cfg.params) * 1.01
-        else:
-            pmax = _want_float("grid.pmax", lineno, value)
-
-        if isinstance(cfg.potential, tuple):      # pending cosine
-            _, a, lineno_p, period = cfg.potential
-            if lq is None:
-                lq = 4.0 * math.pi
-            per = _want_float("potential.period", lineno_p, period) if period is not None else lq
-            if per <= 0:
-                raise ConfigError(f"line {lineno_p}: key 'potential.period': must be > 0")
-            cfg.potential = CosinePotential(amplitude=a, period=per)
-        elif lq is None:
-            lq = _auto_lq(cfg.params, cfg.potential)
+    else:
+        lq, pmax = values["grid.lq"], values["grid.pmax"]
+        stiffness = values.get("potential.stiffness", 0.0)
+        if lq is None:      # a harmonic trap's tail edge, else 4 pi
+            lq = (2.0 * math.sqrt(2.0 * params.theta * _TAIL_EXPONENT / stiffness) * 1.01
+                  if stiffness > 0 else 4.0 * math.pi)
+        if pmax is None:
+            pmax = tail_exponent_momentum(params) * 1.01
         for key, extent in (("grid.lq", lq), ("grid.pmax", pmax)):
             if not math.isfinite(extent):      # 'auto' with extreme theta, m or stiffness
                 raise ConfigError(f"key '{key}': 'auto' gives {extent!r} for these "
                                   "parameters; set it explicitly")
         try:
-            cfg.phase_grid = PhaseGrid(Nq=nq, Np=npp, Lq=lq, Pmax=pmax)
+            phase_grid = PhaseGrid(values["grid.nq"], values["grid.np"], lq, pmax)
         except ValueError as exc:
             raise ConfigError(f"grid.nq/np/lq/pmax: {exc}") from None
-
-    # --- solver block
-    lineno, value = take("solver.dt")
-    if value is not None and value != "auto":
-        cfg.dt = _want_float("solver.dt", lineno, value)
-        if not cfg.dt > 0:
-            raise ConfigError(f"line {lineno}: key 'solver.dt': must be > 0 or 'auto'")
-    lineno, value = take("solver.t_final")
-    if value is not None:
-        cfg.t_final = _want_float("solver.t_final", lineno, value)
-        if not cfg.t_final > 0:
-            raise ConfigError(f"line {lineno}: key 'solver.t_final': must be > 0")
-    lineno, value = take("solver.record_every")
-    if value is not None:
-        cfg.record_every = _want_int("solver.record_every", lineno, value)
-        if cfg.record_every < 1:
-            raise ConfigError(f"line {lineno}: key 'solver.record_every': must be >= 1")
-
-    # --- init block
-    if experiment in ("kfp", "stationary") or \
-            (experiment == "limit-study" and cfg.limit_kind == "kfp"):
-        lineno, value = take("init.kind")
-        kind = value if value is not None else "shifted-maxwellian"
-        _want_choice("init.kind", lineno, kind, ("shifted-maxwellian", "gaussian", "uniform"))
-        numbers = {}
-        for name, default in (("p0", 0.0), ("q0", 0.0), ("sigma_q", 1.0), ("sigma_p", 1.0)):
-            lineno, value = take(f"init.{name}")
-            numbers[name] = _want_float(f"init.{name}", lineno, value) \
-                if value is not None else default
-        if kind == "gaussian" and (numbers["sigma_q"] <= 0 or numbers["sigma_p"] <= 0):
-            raise ConfigError("key 'init.sigma_q'/'init.sigma_p': must be > 0")
-        cfg.init = InitSpec(kind=kind, **numbers)
-        if experiment == "limit-study":
-            for key in ("init.sigma", "init.width"):
-                if has(key):
-                    raise ConfigError(f"key '{key}' is only valid for limit.kind = heat")
-    elif experiment in ("heat", "limit-study"):
-        lineno, value = take("init.kind")
-        kind = value if value is not None else "gaussian"
-        _want_choice("init.kind", lineno, kind, ("uniform", "gaussian", "bump"))
-        cfg.heat_init_kind = kind
-        lineno, value = take("init.sigma")
-        cfg.heat_sigma = _want_float("init.sigma", lineno, value) if value is not None else None
-        lineno, value = take("init.width")
-        cfg.heat_width = _want_float("init.width", lineno, value) if value is not None else None
-        if cfg.heat_sigma is not None and cfg.heat_sigma <= 0:
-            raise ConfigError("key 'init.sigma': must be > 0")
-        if cfg.heat_width is not None and cfg.heat_width <= 0:
-            raise ConfigError("key 'init.width': must be > 0")
-        for key in ("init.p0", "init.q0", "init.sigma_q", "init.sigma_p"):
-            if has(key):
-                raise ConfigError(f"key '{key}' is only valid for the kinetic solver")
-
-    if experiment == "stationary":
-        lineno, value = take("stationary.l1_target")
-        if value is not None:
-            cfg.l1_target = _want_float("stationary.l1_target", lineno, value)
-            if not cfg.l1_target > 0:
-                raise ConfigError(f"line {lineno}: key 'stationary.l1_target': must be > 0")
-    if experiment == "limit-study":
-        lineno, value = take("limit.c_values")
-        if value is not None:
-            cs = tuple(_want_float("limit.c_values", lineno, part.strip())
-                       for part in value.split(","))
-            if len(cs) < 2 or any(not v > 0 for v in cs) or list(cs) != sorted(cs):
-                raise ConfigError(f"line {lineno}: key 'limit.c_values': need at least two "
-                                  "finite positive values in increasing order")
-            cfg.limit_cs = cs
-    if experiment == "verify":
-        v = cfg.verify
-        for name, attr in (("bracket_pairs", "bracket_pairs"), ("psd_samples", "psd_samples"),
-                           ("fd_samples", "fd_samples"), ("gradient_checks", "gradient_checks"),
-                           ("assembly_states", "assembly_states")):
-            lineno, value = take(f"verify.{name}")
-            if value is not None:
-                n = _want_int(f"verify.{name}", lineno, value)
-                if n < 1:
-                    raise ConfigError(f"line {lineno}: key 'verify.{name}': must be >= 1")
-                setattr(v, attr, n)
-        for name in ("refinement", "jacobi"):
-            lineno, value = take(f"verify.{name}")
-            if value is not None:
-                setattr(v, name, _want_bool(f"verify.{name}", lineno, value))
+        if kind == "harmonic":
+            potential = HarmonicPotential(stiffness=values["potential.stiffness"])
+        elif kind == "cosine":
+            potential = CosinePotential(amplitude=values["potential.amplitude"],
+                                        period=values["potential.period"] or lq)
 
     # tail rule: any experiment that evaluates the equilibrium density needs it
-    if experiment in ("kfp", "stationary") or \
-            (experiment == "limit-study" and cfg.limit_kind == "kfp"):
-        base = cfg.params
-        cs = cfg.limit_cs + (INFINITE,) if experiment == "limit-study" else (base.c,)
-        for cval in cs:
-            p = ModelParams(m=base.m, c=cval, gamma=base.gamma, theta=base.theta,
-                            nu=base.nu, d=base.d)
-            need = tail_exponent_momentum(p) / 1.01  # without the margin factor
-            if cfg.phase_grid.Pmax < need:
+    if not heat_solver and experiment != "verify":
+        for cval in run["limit_cs"] + (INFINITE,) if experiment == "limit-study" else (params.c,):
+            need = tail_exponent_momentum(replace(params, c=cval)) / 1.01
+            if phase_grid.Pmax < need:
                 raise ConfigError(
-                    f"key 'grid.pmax': {cfg.phase_grid.Pmax} leaves a Boltzmann tail above "
+                    f"key 'grid.pmax': {phase_grid.Pmax} leaves a Boltzmann tail above "
                     f"the 1e-14 cutoff for c={cval}; need at least {need:.3f} (or 'auto')")
 
-    # anything left is a bug in the allowed-key table
-    if entries:
-        key = next(iter(entries))
-        raise ConfigError(f"unhandled key '{key}'")
-    return cfg
+    return RunConfig(experiment=experiment, params=params, potential=potential,
+                     heat_grid=heat_grid, phase_grid=phase_grid, init=init,
+                     verify=VerifyOptions(**fields["verify"]), **run)
 
 
 def load_config(path: str, experiment: str) -> RunConfig:

@@ -8,7 +8,7 @@ c-dependence of the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from . import heat as HT
 from .config import RunConfig
 from .grid import LineGrid, time_steps
 from .kfp import KfpOperator, make_initial_state, step_kfp
-from .model import INFINITE, ModelParams, Variant
+from .model import INFINITE, Variant
 
 
 @dataclass
@@ -24,11 +24,6 @@ class LimitResult:
     kind: str
     deviations: list          # (c, max-norm deviation from classical) pairs
     monotone: bool
-
-
-def _with_c(params: ModelParams, c: float) -> ModelParams:
-    return ModelParams(m=params.m, c=c, gamma=params.gamma, theta=params.theta,
-                       nu=params.nu, d=params.d)
 
 
 def heat_initial(cfg: RunConfig, grid: LineGrid) -> np.ndarray:
@@ -40,8 +35,8 @@ def heat_initial(cfg: RunConfig, grid: LineGrid) -> np.ndarray:
 def run_limit_heat(cfg: RunConfig) -> LimitResult:
     grid = cfg.heat_grid
     rho0 = heat_initial(cfg, grid)
-    sweep = [_with_c(cfg.params, c) for c in cfg.limit_cs]
-    baseline = _with_c(cfg.params, INFINITE)
+    sweep = [replace(cfg.params, c=c) for c in cfg.limit_cs]
+    baseline = replace(cfg.params, c=INFINITE)
     dt = min(HT.stable_dt(grid, p) for p in sweep + [baseline])
     if cfg.dt is not None:
         dt = min(dt, cfg.dt)
@@ -60,8 +55,8 @@ def run_limit_heat(cfg: RunConfig) -> LimitResult:
 
 def run_limit_kfp(cfg: RunConfig) -> LimitResult:
     grid = cfg.phase_grid
-    baseline = _with_c(cfg.params, INFINITE)
-    sweep = [(_with_c(cfg.params, c), Variant.DH) for c in cfg.limit_cs]
+    baseline = replace(cfg.params, c=INFINITE)
+    sweep = [(replace(cfg.params, c=c), Variant.DH) for c in cfg.limit_cs]
     runs = sweep + [(baseline, Variant.CLASSICAL)]
     # identical initial data: built once from the classical parameters
     state0 = make_initial_state(cfg.init, grid, baseline, cfg.potential)

@@ -101,6 +101,12 @@ BAD_NUMBERS = {
     "kfp-t_final-1e308": ("kfp", KFP_SMALL.replace("0.05", "1e308"), 1),
     "period-1e-320": ("kfp", KFP_SMALL + "potential.kind = cosine\n"
                       "potential.period = 1e-320\n", 1),
+    # an empty value is an error for every key, never its default
+    "stiffness-empty": ("kfp", KFP_SMALL + "potential.kind = harmonic\n"
+                        "potential.stiffness =\n", 2, "potential.stiffness", "line 8"),
+    "amplitude-empty": ("kfp", KFP_SMALL + "potential.kind = cosine\n"
+                        "potential.amplitude = \n", 2, "potential.amplitude", "line 8"),
+    "dir-empty": ("heat", HEAT_SMALL + "output.dir =\n", 2, "output.dir", "line 4"),
 }
 
 
@@ -265,8 +271,76 @@ def test_limit_study_config():
     assert cfg.limit_cs == (10.0, 100.0, 1000.0)
     with pytest.raises(ConfigError, match=r"limit\.c_values"):
         parse_config("limit.c_values = 1000, 10\n", "limit-study")
+    with pytest.raises(ConfigError, match=r"line 1: key 'limit\.c_values'"):
+        parse_config("limit.c_values = 10, 10\n", "limit-study")
     with pytest.raises(ConfigError, match=r"grid\.nq"):
         parse_config("limit.kind = heat\ngrid.nq = 32\n", "limit-study")
+
+
+# the runs of the scope test: an experiment, or a limit study with its
+# limit.kind, each with the lines it needs to parse
+RUNS = {"heat": ("heat", ""), "kfp": ("kfp", "model.c = 2.0\n"),
+        "stationary": ("stationary", "model.c = 2.0\n"), "verify": ("verify", ""),
+        "limit-heat": ("limit-study", ""), "limit-kfp": ("limit-study", "limit.kind = kfp\n")}
+HEAT_RUNS = {"heat", "limit-heat"}
+KINETIC_RUNS = {"kfp", "stationary", "verify", "limit-kfp"}
+STEPPED_RUNS = set(RUNS) - {"verify"}
+# a valid line of each key and the runs that take it
+KEY_RUNS = {
+    "seed = 3": set(RUNS), "output.dump_every = 2": set(RUNS), "model.nu = 2.0": set(RUNS),
+    "potential.kind = zero": set(RUNS),
+    "grid.n = 64": HEAT_RUNS, "grid.length = 3.0": HEAT_RUNS,
+    "init.sigma = 0.2": HEAT_RUNS, "init.width = 0.5": HEAT_RUNS,
+    "grid.nq = 32": KINETIC_RUNS, "grid.np = 32": KINETIC_RUNS,
+    "grid.lq = 10.0": KINETIC_RUNS, "grid.pmax = 40.0": KINETIC_RUNS,
+    **{line: KINETIC_RUNS - {"verify"} for line in (
+        "init.p0 = 0.5", "init.q0 = 0.1", "init.sigma_q = 2.0", "init.sigma_p = 2.0")},
+    "init.kind = uniform": STEPPED_RUNS,
+    "solver.dt = 1e-3": STEPPED_RUNS, "solver.t_final = 0.5": STEPPED_RUNS,
+    "solver.record_every = 5": STEPPED_RUNS,
+    "stationary.l1_target = 1e-2": {"stationary"},
+    "limit.kind = heat": {"limit-heat"}, "limit.c_values = 10, 100": {"limit-heat", "limit-kfp"},
+    **{f"verify.{name} = {value}": {"verify"} for name, value in (
+        ("bracket_pairs", 5), ("psd_samples", 5), ("fd_samples", 5), ("gradient_checks", 2),
+        ("assembly_states", 2), ("refinement", "false"), ("jacobi", "false"))},
+}
+POTENTIAL_KEYS = {"potential.stiffness = 0.5": "harmonic", "potential.amplitude = 0.5": "cosine",
+                  "potential.period = 3.0": "cosine"}
+
+
+def test_each_key_parses_only_in_the_runs_that_take_it():
+    cases = [(line, run, run in runs) for line, runs in KEY_RUNS.items() for run in RUNS]
+    # a potential key in each run and potential.kind; the heat solver's only
+    # potential is zero (test_heat_rejects_potential)
+    cases += [(f"potential.kind = {kind}\n{line}", run, kind == own)
+              for line, own in POTENTIAL_KEYS.items() for run in RUNS
+              for kind in ("zero", "harmonic", "cosine")
+              if run in KINETIC_RUNS or kind == "zero"]
+    for lines, run, taken in cases:
+        experiment, prefix = RUNS[run]
+        key = lines.splitlines()[-1].split("=")[0].strip()
+        if key + " =" in prefix:
+            continue
+        try:
+            parse_config(prefix + lines + "\n", experiment)
+        except ConfigError as exc:
+            assert not taken and f"'{key}'" in str(exc), (run, lines, str(exc))
+        else:
+            assert taken, f"{run} took {lines!r}"
+
+
+def test_seed_range(tmp_path, capsys):
+    # seeds are u64: 2**64 and above would be masked to another seed's suite
+    assert parse_config(f"seed = {2**64 - 1}\n", "verify").seed == 2**64 - 1
+    for seed in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(ConfigError, match=r"line 1: key 'seed'"):
+            parse_config(f"seed = {seed}\n", "verify")
+    path = tmp_path / "heat.cfg"
+    path.write_text(HEAT_SMALL)
+    for seed in ("-1", str(2**64 + 1), "one"):
+        argv = ["heat", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", seed]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error: --seed:")
 
 
 def test_stationary_config():

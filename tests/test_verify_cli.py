@@ -209,7 +209,9 @@ def test_run_experiments_writes_timings(tmp_path):
 
 
 def test_all_committed_configs_parse():
-    for path in sorted(CONFIGS.glob("*.cfg")):
+    # the benchmark's configs too; the test only reads them
+    bench = CONFIGS.parents[1] / "perfbench" / "configs"
+    for path in sorted(CONFIGS.glob("*.cfg")) + sorted(bench.glob("*.cfg")):
         text = path.read_text()
         experiment = next(line.split("=")[1].strip()
                           for line in text.splitlines()
