@@ -6,8 +6,8 @@ Usage: python scripts/run_experiments.py [--out-root OUT] [--only NAME ...]
 Each config in scripts/configs/ maps to one experiment; outputs land in
 OUT/<config-stem>/, and OUT/timings.json records each config's exit code and
 wall time in seconds.  Exits nonzero if any experiment reports a check failure.
-The whole set takes 3 to 7 seconds on a 2-CPU x86-64 VM, depending on its
-load; limit_heat takes about half of it and verify about 1.2 seconds.
+The whole set takes 2 to 4 seconds on a 2-CPU x86-64 VM, depending on its
+load; verify takes about 1 second of it and limit_heat about 0.15 seconds.
 """
 
 import argparse

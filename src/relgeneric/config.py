@@ -285,6 +285,9 @@ def parse_config(text: str, experiment: str) -> RunConfig:
     heat_solver = values.get("limit.kind", experiment) == "heat"
     if heat_solver and kind != "zero":
         raise ConfigError("key 'potential.kind': the heat solver carries no external potential")
+    if experiment == "limit-study" and not heat_solver and run["variant"] is Variant.CLASSICAL:
+        raise ConfigError(f"line {entries['model.variant'][0]}: key 'model.variant': a kinetic "
+                          "limit study sweeps dh or dmr against the classical baseline")
     if init.kind == "gaussian" and (init.sigma_q <= 0 or init.sigma_p <= 0):
         raise ConfigError("key 'init.sigma_q'/'init.sigma_p': must be > 0")
 

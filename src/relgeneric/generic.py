@@ -372,11 +372,6 @@ class Brackets:
         return res_l, res_m
 
 
-def second_momentum_moment(state: State, grid: PhaseGrid) -> float:
-    """Discrete second p-moment, tracked as a diagnostic only."""
-    return inner(grid, grid.p_mesh**2, state.rho)
-
-
 # ---------------------------------------------------------------------------
 # finite-dimensional Jacobi check
 

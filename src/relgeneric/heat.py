@@ -53,7 +53,7 @@ from .grid import LineGrid, time_steps
 from .model import ModelParams
 
 NEGATIVE_TOL = -1e-14   # strictest allowed undershoot per explicit step
-_CLASSICAL_MARGIN = 1.0 - 2.0**-20   # stable_dt below h^2/(2 nu) at c = inf
+_LOW_KAPPA_MARGIN = 1.0 - 2.0**-20   # stable_dt below h^2/(2 nu) where kappa < 4
 _BLOCK = 8              # states whose entropy and saturation are checked together
 _TINY = math.ulp(0.0)   # smallest positive double: moves no face mean above 1e-307
 
@@ -261,8 +261,8 @@ def reached_faces(state: HeatState, grid: LineGrid, params: ModelParams):
 
 
 def stable_dt(grid: LineGrid, params: ModelParams) -> float:
-    """Largest Euler step: min(h^2 / (2 nu), h / (4 c)), and just under
-    h^2 / (2 nu) for c = INFINITE.
+    """Largest Euler step: h^2 / (2 nu), and just under it where 2 c h > nu
+    (c = INFINITE included).
 
     At this step the Euler map is doubly stochastic, which proves the
     H-theorem step by step.  The step is new_i = rho_i + lam (G_{i+1/2} -
@@ -281,22 +281,18 @@ def stable_dt(grid: LineGrid, params: ModelParams) -> float:
     sum_i eta(new_i) >= sum_i sum_j P_ij eta(rho_j) = sum_j eta(rho_j): the
     Boltzmann entropy never falls.
 
-    The flux bound h / (4 c) keeps a saturated front, which moves at c,
-    under a quarter cell per step.  On a cell flanked by vacuum (|d| = s,
-    r = 1 / sqrt(1 + kappa^2)) lam <= min(1/2, kappa / 8) also keeps
-    lam r <= 1/8, so the diagonal of P stays at least 3/4.  At c = INFINITE
-    there is no such bound and the exact h^2 / (2 nu) zeroes the diagonal of
-    P on every cell; the flux-form update then leaves a cell flanked by
-    vacuum at rho_i - rho_i (1 + O(eps)), up to a few ulps of rho_i below
-    zero, which breaks NEGATIVE_TOL once rho_i exceeds about 25.  So
-    c = INFINITE steps at (1 - 2^-20) h^2 / (2 nu), which leaves such a cell
-    about 1e-6 rho_i, far above round-off.
+    The margin: a cell flanked by vacuum (|d| = s) has r = 1 / sqrt(1 +
+    kappa^2) on both faces, so lam = 1/2 leaves P[i, i] = 1 - r.  For
+    kappa = 2 nu / (c h) >= 4 that is at least 3/4.  For kappa < 4, i.e.
+    2 c h > nu, r can come near 1 and the diagonal near round-off; the
+    flux-form update then leaves the cell at rho_i - rho_i (1 + O(eps)), up
+    to a few ulps of rho_i below zero, which breaks NEGATIVE_TOL once rho_i
+    exceeds about 25.  So there the step is (1 - 2^-20) h^2 / (2 nu), which
+    leaves such a cell at least about 1e-6 rho_i, far above round-off.
     """
     dt = 0.5 * grid.h**2 / params.nu
-    if params.classical:
-        dt *= _CLASSICAL_MARGIN
-    else:
-        dt = min(dt, 0.25 * grid.h / params.c)
+    if 2.0 * params.c * grid.h > params.nu:
+        dt *= _LOW_KAPPA_MARGIN
     if not (math.isfinite(dt) and dt > 0):
         raise StabilityError(f"the stability bound on dt is {dt!r}; "
                              "the parameters leave no usable time step")

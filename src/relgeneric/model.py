@@ -68,15 +68,12 @@ def check_variant(variant: Variant, params: ModelParams) -> None:
 
 
 # ---------------------------------------------------------------------------
-# external potentials (all nonnegative, with exact analytic gradients)
+# external potentials (all nonnegative)
 
 class Potential:
-    """Nonnegative external potential V(q) with analytic gradient."""
+    """Nonnegative external potential V(q); the solvers sample it on the grid."""
 
     def evaluate(self, q):
-        raise NotImplementedError
-
-    def gradient(self, q):
         raise NotImplementedError
 
 
@@ -85,9 +82,6 @@ class ZeroPotential(Potential):
     def evaluate(self, q):
         q = np.asarray(q, dtype=float)
         return np.zeros(q.shape[:-1])
-
-    def gradient(self, q):
-        return np.zeros_like(np.asarray(q, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,6 @@ class HarmonicPotential(Potential):
     def evaluate(self, q):
         q = np.asarray(q, dtype=float)
         return 0.5 * self.stiffness * np.sum(q * q, axis=-1)
-
-    def gradient(self, q):
-        return self.stiffness * np.asarray(q, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -122,11 +113,6 @@ class CosinePotential(Potential):
     def evaluate(self, q):
         q = np.asarray(q, dtype=float)
         return self.amplitude * np.sum(1.0 + np.cos(2.0 * np.pi * q / self.period), axis=-1)
-
-    def gradient(self, q):
-        q = np.asarray(q, dtype=float)
-        k = 2.0 * np.pi / self.period
-        return -self.amplitude * k * np.sin(k * q)
 
 
 # ---------------------------------------------------------------------------

@@ -140,13 +140,17 @@ def test_criterion_5_newtonian_limits():
     heat_devs = [d for _, d in heat_res.deviations]
     kfp_res = run_limit_study(load_config(CONFIGS / "limit_kfp.cfg", "limit-study"))
     kfp_devs = [d for _, d in kfp_res.deviations]
-    ok = (heat_res.monotone and kfp_res.monotone
-          and heat_devs[-1] <= 1e-4 and kfp_devs[-1] <= 1e-3)
+    dmr_res = run_limit_study(load_config(CONFIGS / "limit_kfp_dmr.cfg", "limit-study"))
+    dmr_devs = [d for _, d in dmr_res.deviations]
+    ok = (heat_res.monotone and kfp_res.monotone and dmr_res.monotone
+          and heat_devs[-1] <= 1e-4 and kfp_devs[-1] <= 1e-3 and dmr_devs[-1] <= 1e-3)
     report("criterion 5 newtonian limits", ok,
            f"heat devs {['%.2e' % d for d in heat_devs]}, "
-           f"kfp devs {['%.2e' % d for d in kfp_devs]}", t0)
+           f"kfp devs {['%.2e' % d for d in kfp_devs]}, "
+           f"dmr devs {['%.2e' % d for d in dmr_devs]}", t0)
     assert heat_res.monotone and heat_devs[-1] <= 1e-4
     assert kfp_res.monotone and kfp_devs[-1] <= 1e-3
+    assert dmr_res.monotone and dmr_devs[-1] <= 1e-3
     assert time.time() - t0 <= 600.0
 
 

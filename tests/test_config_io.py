@@ -275,6 +275,8 @@ def test_limit_study_config():
         parse_config("limit.c_values = 10, 10\n", "limit-study")
     with pytest.raises(ConfigError, match=r"grid\.nq"):
         parse_config("limit.kind = heat\ngrid.nq = 32\n", "limit-study")
+    with pytest.raises(ConfigError, match=r"line 7: key 'model\.variant'"):
+        parse_config(text + "model.variant = classical\n", "limit-study")
 
 
 # the runs of the scope test: an experiment, or a limit study with its

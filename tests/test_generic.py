@@ -334,13 +334,6 @@ def test_degeneracy_refinement_order():
     assert 1.7 <= slope <= 2.3
 
 
-def test_second_momentum_moment(grid):
-    rho = np.zeros(grid.shape)
-    rho[3, 11] = 1.0 / grid.cell_volume
-    assert G.second_momentum_moment(G.State(rho, 0.0), grid) \
-        == pytest.approx(grid.p[11] ** 2, rel=1e-13)
-
-
 # ---------------------------------------------------------------------------
 # finite-dimensional Jacobi identity
 

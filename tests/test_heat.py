@@ -378,8 +378,8 @@ def monotone_step_cases(draw):
     """A grid, parameters and a state with exact-vacuum cells, isolated
     spikes flanked by vacuum and, for finite c, faces its light cone has not
     reached: the cone is that of the cells in a drawn subset of the support.
-    c is infinite, in [1e-2, 1e4], or in [nu / (2 h), 1e6], where the flux
-    bound h / (4 c) sets stable_dt."""
+    c is infinite, in [1e-2, 1e4], or in [nu / (2 h), 1e6], where kappa =
+    2 nu / (c h) < 4 and stable_dt takes its round-off margin."""
     n = draw(st.integers(8, 48))
     grid = LineGrid(N=n, L=draw(st.floats(0.25, 8.0)))
     nu = 10.0 ** draw(st.floats(-2.0, 2.0))
@@ -476,6 +476,41 @@ def test_heat_bump_auto_step_matches_quarter_step_run():
     coarse, fine = (H.run_heat(grid, params, rho0, step, cfg.t_final, 10**9).state.rho
                     for step in (dt, 0.25 * dt))
     assert float(np.sum(np.abs(coarse - fine))) * grid.h <= 1e-3
+
+
+def test_stable_dt_is_the_diffusion_bound_for_every_c():
+    # h^2 / (2 nu) where 2 c h <= nu, (1 - 2^-20) h^2 / (2 nu) where 2 c h > nu
+    # and at c = INFINITE, and no other dependence on c
+    for grid, nu in ((LineGrid(N=128, L=1.0), 1.0), (LineGrid(N=48, L=3.0), 0.37)):
+        full = 0.5 * grid.h**2 / nu
+        edge = nu / (2.0 * grid.h)
+
+        def dt(c):
+            return H.stable_dt(grid, ModelParams(c=c, nu=nu))
+
+        assert all(dt(c) == full for c in (1e-6, 1e-2, 1.0, 0.5 * edge, edge))
+        assert all(dt(c) == (1.0 - 2.0**-20) * full
+                   for c in (math.nextafter(edge, math.inf), 1.01 * edge, 4.0 * edge,
+                             1e3 * edge, 1e300, INFINITE))
+
+
+@pytest.mark.parametrize("c", [80.0, 256.0])
+def test_front_window_at_the_diffusion_step(c):
+    # 2 c h > nu: a front can saturate while the step stays at h^2 / (2 nu);
+    # the heat_bump data at c = 80 and 256 to T = 0.01 keep the scheme's
+    # accuracy, light cone, flux saturation and entropy
+    cfg = load_config(CONFIGS / "heat_bump.cfg", "heat")
+    grid, params, t_final = cfg.heat_grid, replace(cfg.params, c=c), 0.01
+    assert 2.0 * c * grid.h > params.nu
+    rho0 = heat_initial(cfg, grid)
+    dt = H.stable_dt(grid, params)
+    res, fine = (H.run_heat(grid, params, rho0, step, t_final, 10**9)
+                 for step in (dt, 0.25 * dt))
+    assert float(np.sum(np.abs(res.state.rho - fine.state.rho))) * grid.h <= 1e-3
+    growth = H.support_radius(res.state.rho, grid) - H.support_radius(rho0, grid)
+    assert growth <= c * t_final + 2.0 * grid.h
+    assert res.max_saturation_excess <= 1e-12
+    assert res.min_step_entropy_delta >= -1e-10
 
 
 def test_initial_profiles(grid):

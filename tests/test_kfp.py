@@ -13,8 +13,9 @@ import pytest
 
 from relgeneric import generic as G
 from relgeneric import kfp as K
+from relgeneric import limits as L
 from relgeneric.cli import main
-from relgeneric.config import load_config
+from relgeneric.config import load_config, parse_config
 from relgeneric.errors import NonConvergenceError, PositivityError, StabilityError
 from relgeneric.grid import PhaseGrid, time_steps
 from relgeneric.model import (CosinePotential, HarmonicPotential, INFINITE,
@@ -996,6 +997,34 @@ def test_newtonian_limit_harmonic_64x64():
             t += step
         finals.append(state.rho)
     assert float(np.abs(finals[0] - finals[1]).max()) <= 1e-3
+
+
+LIMIT_KFP_SMALL = ("experiment = limit-study\nlimit.kind = kfp\nlimit.c_values = 10, 100\n"
+                   "model.gamma = 0.5\ngrid.nq = 16\ngrid.np = 16\ngrid.pmax = 8.8\n"
+                   "solver.t_final = 0.05\n")
+
+
+def test_kinetic_limit_study_sweeps_the_configured_variant(monkeypatch, tmp_path):
+    # every finite-c member steps with model.variant against Kramers
+    built = []
+
+    def recording_operator(grid, params, potential, variant):
+        built.append((params.c, variant))
+        return K.KfpOperator(grid, params, potential, variant)
+
+    monkeypatch.setattr(L, "KfpOperator", recording_operator)
+    deviations = {}
+    for variant in (Variant.DH, Variant.DMR):
+        built.clear()
+        cfg = parse_config(LIMIT_KFP_SMALL + f"model.variant = {variant.value}\n",
+                           "limit-study")
+        deviations[variant] = [d for _, d in L.run_limit_study(cfg).deviations]
+        assert built == [(10.0, variant), (100.0, variant), (INFINITE, Variant.CLASSICAL)]
+    assert deviations[Variant.DH] != deviations[Variant.DMR]
+    # the classical variant has no finite-c member to sweep: a named config error
+    path = tmp_path / "classical.cfg"
+    path.write_text(LIMIT_KFP_SMALL + "model.variant = classical\n")
+    assert main(["limit-study", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_stationary_run_preserves_energy_budget():

@@ -169,17 +169,6 @@ def test_potentials():
         CosinePotential(amplitude=-0.1, period=1.0)
 
 
-@pytest.mark.parametrize("pot", [HarmonicPotential(stiffness=0.7),
-                                 CosinePotential(amplitude=0.9, period=5.0)])
-def test_potential_gradient_matches_fd(pot):
-    qs = np.linspace(-3.0, 3.0, 13)[:, None]
-    h = 1e-6
-    fd = (pot.evaluate(qs + h) - pot.evaluate(qs - h)) / (2 * h)
-    grad = pot.gradient(qs)[:, 0]
-    scale = np.abs(fd) + 1.0
-    assert np.all(np.abs(grad - fd) / scale <= 1e-6)
-
-
 class TestMaxwellian:
     def setup_method(self):
         self.params = ModelParams(m=1.0, c=1.0, gamma=0.5, theta=1.0)
