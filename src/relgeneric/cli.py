@@ -2,9 +2,10 @@
 
     relgeneric <experiment> --config <path> [--out <dir>] [--seed <u64>]
 
-Experiments: heat, kfp, verify, stationary, limit-study.  Exit status 0
-means the run completed and every built-in check passed, 1 means a check
-failed (or the solver aborted), 2 means the configuration was rejected.
+Experiments: heat, kfp, verify, stationary, limit-study; only verify takes
+a seed.  Exit status 0 means the run completed and every built-in check
+passed, 1 means a check failed (or the solver aborted), 2 means the
+configuration was rejected.
 """
 
 from __future__ import annotations
@@ -186,13 +187,13 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", default=None,
-                       help="override the config seed, an integer in [0, 2**64)")
+                       help="override the config seed (verify only), an integer in [0, 2**64)")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config, args.experiment)
         if args.seed is not None:
-            cfg.seed = parse_value("seed", args.seed, "--seed")
+            cfg.seed = parse_value("seed", args.seed, "--seed", args.experiment)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -109,15 +109,17 @@ def _auto(text):
 
 
 _POSITIVE = (lambda v: v > 0, "must be > 0")
+_POSITIVE_OR_AUTO = (lambda v: v is None or v > 0, "must be > 0 or 'auto'")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_EVEN_AT_LEAST_8 = (lambda v: v >= 8 and v % 2 == 0, "must be an even integer >= 8")
 
 
 class Key(NamedTuple):
-    """One config key.  ``rule`` is (predicate, message when it fails), and
-    ``field`` the ``RunConfig`` field it sets (``params.m``: ``params``' field
-    ``m``).  A run takes the key when its experiment, its solver (``heat`` or
-    ``kfp``) and its ``potential.kind`` match; ``None`` matches any."""
+    """One config key: ``rule`` is (predicate, message when it fails), ``field``
+    the ``RunConfig`` field it sets (``params.m``: ``params``' field ``m``).  A
+    run takes it when its experiment, solver (``heat``/``kfp``; ``None``: any)
+    and ``when = (key, value, ...)`` match: a key it does not take, or a value."""
     name: str
     parse: Callable[[str], object]
     default: object = None
@@ -125,7 +127,7 @@ class Key(NamedTuple):
     field: str | None = None
     experiments: tuple = EXPERIMENTS
     solver: str | None = None
-    potential: str | None = None
+    when: tuple | None = None
 
     def read(self, text: str, where: str):
         """The value ``text`` gives this key; errors begin with ``where``."""
@@ -141,26 +143,15 @@ class Key(NamedTuple):
 
 
 _STEPPED = ("heat", "kfp", "stationary", "limit-study")  # runs that take solver.*
+_RECORDED = ("heat", "kfp", "stationary")                 # runs that record and dump
 
 KEYS = (
     Key("experiment", str),
-    Key("seed", _integer, 1, (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"), field="seed"),
+    Key("seed", _integer, 1, (lambda v: 0 <= v < 2**64, "must be in [0, 2**64)"), field="seed",
+        experiments=("verify",)),
     Key("output.dir", str, "out", field="out_dir"),
-    Key("output.dump_every", _integer, 0, _NONNEGATIVE, field="dump_every"),
-    Key("model.m", _number, 1.0, _POSITIVE, field="params.m"),
-    Key("model.c", lambda text: _number(text, inf_ok=True), 1.0,
-        (lambda v: v > 0, "must be > 0 (use 'inf' for classical mode)"), field="params.c"),
-    Key("model.gamma", _number, 1.0, _POSITIVE, field="params.gamma"),
-    Key("model.theta", _number, 1.0, _POSITIVE, field="params.theta"),
-    Key("model.nu", _number, 1.0, _POSITIVE, field="params.nu"),
-    Key("model.d", _integer, 1, (lambda v: v == 1, "solvers support d = 1 only"),
-        field="params.d"),
-    Key("model.variant", _choice("dh", "dmr", "classical", cast=Variant), Variant.DH,
-        field="variant"),
-    Key("potential.kind", _choice("zero", "harmonic", "cosine"), "zero"),
-    Key("potential.stiffness", _number, 1.0, _NONNEGATIVE, potential="harmonic"),
-    Key("potential.amplitude", _number, 1.0, _NONNEGATIVE, potential="cosine"),
-    Key("potential.period", _number, None, _POSITIVE, potential="cosine"),  # None: Lq
+    Key("output.dump_every", _integer, 0, _NONNEGATIVE, field="dump_every",
+        experiments=_RECORDED),
     Key("limit.kind", _choice("heat", "kfp"), "heat", field="limit_kind",
         experiments=("limit-study",)),
     Key("limit.c_values", lambda text: tuple(_number(v.strip()) for v in text.split(",")),
@@ -168,27 +159,41 @@ KEYS = (
         (lambda cs: len(cs) >= 2 and cs[0] > 0 and all(a < b for a, b in zip(cs, cs[1:])),
          "need at least two finite positive values in strictly increasing order"),
         field="limit_cs", experiments=("limit-study",)),
-    Key("grid.n", _integer, 256, solver="heat"),
-    Key("grid.length", _number, 2.0, solver="heat"),
-    Key("grid.nq", _integer, 64, solver="kfp"),
-    Key("grid.np", _integer, 64, solver="kfp"),
-    Key("grid.lq", _auto, solver="kfp"),
-    Key("grid.pmax", _auto, solver="kfp"),
-    Key("solver.dt", _auto, None, (lambda v: v is None or v > 0, "must be > 0 or 'auto'"),
-        field="dt", experiments=_STEPPED),
+    Key("model.c", lambda text: _number(text, inf_ok=True), 1.0,
+        (lambda v: v > 0, "must be > 0 (use 'inf' for classical mode)"), field="params.c",
+        when=("limit.kind", "kfp")),       # a heat limit study sweeps c
+    *(Key(f"model.{name}", _number, 1.0, _POSITIVE, field=f"params.{name}", solver="kfp")
+      for name in ("m", "gamma", "theta")),
+    Key("model.nu", _number, 1.0, _POSITIVE, field="params.nu", solver="heat"),
+    Key("model.d", _integer, 1, (lambda v: v == 1, "solvers support d = 1 only"),
+        field="params.d", experiments=("kfp", "stationary")),
+    Key("model.variant", _choice("dh", "dmr", "classical", cast=Variant), Variant.DH,
+        field="variant", experiments=_STEPPED, solver="kfp"),
+    Key("potential.kind", _choice("zero", "harmonic", "cosine"), "zero", solver="kfp"),
+    *(Key(f"potential.{name}", _number, default, rule, solver="kfp", when=("potential.kind", kind))
+      for name, default, rule, kind in (("stiffness", 1.0, _NONNEGATIVE, "harmonic"),
+                                        ("amplitude", 1.0, _NONNEGATIVE, "cosine"),
+                                        ("period", None, _POSITIVE, "cosine"))),  # None: Lq
+    Key("grid.n", _integer, 256, (lambda v: v >= 8, "must be an integer >= 8"), solver="heat"),
+    Key("grid.length", _number, 2.0, _POSITIVE, solver="heat"),
+    *(Key(f"grid.{name}", _integer, 64, _EVEN_AT_LEAST_8, solver="kfp") for name in ("nq", "np")),
+    *(Key(f"grid.{end}", _auto, None, _POSITIVE_OR_AUTO, solver="kfp") for end in ("lq", "pmax")),
+    Key("solver.dt", _auto, None, _POSITIVE_OR_AUTO, field="dt", experiments=_STEPPED),
     Key("solver.t_final", _number, 1.0, _POSITIVE, field="t_final", experiments=_STEPPED),
     Key("solver.record_every", _integer, 10, _AT_LEAST_1, field="record_every",
-        experiments=_STEPPED),
+        experiments=_RECORDED),
     Key("init.kind", _choice("uniform", "gaussian", "bump"), "gaussian",
         field="heat_init_kind", experiments=_STEPPED, solver="heat"),
-    Key("init.sigma", _number, None, _POSITIVE, field="heat_sigma", solver="heat"),
-    Key("init.width", _number, None, _POSITIVE, field="heat_width", solver="heat"),
-    *(Key(f"init.{name}", parse, default, field=f"init.{name}", experiments=_STEPPED,
-          solver="kfp")
-      for name, parse, default in (
-          ("kind", _choice("shifted-maxwellian", "gaussian", "uniform"), "shifted-maxwellian"),
-          ("p0", _number, 0.0), ("q0", _number, 0.0),
-          ("sigma_q", _number, 1.0), ("sigma_p", _number, 1.0))),
+    *(Key(f"init.{name}", _number, None, _POSITIVE, field=f"heat_{name}", solver="heat",
+          when=("init.kind", kind)) for name, kind in (("sigma", "gaussian"), ("width", "bump"))),
+    Key("init.kind", _choice("shifted-maxwellian", "gaussian", "uniform"), "shifted-maxwellian",
+        field="init.kind", experiments=_STEPPED, solver="kfp"),
+    Key("init.p0", _number, 0.0, None, "init.p0", _STEPPED, "kfp",
+        ("init.kind", "gaussian", "shifted-maxwellian")),
+    *(Key(f"init.{name}", _number, default, rule, f"init.{name}", _STEPPED, "kfp",
+          ("init.kind", "gaussian"))
+      for name, default, rule in (("q0", 0.0, None), ("sigma_q", 1.0, _POSITIVE),
+                                  ("sigma_p", 1.0, _POSITIVE))),
     Key("stationary.l1_target", _number, 1e-3, _POSITIVE, field="l1_target",
         experiments=("stationary",)),
     *(Key(f"verify.{name}", _integer, default, _AT_LEAST_1, field=f"verify.{name}",
@@ -203,20 +208,23 @@ KEYS = (
 
 def _scope(key: Key, experiment: str, values: dict) -> str | None:
     """Why this run does not take ``key``, or None when it does; ``values``
-    holds the keys read so far (``limit.kind`` and ``potential.kind`` first)."""
+    holds the keys read so far (``limit.kind`` and each ``when`` key first)."""
     if experiment not in key.experiments:
         return f"not valid for experiment '{experiment}'"
     solver = "heat" if values.get("limit.kind", experiment) == "heat" else "kfp"
     if key.solver not in (None, solver):
         return f"only valid for the {'heat' if key.solver == 'heat' else 'kinetic'} solver"
-    if key.potential not in (None, values.get("potential.kind")):
-        return f"only valid for potential.kind = {key.potential}"
+    if key.when and values.get(key.when[0], key.when[1]) not in key.when[1:]:
+        return f"only valid for {key.when[0]} = {' or '.join(key.when[1:])}"
     return None
 
 
-def parse_value(name: str, text: str, where: str):
-    """The value ``text`` gives key ``name`` by its ``KEYS`` entry."""
-    return next(key for key in KEYS if key.name == name).read(text, where)
+def parse_value(name: str, text: str, where: str, experiment: str):
+    """The value ``text`` gives key ``name`` (no ``when``) in an ``experiment`` run."""
+    key = next(key for key in KEYS if key.name == name)
+    if why := _scope(key, experiment, {}):
+        raise ConfigError(f"{where}: key '{name}' is {why}")
+    return key.read(text, where)
 
 
 def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
@@ -252,14 +260,16 @@ def parse_config(text: str, experiment: str) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{experiment}'")
     entries = _parse_lines(text)
+
+    def at(name):           # where an error about key name points: its line, if set
+        return (f"line {entries[name][0]}: " if name in entries else "") + f"key '{name}'"
     values = {}             # each key this run takes
     fields = {}             # each Key.field: fields[""]["seed"], fields["params"]["m"]
     for key in KEYS:
         value = key.default
         if _scope(key, experiment, values) is None:
             if key.name in entries:
-                lineno, given = entries[key.name]
-                value = key.read(given, f"line {lineno}: key '{key.name}'")
+                value = key.read(entries[key.name][1], at(key.name))
             values[key.name] = value
         if key.field:
             head, _, attr = key.field.rpartition(".")
@@ -272,31 +282,24 @@ def parse_config(text: str, experiment: str) -> RunConfig:
 
     # --- rules that tie keys together
     if values["experiment"] not in (None, experiment):
-        raise ConfigError(f"line {entries['experiment'][0]}: key 'experiment': file says "
-                          f"{values['experiment']!r} but the command line selected '{experiment}'")
+        raise ConfigError(f"{at('experiment')}: file says {values['experiment']!r} but the "
+                          f"command line selected '{experiment}'")
     run, params, init = fields[""], ModelParams(**fields["params"]), InitSpec(**fields["init"])
     if experiment in ("kfp", "stationary"):
         try:
             check_variant(run["variant"], params)
         except ValueError as exc:
-            raise ConfigError(f"key 'model.variant': {exc}; set model.c = inf for the "
-                              "classical variant or a finite model.c for dh and dmr") from None
-    kind = values["potential.kind"]
+            name = "model.variant" if "model.variant" in entries else "model.c"
+            raise ConfigError(f"{at(name)}: {exc}; set model.c = inf for the classical "
+                              "variant or a finite model.c for dh and dmr") from None
     heat_solver = values.get("limit.kind", experiment) == "heat"
-    if heat_solver and kind != "zero":
-        raise ConfigError("key 'potential.kind': the heat solver carries no external potential")
     if experiment == "limit-study" and not heat_solver and run["variant"] is Variant.CLASSICAL:
-        raise ConfigError(f"line {entries['model.variant'][0]}: key 'model.variant': a kinetic "
-                          "limit study sweeps dh or dmr against the classical baseline")
-    if init.kind == "gaussian" and (init.sigma_q <= 0 or init.sigma_p <= 0):
-        raise ConfigError("key 'init.sigma_q'/'init.sigma_p': must be > 0")
+        raise ConfigError(f"{at('model.variant')}: a kinetic limit study sweeps dh or dmr "
+                          "against the classical baseline")
 
     potential, heat_grid, phase_grid = ZeroPotential(), None, None
     if heat_solver:
-        try:
-            heat_grid = LineGrid(N=values["grid.n"], L=values["grid.length"])
-        except ValueError as exc:
-            raise ConfigError(f"grid.n/grid.length: {exc}") from None
+        heat_grid = LineGrid(N=values["grid.n"], L=values["grid.length"])
     else:
         lq, pmax = values["grid.lq"], values["grid.pmax"]
         stiffness = values.get("potential.stiffness", 0.0)
@@ -306,14 +309,11 @@ def parse_config(text: str, experiment: str) -> RunConfig:
         if pmax is None:
             pmax = tail_exponent_momentum(params) * 1.01
         for key, extent in (("grid.lq", lq), ("grid.pmax", pmax)):
-            if not math.isfinite(extent):      # 'auto' with extreme theta, m or stiffness
-                raise ConfigError(f"key '{key}': 'auto' gives {extent!r} for these "
+            if not 0 < extent < math.inf:     # 'auto' with extreme theta, m or stiffness
+                raise ConfigError(f"{at(key)}: 'auto' gives {extent!r} for these "
                                   "parameters; set it explicitly")
-        try:
-            phase_grid = PhaseGrid(values["grid.nq"], values["grid.np"], lq, pmax)
-        except ValueError as exc:
-            raise ConfigError(f"grid.nq/np/lq/pmax: {exc}") from None
-        if kind == "harmonic":
+        phase_grid = PhaseGrid(values["grid.nq"], values["grid.np"], lq, pmax)
+        if (kind := values["potential.kind"]) == "harmonic":
             potential = HarmonicPotential(stiffness=values["potential.stiffness"])
         elif kind == "cosine":
             potential = CosinePotential(amplitude=values["potential.amplitude"],
@@ -325,7 +325,7 @@ def parse_config(text: str, experiment: str) -> RunConfig:
             need = tail_exponent_momentum(replace(params, c=cval)) / 1.01
             if phase_grid.Pmax < need:
                 raise ConfigError(
-                    f"key 'grid.pmax': {phase_grid.Pmax} leaves a Boltzmann tail above "
+                    f"{at('grid.pmax')}: {phase_grid.Pmax} leaves a Boltzmann tail above "
                     f"the 1e-14 cutoff for c={cval}; need at least {need:.3f} (or 'auto')")
 
     return RunConfig(experiment=experiment, params=params, potential=potential,

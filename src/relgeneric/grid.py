@@ -10,8 +10,8 @@ import numpy as np
 from .errors import StabilityError
 
 # A run needing more steps than this would not end in any useful time (the
-# committed configs need at most 25600, limit_heat at c = 1000); time_steps
-# rejects it up front.
+# committed configs need at most 16384, heat_bump: N = 512, dt = 2^-15 to
+# t = 0.5); time_steps rejects it up front.
 MAX_STEPS = 10**8
 
 

@@ -46,8 +46,7 @@ from .generic import (DiagnosticsRecord, State, div_p, div_q, face_div_p,
                       face_grad_p, faces_of, grad_p, grad_q, inner)
 from .grid import PhaseGrid, time_steps
 from .model import (ModelParams, Potential, Variant, check_variant, grid_fields,
-                    hamiltonian, maxwellian, mobility_drift,
-                    mobility_drift_divergence, velocity)
+                    hamiltonian, maxwellian)
 
 NEGATIVE_TOL = -1e-12   # allowed undershoot per time step
 TRBDF2_GAMMA = 2.0 - math.sqrt(2.0)   # the L-stable choice; its stages share one matrix
@@ -316,23 +315,6 @@ def excess_energy_rate(state: State, op: KfpOperator) -> float:
     """de/dt compensating the discrete dissipative energy exchange exactly."""
     flux = op.dissipative_flux(state.rho)
     return float(np.sum(op.gh_face * flux)) * op.grid.cell_volume
-
-
-def excess_energy_rate_quadrature(state: State, grid: PhaseGrid,
-                                  params: ModelParams, variant: Variant) -> float:
-    """Midpoint quadrature of the continuum excess-energy law.
-
-    gamma * int (D grad_p H . grad_p H) rho - gamma theta * int div_p(D grad_p H) rho,
-    evaluated with the pointwise model functions.  Agrees with
-    excess_energy_rate at second order in hp and satisfies the exact bound
-    -rate <= gamma theta d / m for arbitrary nonnegative mass-1 densities.
-    """
-    pv = grid.p[:, np.newaxis]
-    drift_dot_vel = np.sum(mobility_drift(pv, variant, params)
-                           * velocity(pv, params), axis=-1)
-    div_drift = mobility_drift_divergence(pv, variant, params)
-    weight = params.gamma * (drift_dot_vel - params.theta * div_drift)
-    return float(np.sum(state.rho * weight[np.newaxis, :])) * grid.cell_volume
 
 
 def _check_mass(name: str, mass: float) -> None:

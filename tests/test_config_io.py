@@ -30,8 +30,8 @@ def test_minimal_heat_config_defaults():
 
 
 def test_negative_theta_names_key():
-    with pytest.raises(ConfigError, match=r"model\.theta"):
-        parse_config("model.theta = -1\n", "heat")
+    with pytest.raises(ConfigError, match=r"line 1: key 'model\.theta': must be > 0"):
+        parse_config("model.theta = -1\n", "kfp")
 
 
 def test_unknown_key_rejected():
@@ -87,11 +87,16 @@ BAD_NUMBERS = {
                       "potential.amplitude = inf\n", 2),
     "p0-nan": ("kfp", KFP_SMALL + "init.p0 = nan\n", 2),
     "c-nan": ("kfp", KFP_SMALL.replace("1.0", "nan", 1), 2),
-    "width-1e999": ("heat", HEAT_SMALL + "init.width = 1e999\n", 2),
+    "width-1e999": ("heat", HEAT_SMALL + "init.kind = bump\ninit.width = 1e999\n", 2,
+                    "line 5: key 'init.width'"),
     "c_values-nan": ("limit-study", "limit.c_values = 10, nan\n", 2),
     # a finite number that leaves no finite momentum domain: theta makes
     # the auto-sized tail infinite
     "kfp-theta-1e308": ("kfp", KFP_SMALL.replace("34.0", "auto") + "model.theta = 1e308\n", 2),
+    # ... or whose auto-sized trap edge underflows to 0
+    "lq-auto-underflow": ("kfp", KFP_SMALL.replace("grid.lq = 12.566\n", "") + "potential.kind = "
+                          "harmonic\npotential.stiffness = 1e300\nmodel.theta = 5e-324\n", 2,
+                          "key 'grid.lq': 'auto' gives 0.0"),
     # finite numbers whose derived quantities break: a named solver error
     # (c = 1e308 needs a Pmax of about 8, but the rest energy m c^2 overflows)
     "kfp-c-1e308": ("kfp", KFP_SMALL.replace("1.0", "1e308", 1), 1, "model.c, model.m"),
@@ -107,6 +112,12 @@ BAD_NUMBERS = {
     "amplitude-empty": ("kfp", KFP_SMALL + "potential.kind = cosine\n"
                         "potential.amplitude = \n", 2, "potential.amplitude", "line 8"),
     "dir-empty": ("heat", HEAT_SMALL + "output.dir =\n", 2, "output.dir", "line 4"),
+    # a key the run does not read, named with its line
+    "heat-theta": ("heat", HEAT_SMALL + "model.theta = 2\n", 2,
+                   "line 4: key 'model.theta' is only valid for the kinetic solver"),
+    "stationary-sigma_q": ("stationary", "model.c = 2.0\ninit.kind = shifted-maxwellian\n"
+                           "init.sigma_q = 0.5\n", 2,
+                           "line 3: key 'init.sigma_q' is only valid for init.kind = gaussian"),
 }
 
 
@@ -121,9 +132,9 @@ EXTREME = st.sampled_from([
 ]) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
 PLAIN = st.sampled_from(["1.0", "0.5", "2.0", "3.0", "12.0"])
 FUZZ_KEYS = {
-    "heat": ("model.c", "model.nu", "model.m", "model.theta", "model.gamma",
-             "grid.length", "solver.dt", "solver.t_final", "init.sigma", "init.width"),
-    "kfp": ("model.c", "model.m", "model.theta", "model.gamma", "model.nu", "grid.lq",
+    "heat": ("model.c", "model.nu", "grid.length", "solver.dt", "solver.t_final",
+             "init.sigma", "init.width"),
+    "kfp": ("model.c", "model.m", "model.theta", "model.gamma", "grid.lq",
             "grid.pmax", "solver.dt", "solver.t_final", "init.p0", "init.q0",
             "init.sigma_q", "init.sigma_p", "potential.stiffness"),
     "stationary": ("model.c", "model.m", "model.theta", "model.gamma", "grid.pmax",
@@ -133,7 +144,7 @@ FUZZ_KEYS = {
 }
 FIXED = {
     "heat": "grid.n = 16\n",
-    "kfp": "grid.nq = 8\ngrid.np = 8\npotential.kind = harmonic\n",
+    "kfp": "grid.nq = 8\ngrid.np = 8\npotential.kind = harmonic\ninit.kind = gaussian\n",
     "stationary": "grid.nq = 8\ngrid.np = 8\npotential.kind = harmonic\n",
     "limit-study": "",
 }
@@ -147,8 +158,9 @@ def fuzzed_configs(draw):
     if experiment == "limit-study":
         kind = draw(st.sampled_from(["heat", "kfp"]))
         lines.append(f"limit.kind = {kind}\n")
-        keys = [k for k in keys if not k.startswith("grid.")
-                or (k == "grid.length") == (kind == "heat")]
+        other = ({"model.c", "model.m", "model.theta", "grid.pmax"} if kind == "heat"
+                 else {"model.nu", "grid.length"})
+        keys = [k for k in keys if k not in other]
     for key in keys:
         if key == "limit.c_values":
             value = ", ".join(draw(st.lists(EXTREME | PLAIN, min_size=1, max_size=3)))
@@ -221,15 +233,33 @@ def test_kfp_defaults_satisfy_tail_rule():
 
 def test_kfp_explicit_small_pmax_rejected():
     text = "model.c = 1.0\ngrid.pmax = 5.0\n"
-    with pytest.raises(ConfigError, match=r"grid\.pmax"):
+    with pytest.raises(ConfigError, match=r"line 2: key 'grid\.pmax'"):
         parse_config(text, "kfp")
 
 
+def test_grid_keys_name_their_line():
+    for line, message in (("grid.nq = 7", "must be an even integer >= 8"),
+                          ("grid.np = 4", "must be an even integer >= 8"),
+                          ("grid.lq = 0", "must be > 0 or 'auto'"),
+                          ("grid.pmax = -1", "must be > 0 or 'auto'")):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"^line 2: key '{key}': {message}$"):
+            parse_config(f"model.c = 2.0\n{line}\n", "stationary")
+    for line, message in (("grid.n = 7", "must be an integer >= 8"),
+                          ("grid.length = 0", "must be > 0")):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"^line 1: key '{key}': {message}$"):
+            parse_config(f"{line}\n", "heat")
+
+
 def test_kfp_variant_consistency():
-    with pytest.raises(ConfigError, match="variant"):
+    with pytest.raises(ConfigError, match=r"^line 1: key 'model\.variant': "):
         parse_config("model.variant = classical\nmodel.c = 1.0\n", "kfp")
-    with pytest.raises(ConfigError, match="variant"):
+    with pytest.raises(ConfigError, match=r"^line 1: key 'model\.variant': "):
         parse_config("model.variant = dh\nmodel.c = inf\n", "kfp")
+    # the default variant (dh) with a classical c names the line of model.c
+    with pytest.raises(ConfigError, match=r"^line 2: key 'model\.c': "):
+        parse_config("grid.nq = 16\nmodel.c = inf\n", "stationary")
     cfg = parse_config("model.variant = classical\nmodel.c = inf\n", "kfp")
     assert cfg.variant is Variant.CLASSICAL
 
@@ -240,10 +270,10 @@ def test_heat_keys_rejected_for_kfp():
 
 
 def test_potential_key_consistency():
-    with pytest.raises(ConfigError, match=r"potential\.stiffness"):
-        parse_config("potential.kind = zero\npotential.stiffness = 1\n", "heat")
-    with pytest.raises(ConfigError, match=r"potential\.amplitude"):
-        parse_config("potential.kind = harmonic\npotential.amplitude = 1\n", "heat")
+    with pytest.raises(ConfigError, match=r"line 2: key 'potential\.stiffness'"):
+        parse_config("potential.kind = zero\npotential.stiffness = 1\n", "kfp")
+    with pytest.raises(ConfigError, match=r"line 2: key 'potential\.amplitude'"):
+        parse_config("potential.kind = harmonic\npotential.amplitude = 1\n", "kfp")
     cfg = parse_config("potential.kind = harmonic\npotential.stiffness = 0.5\n", "kfp")
     assert isinstance(cfg.potential, HarmonicPotential)
     assert cfg.potential.stiffness == 0.5
@@ -287,37 +317,53 @@ RUNS = {"heat": ("heat", ""), "kfp": ("kfp", "model.c = 2.0\n"),
 HEAT_RUNS = {"heat", "limit-heat"}
 KINETIC_RUNS = {"kfp", "stationary", "verify", "limit-kfp"}
 STEPPED_RUNS = set(RUNS) - {"verify"}
+RECORDED_RUNS = {"heat", "kfp", "stationary"}
 # a valid line of each key and the runs that take it
 KEY_RUNS = {
-    "seed = 3": set(RUNS), "output.dump_every = 2": set(RUNS), "model.nu = 2.0": set(RUNS),
-    "potential.kind = zero": set(RUNS),
+    "seed = 3": {"verify"}, "output.dir = o": set(RUNS), "output.dump_every = 2": RECORDED_RUNS,
+    "model.c = 2.0": set(RUNS) - {"limit-heat"}, "model.nu = 2.0": HEAT_RUNS,
+    **{line: KINETIC_RUNS for line in ("model.m = 2.0", "model.gamma = 2.0",
+                                       "model.theta = 2.0", "potential.kind = zero")},
+    "model.variant = dmr": KINETIC_RUNS - {"verify"}, "model.d = 1": {"kfp", "stationary"},
     "grid.n = 64": HEAT_RUNS, "grid.length = 3.0": HEAT_RUNS,
-    "init.sigma = 0.2": HEAT_RUNS, "init.width = 0.5": HEAT_RUNS,
     "grid.nq = 32": KINETIC_RUNS, "grid.np = 32": KINETIC_RUNS,
     "grid.lq = 10.0": KINETIC_RUNS, "grid.pmax = 40.0": KINETIC_RUNS,
-    **{line: KINETIC_RUNS - {"verify"} for line in (
-        "init.p0 = 0.5", "init.q0 = 0.1", "init.sigma_q = 2.0", "init.sigma_p = 2.0")},
     "init.kind = uniform": STEPPED_RUNS,
     "solver.dt = 1e-3": STEPPED_RUNS, "solver.t_final = 0.5": STEPPED_RUNS,
-    "solver.record_every = 5": STEPPED_RUNS,
+    "solver.record_every = 5": RECORDED_RUNS,
     "stationary.l1_target = 1e-2": {"stationary"},
     "limit.kind = heat": {"limit-heat"}, "limit.c_values = 10, 100": {"limit-heat", "limit-kfp"},
     **{f"verify.{name} = {value}": {"verify"} for name, value in (
         ("bracket_pairs", 5), ("psd_samples", 5), ("fd_samples", 5), ("gradient_checks", 2),
         ("assembly_states", 2), ("refinement", "false"), ("jacobi", "false"))},
 }
-POTENTIAL_KEYS = {"potential.stiffness = 0.5": "harmonic", "potential.amplitude = 0.5": "cosine",
-                  "potential.period = 3.0": "cosine"}
+# a valid line of each key taken only under some values of a kind key:
+# (the runs that take it, the kind key, those values)
+KIND_KEYS = {
+    **{line: (KINETIC_RUNS, "potential.kind", own) for line, own in (
+        ("potential.stiffness = 0.5", {"harmonic"}), ("potential.amplitude = 0.5", {"cosine"}),
+        ("potential.period = 3.0", {"cosine"}))},
+    "init.sigma = 0.2": (HEAT_RUNS, "init.kind", {"gaussian"}),
+    "init.width = 0.5": (HEAT_RUNS, "init.kind", {"bump"}),
+    "init.p0 = 0.5": (STEPPED_RUNS - HEAT_RUNS, "init.kind", {"gaussian", "shifted-maxwellian"}),
+    **{f"init.{name} = 2.0": (STEPPED_RUNS - HEAT_RUNS, "init.kind", {"gaussian"})
+       for name in ("q0", "sigma_q", "sigma_p")},
+}
+# each kind key's values, in the runs that take it
+KINDS = {"potential.kind": {run: ("zero", "harmonic", "cosine") for run in KINETIC_RUNS},
+         "init.kind": {**{run: ("uniform", "gaussian", "bump") for run in HEAT_RUNS},
+                       **{run: ("uniform", "gaussian", "shifted-maxwellian")
+                          for run in STEPPED_RUNS - HEAT_RUNS}}}
 
 
 def test_each_key_parses_only_in_the_runs_that_take_it():
     cases = [(line, run, run in runs) for line, runs in KEY_RUNS.items() for run in RUNS]
-    # a potential key in each run and potential.kind; the heat solver's only
-    # potential is zero (test_heat_rejects_potential)
-    cases += [(f"potential.kind = {kind}\n{line}", run, kind == own)
-              for line, own in POTENTIAL_KEYS.items() for run in RUNS
-              for kind in ("zero", "harmonic", "cosine")
-              if run in KINETIC_RUNS or kind == "zero"]
+    # a kind-conditional key in each run, under each value of its kind key
+    # that the run takes (alone where the run takes no such kind key)
+    cases += [(f"{kind_key} = {kind}\n{line}" if kind else line, run,
+               run in runs and kind in own)
+              for line, (runs, kind_key, own) in KIND_KEYS.items() for run in RUNS
+              for kind in KINDS[kind_key].get(run, (None,))]
     for lines, run, taken in cases:
         experiment, prefix = RUNS[run]
         key = lines.splitlines()[-1].split("=")[0].strip()
@@ -337,12 +383,19 @@ def test_seed_range(tmp_path, capsys):
     for seed in (-1, 2**64, 2**64 + 1):
         with pytest.raises(ConfigError, match=r"line 1: key 'seed'"):
             parse_config(f"seed = {seed}\n", "verify")
-    path = tmp_path / "heat.cfg"
-    path.write_text(HEAT_SMALL)
+    path = tmp_path / "verify.cfg"
+    path.write_text("")
     for seed in ("-1", str(2**64 + 1), "one"):
-        argv = ["heat", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", seed]
+        argv = ["verify", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", seed]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("configuration error: --seed:")
+    # only the verify suite draws random numbers; any other run refuses a seed
+    path = tmp_path / "heat.cfg"
+    path.write_text(HEAT_SMALL)
+    argv = ["heat", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --seed: key 'seed' is not valid for experiment 'heat'\n")
 
 
 def test_stationary_config():

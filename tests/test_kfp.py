@@ -20,7 +20,8 @@ from relgeneric.errors import NonConvergenceError, PositivityError, StabilityErr
 from relgeneric.grid import PhaseGrid, time_steps
 from relgeneric.model import (CosinePotential, HarmonicPotential, INFINITE,
                               ModelParams, Variant, ZeroPotential, boltzmann_weight,
-                              grid_fields, maxwellian)
+                              grid_fields, maxwellian, mobility_drift,
+                              mobility_drift_divergence, velocity)
 from conftest import make_state
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -104,6 +105,23 @@ def test_excess_rate_compensates_energy_exactly(rng):
     assert de == K.excess_energy_rate(state, op)
 
 
+def excess_energy_rate_quadrature(state: G.State, grid: PhaseGrid,
+                                  params: ModelParams, variant: Variant) -> float:
+    """Midpoint quadrature of the continuum excess-energy law.
+
+    gamma * int (D grad_p H . grad_p H) rho - gamma theta * int div_p(D grad_p H) rho,
+    evaluated with the pointwise model functions.  Agrees with
+    K.excess_energy_rate at second order in hp and satisfies the exact bound
+    -rate <= gamma theta d / m for arbitrary nonnegative mass-1 densities.
+    """
+    pv = grid.p[:, np.newaxis]
+    drift_dot_vel = np.sum(mobility_drift(pv, variant, params)
+                           * velocity(pv, params), axis=-1)
+    div_drift = mobility_drift_divergence(pv, variant, params)
+    weight = params.gamma * (drift_dot_vel - params.theta * div_drift)
+    return float(np.sum(state.rho * weight[np.newaxis, :])) * grid.cell_volume
+
+
 def test_excess_quadrature_delta_state():
     # density concentrated at p=0: the drift integral vanishes and the rate is
     # exactly -gamma theta d / m
@@ -113,7 +131,7 @@ def test_excess_quadrature_delta_state():
     j0 = int(np.argmin(np.abs(grid.p)))
     assert abs(grid.p[j0]) < grid.hp  # grid is even, center straddles p=0
     rho[3, j0] = 1.0 / grid.cell_volume
-    rate = K.excess_energy_rate_quadrature(G.State(rho, 0.0), grid, params, Variant.DH)
+    rate = excess_energy_rate_quadrature(G.State(rho, 0.0), grid, params, Variant.DH)
     drift_term = params.gamma * (params.c * grid.p[j0] ** 2
                                  / (params.m * math.sqrt((params.m * params.c) ** 2
                                                          + grid.p[j0] ** 2)))
@@ -128,8 +146,8 @@ def test_excess_quadrature_universal_bound(rng):
         for _ in range(20):
             rho = rng.uniforms(cfg.grid.Nq * cfg.grid.Np, 0.0, 1.0).reshape(cfg.grid.shape)
             rho /= float(np.sum(rho)) * cfg.grid.cell_volume
-            rate = K.excess_energy_rate_quadrature(G.State(rho, 0.0), cfg.grid,
-                                                   cfg.params, variant)
+            rate = excess_energy_rate_quadrature(G.State(rho, 0.0), cfg.grid,
+                                                 cfg.params, variant)
             bound = cfg.params.gamma * cfg.params.theta * cfg.params.d / cfg.params.m
             assert -rate <= bound + 1e-12
 
@@ -148,7 +166,7 @@ def test_excess_forms_agree_on_smooth_states(rng):
         rho /= float(np.sum(rho)) * grid.cell_volume
         state = G.State(rho, 0.0)
         a = K.excess_energy_rate(state, op)
-        b = K.excess_energy_rate_quadrature(state, grid, params, Variant.DH)
+        b = excess_energy_rate_quadrature(state, grid, params, Variant.DH)
         errs.append(abs(a - b))
     assert errs[1] <= errs[0] / 3.0
 

@@ -145,7 +145,7 @@ def test_cli_verify_exit_codes(tmp_path):
 
 def test_cli_config_error_exit_2(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("model.theta = -4\n")
+    bad.write_text("model.nu = -4\n")
     assert run_cli("heat", "--config", str(bad)) == 2
     missing = tmp_path / "nothere.cfg"
     assert run_cli("heat", "--config", str(missing)) == 2
