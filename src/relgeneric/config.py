@@ -17,13 +17,13 @@ from typing import Callable, NamedTuple
 
 from .grid import LineGrid, PhaseGrid
 from .kfp import InitSpec
-from .model import (INFINITE, CosinePotential, HarmonicPotential, ModelParams,
-                    Potential, Variant, ZeroPotential, check_variant)
+from .model import (INFINITE, TAIL_CUTOFF, CosinePotential, HarmonicPotential,
+                    ModelParams, Potential, Variant, ZeroPotential)
 
 EXPERIMENTS = ("heat", "kfp", "verify", "stationary", "limit-study")
 
 # margin on top of -ln(TAIL_CUTOFF) used when auto-sizing domains
-_TAIL_EXPONENT = -math.log(1e-14) + 1.0
+_TAIL_EXPONENT = -math.log(TAIL_CUTOFF) + 1.0
 
 
 class ConfigError(Exception):
@@ -167,7 +167,7 @@ KEYS = (
     Key("model.nu", _number, 1.0, _POSITIVE, field="params.nu", solver="heat"),
     Key("model.d", _integer, 1, (lambda v: v == 1, "solvers support d = 1 only"),
         field="params.d", experiments=("kfp", "stationary")),
-    Key("model.variant", _choice("dh", "dmr", "classical", cast=Variant), Variant.DH,
+    Key("model.variant", _choice("dh", "dmr", cast=Variant), Variant.DH,
         field="variant", experiments=_STEPPED, solver="kfp"),
     Key("potential.kind", _choice("zero", "harmonic", "cosine"), "zero", solver="kfp"),
     *(Key(f"potential.{name}", _number, default, rule, solver="kfp", when=("potential.kind", kind))
@@ -256,6 +256,12 @@ def tail_exponent_momentum(params: ModelParams) -> float:
     return math.sqrt(2.0 * x) * math.sqrt(mc + 0.5 * x)
 
 
+def auto_lq(params: ModelParams, stiffness: float) -> float:
+    """The ``auto`` position domain: a harmonic trap's tail edge, else 4 pi."""
+    return (2.0 * math.sqrt(2.0 * params.theta * _TAIL_EXPONENT / stiffness) * 1.01
+            if stiffness > 0 else 4.0 * math.pi)
+
+
 def parse_config(text: str, experiment: str) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{experiment}'")
@@ -285,29 +291,14 @@ def parse_config(text: str, experiment: str) -> RunConfig:
         raise ConfigError(f"{at('experiment')}: file says {values['experiment']!r} but the "
                           f"command line selected '{experiment}'")
     run, params, init = fields[""], ModelParams(**fields["params"]), InitSpec(**fields["init"])
-    if experiment in ("kfp", "stationary"):
-        try:
-            check_variant(run["variant"], params)
-        except ValueError as exc:
-            name = "model.variant" if "model.variant" in entries else "model.c"
-            raise ConfigError(f"{at(name)}: {exc}; set model.c = inf for the classical "
-                              "variant or a finite model.c for dh and dmr") from None
     heat_solver = values.get("limit.kind", experiment) == "heat"
-    if experiment == "limit-study" and not heat_solver and run["variant"] is Variant.CLASSICAL:
-        raise ConfigError(f"{at('model.variant')}: a kinetic limit study sweeps dh or dmr "
-                          "against the classical baseline")
 
     potential, heat_grid, phase_grid = ZeroPotential(), None, None
     if heat_solver:
         heat_grid = LineGrid(N=values["grid.n"], L=values["grid.length"])
     else:
-        lq, pmax = values["grid.lq"], values["grid.pmax"]
-        stiffness = values.get("potential.stiffness", 0.0)
-        if lq is None:      # a harmonic trap's tail edge, else 4 pi
-            lq = (2.0 * math.sqrt(2.0 * params.theta * _TAIL_EXPONENT / stiffness) * 1.01
-                  if stiffness > 0 else 4.0 * math.pi)
-        if pmax is None:
-            pmax = tail_exponent_momentum(params) * 1.01
+        lq = values["grid.lq"] or auto_lq(params, values.get("potential.stiffness", 0.0))
+        pmax = values["grid.pmax"] or tail_exponent_momentum(params) * 1.01
         for key, extent in (("grid.lq", lq), ("grid.pmax", pmax)):
             if not 0 < extent < math.inf:     # 'auto' with extreme theta, m or stiffness
                 raise ConfigError(f"{at(key)}: 'auto' gives {extent!r} for these "
@@ -326,7 +317,8 @@ def parse_config(text: str, experiment: str) -> RunConfig:
             if phase_grid.Pmax < need:
                 raise ConfigError(
                     f"{at('grid.pmax')}: {phase_grid.Pmax} leaves a Boltzmann tail above "
-                    f"the 1e-14 cutoff for c={cval}; need at least {need:.3f} (or 'auto')")
+                    f"the {TAIL_CUTOFF:.0e} cutoff for c={cval}; need at least {need:.3f} "
+                    "(or 'auto')")
 
     return RunConfig(experiment=experiment, params=params, potential=potential,
                      heat_grid=heat_grid, phase_grid=phase_grid, init=init,

@@ -90,9 +90,8 @@ def _ghost_face(a: np.ndarray) -> np.ndarray:
 # dissipation potential
 
 def flux_potential(z, params: ModelParams):
-    """phi*(z) = (c^2/nu^2) (sqrt(1 + (nu^2/c^2) |z|^2) - 1); convex, phi*(0)=0."""
-    if params.classical:
-        raise ValueError("flux_potential requires finite c (classical mode bypasses it)")
+    """phi*(z) = (c^2/nu^2) (sqrt(1 + (nu^2/c^2) |z|^2) - 1); convex, phi*(0)=0,
+    and exactly |z|^2 / 2, the classical potential, at c = INFINITE."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite input")
@@ -102,9 +101,8 @@ def flux_potential(z, params: ModelParams):
 
 
 def saturating_flux(z, params: ModelParams):
-    """grad phi*(z) = z / sqrt(1 + (nu^2/c^2) |z|^2); norm bounded by c/nu."""
-    if params.classical:
-        raise ValueError("saturating_flux requires finite c")
+    """grad phi*(z) = z / sqrt(1 + (nu^2/c^2) |z|^2); norm bounded by c/nu,
+    and exactly z at c = INFINITE."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite input")

@@ -1,8 +1,8 @@
 """Kinetic Fokker-Planck solver on a 2-D (q, p) grid.
 
-Both relativistic variants and the classical Kramers equation are driven by
-one right-hand side: a centered conservative transport term plus a
-dissipative momentum flux written in equilibrium-weighted form,
+Both relativistic variants, and at c = INFINITE the Kramers equation, are
+driven by one right-hand side: a centered conservative transport term plus
+a dissipative momentum flux written in equilibrium-weighted form,
 
     gamma theta D rhat grad_p(rho / rhat),   rhat ~ exp(-H/theta),
 
@@ -45,8 +45,8 @@ from .errors import NonConvergenceError, PositivityError, StabilityError
 from .generic import (DiagnosticsRecord, State, div_p, div_q, face_div_p,
                       face_grad_p, faces_of, grad_p, grad_q, inner)
 from .grid import PhaseGrid, time_steps
-from .model import (ModelParams, Potential, Variant, check_variant, grid_fields,
-                    hamiltonian, maxwellian)
+from .model import (ModelParams, Potential, Variant, grid_fields, hamiltonian,
+                    maxwellian)
 
 NEGATIVE_TOL = -1e-12   # allowed undershoot per time step
 TRBDF2_GAMMA = 2.0 - math.sqrt(2.0)   # the L-stable choice; its stages share one matrix
@@ -73,7 +73,6 @@ class KfpConfig:
     init: InitSpec
 
     def __post_init__(self):
-        check_variant(self.variant, self.params)
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
         if self.record_every < 1:

@@ -1,11 +1,12 @@
 """Newtonian-limit study: sweep the speed of light against a classical baseline.
 
-All runs in a sweep share the identical initial data and the identical time
-step, the smallest auto step across the sweep, so measured deviations
+The members are the configured parameters at each c of ``limit.c_values``
+and, last, at c = INFINITE, the baseline.  All share the identical initial
+data and time step, the smallest auto step of the members, so deviations
 isolate the c-dependence of the dynamics.  A heat sweep steps at the heat
 stability bound, h^2 / (2 nu) for every c up to its round-off margin; a
-kinetic sweep at the transient step, with every finite-c member running the
-configured ``model.variant`` (DH or DMR) against the Kramers baseline.
+kinetic sweep at the transient step, each member running the configured
+``model.variant``, which at c = INFINITE is the Kramers equation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import heat as HT
 from .config import RunConfig
 from .grid import LineGrid, time_steps
 from .kfp import KfpOperator, make_initial_state, step_kfp
-from .model import INFINITE, Variant
+from .model import INFINITE
 
 
 @dataclass
@@ -34,56 +35,36 @@ def heat_initial(cfg: RunConfig, grid: LineGrid) -> np.ndarray:
     return HT.initial_profile(cfg.heat_init_kind, grid, sigma=sigma, width=width)
 
 
-def run_limit_heat(cfg: RunConfig) -> LimitResult:
-    grid = cfg.heat_grid
-    rho0 = heat_initial(cfg, grid)
-    sweep = [replace(cfg.params, c=c) for c in cfg.limit_cs]
-    baseline = replace(cfg.params, c=INFINITE)
-    dt = min(HT.stable_dt(grid, p) for p in sweep + [baseline])
-    if cfg.dt is not None:
-        dt = min(dt, cfg.dt)
-
-    def final_density(params):
-        res = HT.run_heat(grid, params, rho0, dt, cfg.t_final, record_every=10**9)
-        return res.state.rho
-
-    rho_classical = final_density(baseline)
-    deviations = [(p.c, float(np.abs(final_density(p) - rho_classical).max()))
-                  for p in sweep]
-    devs = [d for _, d in deviations]
-    monotone = all(b < a for a, b in zip(devs, devs[1:]))
-    return LimitResult(kind="heat", deviations=deviations, monotone=monotone)
-
-
-def run_limit_kfp(cfg: RunConfig) -> LimitResult:
-    grid = cfg.phase_grid
-    baseline = replace(cfg.params, c=INFINITE)
-    sweep = [replace(cfg.params, c=c) for c in cfg.limit_cs]
-    # identical initial data: built once from the classical parameters
-    state0 = make_initial_state(cfg.init, grid, baseline, cfg.potential)
-    ops = [KfpOperator(grid, p, cfg.potential, cfg.variant) for p in sweep]
-    classical = KfpOperator(grid, baseline, cfg.potential, Variant.CLASSICAL)
-    dt = min(op.transient_dt() for op in ops + [classical])
-    if cfg.dt is not None:
-        dt = min(dt, cfg.dt)
-    # identical equal-step schedule for every member of the sweep
-    n_steps, step_dt = time_steps(cfg.t_final, dt)
-
-    def final_density(op):
-        return step_kfp(state0, op, step_dt, steps=n_steps).rho
-
-    rho_classical = final_density(classical)
-    deviations = [(p.c, float(np.abs(final_density(op) - rho_classical).max()))
-                  for p, op in zip(sweep, ops)]
-    devs = [d for _, d in deviations]
-    monotone = all(b < a for a, b in zip(devs, devs[1:]))
-    return LimitResult(kind="kfp", deviations=deviations, monotone=monotone)
-
-
 def run_limit_study(cfg: RunConfig) -> LimitResult:
+    """Each swept c's max-norm deviation from the c = INFINITE member at t_final."""
+    members = [replace(cfg.params, c=c) for c in cfg.limit_cs + (INFINITE,)]
     if cfg.limit_kind == "heat":
-        return run_limit_heat(cfg)
-    return run_limit_kfp(cfg)
+        grid, runs = cfg.heat_grid, members
+        rho0 = heat_initial(cfg, grid)
+        auto_dt = [HT.stable_dt(grid, p) for p in members]
+
+        def final_density(params, dt):
+            res = HT.run_heat(grid, params, rho0, dt, cfg.t_final, record_every=10**9)
+            return res.state.rho
+    else:
+        grid = cfg.phase_grid
+        # identical initial data: built once from the classical parameters
+        state0 = make_initial_state(cfg.init, grid, members[-1], cfg.potential)
+        runs = [KfpOperator(grid, p, cfg.potential, cfg.variant) for p in members]
+        auto_dt = [op.transient_dt() for op in runs]
+
+        def final_density(op, dt):
+            n_steps, step_dt = time_steps(cfg.t_final, dt)
+            return step_kfp(state0, op, step_dt, steps=n_steps).rho
+
+    dt = min(auto_dt + ([] if cfg.dt is None else [cfg.dt]))
+    rho_classical = final_density(runs[-1], dt)
+    # zip stops before the classical member
+    deviations = [(c, float(np.abs(final_density(run, dt) - rho_classical).max()))
+                  for c, run in zip(cfg.limit_cs, runs)]
+    devs = [d for _, d in deviations]
+    monotone = all(b < a for a, b in zip(devs, devs[1:]))
+    return LimitResult(kind=cfg.limit_kind, deviations=deviations, monotone=monotone)
 
 
 def write_limit_csv(result: LimitResult, path) -> None:

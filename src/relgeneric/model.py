@@ -26,11 +26,11 @@ INFINITE = math.inf
 
 
 class Variant(Enum):
-    """Which kinetic Fokker-Planck model the diffusion matrix belongs to."""
+    """Which relativistic kinetic Fokker-Planck model the diffusion matrix
+    belongs to; at c = INFINITE both are the classical Kramers equation."""
 
     DMR = "dmr"            # identity diffusion, relativistic drift
     DH = "dh"              # momentum-dependent diffusion, linear drift
-    CLASSICAL = "classical"  # Kramers equation, requires c = INFINITE
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,6 @@ class ModelParams:
     @property
     def classical(self) -> bool:
         return math.isinf(self.c)
-
-
-def check_variant(variant: Variant, params: ModelParams) -> None:
-    """DMR/DH need a finite speed of light, CLASSICAL needs c = INFINITE."""
-    if variant is Variant.CLASSICAL and not params.classical:
-        raise ValueError("CLASSICAL variant requires c = INFINITE")
-    if variant is not Variant.CLASSICAL and params.classical:
-        raise ValueError(f"{variant.value} variant requires finite c")
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +146,15 @@ def velocity(p, params: ModelParams):
 
 
 def diffusion_matrix(p, variant: Variant, params: ModelParams):
-    """Momentum diffusion matrix: identity for DMR/CLASSICAL, D(p) for DH.
+    """Momentum diffusion matrix: D(p) for DH at finite c, else the identity.
 
     D(p) = (mc / sqrt(m^2 c^2 + |p|^2)) * (I + p (x) p / (m^2 c^2)),
     symmetric positive semidefinite for every p.
     """
-    check_variant(variant, params)
     p = _as_vectors(p)
     d = p.shape[-1]
     eye = np.eye(d)
-    if variant is not Variant.DH:
+    if variant is not Variant.DH or params.classical:
         return np.broadcast_to(eye, p.shape[:-1] + (d, d)).copy()
     mc = params.m * params.c
     psq = np.sum(p * p, axis=-1)[..., np.newaxis, np.newaxis]
@@ -172,17 +163,16 @@ def diffusion_matrix(p, variant: Variant, params: ModelParams):
 
 
 def mobility_drift(p, variant: Variant, params: ModelParams):
-    """D(p) applied to the velocity; equals p/m for DH and CLASSICAL."""
+    """D(p) applied to the velocity; equals p/m for DH and at c = INFINITE."""
     dm = diffusion_matrix(p, variant, params)
     return np.einsum("...ij,...j->...i", dm, velocity(p, params))
 
 
 def mobility_drift_divergence(p, variant: Variant, params: ModelParams):
     """Momentum divergence of the mobility drift; bounded above by d/m."""
-    check_variant(variant, params)
     p = _as_vectors(p)
     d = p.shape[-1]
-    if variant is not Variant.DMR:
+    if variant is not Variant.DMR or params.classical:
         return np.full(p.shape[:-1], d / params.m)
     mc = params.m * params.c
     psq = np.sum(p * p, axis=-1)
@@ -227,10 +217,10 @@ def grid_fields(grid: PhaseGrid, params: ModelParams, potential: Potential,
     ValueError when H is not finite on the grid.
     """
     if variant is not None:
-        check_variant(variant, params)
         base = grid_fields(grid, params, potential, None)
         mc = params.m * params.c
-        d = np.sqrt(mc * mc + grid.p_faces**2) / mc if variant is Variant.DH else 1.0
+        d = (np.sqrt(mc * mc + grid.p_faces**2) / mc
+             if variant is Variant.DH and not params.classical else 1.0)
         return base._replace(dface=np.broadcast_to(d, base.gh_face.shape))
     h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
                     params, potential)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import generic as G
 from . import heat as HT
-from .config import VerifyOptions
+from .config import VerifyOptions, auto_lq, tail_exponent_momentum
 from .grid import LineGrid, PhaseGrid
 from .kfp import KfpOperator
 from .model import (HarmonicPotential, ModelParams, Potential, Variant,
@@ -285,13 +285,11 @@ def refinement_checks() -> list[CheckResult]:
     out.append(_check("L dS refinement order upper bound", slope, 2.3))
 
     rel = ModelParams(m=1.0, c=4.0, gamma=0.5, theta=1.0)
-    a = rel.theta * (-math.log(1e-14) + 1.0)
-    pmax = math.sqrt((rel.m * rel.c + a / rel.c) ** 2 - (rel.m * rel.c) ** 2) * 1.01
     hpot = HarmonicPotential(stiffness=1.0)
-    qe = math.sqrt(2.0 * a / hpot.stiffness) * 1.01
+    lq, pmax = auto_lq(rel, hpot.stiffness), tail_exponent_momentum(rel) * 1.01
     resid = []
     for n in (32, 64, 128):
-        grid = PhaseGrid(Nq=n, Np=n, Lq=2 * qe, Pmax=pmax)
+        grid = PhaseGrid(Nq=n, Np=n, Lq=lq, Pmax=pmax)
         rinf, _ = maxwellian(grid, rel, hpot)
         state = G.State(rinf, 0.0)
         v_e = G.gradient_energy(state, grid, rel, hpot)

@@ -168,8 +168,7 @@ def fuzzed_configs(draw):
             value = draw(EXTREME | PLAIN)
         lines.append(f"{key} = {value}\n")
     if experiment in ("kfp", "stationary") and draw(st.booleans()):
-        lines.append("model.c = inf\nmodel.variant = classical\n"
-                     if "model.c" not in keys else "model.variant = dmr\n")
+        lines.append("model.c = inf\n" if "model.c" not in keys else "model.variant = dmr\n")
     return experiment, "".join(lines)
 
 
@@ -252,16 +251,16 @@ def test_grid_keys_name_their_line():
             parse_config(f"{line}\n", "heat")
 
 
-def test_kfp_variant_consistency():
-    with pytest.raises(ConfigError, match=r"^line 1: key 'model\.variant': "):
-        parse_config("model.variant = classical\nmodel.c = 1.0\n", "kfp")
-    with pytest.raises(ConfigError, match=r"^line 1: key 'model\.variant': "):
-        parse_config("model.variant = dh\nmodel.c = inf\n", "kfp")
-    # the default variant (dh) with a classical c names the line of model.c
-    with pytest.raises(ConfigError, match=r"^line 2: key 'model\.c': "):
-        parse_config("grid.nq = 16\nmodel.c = inf\n", "stationary")
-    cfg = parse_config("model.variant = classical\nmodel.c = inf\n", "kfp")
-    assert cfg.variant is Variant.CLASSICAL
+def test_kfp_variant_consistency(tmp_path, capsys):
+    # model.c = inf is the one classical switch: dh and dmr take every c, and
+    # 'classical' is no variant
+    for text in ("model.variant = dh\nmodel.c = inf\n", "model.variant = dmr\nmodel.c = inf\n",
+                 "grid.nq = 16\nmodel.c = inf\n"):
+        assert parse_config(text, "stationary").params.classical
+    path = tmp_path / "classical.cfg"
+    path.write_text("model.c = inf\nmodel.variant = classical\n")
+    assert main(["kfp", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "line 2: key 'model.variant': expected one of ('dh', 'dmr')" in capsys.readouterr().err
 
 
 def test_heat_keys_rejected_for_kfp():

@@ -42,13 +42,16 @@ def test_flux_potential_values():
     assert H.flux_potential(1.0, fast) == pytest.approx(0.5, abs=1e-6)
 
 
-def test_flux_potential_requires_finite_c():
-    with pytest.raises(ValueError):
-        H.flux_potential(1.0, CLASSICAL)
-    with pytest.raises(ValueError):
-        H.saturating_flux(1.0, CLASSICAL)
-    with pytest.raises(ValueError):
-        H.flux_potential(float("nan"), REL)
+def test_flux_potential_exact_at_infinite_c():
+    # r = (nu/c)^2 = 0: the classical potential z^2/2 and its gradient z, bit for bit
+    zs = np.array([0.0, -0.0, 1e-300, -math.sqrt(3.0), 0.1, 7.5, -1e6, 1e150])
+    assert np.array_equal(H.flux_potential(zs, CLASSICAL), zs * zs / 2.0)
+    assert np.array_equal(H.saturating_flux(zs, CLASSICAL), zs)
+    for params in (REL, CLASSICAL):
+        with pytest.raises(ValueError):
+            H.flux_potential(float("nan"), params)
+        with pytest.raises(ValueError):
+            H.saturating_flux(float("inf"), params)
 
 
 def test_saturating_flux_values():
@@ -70,15 +73,16 @@ def test_flux_potential_gradient_consistent(z):
 def test_dissipation_potential_properties(grid):
     rng = SplitMix64(9)
     rho = positive_profile(rng, grid)
-    assert H.dissipation_potential(rho, np.full(grid.N, 4.2), grid, REL) == 0.0
-    for _ in range(20):
-        xi1 = rng.uniforms(grid.N, -1, 1)
-        xi2 = rng.uniforms(grid.N, -1, 1)
-        k1 = H.dissipation_potential(rho, xi1, grid, REL)
-        k2 = H.dissipation_potential(rho, xi2, grid, REL)
-        kmid = H.dissipation_potential(rho, 0.5 * (xi1 + xi2), grid, REL)
-        assert k1 >= 0.0 and k2 >= 0.0
-        assert kmid <= 0.5 * (k1 + k2) + 1e-12
+    for params in (REL, CLASSICAL):
+        assert H.dissipation_potential(rho, np.full(grid.N, 4.2), grid, params) == 0.0
+        for _ in range(20):
+            xi1 = rng.uniforms(grid.N, -1, 1)
+            xi2 = rng.uniforms(grid.N, -1, 1)
+            k1 = H.dissipation_potential(rho, xi1, grid, params)
+            k2 = H.dissipation_potential(rho, xi2, grid, params)
+            kmid = H.dissipation_potential(rho, 0.5 * (xi1 + xi2), grid, params)
+            assert k1 >= 0.0 and k2 >= 0.0
+            assert kmid <= 0.5 * (k1 + k2) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +124,12 @@ def test_classical_rhs_eigenfunction_refinement():
 
 def test_generic_assembly_identity(grid):
     rng = SplitMix64(23)
-    for _ in range(10):
-        rho = positive_profile(rng, grid)
-        r1 = H.heat_rhs(rho, grid, REL)
-        r2 = H.heat_rhs_via_potential(rho, grid, REL)
-        assert float(np.abs(r1 - r2).max()) <= 1e-12 * (float(np.abs(r1).max()) + 1e-300)
+    for params in (REL, CLASSICAL):
+        for _ in range(10):
+            rho = positive_profile(rng, grid)
+            r1 = H.heat_rhs(rho, grid, params)
+            r2 = H.heat_rhs_via_potential(rho, grid, params)
+            assert float(np.abs(r1 - r2).max()) <= 1e-12 * (float(np.abs(r1).max()) + 1e-300)
 
 
 def test_classical_flux_reduces_to_fourier(grid):

@@ -212,34 +212,48 @@ def _radius(matrix):
     return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
-def _stability_op(nq, npp, variant, potential, gamma):
-    classical = variant is Variant.CLASSICAL
-    params = ModelParams(m=1.0, c=INFINITE if classical else 1.0, gamma=gamma, theta=1.0)
-    grid = PhaseGrid(Nq=nq, Np=npp, Lq=4 * math.pi, Pmax=8.4 if classical else 34.0)
+def _kinetic_params(c, gamma=0.5):
+    """Unit parameters at c and the grid's momentum edge for them."""
+    params = ModelParams(m=1.0, c=c, gamma=gamma, theta=1.0)
+    return params, 8.4 if params.classical else 34.0
+
+
+# each variant at c = 1, and the Kramers equation: DMR at c = INFINITE
+KINETIC_CASES = [pytest.param(Variant.DH, 1.0, id="Variant.DH"),
+                 pytest.param(Variant.DMR, 1.0, id="Variant.DMR"),
+                 pytest.param(Variant.DMR, INFINITE, id="classical")]
+
+
+def _stability_op(nq, npp, variant, c, potential, gamma):
+    params, pmax = _kinetic_params(c, gamma)
+    grid = PhaseGrid(Nq=nq, Np=npp, Lq=4 * math.pi, Pmax=pmax)
     pot = (CosinePotential(amplitude=1.0, period=grid.Lq) if potential == "cosine"
            else HarmonicPotential(stiffness=0.25))
     return K.KfpOperator(grid, params, pot, variant)
 
 
 STABILITY_CASES = [
-    pytest.param(shape, v, pot, gamma, id=f"{shape[0]}x{shape[1]}-{v.value}-{pot}-{gamma:g}")
-    for shape, v, pot, gamma in
-    [((12, 24), v, pot, gamma) for v in Variant for pot in ("cosine", "harmonic")
-     for gamma in (0.05, 20.0)]
-    + [((8, 64), Variant.DH, "cosine", 0.05), ((8, 64), Variant.DMR, "harmonic", 20.0),
-       ((8, 64), Variant.CLASSICAL, "harmonic", 0.05)]]
+    pytest.param(shape, v, c, pot, gamma,
+                 id=f"{shape[0]}x{shape[1]}-{v.value if c < INFINITE else 'classical'}"
+                    f"-{pot}-{gamma:g}")
+    for shape, v, c, pot, gamma in
+    [((12, 24), v, c, pot, gamma)
+     for v, c in ((Variant.DH, 1.0), (Variant.DMR, 1.0), (Variant.DH, INFINITE))
+     for pot in ("cosine", "harmonic") for gamma in (0.05, 20.0)]
+    + [((8, 64), Variant.DH, 1.0, "cosine", 0.05), ((8, 64), Variant.DMR, 1.0, "harmonic", 20.0),
+       ((8, 64), Variant.DH, INFINITE, "harmonic", 0.05)]]
 
 
-@pytest.mark.parametrize("shape,variant,potential,gamma", STABILITY_CASES)
-def test_split_step_is_stable_at_stable_dt(shape, variant, potential, gamma):
-    op = _stability_op(*shape, variant, potential, gamma)
+@pytest.mark.parametrize("shape,variant,c,potential,gamma", STABILITY_CASES)
+def test_split_step_is_stable_at_stable_dt(shape, variant, c, potential, gamma):
+    op = _stability_op(*shape, variant, c, potential, gamma)
     assert op.transient_dt() < op.stable_dt()
     assert _radius(_split_step_matrix(op, op.stable_dt())) <= 1.0 + 1e-12
 
 
 def test_split_step_is_unstable_at_twice_stable_dt():
     # the stability test above detects a bound set too high
-    op = _stability_op(12, 24, Variant.DMR, "cosine", 0.05)
+    op = _stability_op(12, 24, Variant.DMR, 1.0, "cosine", 0.05)
     assert _radius(_split_step_matrix(op, 2.0 * op.stable_dt())) > 1.5
 
 
@@ -293,15 +307,14 @@ def test_degeneracy_residuals_along_run():
     assert all(r.degL > 0.0 for r in res.records)
 
 
-@pytest.mark.parametrize("variant", [Variant.DH, Variant.DMR, Variant.CLASSICAL])
-def test_integrate_records_match_public_functions(variant):
+@pytest.mark.parametrize("variant,c", KINETIC_CASES)
+def test_integrate_records_match_public_functions(variant, c):
     # every record and aux entry equals its recomputation from the public
     # functions, and the recorded states are those of a chain of step_kfp
     # calls, one per record interval; record_every=2 records after some
     # steps and not after others
-    classical = variant is Variant.CLASSICAL
-    params = ModelParams(m=1.0, c=INFINITE if classical else 1.0, gamma=0.5, theta=1.0)
-    grid = PhaseGrid(Nq=32, Np=64, Lq=4 * math.pi, Pmax=8.4 if classical else 34.0)
+    params, pmax = _kinetic_params(c)
+    grid = PhaseGrid(Nq=32, Np=64, Lq=4 * math.pi, Pmax=pmax)
     cfg = small_cfg(variant, params=params, grid=grid, record_every=2)
     pot = cfg.potential
     op = K.KfpOperator(grid, params, pot, variant)
@@ -492,10 +505,9 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-def _variant_cfg(variant, record_every, steps):
-    classical = variant is Variant.CLASSICAL
-    params = ModelParams(m=1.0, c=INFINITE if classical else 1.0, gamma=0.5, theta=1.0)
-    grid = PhaseGrid(Nq=32, Np=64, Lq=4 * math.pi, Pmax=8.4 if classical else 34.0)
+def _variant_cfg(variant, record_every, steps, c=1.0):
+    params, pmax = _kinetic_params(c)
+    grid = PhaseGrid(Nq=32, Np=64, Lq=4 * math.pi, Pmax=pmax)
     cfg = small_cfg(variant, params=params, grid=grid, record_every=record_every)
     op = K.KfpOperator(grid, params, cfg.potential, variant)
     return dataclasses.replace(cfg, t_final=(steps - 0.5) * op.transient_dt()), op
@@ -515,11 +527,11 @@ def test_calculus_bitwise_equal_to_allocating_reference():
                 assert np.array_equal(_bits(fn(grid, x, out=out)), _bits(expected))
 
 
-@pytest.mark.parametrize("variant", [Variant.DH, Variant.DMR, Variant.CLASSICAL])
-def test_rhs_bitwise_equal_to_allocating_reference(variant, rng):
+@pytest.mark.parametrize("variant,c", KINETIC_CASES)
+def test_rhs_bitwise_equal_to_allocating_reference(variant, c, rng):
     # the kernel the record pass shares with rhs, which the integrate test
     # below can no longer swap for the reference
-    cfg, op = _variant_cfg(variant, record_every=1, steps=1)
+    cfg, op = _variant_cfg(variant, record_every=1, steps=1, c=c)
     for _ in range(3):
         state = make_state(rng, cfg.grid, cfg.params, cfg.potential, e=0.3)
         drho, de = op.rhs(state)
@@ -528,10 +540,10 @@ def test_rhs_bitwise_equal_to_allocating_reference(variant, rng):
 
 
 @pytest.mark.parametrize("record_every", [1, 3])
-@pytest.mark.parametrize("variant", [Variant.DH, Variant.DMR, Variant.CLASSICAL])
-def test_integrate_bitwise_equal_to_allocating_reference(variant, record_every,
+@pytest.mark.parametrize("variant,c", KINETIC_CASES)
+def test_integrate_bitwise_equal_to_allocating_reference(variant, c, record_every,
                                                          monkeypatch):
-    cfg, _ = _variant_cfg(variant, record_every, steps=7)
+    cfg, _ = _variant_cfg(variant, record_every, steps=7, c=c)
 
     def run():
         seen = []
@@ -985,10 +997,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_cfg(t_final=-1.0)
     with pytest.raises(ValueError):
-        K.KfpConfig(grid=PhaseGrid(Nq=16, Np=32, Lq=34.0, Pmax=34.0),
-                    params=ModelParams(c=INFINITE), potential=ZeroPotential(),
-                    variant=Variant.DH, dt=None, t_final=1.0, record_every=1,
-                    init=K.InitSpec())
+        small_cfg(record_every=0)
+    # at c = INFINITE either variant is the Kramers equation
+    for variant in Variant:
+        small_cfg(variant, params=ModelParams(c=INFINITE),
+                  grid=PhaseGrid(Nq=16, Np=32, Lq=34.0, Pmax=34.0))
 
 
 def test_newtonian_limit_harmonic_64x64():
@@ -1003,7 +1016,7 @@ def test_newtonian_limit_harmonic_64x64():
     state0 = K.make_initial_state(K.InitSpec(kind="shifted-maxwellian", p0=0.5),
                                   grid, classical, pot)
     ops = [K.KfpOperator(grid, base, pot, Variant.DH),
-           K.KfpOperator(grid, classical, pot, Variant.CLASSICAL)]
+           K.KfpOperator(grid, classical, pot, Variant.DH)]
     dt = min(op.transient_dt() for op in ops)
     finals = []
     for op in ops:
@@ -1023,7 +1036,7 @@ LIMIT_KFP_SMALL = ("experiment = limit-study\nlimit.kind = kfp\nlimit.c_values =
 
 
 def test_kinetic_limit_study_sweeps_the_configured_variant(monkeypatch, tmp_path):
-    # every finite-c member steps with model.variant against Kramers
+    # every member steps with model.variant, the classical baseline at c = INFINITE
     built = []
 
     def recording_operator(grid, params, potential, variant):
@@ -1037,12 +1050,57 @@ def test_kinetic_limit_study_sweeps_the_configured_variant(monkeypatch, tmp_path
         cfg = parse_config(LIMIT_KFP_SMALL + f"model.variant = {variant.value}\n",
                            "limit-study")
         deviations[variant] = [d for _, d in L.run_limit_study(cfg).deviations]
-        assert built == [(10.0, variant), (100.0, variant), (INFINITE, Variant.CLASSICAL)]
+        assert built == [(10.0, variant), (100.0, variant), (INFINITE, variant)]
     assert deviations[Variant.DH] != deviations[Variant.DMR]
-    # the classical variant has no finite-c member to sweep: a named config error
+    # 'classical' is no variant: a named config error
     path = tmp_path / "classical.cfg"
     path.write_text(LIMIT_KFP_SMALL + "model.variant = classical\n")
     assert main(["limit-study", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_variants_coincide_at_infinite_c():
+    # c = INFINITE turns DH and DMR into the one Kramers equation, bit for bit
+    params, pmax = _kinetic_params(INFINITE)
+    grid = PhaseGrid(Nq=16, Np=32, Lq=4 * math.pi, Pmax=pmax)
+    pot = CosinePotential(amplitude=1.0, period=grid.Lq)
+    dh, dmr = (grid_fields(grid, params, pot, v) for v in (Variant.DH, Variant.DMR))
+    for a, b in zip(dh, dmr):
+        assert np.array_equal(_bits(a), _bits(b))
+    assert np.all(dh.dface == 1.0)
+    runs = [K.integrate(small_cfg(v, t_final=0.3, record_every=2, params=params, grid=grid,
+                                  potential=pot)) for v in Variant]
+    assert len(runs[0].records) > 2
+    assert np.array_equal(_bits(runs[0].state.rho), _bits(runs[1].state.rho))
+    for rec_dh, rec_dmr, aux_dh, aux_dmr in zip(runs[0].records, runs[1].records,
+                                                runs[0].aux, runs[1].aux, strict=True):
+        assert np.array_equal(_bits(dataclasses.astuple(rec_dh)),
+                              _bits(dataclasses.astuple(rec_dmr)))
+        assert np.array_equal(_bits(list(aux_dh.values())), _bits(list(aux_dmr.values())))
+
+
+def test_stationary_runs_at_infinite_c_with_the_default_variant(tmp_path):
+    path = tmp_path / "kramers.cfg"
+    path.write_text("experiment = stationary\nmodel.c = inf\npotential.kind = cosine\n"
+                    "grid.nq = 16\ngrid.np = 32\nsolver.t_final = 20\ninit.p0 = 0.5\n"
+                    "stationary.l1_target = 0.05\n")
+    assert main(["stationary", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("variant", ["dh", "dmr"])
+def test_cli_runs_every_variant_from_mildly_relativistic_to_classical(variant, tmp_path,
+                                                                     capsys):
+    # a few steps at each c end in exit 0, or in a named error with exit 1
+    # or 2, never in an uncaught exception; at c = inf either variant runs
+    for c in ("0.5", "1e3", "1e7", "inf"):
+        path = tmp_path / f"{c}.cfg"
+        path.write_text(f"model.variant = {variant}\nmodel.c = {c}\ngrid.nq = 16\n"
+                        "grid.np = 32\nsolver.t_final = 0.05\nsolver.record_every = 1\n")
+        code = main(["kfp", "--config", str(path), "--out", str(tmp_path / c)])
+        err = capsys.readouterr().err
+        assert code == 0 or (code in (1, 2) and err.startswith(("run failed: ",
+                                                                "configuration error: ")))
+        assert code == 0 or c != "inf"
 
 
 def test_stationary_run_preserves_energy_budget():

@@ -91,11 +91,15 @@ def test_diffusion_matrix_eigenvalues_d3():
     assert np.allclose(dm @ perp, (p.m * p.c / s) * perp, rtol=1e-13)
 
 
-def test_variant_consistency_enforced():
-    with pytest.raises(ValueError):
-        diffusion_matrix(np.array([0.0]), Variant.DH, ModelParams(c=INFINITE))
-    with pytest.raises(ValueError):
-        diffusion_matrix(np.array([0.0]), Variant.CLASSICAL, ModelParams(c=1.0))
+def test_variants_are_kramers_at_infinite_c():
+    # D = I, D v = p/m and div_p(D v) = d/m for both variants, exactly
+    p = ModelParams(m=2.0, c=INFINITE)
+    pv = np.array([[0.0, 0.0], [3.0, -4.0], [1e3, 0.25], [-7.0, 1e-300]])
+    for variant in Variant:
+        assert np.array_equal(diffusion_matrix(pv, variant, p),
+                              np.broadcast_to(np.eye(2), (4, 2, 2)))
+        assert np.array_equal(mobility_drift(pv, variant, p), pv / p.m)
+        assert np.array_equal(mobility_drift_divergence(pv, variant, p), np.full(4, 2 / p.m))
 
 
 def test_mobility_drift():
