@@ -95,9 +95,9 @@ def flux_potential(z, params: ModelParams):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite input")
-    r = (params.nu / params.c) ** 2
-    # (sqrt(1 + r z^2) - 1)/r rationalized; stable for r z^2 << 1
-    return z * z / (1.0 + np.sqrt(1.0 + r * z * z))
+    a = np.abs(z)
+    # rationalized, stable for |z| nu/c << 1; hypot keeps it finite for every finite z
+    return a * (a / (1.0 + np.hypot(1.0, (params.nu / params.c) * z)))
 
 
 def saturating_flux(z, params: ModelParams):
@@ -106,8 +106,7 @@ def saturating_flux(z, params: ModelParams):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite input")
-    r = (params.nu / params.c) ** 2
-    return z / np.sqrt(1.0 + r * z * z)
+    return z / np.hypot(1.0, (params.nu / params.c) * z)
 
 
 def dissipation_potential(rho: np.ndarray, xi: np.ndarray, grid: LineGrid,

@@ -12,11 +12,11 @@ the dissipative flux exchanges, so the coupled total energy is a linear
 invariant of the semi-discretization.
 
 A time step follows the GENERIC split dz/dt = L dE + M dS (Strang): half a
-step of the dissipative part, one RK4 step of the transport alone, and
-another dissipative half step.  The dissipative half step is TR-BDF2
-through a precomputed dense map applied in flux form, so mass telescopes,
-the total energy stays a linear invariant and the Maxwellian stays a fixed
-point, each to round-off.
+step of the dissipative part, one RK4 step of the transport alone (in
+Horner form), and another dissipative half step.  The dissipative half step
+is TR-BDF2 in flux form, its face flux one matmul with a precomputed flux
+map, so mass telescopes, the total energy stays a linear invariant and the
+Maxwellian stays a fixed point, each to round-off.
 
 Only transport limits the step, and two steps derive from its velocities:
 the split step's stability bound ``KfpOperator.stable_dt``, and the
@@ -42,8 +42,8 @@ import numpy as np
 
 from . import generic
 from .errors import NonConvergenceError, PositivityError, StabilityError
-from .generic import (DiagnosticsRecord, State, div_p, div_q, face_div_p,
-                      face_grad_p, faces_of, grad_p, grad_q, inner)
+from .generic import (DiagnosticsRecord, State, face_div_p, face_grad_p, faces_of,
+                      grad_p, grad_q, inner)
 from .grid import PhaseGrid, time_steps
 from .model import (ModelParams, Potential, Variant, grid_fields, hamiltonian,
                     maxwellian)
@@ -83,12 +83,12 @@ class KfpOperator:
     """Precomputed grid fields for fast right-hand-side evaluation.
 
     H on cells, its face gradient, D on faces and the Boltzmann weight are
-    the shared read-only arrays of ``model.grid_fields``.  The operator also
-    owns the workspace its kernels, the time step and, between steps, the
-    ``RecordPass`` write into (five cell arrays) and the last dissipative
-    map it built, with its pair map once a merged step needed it, so one
-    operator must not be used by two threads at once.
-    The public methods return fresh arrays that never alias the workspace.
+    the shared read-only arrays of ``model.grid_fields``; the transport holds
+    minus its velocities over the stencils' 2h, ``q_rate = -dH/dp / (2 h_q)``
+    and ``p_rate = dH/dq / (2 h_p)``.  The operator owns the workspace its
+    kernels, the time step and, between steps, the ``RecordPass`` write into
+    (five cell arrays) and the last substep's flux maps, so it must not be
+    used by two threads at once; public methods return fresh arrays.
     """
 
     def __init__(self, grid: PhaseGrid, params: ModelParams, potential: Potential,
@@ -97,24 +97,25 @@ class KfpOperator:
         fields = grid_fields(grid, params, potential, variant)
         self.h_cells, self.gh_face, self.dface = fields.h_cells, fields.gh_face, fields.dface
         self.rhat, self.rhat_face = fields.rhat, fields.rhat_face
-        self.gq_h = grad_q(grid, self.h_cells)       # force field is -gq_h
-        self.neg_gp_h = -grad_p(grid, self.h_cells)  # minus the q-direction velocity
+        gq_h, gp_h = grad_q(grid, self.h_cells), grad_p(grid, self.h_cells)
+        speeds = [(float(np.abs(gp_h).max()), grid.hq), (float(np.abs(gq_h).max()), grid.hp)]
+        self.q_rate = np.divide(gp_h, -2.0 * grid.hq, out=gp_h)
+        self.p_rate = np.divide(gq_h, 2.0 * grid.hp, out=gq_h)
         # gamma theta D rhat on faces: one multiply per rhs evaluation
         self.diff_face = params.gamma * params.theta * self.dface * self.rhat_face
+        self._row = int(np.argmin(self.h_cells[:, 0]))   # the row of least V
         self._tridiag = self._dissipative_matrix()
-        speeds = [(float(np.abs(self.neg_gp_h).max()), grid.hq),
-                  (float(np.abs(self.gq_h).max()), grid.hp)]
         rate = sum(v / h for v, h in speeds)
         self._stable_dt = 2.0 / rate if rate > 0 else math.inf
         if not (math.isfinite(self._stable_dt) and self._stable_dt > 0):
             raise StabilityError(f"the stability bound on dt is {self._stable_dt!r}; "
                                  "the parameters leave no usable time step")
         self._transient_dt = min(0.4 * h / v for v, h in speeds if v > 0)
-        # the last dissipative map, its h and its pair map (built on first use)
-        self._map_h, self._w_map, self._w_pair = None, None, None
+        # the last substep length, and its flux map and pair map as they are built
+        self._map_h, self._maps = None, []
         # workspace, one block freed in one piece: the density after the first
-        # dissipative half step, an RK4 stage density and slope (the stage also
-        # holds a dissipative stage state), and two kernel scratch arrays
+        # dissipative half step, the RK4 stage density, a record scratch array
+        # and two kernel scratch arrays
         self._mid, self._stage, self._slope, self._work, self._work2 = \
             np.empty((5,) + grid.shape)
 
@@ -156,21 +157,17 @@ class KfpOperator:
         alone and the factor exp(-V(q)/theta) cancels from rhat_face / rhat.
         The row of least V is used.  lower[0] and upper[-1] are 0.
         """
-        i = int(np.argmin(self.h_cells[:, 0]))
-        c = self.diff_face[i] / self.grid.hp**2
-        r = self.rhat[i]
-        lower, main, upper = np.zeros((3, self.grid.Np))
+        c = self.diff_face[self._row] / self.grid.hp**2
+        r = self.rhat[self._row]
+        tridiag = lower, main, upper = np.zeros((3, self.grid.Np))
         upper[:-1] = c / r[1:]
         lower[1:] = c / r[:-1]
         main[:-1] -= c / r[:-1]
         main[1:] -= c / r[1:]
-        if not np.all(np.isfinite([lower, main, upper])):
-            raise StabilityError("the dissipative operator's coefficients are not finite; "
-                                 "check gamma, theta and the grid")
-        return lower, main, upper
+        return tuple(_finite(tridiag, "operator's coefficients are"))
 
     def _map(self, h: float) -> np.ndarray:
-        """The TR-BDF2 map W of a dissipative substep of length h, kept for the next h.
+        """The TR-BDF2 map W of a dissipative substep of length h, as a fresh array.
 
         With the matrix A of _dissipative_matrix and the stage weights
         d = gamma/2 and b = (1 - d)/2 of TR-BDF2 written as a stiffly
@@ -180,8 +177,6 @@ class KfpOperator:
         W r = r for a Maxwellian row r.  Built by Thomas sweeps over the
         columns of the identity; raises StabilityError when W is not finite.
         """
-        if h == self._map_h:
-            return self._w_map
         lower, main, upper = self._tridiag
         d = 0.5 * TRBDF2_GAMMA
         b = 0.5 * (1.0 - d)
@@ -194,35 +189,41 @@ class KfpOperator:
         solve = (-d * h * lower, 1.0 - d * h * main, -d * h * upper)
         _thomas_inplace(*solve, y2)
         y2[diag, diag] += 1.0                       # I + Y2
-        w_map = _tridiag_apply(lower, main, upper, y2)
+        w_map = main[:, np.newaxis] * y2            # A (I + Y2)
+        w_map[1:] += lower[1:, np.newaxis] * y2[:-1]
+        w_map[:-1] += upper[:-1, np.newaxis] * y2[1:]
         w_map *= b * h
         w_map[diag, diag] += 1.0                    # I + b h A (I + Y2)
         _thomas_inplace(*solve, w_map)              # Y3
         w_map *= d
         w_map += np.multiply(y2, b, out=y2)
-        if not np.all(np.isfinite(w_map)):
-            raise StabilityError(f"the dissipative map of a substep of {h:g} is not finite; "
-                                 "check gamma, theta and the grid")
-        self._map_h, self._w_map, self._w_pair = h, w_map, None
-        return w_map
+        return _finite(w_map, f"map of a substep of {h:g} is")
 
-    def _pair_map(self, h: float) -> np.ndarray:
-        """The map W2 = W + (h/2) W A W of two merged substeps of length h, kept with W.
+    def _flux_map(self, h: float, pair: bool = False) -> np.ndarray:
+        """The flux map of a dissipative update, kept until h changes.
 
-        (I + h A W)^2 = I + 2h A W2, so one flux-form update of length 2h
-        through W2 is two substeps through W.  W r = r and A r = 0 give
-        W2 r = r.  Raises StabilityError when W2 is not finite.
+        A = Dv S, with S = diag(diff_face) face_grad_p diag(1/rhat) on the row
+        of _dissipative_matrix and Dv face_div_p's matrix, so a substep is
+        rho + face_div_p(B rho) with B = h S W; with ``pair`` two merged
+        substeps, through B2 = 2h S W2 = 2B + (B Dv) B, as W2 = W + (h/2) W A W
+        gives (I + h A W)^2 = I + 2h A W2.  B r = B2 r = 0 for a Maxwellian
+        row r.  Raises StabilityError when the map is not finite.
         """
-        w_map = self._map(h)
-        if self._w_pair is None:
-            w_pair = np.matmul(w_map, _tridiag_apply(*self._tridiag, w_map))
-            w_pair *= 0.5 * h
-            w_pair += w_map
-            if not np.all(np.isfinite(w_pair)):
-                raise StabilityError(f"the dissipative pair map of substeps of {h:g} is "
-                                     "not finite; check gamma, theta and the grid")
-            self._w_pair = w_pair
-        return self._w_pair
+        if h != self._map_h:
+            u_map = self._map(h)
+            u_map /= self.rhat[self._row, :, np.newaxis]
+            b_map = np.subtract(u_map[1:], u_map[:-1])
+            b_map *= (h / self.grid.hp) * self.diff_face[self._row, :, np.newaxis]
+            self._map_h, self._maps = h, [_finite(b_map, f"flux map of a substep of {h:g} is")]
+        if pair and len(self._maps) == 1:
+            b_map = self._maps[0]
+            b_dv = np.subtract(b_map[:, :-1], b_map[:, 1:])   # B Dv
+            b_dv /= self.grid.hp
+            b_pair = np.matmul(b_dv, b_map)
+            b_pair += b_map
+            b_pair += b_map
+            self._maps.append(_finite(b_pair, f"pair map of substeps of {h:g} is"))
+        return self._maps[pair]
 
     def _flux_into(self, rho: np.ndarray) -> np.ndarray:
         """The dissipative face flux of rho, at the start of _work2."""
@@ -232,30 +233,42 @@ class KfpOperator:
         return flux
 
     def _transport_into(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        div_q(self.grid, np.multiply(rho, self.neg_gp_h, out=self._work), out=out)
-        out += div_p(self.grid, np.multiply(rho, self.gq_h, out=self._work), out=self._work2)
+        """-div_q(rho v_q) - div_p(rho F_p) into out by generic's stencils, their
+        1/(2h) held in q_rate and p_rate, so no pass divides; touches _work and _work2."""
+        a = np.multiply(rho, self.q_rate, out=self._work)
+        b = np.multiply(rho, self.p_rate, out=self._work2)
+        np.subtract(a[2:], a[:-2], out=out[1:-1])   # periodic q difference
+        np.subtract(a[1:2], a[-1:], out=out[:1])
+        np.subtract(a[:1], a[-2:-1], out=out[-1:])
+        # the p difference along the flattened rows, then div_p's one-sided
+        # edges: 2 b0 + b1, b2 - 2 b0, 2 b-1 - b-3 and -2 b-1 - b-2
+        d, flat = self._work, b.reshape(-1)
+        np.subtract(flat[2:], flat[:-2], out=d.reshape(-1)[1:-1])
+        d[:, 1] -= b[:, 0]
+        d[:, -2] += b[:, -1]
+        np.multiply(b[:, 0], 2.0, out=d[:, 0])
+        d[:, 0] += b[:, 1]
+        np.multiply(b[:, -1], -2.0, out=d[:, -1])
+        d[:, -1] -= b[:, -2]
+        out += d
         return out
 
     def _dissipate_into(self, rho: np.ndarray, h: float, out: np.ndarray,
                         pair: bool = False) -> float:
         """A dissipative substep of length h from rho into out (which may be rho).
 
-        Flux form: out = rho + k face_div_p(F(V rho)) with k = h and V = W, or
-        with ``pair`` two merged substeps, k = 2h and V = W2.  Returns the
-        energy the excess variable gains, k sum(gh_face F) times the cell
-        volume.  Touches _stage, _work and _work2.
+        out = rho + face_div_p(F), with F = rho B^T through ``_flux_map``'s B
+        (or B2 with ``pair``), k times the face flux for an update of length
+        k.  Returns the energy the excess variable gains, sum(gh_face F) times
+        the cell volume.  Touches _work and _work2.
         """
-        w_map, length = (self._pair_map(h), 2.0 * h) if pair else (self._map(h), h)
-        w = np.matmul(rho, w_map.T, out=self._stage)
-        flux = self._flux_into(w)
+        flux = np.matmul(rho, self._flux_map(h, pair).T, out=faces_of(self._work2))
         prod = np.multiply(self.gh_face, flux, out=faces_of(self._work))
-        de = length * float(np.sum(prod)) * self.grid.cell_volume
+        de = float(np.sum(prod)) * self.grid.cell_volume
         if not math.isfinite(de):
             raise StabilityError(f"the dissipative energy exchange is {de!r}; "
                                  "check gamma, theta and the grid")
-        div = face_div_p(self.grid, flux, out=self._work)
-        div *= length
-        np.add(rho, div, out=out)
+        np.add(rho, face_div_p(self.grid, flux, out=self._work), out=out)
         return de
 
     def _rhs_into(self, rho: np.ndarray, drho: np.ndarray) -> float:
@@ -302,18 +315,11 @@ def _thomas_inplace(lower, main, upper, b: np.ndarray) -> None:
         b[j] -= ratio[j] * b[j + 1]
 
 
-def _tridiag_apply(lower, main, upper, x: np.ndarray) -> np.ndarray:
-    """The tridiagonal matrix times every column of x, as a fresh array."""
-    out = main[:, np.newaxis] * x
-    out[1:] += lower[1:, np.newaxis] * x[:-1]
-    out[:-1] += upper[:-1, np.newaxis] * x[1:]
-    return out
-
-
-def excess_energy_rate(state: State, op: KfpOperator) -> float:
-    """de/dt compensating the discrete dissipative energy exchange exactly."""
-    flux = op.dissipative_flux(state.rho)
-    return float(np.sum(op.gh_face * flux)) * op.grid.cell_volume
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """a, or a StabilityError naming the dissipative ``what`` if a is not finite."""
+    if not np.all(np.isfinite(a)):
+        raise StabilityError(f"the dissipative {what} not finite; check gamma, theta and the grid")
+    return a
 
 
 def _check_mass(name: str, mass: float) -> None:
@@ -434,24 +440,19 @@ def make_initial_state(init: InitSpec, grid: PhaseGrid, params: ModelParams,
 def _transport_rk4(r0: np.ndarray, op: KfpOperator, dt: float, rho: np.ndarray) -> None:
     """Classical RK4 on the transport alone, from r0 into rho (a distinct array).
 
-    The stages run in the operator's _stage and _slope; rho accumulates
-    ((k1 + 2 k2) + 2 k3) + k4 and then becomes r0 + dt/6 times that sum.
-    Transport leaves e unchanged.
+    The transport T is linear and autonomous, so the RK4 step is the Taylor
+    polynomial r0 + dt T(r0 + dt/2 T(r0 + dt/3 T(r0 + dt/4 T r0))), in
+    Horner form: the stages run in the operator's _stage, and rho holds each
+    slope.  Transport leaves e unchanged.
     """
-    stage, slope = op._stage, op._slope
-    half = 0.5 * dt
-    op._transport_into(r0, rho)                                 # k1
-    np.add(r0, np.multiply(rho, half, out=stage), out=stage)   # r0 + dt/2 k1
-    op._transport_into(stage, slope)
-    np.add(r0, np.multiply(slope, half, out=stage), out=stage)  # r0 + dt/2 k2
-    np.add(rho, np.multiply(slope, 2.0, out=slope), out=rho)    # k1 + 2 k2
-    op._transport_into(stage, slope)
-    np.add(r0, np.multiply(slope, dt, out=stage), out=stage)    # r0 + dt k3
-    rho += np.multiply(slope, 2.0, out=slope)
-    op._transport_into(stage, slope)
-    rho += slope
-    rho *= dt / 6.0
-    np.add(r0, rho, out=rho)
+    stage = op._stage
+    op._transport_into(r0, rho)
+    for scale in (0.25 * dt, dt / 3.0, 0.5 * dt):
+        rho *= scale
+        np.add(r0, rho, out=stage)
+        op._transport_into(stage, rho)
+    rho *= dt
+    rho += r0
 
 
 def _check_positive(rho: np.ndarray, update: int, steps: int) -> None:
@@ -468,15 +469,15 @@ def _check_positive(rho: np.ndarray, update: int, steps: int) -> None:
 def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1) -> State:
     """``steps`` GENERIC-split steps of the coupled (rho, e) system, positivity-guarded.
 
-    One step is D(h) T D(h) with h = dt/2: a dissipative half step, RK4 on
-    the transport, another half step.  Adjacent half steps are merged, so
-    the call makes D(h) [T D2]^(steps-1) T D(h): steps + 1 dissipative
-    updates.  The result equals that of ``steps`` single calls up to
-    round-off, and with steps=1 it is the single step bit for bit.
-    Positivity is checked after each merged update and at the end; a
-    PositivityError names the lowest cell and the update it followed.
-    Everything runs in the operator's workspace except the one fresh array,
-    the new density.
+    One step is D(h) T D(h) with h = dt/2: a dissipative half step through
+    the flux map, RK4 on the transport in Horner form, another half step.
+    Adjacent half steps are merged, so the call makes D(h) [T D2]^(steps-1)
+    T D(h), D2 through the pair map: steps + 1 dissipative updates.  The
+    result equals that of ``steps`` single calls up to round-off, and with
+    steps=1 it is the single step bit for bit.  Positivity is checked after
+    each merged update and at the end; a PositivityError names the lowest
+    cell and the update it followed.  All but the new density runs in the
+    operator's workspace.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")

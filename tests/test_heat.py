@@ -54,6 +54,21 @@ def test_flux_potential_exact_at_infinite_c():
             H.saturating_flux(float("inf"), params)
 
 
+def test_flux_potential_finite_for_huge_z():
+    # at finite c the flux saturates at sign(z) c/nu and phi*(z) grows like
+    # (c/nu) |z|: no finite z may overflow either or raise a warning
+    zs = np.array([1e200, -1e200, 1e308, -1e308])
+    other = ModelParams(m=1.0, c=3.0, gamma=1.0, theta=1.0, nu=0.5)
+    with np.errstate(all="raise"):
+        assert np.array_equal(H.saturating_flux(zs, REL), [1.0, -1.0, 1.0, -1.0])
+        assert H.saturating_flux(zs, other) == pytest.approx([6.0, -6.0] * 2, rel=1e-15)
+        # phi*(z) is about (c/nu) |z|, finite wherever that is
+        for params, z in ((REL, zs), (other, zs[:2])):
+            phi = H.flux_potential(z, params)
+            assert np.all(np.isfinite(phi))
+            assert phi == pytest.approx(np.abs(z) * params.c / params.nu, rel=1e-14)
+
+
 def test_saturating_flux_values():
     assert H.saturating_flux(0.0, REL) == 0.0
     assert H.saturating_flux(1.0, REL) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import re
@@ -10,14 +12,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relgeneric import generic as G
 from relgeneric import kfp as K
 from relgeneric import limits as L
 from relgeneric.cli import main
-from relgeneric.config import load_config, parse_config
+from relgeneric.config import ConfigError, load_config, parse_config
 from relgeneric.errors import NonConvergenceError, PositivityError, StabilityError
 from relgeneric.grid import PhaseGrid, time_steps
+from relgeneric.io import read_timeseries_csv
 from relgeneric.model import (CosinePotential, HarmonicPotential, INFINITE,
                               ModelParams, Variant, ZeroPotential, boltzmann_weight,
                               grid_fields, maxwellian, mobility_drift,
@@ -102,7 +107,6 @@ def test_excess_rate_compensates_energy_exactly(rng):
     h_rate = G.inner(cfg.grid, op.h_cells, drho)
     scale = abs(h_rate) + abs(de) + 1e-300
     assert abs(de + h_rate) <= 1e-10 * scale
-    assert de == K.excess_energy_rate(state, op)
 
 
 def excess_energy_rate_quadrature(state: G.State, grid: PhaseGrid,
@@ -111,7 +115,7 @@ def excess_energy_rate_quadrature(state: G.State, grid: PhaseGrid,
 
     gamma * int (D grad_p H . grad_p H) rho - gamma theta * int div_p(D grad_p H) rho,
     evaluated with the pointwise model functions.  Agrees with
-    K.excess_energy_rate at second order in hp and satisfies the exact bound
+    the rate rhs returns at second order in hp and satisfies the exact bound
     -rate <= gamma theta d / m for arbitrary nonnegative mass-1 densities.
     """
     pv = grid.p[:, np.newaxis]
@@ -165,7 +169,7 @@ def test_excess_forms_agree_on_smooth_states(rng):
                       * np.exp(-0.1 * grid.p_mesh**2))
         rho /= float(np.sum(rho)) * grid.cell_volume
         state = G.State(rho, 0.0)
-        a = K.excess_energy_rate(state, op)
+        a = op.rhs(state)[1]
         b = excess_energy_rate_quadrature(state, grid, params, Variant.DH)
         errs.append(abs(a - b))
     assert errs[1] <= errs[0] / 3.0
@@ -418,7 +422,13 @@ def test_record_pass_allocates_no_grid_array():
 
 
 # The allocating calculus, right-hand side and split step the workspace
-# kernels replaced, kept as the reference they must match bit for bit.
+# kernels replaced, kept as the reference they must match bit for bit.  The
+# transport and the split step follow the kernels' arithmetic: the stencils
+# on the pre-scaled velocities, RK4 in Horner form and the dissipative flux
+# through one flux map; test_transport_matches_the_generic_stencils,
+# test_horner_rk4_matches_the_stage_form and
+# test_flux_map_update_matches_the_per_row_flux check these against the
+# generic calculus, the stage form and W rho.
 
 def _ref_grad_p(grid, a):
     hp = grid.hp
@@ -451,9 +461,14 @@ def _ref_flux(op, rho):
 
 
 def _ref_transport(op, rho):
-    grid = op.grid
-    return (G.div_q(grid, rho * (-_ref_grad_p(grid, op.h_cells)))
-            + _ref_div_p(grid, rho * op.gq_h))
+    a, b = rho * op.q_rate, rho * op.p_rate
+    dp = np.empty_like(b)
+    dp[:, 1:-1] = b[:, 2:] - b[:, :-2]
+    dp[:, 1] -= b[:, 0]
+    dp[:, -2] += b[:, -1]
+    dp[:, 0] = 2.0 * b[:, 0] + b[:, 1]
+    dp[:, -1] = -2.0 * b[:, -1] - b[:, -2]
+    return (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) + dp
 
 
 def _ref_rhs(op, state):
@@ -463,29 +478,26 @@ def _ref_rhs(op, state):
     return drho, float(np.sum(op.gh_face * flux)) * grid.cell_volume
 
 
-def _ref_pair_map(op, h):
-    # W2 = W + (h/2) W A W, the map of two merged substeps
-    lower, main, upper = op._tridiag
-    w = op._map(h)
-    aw = main[:, np.newaxis] * w
-    aw[1:] += lower[1:, np.newaxis] * w[:-1]
-    aw[:-1] += upper[:-1, np.newaxis] * w[1:]
-    return w + (0.5 * h) * (w @ aw)
+def _ref_flux_map(op, h, pair=False):
+    # B = h S W with S = diag(diff_face) face_grad_p diag(1/rhat) on the row of
+    # least V; the pair map B2 = 2 B + (B Dv) B, Dv face_div_p's matrix
+    i = int(np.argmin(op.h_cells[:, 0]))
+    u = op._map(h) / op.rhat[i][:, np.newaxis]
+    b = (u[1:] - u[:-1]) * ((h / op.grid.hp) * op.diff_face[i][:, np.newaxis])
+    return ((b[:, :-1] - b[:, 1:]) / op.grid.hp) @ b + b + b if pair else b
 
 
 def _ref_dissipate(op, rho, h, pair=False):
-    w_map, length = (_ref_pair_map(op, h), 2.0 * h) if pair else (op._map(h), h)
-    flux = _ref_flux(op, rho @ w_map.T)
-    return (rho + length * _ref_face_div_p(op.grid, flux),
-            length * float(np.sum(op.gh_face * flux)) * op.grid.cell_volume)
+    flux = rho @ _ref_flux_map(op, h, pair).T
+    return (rho + _ref_face_div_p(op.grid, flux),
+            float(np.sum(op.gh_face * flux)) * op.grid.cell_volume)
 
 
 def _ref_transport_rk4(op, r0, dt):
-    k1 = _ref_transport(op, r0)
-    k2 = _ref_transport(op, r0 + 0.5 * dt * k1)
-    k3 = _ref_transport(op, r0 + 0.5 * dt * k2)
-    k4 = _ref_transport(op, r0 + dt * k3)
-    return r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x = r0 + (0.25 * dt) * _ref_transport(op, r0)
+    x = r0 + (dt / 3.0) * _ref_transport(op, x)
+    x = r0 + (0.5 * dt) * _ref_transport(op, x)
+    return r0 + dt * _ref_transport(op, x)
 
 
 def _ref_step_kfp(state, op, dt, steps=1):
@@ -525,6 +537,42 @@ def test_calculus_bitwise_equal_to_allocating_reference():
         for x in (arg, np.asfortranarray(arg)):
             for out in (None, np.full(expected.shape, np.nan)):
                 assert np.array_equal(_bits(fn(grid, x, out=out)), _bits(expected))
+
+
+@pytest.mark.parametrize("variant,c", KINETIC_CASES)
+def test_transport_matches_the_generic_stencils(variant, c, rng):
+    # the pre-scaled kernel against generic.div_q and div_p on the unscaled
+    # velocities; the step bounds still come from the unscaled speeds
+    cfg, op = _variant_cfg(variant, record_every=1, steps=1, c=c)
+    grid, h = cfg.grid, op.h_cells
+    for _ in range(3):
+        rho = make_state(rng, grid, cfg.params, cfg.potential).rho
+        q_part = G.div_q(grid, rho * -G.grad_p(grid, h))
+        p_part = G.div_p(grid, rho * G.grad_q(grid, h))
+        scale = max(float(np.abs(q_part).max()), float(np.abs(p_part).max()))
+        got = op.transport_tendency(rho)
+        assert float(np.abs(got - (q_part + p_part)).max()) <= 1e-13 * scale
+    vq, vp = float(np.abs(G.grad_p(grid, h)).max()), float(np.abs(G.grad_q(grid, h)).max())
+    assert op.stable_dt() == 2.0 / (vq / grid.hq + vp / grid.hp)
+    assert op.transient_dt() == min(0.4 * grid.hq / vq, 0.4 * grid.hp / vp)
+
+
+@pytest.mark.parametrize("variant,c", KINETIC_CASES)
+def test_horner_rk4_matches_the_stage_form(variant, c, rng):
+    # the transport is linear and autonomous, so classical RK4's four stages
+    # give the degree-4 Taylor polynomial the Horner form evaluates
+    cfg, op = _variant_cfg(variant, record_every=1, steps=1, c=c)
+    transport, dt = op.transport_tendency, op.stable_dt()
+    for _ in range(3):
+        r0 = make_state(rng, cfg.grid, cfg.params, cfg.potential).rho
+        k1 = transport(r0)
+        k2 = transport(r0 + 0.5 * dt * k1)
+        k3 = transport(r0 + 0.5 * dt * k2)
+        k4 = transport(r0 + dt * k3)
+        stages = r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        horner = np.empty(cfg.grid.shape)
+        K._transport_rk4(r0, op, dt, horner)
+        assert float(np.abs(horner - stages).max()) <= 1e-14 * float(np.abs(r0).max())
 
 
 @pytest.mark.parametrize("variant,c", KINETIC_CASES)
@@ -682,16 +730,25 @@ def _half_step(op, rho, h):
     return out, de
 
 
+def _assert_maxwellian_flux_vanishes(b_map, rinf):
+    # the face flux of the Maxwellian through a flux map, within a few ulps
+    # of the flux scale: the largest sum of |B_jk rho_k| over a face
+    flux = rinf @ b_map.T
+    scale = float((np.abs(rinf) @ np.abs(b_map).T).max())
+    assert float(np.abs(flux).max()) <= 4.0 * np.finfo(float).eps * scale
+
+
 def test_dissipative_half_step_keeps_maxwellian():
     cfg = small_cfg()
     for variant in (Variant.DH, Variant.DMR):
         op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, variant)
         rinf, _ = maxwellian(cfg.grid, cfg.params, cfg.potential)
-        h = 0.5 * op.stable_dt()
-        assert float(np.abs(rinf @ op._map(h).T - rinf).max()) <= 1e-14 * float(rinf.max())
-        rho, de = _half_step(op, rinf, h)
-        assert float(np.abs(rho - rinf).max()) <= 1e-14 * float(rinf.max())
-        assert abs(de) <= 1e-14
+        for h in (0.5 * op.stable_dt(), 10.0 * op.stable_dt()):
+            assert float(np.abs(rinf @ op._map(h).T - rinf).max()) <= 1e-14 * float(rinf.max())
+            _assert_maxwellian_flux_vanishes(op._flux_map(h), rinf)
+            rho, de = _half_step(op, rinf, h)
+            assert float(np.abs(rho - rinf).max()) <= 1e-14 * float(rinf.max())
+            assert abs(de) <= 1e-14
 
 
 def test_dissipative_half_step_conserves_mass_and_energy(rng):
@@ -725,17 +782,43 @@ def test_pair_update_is_two_half_steps(rng):
             assert abs(de_merged - (de_once + de_twice)) <= 1e-14 * abs(energy)
 
 
+def test_flux_map_update_matches_the_per_row_flux(rng):
+    # the update through B (B2) against the flux of W rho (W2 rho), row by
+    # row with each row's own diff_face and rhat
+    cfg = small_cfg()
+    grid = cfg.grid
+    for variant in (Variant.DH, Variant.DMR):
+        op = K.KfpOperator(grid, cfg.params, cfg.potential, variant)
+        lower, main, upper = op._tridiag
+        a = np.diag(main) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        for h in (0.5 * op.stable_dt(), 10.0 * op.stable_dt()):
+            w = op._map(h)
+            for pair, w_map, k in ((False, w, h), (True, w + (0.5 * h) * w @ a @ w, 2.0 * h)):
+                rho = make_state(rng, grid, cfg.params, cfg.potential).rho
+                flux = k * op.dissipative_flux(rho @ w_map.T)
+                ref = rho + G.face_div_p(grid, flux)
+                ref_de = float(np.sum(op.gh_face * flux)) * grid.cell_volume
+                out = np.empty(grid.shape)
+                de = op._dissipate_into(rho, h, out, pair=pair)
+                assert float(np.abs(out - ref).max()) <= 1e-13 * float(np.abs(ref).max())
+                # the energy exchange against the size of the flux's two terms
+                u = np.abs(rho @ w_map.T) / op.rhat
+                terms = k * op.diff_face * (u[:, 1:] + u[:, :-1]) / grid.hp
+                scale = float(np.sum(np.abs(op.gh_face) * terms)) * grid.cell_volume
+                assert abs(de - ref_de) <= 1e-13 * scale
+
+
 def test_pair_map_keeps_maxwellian():
     cfg = small_cfg()
     for variant in (Variant.DH, Variant.DMR):
         op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, variant)
         rinf, _ = maxwellian(cfg.grid, cfg.params, cfg.potential)
-        h = 0.5 * op.stable_dt()
-        assert float(np.abs(rinf @ op._pair_map(h).T - rinf).max()) <= 1e-14 * float(rinf.max())
-        rho = np.empty(cfg.grid.shape)
-        de = op._dissipate_into(rinf, h, rho, pair=True)
-        assert float(np.abs(rho - rinf).max()) <= 1e-14 * float(rinf.max())
-        assert abs(de) <= 1e-14
+        for h in (0.5 * op.stable_dt(), 10.0 * op.stable_dt()):
+            _assert_maxwellian_flux_vanishes(op._flux_map(h, pair=True), rinf)
+            rho = np.empty(cfg.grid.shape)
+            de = op._dissipate_into(rinf, h, rho, pair=True)
+            assert float(np.abs(rho - rinf).max()) <= 1e-14 * float(rinf.max())
+            assert abs(de) <= 1e-14
 
 
 def test_merged_steps_match_single_steps_and_conserve():
@@ -766,12 +849,12 @@ def test_dissipative_update_count(record_every, intervals, monkeypatch):
     # a record every step no pair map is built
     cfg, _ = _variant_cfg(Variant.DH, record_every, steps=7)
     updates, pair_maps, checks = [], [], []
-    dissipate, pair_map = K.KfpOperator._dissipate_into, K.KfpOperator._pair_map
+    dissipate, flux_map = K.KfpOperator._dissipate_into, K.KfpOperator._flux_map
     check_positive = K._check_positive
     monkeypatch.setattr(K.KfpOperator, "_dissipate_into",
                         lambda op, *a, **kw: updates.append(1) or dissipate(op, *a, **kw))
-    monkeypatch.setattr(K.KfpOperator, "_pair_map",
-                        lambda op, h: pair_maps.append(h) or pair_map(op, h))
+    monkeypatch.setattr(K.KfpOperator, "_flux_map",
+                        lambda op, h, pair: pair and pair_maps.append(h) or flux_map(op, h, pair))
     monkeypatch.setattr(K, "_check_positive",
                         lambda rho, *at: checks.append(1) or check_positive(rho, *at))
     res = K.integrate(cfg)
@@ -1101,6 +1184,55 @@ def test_cli_runs_every_variant_from_mildly_relativistic_to_classical(variant, t
         assert code == 0 or (code in (1, 2) and err.startswith(("run failed: ",
                                                                 "configuration error: ")))
         assert code == 0 or c != "inf"
+
+
+EXTREME_KFP = (st.sampled_from(["1e-300", "1e-12", "0.05", "1", "20", "1e12", "1e308"])
+               | st.floats(1e-6, 1e6).map(repr))
+
+
+@st.composite
+def extreme_kfp_configs(draw):
+    """A 16x32 kfp config with extreme gamma, theta and c, either variant and
+    either potential; the grid extents are auto."""
+    c = draw(EXTREME_KFP | st.just("inf"))
+    return (f"model.variant = {draw(st.sampled_from(['dh', 'dmr']))}\n"
+            f"potential.kind = {draw(st.sampled_from(['cosine', 'harmonic']))}\n"
+            f"model.gamma = {draw(EXTREME_KFP)}\nmodel.theta = {draw(EXTREME_KFP)}\n"
+            f"model.c = {c}\ngrid.nq = 16\ngrid.np = 32\nsolver.record_every = 2\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=extreme_kfp_configs())
+def test_fuzzed_kfp_runs_end_in_named_outcomes(tmp_path_factory, text):
+    # a run of a few steps exits 0 with a finite timeseries.csv, 1 with a
+    # named solver error or failed check, or 2 with a config error; never a
+    # traceback.  t_final is four transient steps of the operator the run
+    # builds.  numpy warnings are not gated: some extreme configs still raise
+    # them on the way to a named error.
+    base = tmp_path_factory.mktemp("fuzz")
+    path = base / "fuzzed.cfg"
+    path.write_text(text, encoding="utf-8")
+    with np.errstate(all="ignore"):
+        try:
+            cfg = load_config(str(path), "kfp")
+            op = K.KfpOperator(cfg.phase_grid, cfg.params, cfg.potential, cfg.variant)
+            path.write_text(text + f"solver.t_final = {4.0 * op.transient_dt()!r}\n",
+                            encoding="utf-8")
+        except (ConfigError, StabilityError, ValueError):
+            pass          # the run below ends in the same error
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(["kfp", "--config", str(path), "--out", str(base / "out")])
+    printed = out.getvalue()
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert printed.startswith("configuration error: "), (text, printed)
+    elif code == 1:
+        assert printed.startswith("run failed: ") or "[FAIL] " in printed, (text, printed)
+    else:
+        records = read_timeseries_csv(base / "out" / "timeseries.csv")
+        values = [v for rec in records for v in dataclasses.astuple(rec) if v is not None]
+        assert all(math.isfinite(v) for v in values), (text, printed)
 
 
 def test_stationary_run_preserves_energy_budget():
