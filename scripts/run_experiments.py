@@ -6,25 +6,21 @@ Usage: python scripts/run_experiments.py [--out-root OUT] [--only NAME ...]
 Each config in scripts/configs/ maps to one experiment; outputs land in
 OUT/<config-stem>/, and OUT/timings.json records each config's exit code and
 wall time in seconds.  Exits nonzero if any experiment reports a check failure.
-BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS says
-otherwise: the grids are small, and with two BLAS threads stationary_dh
-took 1.08 s in one full run against 0.13 s in another.  On a 2-CPU x86-64
+The package starts BLAS on one thread unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS says otherwise: the grids are small, and with two BLAS
+threads stationary_dh took 1.08 s in one full run against 0.13 s in
+another.  On a 2-CPU x86-64
 VM the configs take 1.7 to 2.2 seconds together: verify about 1 second,
 heat_bump about 0.3 seconds and every other config 0.15 seconds or less.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
-# before numpy loads, so that its BLAS starts with one thread
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-from relgeneric.cli import main as cli_main  # noqa: E402
+from relgeneric.cli import main as cli_main
 
 CONFIGS = Path(__file__).resolve().parent / "configs"
 

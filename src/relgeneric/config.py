@@ -17,13 +17,11 @@ from typing import Callable, NamedTuple
 
 from .grid import LineGrid, PhaseGrid
 from .kfp import InitSpec
-from .model import (INFINITE, TAIL_CUTOFF, CosinePotential, HarmonicPotential,
-                    ModelParams, Potential, Variant, ZeroPotential)
+from .model import (EDGE_MARGIN, INFINITE, TAIL_CUTOFF, CosinePotential,
+                    HarmonicPotential, ModelParams, Potential, Variant, ZeroPotential,
+                    auto_lq, auto_pmax, tail_exponent_momentum)
 
 EXPERIMENTS = ("heat", "kfp", "verify", "stationary", "limit-study")
-
-# margin on top of -ln(TAIL_CUTOFF) used when auto-sizing domains
-_TAIL_EXPONENT = -math.log(TAIL_CUTOFF) + 1.0
 
 
 class ConfigError(Exception):
@@ -244,24 +242,6 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
     return entries
 
 
-def tail_exponent_momentum(params: ModelParams) -> float:
-    """Smallest Pmax whose Boltzmann tail weight is safely below the cutoff."""
-    a = params.theta * _TAIL_EXPONENT
-    if params.classical:
-        return math.sqrt(2.0 * params.m * a)
-    mc = params.m * params.c
-    x = a / params.c
-    # sqrt((mc + x)^2 - (mc)^2), factored: squaring m c overflows for huge c,
-    # and the difference cancels to 0 once x is below an ulp of m c
-    return math.sqrt(2.0 * x) * math.sqrt(mc + 0.5 * x)
-
-
-def auto_lq(params: ModelParams, stiffness: float) -> float:
-    """The ``auto`` position domain: a harmonic trap's tail edge, else 4 pi."""
-    return (2.0 * math.sqrt(2.0 * params.theta * _TAIL_EXPONENT / stiffness) * 1.01
-            if stiffness > 0 else 4.0 * math.pi)
-
-
 def parse_config(text: str, experiment: str) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{experiment}'")
@@ -298,7 +278,7 @@ def parse_config(text: str, experiment: str) -> RunConfig:
         heat_grid = LineGrid(N=values["grid.n"], L=values["grid.length"])
     else:
         lq = values["grid.lq"] or auto_lq(params, values.get("potential.stiffness", 0.0))
-        pmax = values["grid.pmax"] or tail_exponent_momentum(params) * 1.01
+        pmax = values["grid.pmax"] or auto_pmax(params)
         for key, extent in (("grid.lq", lq), ("grid.pmax", pmax)):
             if not 0 < extent < math.inf:     # 'auto' with extreme theta, m or stiffness
                 raise ConfigError(f"{at(key)}: 'auto' gives {extent!r} for these "
@@ -313,7 +293,7 @@ def parse_config(text: str, experiment: str) -> RunConfig:
     # tail rule: any experiment that evaluates the equilibrium density needs it
     if not heat_solver and experiment != "verify":
         for cval in run["limit_cs"] + (INFINITE,) if experiment == "limit-study" else (params.c,):
-            need = tail_exponent_momentum(replace(params, c=cval)) / 1.01
+            need = tail_exponent_momentum(replace(params, c=cval)) / EDGE_MARGIN
             if phase_grid.Pmax < need:
                 raise ConfigError(
                     f"{at('grid.pmax')}: {phase_grid.Pmax} leaves a Boltzmann tail above "

@@ -287,7 +287,10 @@ def stable_dt(grid: LineGrid, params: ModelParams) -> float:
     exceeds about 25.  So there the step is (1 - 2^-20) h^2 / (2 nu), which
     leaves such a cell at least about 1e-6 rho_i, far above round-off.
     """
-    dt = 0.5 * grid.h**2 / params.nu
+    try:
+        dt = 0.5 * grid.h**2 / params.nu
+    except OverflowError:                   # h^2 is beyond the float range
+        dt = math.inf
     if 2.0 * params.c * grid.h > params.nu:
         dt *= _LOW_KAPPA_MARGIN
     if not (math.isfinite(dt) and dt > 0):
@@ -519,6 +522,8 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     n_steps, step_dt = time_steps(t_final, dt)
     _check_dt(step_dt, grid, params)
     rho0 = np.asarray(rho0, dtype=float).copy()

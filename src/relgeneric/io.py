@@ -9,6 +9,7 @@ bytes are the same as formatting every cell with ``format(x, ".17g")``.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +18,7 @@ from .generic import DiagnosticsRecord
 from .grid import LineGrid, PhaseGrid
 
 CSV_HEADER = "t,E,S,mass,dSdt,degL,degM,relEnt,e"
+_COLUMNS = CSV_HEADER.split(",")
 
 
 def _fmt(x: float) -> str:
@@ -24,7 +26,8 @@ def _fmt(x: float) -> str:
 
 
 def write_timeseries_csv(records, path) -> None:
-    """One header plus one row per record; relEnt stays empty for heat runs."""
+    """One header plus one row per record; relEnt stays empty for heat runs.
+    A value that is not finite is a ValueError."""
     records = list(records)
     if not records:
         raise ValueError("refusing to write an empty time series")
@@ -33,10 +36,11 @@ def write_timeseries_csv(records, path) -> None:
         raise ValueError("records must be strictly monotone in t")
     lines = [CSV_HEADER]
     for r in records:
-        rel = "" if r.relEnt is None else _fmt(r.relEnt)
-        lines.append(",".join([_fmt(r.t), _fmt(r.E), _fmt(r.S), _fmt(r.mass),
-                               _fmt(r.dSdt), _fmt(r.degL), _fmt(r.degM), rel,
-                               _fmt(r.e)]))
+        values = [getattr(r, name) for name in _COLUMNS]
+        if bad := [f"{name} = {v!r}" for name, v in zip(_COLUMNS, values)
+                   if v is not None and not math.isfinite(v)]:
+            raise ValueError(f"refusing to write a time series with {', '.join(bad)}")
+        lines.append(",".join("" if v is None else _fmt(v) for v in values))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -57,13 +61,10 @@ def read_timeseries_csv(path) -> list[DiagnosticsRecord]:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 9:
+        if len(parts) != len(_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
-        rel = None if parts[7] == "" else float(parts[7])
-        out.append(DiagnosticsRecord(
-            t=float(parts[0]), E=float(parts[1]), S=float(parts[2]),
-            mass=float(parts[3]), dSdt=float(parts[4]), degL=float(parts[5]),
-            degM=float(parts[6]), relEnt=rel, e=float(parts[8])))
+        out.append(DiagnosticsRecord(**{name: None if name == "relEnt" and v == "" else float(v)
+                                        for name, v in zip(_COLUMNS, parts)}))
     return out
 
 
@@ -109,7 +110,8 @@ def dump_density(kind: str, grid, rho: np.ndarray, t: float, path) -> None:
 
 
 def load_density(path):
-    """Load a dump written by dump_density: (kind, meta dict, rho array)."""
+    """Load a dump written by dump_density: (kind, meta dict, rho array).
+    A body that does not hold every cell exactly once is a ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -118,27 +120,23 @@ def load_density(path):
     if len(lines) < 3 or not lines[0].startswith("# kind="):
         raise ValueError(f"{path}: not a density dump")
     kind = lines[0].split("=", 1)[1]
-    meta: dict[str, float] = {}
-    for token in lines[1].lstrip("# ").split():
-        key, value = token.split("=")
-        meta[key] = float(value)
-    data = lines[3:]
-    if kind == "kfp":
-        nq, npp = int(meta["Nq"]), int(meta["Np"])
-        rho = np.empty((nq, npp))
-        for line in data:
-            if not line:
-                continue
-            i, j, _, _, v = line.split(",")
-            rho[int(i), int(j)] = float(v)
-    elif kind == "heat":
-        n = int(meta["Nq"])
-        rho = np.empty(n)
-        for line in data:
-            if not line:
-                continue
-            i, _, v = line.split(",")
-            rho[int(i)] = float(v)
-    else:
+    meta = {key: float(value)
+            for key, value in (token.split("=") for token in lines[1].lstrip("# ").split())}
+    if kind not in ("kfp", "heat"):
         raise ValueError(f"{path}: unknown dump kind '{kind}'")
+    # rows qIndex,pIndex,q,p,rho on a phase grid, qIndex,q,rho on a line
+    shape = (int(meta["Nq"]), int(meta["Np"])) if kind == "kfp" else (int(meta["Nq"]),)
+    rows = [line for line in lines[3:] if line]
+    try:
+        body = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 0))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    index = body[:, :len(shape)]
+    if not (body.shape == (math.prod(shape), 2 * len(shape) + 1)
+            and np.all((index >= 0) & (index < shape) & (index == np.floor(index)))
+            and np.unique(np.ravel_multi_index(index.T.astype(int), shape)).size == len(rows)):
+        raise ValueError(f"{path}: the body does not hold each of the {math.prod(shape)} "
+                         "cells exactly once")
+    rho = np.empty(shape)
+    rho[tuple(index.T.astype(int))] = body[:, -1]
     return kind, meta, rho

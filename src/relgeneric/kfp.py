@@ -36,7 +36,9 @@ round-off moves.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +52,9 @@ from .model import (ModelParams, Potential, Variant, grid_fields, hamiltonian,
 
 NEGATIVE_TOL = -1e-12   # allowed undershoot per time step
 TRBDF2_GAMMA = 2.0 - math.sqrt(2.0)   # the L-stable choice; its stages share one matrix
+# numpy stays silent while the operator and its maps are built: each result is
+# checked, and a StabilityError names the one that is not finite
+_reported = partial(np.errstate, divide="ignore", over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -97,19 +102,27 @@ class KfpOperator:
         fields = grid_fields(grid, params, potential, variant)
         self.h_cells, self.gh_face, self.dface = fields.h_cells, fields.gh_face, fields.dface
         self.rhat, self.rhat_face = fields.rhat, fields.rhat_face
-        gq_h, gp_h = grad_q(grid, self.h_cells), grad_p(grid, self.h_cells)
-        speeds = [(float(np.abs(gp_h).max()), grid.hq), (float(np.abs(gq_h).max()), grid.hp)]
-        self.q_rate = np.divide(gp_h, -2.0 * grid.hq, out=gp_h)
-        self.p_rate = np.divide(gq_h, 2.0 * grid.hp, out=gq_h)
-        # gamma theta D rhat on faces: one multiply per rhs evaluation
-        self.diff_face = params.gamma * params.theta * self.dface * self.rhat_face
+        # rho / rhat of a density of mass 1 reaches 1 / (cell volume min rhat); the
+        # flux takes its face gradient (over hp), and the brackets weight it by D
+        rhat_min, reach = float(self.rhat.min()), max(1.0 / grid.hp, float(self.dface.max()))
+        if not grid.cell_volume * rhat_min * sys.float_info.max > reach:
+            raise StabilityError(f"the dissipative flux overflows: the Boltzmann weight falls "
+                                 f"to {rhat_min:.3e} on cells of volume {grid.cell_volume:.3e}; "
+                                 "raise model.theta or rescale the grid")
         self._row = int(np.argmin(self.h_cells[:, 0]))   # the row of least V
-        self._tridiag = self._dissipative_matrix()
+        with _reported():                   # checked by the matrix and the step bound
+            gq_h, gp_h = grad_q(grid, self.h_cells), grad_p(grid, self.h_cells)
+            speeds = [(float(np.abs(gp_h).max()), grid.hq), (float(np.abs(gq_h).max()), grid.hp)]
+            # gamma theta D rhat on faces: one multiply per rhs evaluation
+            self.diff_face = params.gamma * params.theta * self.dface * self.rhat_face
+            self._tridiag = self._dissipative_matrix()
         rate = sum(v / h for v, h in speeds)
         self._stable_dt = 2.0 / rate if rate > 0 else math.inf
         if not (math.isfinite(self._stable_dt) and self._stable_dt > 0):
             raise StabilityError(f"the stability bound on dt is {self._stable_dt!r}; "
                                  "the parameters leave no usable time step")
+        self.q_rate = np.divide(gp_h, -2.0 * grid.hq, out=gp_h)
+        self.p_rate = np.divide(gq_h, 2.0 * grid.hp, out=gq_h)
         self._transient_dt = min(0.4 * h / v for v, h in speeds if v > 0)
         # the last substep length, and its flux map and pair map as they are built
         self._map_h, self._maps = None, []
@@ -210,18 +223,20 @@ class KfpOperator:
         row r.  Raises StabilityError when the map is not finite.
         """
         if h != self._map_h:
-            u_map = self._map(h)
-            u_map /= self.rhat[self._row, :, np.newaxis]
-            b_map = np.subtract(u_map[1:], u_map[:-1])
-            b_map *= (h / self.grid.hp) * self.diff_face[self._row, :, np.newaxis]
+            with _reported():
+                u_map = self._map(h)
+                u_map /= self.rhat[self._row, :, np.newaxis]
+                b_map = np.subtract(u_map[1:], u_map[:-1])
+                b_map *= (h / self.grid.hp) * self.diff_face[self._row, :, np.newaxis]
             self._map_h, self._maps = h, [_finite(b_map, f"flux map of a substep of {h:g} is")]
         if pair and len(self._maps) == 1:
             b_map = self._maps[0]
-            b_dv = np.subtract(b_map[:, :-1], b_map[:, 1:])   # B Dv
-            b_dv /= self.grid.hp
-            b_pair = np.matmul(b_dv, b_map)
-            b_pair += b_map
-            b_pair += b_map
+            with _reported():
+                b_dv = np.subtract(b_map[:, :-1], b_map[:, 1:])   # B Dv
+                b_dv /= self.grid.hp
+                b_pair = np.matmul(b_dv, b_map)
+                b_pair += b_map
+                b_pair += b_map
             self._maps.append(_finite(b_pair, f"pair map of substeps of {h:g} is"))
         return self._maps[pair]
 
@@ -282,9 +297,6 @@ class KfpOperator:
     def dissipative_flux(self, rho: np.ndarray) -> np.ndarray:
         """gamma theta D rhat_f grad_p(rho/rhat) on interior momentum faces."""
         return self._flux_into(rho).copy()
-
-    def dissipative_tendency(self, rho: np.ndarray) -> np.ndarray:
-        return face_div_p(self.grid, self._flux_into(rho))
 
     def transport_tendency(self, rho: np.ndarray) -> np.ndarray:
         """div(rho J grad H) with the cell-centered adjoint-exact calculus."""

@@ -1,8 +1,9 @@
 """Physical model layer.
 
 Parameters, external potentials, the relativistic/classical kinetic
-energies and their momentum gradients, the two diffusion matrices, and the
-closed-form equilibrium (Maxwellian) density on a phase-space grid.
+energies and their momentum gradients, the two diffusion matrices, the
+momentum-tail rule with the ``auto`` domain edges, the grid-constant fields
+and the closed-form equilibrium (Maxwellian) density on a phase-space grid.
 
 Vector-valued arguments (positions ``q``, momenta ``p``) carry the spatial
 dimension on the last axis, so every function broadcasts over arbitrary
@@ -185,6 +186,10 @@ def mobility_drift_divergence(p, variant: Variant, params: ModelParams):
 
 #: pointwise tail criterion: exp(-(kinetic(Pmax)-kinetic(0))/theta) must be below this
 TAIL_CUTOFF = 1e-14
+_TAIL_EXPONENT = -math.log(TAIL_CUTOFF) + 1.0     # the tail edges', with a margin of 1
+#: ``auto`` domain edges lie this factor beyond their tail edge; an explicit Pmax may lie
+#: as far inside ``tail_exponent_momentum``
+EDGE_MARGIN = 1.01
 
 
 def tail_weight(params: ModelParams, pmax: float) -> float:
@@ -194,11 +199,33 @@ def tail_weight(params: ModelParams, pmax: float) -> float:
     return math.exp(-(edge - base) / params.theta)
 
 
+def tail_exponent_momentum(params: ModelParams) -> float:
+    """Smallest Pmax whose Boltzmann tail weight is safely below the cutoff."""
+    a = params.theta * _TAIL_EXPONENT
+    if params.classical:
+        return math.sqrt(2.0 * params.m * a)
+    mc = params.m * params.c
+    x = a / params.c
+    # sqrt((mc + x)^2 - (mc)^2), factored: squaring m c overflows for huge c,
+    # and the difference cancels to 0 once x is below an ulp of m c
+    return math.sqrt(2.0 * x) * math.sqrt(mc + 0.5 * x)
+
+
+def auto_pmax(params: ModelParams) -> float:
+    """The ``auto`` momentum edge: the tail edge with its margin."""
+    return tail_exponent_momentum(params) * EDGE_MARGIN
+
+
+def auto_lq(params: ModelParams, stiffness: float) -> float:
+    """The ``auto`` position domain: a harmonic trap's tail edge, else 4 pi."""
+    return (2.0 * math.sqrt(2.0 * params.theta * _TAIL_EXPONENT / stiffness) * EDGE_MARGIN
+            if stiffness > 0 else 4.0 * math.pi)
+
+
 class GridFields(NamedTuple):
     """Grid-constant fields of one (grid, params, potential, variant); read-only."""
 
     h_cells: np.ndarray    # H at cell centers
-    h_min: float           # gauge constant min H
     rhat: np.ndarray       # Boltzmann weight exp(-(H - min H)/theta) at cells
     rhat_face: np.ndarray  # geometric mean of rhat on interior momentum faces
     gh_face: np.ndarray    # two-point momentum gradient of h_cells on faces
@@ -214,7 +241,7 @@ def grid_fields(grid: PhaseGrid, params: ModelParams, potential: Potential,
     the arrays are read-only because all callers share them.  With
     ``variant=None`` the variant-free fields are built and ``dface`` is None;
     a variant entry reuses those arrays and adds its face diffusion.  Raises
-    ValueError when H is not finite on the grid.
+    ValueError when H or its face gradient is not finite on the grid.
     """
     if variant is not None:
         base = grid_fields(grid, params, potential, None)
@@ -222,31 +249,22 @@ def grid_fields(grid: PhaseGrid, params: ModelParams, potential: Potential,
         d = (np.sqrt(mc * mc + grid.p_faces**2) / mc
              if variant is Variant.DH and not params.classical else 1.0)
         return base._replace(dface=np.broadcast_to(d, base.gh_face.shape))
-    h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
-                    params, potential)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("the Hamiltonian is not finite on the grid; check model.c, "
-                         "model.m and the potential parameters against the grid")
-    h_min = float(h.min())
-    rhat = np.exp(-(h - h_min) / params.theta)
-    # the face gradient is generic.face_grad_p's; M dE = 0 relies on the two agreeing
-    fields = GridFields(h_cells=h, h_min=h_min, rhat=rhat,
-                        rhat_face=np.sqrt(rhat[:, :-1] * rhat[:, 1:]),
-                        gh_face=(h[:, 1:] - h[:, :-1]) / grid.hp, dface=None)
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow is reported below
+        h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
+                        params, potential)
+        # the face gradient is generic.face_grad_p's; M dE = 0 relies on the two agreeing
+        gh_face = (h[:, 1:] - h[:, :-1]) / grid.hp
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(gh_face))):
+        raise ValueError("the Hamiltonian or its momentum gradient is not finite on the grid; "
+                         "check model.c, model.m and the potential parameters against it")
+    # the gauge min H keeps the weight representable even when the rest energy
+    # m c^2 is huge; all consumers use ratios, which are gauge-independent
+    rhat = np.exp(-(h - float(h.min())) / params.theta)
+    fields = GridFields(h_cells=h, rhat=rhat, rhat_face=np.sqrt(rhat[:, :-1] * rhat[:, 1:]),
+                        gh_face=gh_face, dface=None)
     for a in (h, rhat, fields.rhat_face, fields.gh_face):
         a.flags.writeable = False
     return fields
-
-
-def boltzmann_weight(grid: PhaseGrid, params: ModelParams, potential: Potential):
-    """exp(-(H - min H)/theta) at cell centers, plus the gauge constant min H.
-
-    The gauge keeps the exponential representable even when the rest energy
-    m c^2 is huge; all consumers use ratios, which are gauge-independent.
-    The weight is the shared read-only array of ``grid_fields``.
-    """
-    fields = grid_fields(grid, params, potential, None)
-    return fields.rhat, fields.h_min
 
 
 def maxwellian(grid: PhaseGrid, params: ModelParams, potential: Potential):
@@ -261,6 +279,6 @@ def maxwellian(grid: PhaseGrid, params: ModelParams, potential: Potential):
         raise ValueError(
             f"momentum domain under-resolved: tail weight {w:.3e} at Pmax={grid.Pmax} "
             f"is not below {TAIL_CUTOFF:.0e}; enlarge grid.Pmax")
-    weight, _ = boltzmann_weight(grid, params, potential)
+    weight = grid_fields(grid, params, potential, None).rhat
     z = float(np.sum(weight)) * grid.cell_volume
     return weight / z, z

@@ -12,6 +12,7 @@ seed, so two runs produce byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,13 +20,13 @@ import numpy as np
 
 from . import generic as G
 from . import heat as HT
-from .config import VerifyOptions, auto_lq, tail_exponent_momentum
+from .config import VerifyOptions
 from .grid import LineGrid, PhaseGrid
 from .kfp import KfpOperator
 from .model import (HarmonicPotential, ModelParams, Potential, Variant,
-                    ZeroPotential, boltzmann_weight, diffusion_matrix,
-                    maxwellian, mobility_drift, mobility_drift_divergence,
-                    velocity)
+                    ZeroPotential, auto_lq, auto_pmax, diffusion_matrix,
+                    grid_fields, maxwellian, mobility_drift,
+                    mobility_drift_divergence, velocity)
 from .rng import SplitMix64
 
 
@@ -59,7 +60,7 @@ def random_cotangent(rng: SplitMix64, grid: PhaseGrid) -> G.CotangentVector:
 def random_state(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
                  potential: Potential) -> G.State:
     """Positive mass-1 state: Boltzmann envelope times a bounded random factor."""
-    rhat, _ = boltzmann_weight(grid, params, potential)
+    rhat = grid_fields(grid, params, potential, None).rhat
     w = (rng.uniform(-0.5, 0.5) * np.sin(2 * np.pi * grid.q_mesh / grid.Lq
                                          + rng.uniform(0, 2 * np.pi))
          * np.exp(-0.5 * (grid.p_mesh - rng.uniform(-1, 1)) ** 2)
@@ -194,12 +195,12 @@ def jacobi_checks(rng: SplitMix64) -> list[CheckResult]:
     out = []
     j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-    def quad_fn(a, b, cvec):
+    def quad_fn(a, b, cvec):                # z a z + b z + cvec, a symmetrized
+        a = 0.5 * (a + a.T)
         return lambda z: float(z @ a @ z + b @ z + cvec)
 
     a1 = random_field(rng, (2, 2)); a2 = random_field(rng, (2, 2)); a3 = random_field(rng, (2, 2))
-    fns = [quad_fn(0.5 * (a + a.T), random_field(rng, (2,)), rng.uniform())
-           for a in (a1, a2, a3)]
+    fns = [quad_fn(a, random_field(rng, (2,)), rng.uniform()) for a in (a1, a2, a3)]
     z = random_field(rng, (2,))
     resid, _ = G.jacobi_residual_fd(j2, *fns, z=z)
     out.append(_check("Jacobi residual: quadratic observables, canonical J",
@@ -211,9 +212,7 @@ def jacobi_checks(rng: SplitMix64) -> list[CheckResult]:
     coeffs = [random_field(rng, (n, n, n)) for _ in range(3)]
 
     def cubic_fn(c3):
-        sym = (c3 + np.transpose(c3, (0, 2, 1)) + np.transpose(c3, (1, 0, 2))
-               + np.transpose(c3, (1, 2, 0)) + np.transpose(c3, (2, 0, 1))
-               + np.transpose(c3, (2, 1, 0))) / 6.0
+        sym = sum(np.transpose(c3, p) for p in itertools.permutations(range(3))) / 6.0
         return lambda z: float(np.einsum("ijk,i,j,k->", sym, z, z, z))
 
     fns = [cubic_fn(c) for c in coeffs]
@@ -222,21 +221,19 @@ def jacobi_checks(rng: SplitMix64) -> list[CheckResult]:
     out.append(_check("Jacobi residual: cubic observables, random antisymmetric L",
                       resid / scale, 1e-4, note="n=4"))
 
-    constant = lambda z: 1.5
-    resid, _ = G.jacobi_residual_fd(
-        j2,
-        quad_fn(0.5 * (a1 + a1.T), random_field(rng, (2,)), 0.0),
-        quad_fn(0.5 * (a2 + a2.T), random_field(rng, (2,)), 0.0),
-        constant,
-        z=random_field(rng, (2,)))
+    resid, _ = G.jacobi_residual_fd(j2, quad_fn(a1, random_field(rng, (2,)), 0.0),
+                                    quad_fn(a2, random_field(rng, (2,)), 0.0), lambda z: 1.5,
+                                    z=random_field(rng, (2,)))
     out.append(_check("Jacobi residual: constant observable", resid, 1e-12))
     return out
 
 
 def gradient_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
                     potential: Potential, n_checks: int) -> list[CheckResult]:
-    out = []
-    worst_e = worst_s = 0.0
+    # (name, functional, its gradient, the arguments both take after params)
+    pairs = (("energy", G.energy_functional, G.gradient_energy, (potential,)),
+             ("entropy", G.entropy_functional, G.gradient_entropy, ()))
+    worst = [0.0] * len(pairs)
     for _ in range(n_checks):
         state = random_state(rng, grid, params, potential)
         delta = random_field(rng, grid.shape) * state.rho   # keeps rho positive
@@ -244,61 +241,49 @@ def gradient_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
         eps = 1e-5
         plus = G.State(state.rho + eps * delta, state.e + eps * de)
         minus = G.State(state.rho - eps * delta, state.e - eps * de)
+        for k, (_, functional, gradient, more) in enumerate(pairs):
+            v = gradient(state, grid, params, *more)
+            fd = (functional(plus, grid, params, *more)
+                  - functional(minus, grid, params, *more)) / (2 * eps)
+            predicted = G.inner(grid, v.xi, delta) + v.r * de
+            worst[k] = max(worst[k], abs(fd - predicted) / (abs(fd) + 1e-300))
+    return [_check(f"{name} gradient vs directional finite difference", w, 1e-6,
+                   note=f"{n_checks} perturbations") for (name, *_), w in zip(pairs, worst)]
 
-        v = G.gradient_energy(state, grid, params, potential)
-        fd = (G.energy_functional(plus, grid, params, potential)
-              - G.energy_functional(minus, grid, params, potential)) / (2 * eps)
-        predicted = G.inner(grid, v.xi, delta) + v.r * de
-        worst_e = max(worst_e, abs(fd - predicted) / (abs(fd) + 1e-300))
 
-        v = G.gradient_entropy(state, grid, params)
-        fd = (G.entropy_functional(plus, grid, params)
-              - G.entropy_functional(minus, grid, params)) / (2 * eps)
-        predicted = G.inner(grid, v.xi, delta) + v.r * de
-        worst_s = max(worst_s, abs(fd - predicted) / (abs(fd) + 1e-300))
-    out = [_check("energy gradient vs directional finite difference", worst_e, 1e-6,
-                  note=f"{n_checks} perturbations"),
-           _check("entropy gradient vs directional finite difference", worst_s, 1e-6,
-                  note=f"{n_checks} perturbations")]
-    return out
+def _refinement_order(resid) -> tuple[float, str]:
+    """The order at which residuals on n x n grids, n = 32, 64, 128, fall (a
+    least-squares fit of their logs), and a note listing them."""
+    slope = -float(np.polyfit(np.log([1.0, 2.0, 4.0]), np.log(resid), 1)[0])
+    return slope, "residuals " + " ".join(f"{r:.3e}" for r in resid)
 
 
 def refinement_checks() -> list[CheckResult]:
     """L dS and transport-at-Maxwellian residuals under grid refinement."""
-    out = []
     params = ModelParams(m=1.0, c=1.0, gamma=0.5, theta=1.0)
-    pot = ZeroPotential()
-    resid = []
+    rel = ModelParams(m=1.0, c=4.0, gamma=0.5, theta=1.0)
+    hpot = HarmonicPotential(stiffness=1.0)
+    l_ds, transport = [], []
     for n in (32, 64, 128):
         grid = PhaseGrid(Nq=n, Np=n, Lq=16.0, Pmax=10.0)
         w = 0.4 * np.sin(2 * np.pi * grid.q_mesh / grid.Lq) \
             * np.exp(-0.125 * grid.p_mesh**2)
         rho = np.exp(-0.5 * grid.p_mesh**2) * np.exp(w)
         rho /= float(np.sum(rho)) * grid.cell_volume
-        deg_l, _ = G.Brackets(G.State(rho, 0.0), grid, params, pot,
-                              Variant.DH).degeneracy_residuals()
-        resid.append(deg_l)
-    slope = -float(np.polyfit(np.log([1.0, 2.0, 4.0]), np.log(resid), 1)[0])
-    out.append(_check("L dS refinement order in [1.7, 2.3] (32/64/128)",
-                      slope, 1.7, op=">=",
-                      note=f"residuals {resid[0]:.3e} {resid[1]:.3e} {resid[2]:.3e}"))
-    out.append(_check("L dS refinement order upper bound", slope, 2.3))
-
-    rel = ModelParams(m=1.0, c=4.0, gamma=0.5, theta=1.0)
-    hpot = HarmonicPotential(stiffness=1.0)
-    lq, pmax = auto_lq(rel, hpot.stiffness), tail_exponent_momentum(rel) * 1.01
-    resid = []
-    for n in (32, 64, 128):
-        grid = PhaseGrid(Nq=n, Np=n, Lq=lq, Pmax=pmax)
-        rinf, _ = maxwellian(grid, rel, hpot)
-        state = G.State(rinf, 0.0)
+        l_ds.append(G.Brackets(G.State(rho, 0.0), grid, params, ZeroPotential(),
+                               Variant.DH).degeneracy_residuals()[0])
+        grid = PhaseGrid(Nq=n, Np=n, Lq=auto_lq(rel, hpot.stiffness), Pmax=auto_pmax(rel))
+        state = G.State(maxwellian(grid, rel, hpot)[0], 0.0)
         v_e = G.gradient_energy(state, grid, rel, hpot)
         l_rho, _ = G.Brackets(state, grid, rel, hpot, Variant.DH).poisson(v_e)
-        resid.append(G.grid_norm(grid, l_rho))
-    slope = -float(np.polyfit(np.log([1.0, 2.0, 4.0]), np.log(resid), 1)[0])
+        transport.append(G.grid_norm(grid, l_rho))
+    slope, note = _refinement_order(l_ds)
+    out = [_check("L dS refinement order in [1.7, 2.3] (32/64/128)", slope, 1.7, op=">=",
+                  note=note),
+           _check("L dS refinement order upper bound", slope, 2.3)]
+    slope, note = _refinement_order(transport)
     out.append(_check("transport residual at Maxwellian: refinement order",
-                      slope, 1.7, op=">=",
-                      note=f"residuals {resid[0]:.3e} {resid[1]:.3e} {resid[2]:.3e}"))
+                      slope, 1.7, op=">=", note=note))
     return out
 
 
@@ -306,10 +291,11 @@ def assembly_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
                     potential: Potential, n_states: int) -> list[CheckResult]:
     out = []
     worst = 0.0
-    for k in range(n_states):
+    ops = {variant: KfpOperator(grid, params, potential, variant)
+           for variant in (Variant.DH, Variant.DMR)}
+    for _ in range(n_states):
         state = random_state(rng, grid, params, potential)
-        for variant in (Variant.DH, Variant.DMR):
-            op = KfpOperator(grid, params, potential, variant)
+        for variant, op in ops.items():
             drho1, de1 = op.rhs(state)
             br = G.Brackets(state, grid, params, potential, variant)
             l_rho, l_e = br.poisson(G.gradient_energy(state, grid, params, potential))

@@ -1,10 +1,23 @@
+import contextlib
+import dataclasses
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from relgeneric.cli import main
 from relgeneric.generic import Brackets, State
 from relgeneric.grid import PhaseGrid
-from relgeneric.model import HarmonicPotential, ModelParams, boltzmann_weight
+from relgeneric.io import read_timeseries_csv
+from relgeneric.model import HarmonicPotential, ModelParams, grid_fields
 from relgeneric.rng import SplitMix64
+
+# extreme parameter values for the CLI fuzzes: the ends of the float range and
+# everything between
+EXTREME = (st.sampled_from(["1e-300", "1e-12", "0.05", "1", "20", "1e12", "1e308"])
+           | st.floats(1e-6, 1e6).map(repr))
 
 
 @pytest.fixture
@@ -29,7 +42,7 @@ def rng():
 
 def make_state(rng, grid, params, potential, e=0.0):
     """Positive normalized state with Boltzmann tails and random bulk structure."""
-    rhat, _ = boltzmann_weight(grid, params, potential)
+    rhat = grid_fields(grid, params, potential, None).rhat
     w = (rng.uniform(-0.5, 0.5)
          * np.sin(2 * np.pi * grid.q_mesh / grid.Lq + rng.uniform(0, 6.28))
          * np.exp(-0.5 * (grid.p_mesh - rng.uniform(-1, 1)) ** 2))
@@ -41,6 +54,30 @@ def make_state(rng, grid, params, potential, e=0.0):
 @pytest.fixture
 def state(rng, grid, params, potential):
     return make_state(rng, grid, params, potential, e=0.3)
+
+
+def run_to_named_outcome(experiment: str, text: str, base) -> str:
+    """Run the config ``text`` through the CLI in ``base``; returns what it printed.
+
+    The run must exit 0 with a finite timeseries.csv, 1 with a named solver
+    error or failed check, or 2 with a config error; never a traceback.
+    """
+    path = base / "fuzzed.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main([experiment, "--config", str(path), "--out", str(base / "out")])
+    printed = out.getvalue()
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert printed.startswith("configuration error: "), (text, printed)
+    elif code == 1:
+        assert printed.startswith("run failed: ") or "[FAIL] " in printed, (text, printed)
+    else:
+        records = read_timeseries_csv(base / "out" / "timeseries.csv")
+        values = [v for rec in records for v in dataclasses.astuple(rec) if v is not None]
+        assert all(math.isfinite(v) for v in values), (text, printed)
+    return printed
 
 
 def perturb_drift(monkeypatch, eps):

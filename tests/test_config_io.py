@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgeneric.cli import main
-from relgeneric.config import (ConfigError, RunConfig, load_config, parse_config,
-                               tail_exponent_momentum)
+from relgeneric.config import ConfigError, RunConfig, load_config, parse_config
 from relgeneric.generic import DiagnosticsRecord
 from relgeneric.errors import StabilityError
 from relgeneric.grid import MAX_STEPS, LineGrid, PhaseGrid, time_steps
 from relgeneric.io import (dump_density, load_density, read_timeseries_csv,
                            write_timeseries_csv)
-from relgeneric.model import CosinePotential, HarmonicPotential, ModelParams, Variant
+from relgeneric.model import (CosinePotential, HarmonicPotential, ModelParams, Variant,
+                              tail_exponent_momentum)
 from relgeneric.rng import SplitMix64
 
 
@@ -541,6 +541,20 @@ def test_dump_bytes_match_per_cell_formatter(tmp_path):
         back_kind, _, back = load_density(path)
         assert back_kind == kind
         assert np.array_equal(back.view(np.uint64), rho.view(np.uint64))
+
+
+@pytest.mark.parametrize("cut", ["truncated", "duplicated"])
+def test_load_density_takes_each_cell_exactly_once(tmp_path, cut):
+    # a dump missing its last 20 rows, or with its last row replaced by a copy
+    # of the one before, is an error naming the file, not uninitialised cells
+    grid = PhaseGrid(Nq=8, Np=8, Lq=3.0, Pmax=2.0)
+    path = tmp_path / "density.txt"
+    dump_density("kfp", grid, np.arange(64.0).reshape(8, 8) / 64, 0.0, path)
+    lines = path.read_text().splitlines()
+    lines = lines[:-20] if cut == "truncated" else lines[:-1] + lines[-2:-1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"density\.txt: .* exactly once"):
+        load_density(path)
 
 
 def test_dump_rejects_mismatched_density(tmp_path):

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relgeneric import heat as H
-from relgeneric.config import load_config
+from relgeneric.config import ConfigError, load_config, parse_config
 from relgeneric.errors import PositivityError, StabilityError
 from relgeneric.grid import LineGrid, time_steps
 from relgeneric.limits import heat_initial
 from relgeneric.model import INFINITE, ModelParams
 from relgeneric.rng import SplitMix64
+from conftest import EXTREME, run_to_named_outcome
 
 REL = ModelParams(m=1.0, c=1.0, gamma=1.0, theta=1.0, nu=1.0)
 CLASSICAL = ModelParams(m=1.0, c=INFINITE, gamma=1.0, theta=1.0, nu=1.0)
@@ -608,6 +609,37 @@ def test_run_heat_matches_public_step_chain(grid, kind, params, n_steps):
         assert max_sat == last > first
     if kind == "near-uniform":
         assert min_ds < 0.0
+
+
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_run_heat_rejects_record_every_below_one(grid, record_every):
+    rho0 = H.initial_profile("gaussian", grid, sigma=0.2)
+    dt = H.stable_dt(grid, REL)
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        H.run_heat(grid, REL, rho0, dt, 20 * dt, record_every=record_every)
+
+
+@st.composite
+def extreme_heat_configs(draw):
+    """A 16-cell heat config with extreme nu, c and length, and any initial profile."""
+    return (f"model.nu = {draw(EXTREME)}\nmodel.c = {draw(EXTREME | st.just('inf'))}\n"
+            f"grid.length = {draw(EXTREME)}\ngrid.n = 16\nsolver.record_every = 2\n"
+            f"init.kind = {draw(st.sampled_from(['uniform', 'gaussian', 'bump']))}\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=extreme_heat_configs())
+def test_fuzzed_heat_runs_end_in_named_outcomes(tmp_path_factory, text):
+    # a run of four steps at the stability bound ends in a named outcome
+    # (run_to_named_outcome).  The heat kernels' numpy warnings at extreme
+    # nu and c are not gated here.
+    with np.errstate(all="ignore"):
+        try:
+            cfg = parse_config(text, "heat")
+            text += f"solver.t_final = {4.0 * H.stable_dt(cfg.heat_grid, cfg.params)!r}\n"
+        except (ConfigError, StabilityError):
+            pass          # the run below ends in the same error
+        run_to_named_outcome("heat", text, tmp_path_factory.mktemp("fuzz"))
 
 
 def test_run_heat_rejects_unstable_dt_and_undershoot(grid):

@@ -1,6 +1,4 @@
-import contextlib
 import dataclasses
-import io
 import math
 import os
 import re
@@ -8,11 +6,12 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relgeneric import generic as G
@@ -22,12 +21,11 @@ from relgeneric.cli import main
 from relgeneric.config import ConfigError, load_config, parse_config
 from relgeneric.errors import NonConvergenceError, PositivityError, StabilityError
 from relgeneric.grid import PhaseGrid, time_steps
-from relgeneric.io import read_timeseries_csv
 from relgeneric.model import (CosinePotential, HarmonicPotential, INFINITE,
-                              ModelParams, Variant, ZeroPotential, boltzmann_weight,
-                              grid_fields, maxwellian, mobility_drift,
-                              mobility_drift_divergence, velocity)
-from conftest import make_state
+                              ModelParams, Variant, ZeroPotential, grid_fields,
+                              maxwellian, mobility_drift, mobility_drift_divergence,
+                              velocity)
+from conftest import EXTREME, make_state, run_to_named_outcome
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -50,7 +48,7 @@ def test_dissipative_part_vanishes_on_maxwellian():
     for variant in (Variant.DH, Variant.DMR):
         op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, variant)
         rinf, _ = maxwellian(cfg.grid, cfg.params, cfg.potential)
-        tend = op.dissipative_tendency(rinf)
+        tend = G.face_div_p(cfg.grid, op.dissipative_flux(rinf))
         u = rinf / op.rhat
         scale = cfg.params.gamma * cfg.params.theta \
             * float((op.dface * op.rhat_face).max()) * float(u.max()) / cfg.grid.hp**2
@@ -632,7 +630,8 @@ def test_states_and_returned_arrays_never_alias_the_workspace():
     returned = []
     for _ in range(2):
         returned += [op.rhs(state)[0], op.transport_tendency(state.rho),
-                     op.dissipative_flux(state.rho), op.dissipative_tendency(state.rho),
+                     op.dissipative_flux(state.rho),
+                     G.face_div_p(op.grid, op.dissipative_flux(state.rho)),
                      K.step_kfp(state, op, op.stable_dt()).rho]
     for i, a in enumerate(returned):
         for b in held + returned[:i] + [state.rho]:
@@ -983,7 +982,7 @@ def test_grid_fields_shared_and_read_only():
         assert fields.gh_face is op.gh_face and fields.dface is op.dface
         assert fields.rhat is op.rhat and fields.rhat_face is op.rhat_face
         assert G.gradient_energy(None, grid, params, pot).xi is op.h_cells
-        assert boltzmann_weight(grid, params, pot)[0] is op.rhat
+        assert grid_fields(grid, params, pot, None).rhat is op.rhat
         assert np.array_equal(op.gh_face, G.face_grad_p(grid, op.h_cells))
         for field in (op.h_cells, op.gh_face, op.dface, op.rhat, op.rhat_face):
             with pytest.raises(ValueError, match="read-only"):
@@ -1186,53 +1185,44 @@ def test_cli_runs_every_variant_from_mildly_relativistic_to_classical(variant, t
         assert code == 0 or c != "inf"
 
 
-EXTREME_KFP = (st.sampled_from(["1e-300", "1e-12", "0.05", "1", "20", "1e12", "1e308"])
-               | st.floats(1e-6, 1e6).map(repr))
+# rest masses from 1 up, so that m c^2 also lies far above theta
+HEAVY = (st.sampled_from(["1", "1e6", "1e12", "1e100", "1e300"])
+         | st.floats(1.0, 1e12).map(repr))
 
 
 @st.composite
 def extreme_kfp_configs(draw):
-    """A 16x32 kfp config with extreme gamma, theta and c, either variant and
+    """A 16x32 kfp config with extreme gamma, theta, c and m, either variant and
     either potential; the grid extents are auto."""
-    c = draw(EXTREME_KFP | st.just("inf"))
+    c = draw(EXTREME | st.just("inf"))
     return (f"model.variant = {draw(st.sampled_from(['dh', 'dmr']))}\n"
             f"potential.kind = {draw(st.sampled_from(['cosine', 'harmonic']))}\n"
-            f"model.gamma = {draw(EXTREME_KFP)}\nmodel.theta = {draw(EXTREME_KFP)}\n"
-            f"model.c = {c}\ngrid.nq = 16\ngrid.np = 32\nsolver.record_every = 2\n")
+            f"model.gamma = {draw(EXTREME)}\nmodel.theta = {draw(EXTREME)}\n"
+            f"model.c = {c}\nmodel.m = {draw(HEAVY)}\n"
+            "grid.nq = 16\ngrid.np = 32\nsolver.record_every = 2\n")
 
 
 @settings(max_examples=100, deadline=None)
 @given(text=extreme_kfp_configs())
+# an underflowed Boltzmann weight, and dissipative coefficients that overflow
+@example(text="model.variant = dh\npotential.kind = cosine\nmodel.theta = 1e-6\n"
+              "grid.nq = 16\ngrid.np = 32\n")
+@example(text="model.variant = dh\npotential.kind = harmonic\nmodel.gamma = 1e308\n"
+              "model.theta = 0.05\nmodel.c = inf\ngrid.nq = 16\ngrid.np = 32\n")
 def test_fuzzed_kfp_runs_end_in_named_outcomes(tmp_path_factory, text):
-    # a run of a few steps exits 0 with a finite timeseries.csv, 1 with a
-    # named solver error or failed check, or 2 with a config error; never a
-    # traceback.  t_final is four transient steps of the operator the run
-    # builds.  numpy warnings are not gated: some extreme configs still raise
-    # them on the way to a named error.
-    base = tmp_path_factory.mktemp("fuzz")
-    path = base / "fuzzed.cfg"
-    path.write_text(text, encoding="utf-8")
-    with np.errstate(all="ignore"):
+    # a run of a few steps ends in a named outcome (run_to_named_outcome),
+    # and no floating-point warning comes before it.  t_final is four
+    # transient steps of the operator the run builds.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
-            cfg = load_config(str(path), "kfp")
+            cfg = parse_config(text, "kfp")
             op = K.KfpOperator(cfg.phase_grid, cfg.params, cfg.potential, cfg.variant)
-            path.write_text(text + f"solver.t_final = {4.0 * op.transient_dt()!r}\n",
-                            encoding="utf-8")
+            text += f"solver.t_final = {4.0 * op.transient_dt()!r}\n"
         except (ConfigError, StabilityError, ValueError):
             pass          # the run below ends in the same error
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            code = main(["kfp", "--config", str(path), "--out", str(base / "out")])
-    printed = out.getvalue()
-    assert code in (0, 1, 2), text
-    if code == 2:
-        assert printed.startswith("configuration error: "), (text, printed)
-    elif code == 1:
-        assert printed.startswith("run failed: ") or "[FAIL] " in printed, (text, printed)
-    else:
-        records = read_timeseries_csv(base / "out" / "timeseries.csv")
-        values = [v for rec in records for v in dataclasses.astuple(rec) if v is not None]
-        assert all(math.isfinite(v) for v in values), (text, printed)
+        printed = run_to_named_outcome("kfp", text, tmp_path_factory.mktemp("fuzz"))
+    assert not caught, (text, printed, [str(w.message) for w in caught])
 
 
 def test_stationary_run_preserves_energy_budget():
@@ -1259,6 +1249,6 @@ def test_variants_differ_off_equilibrium(rng):
     state = make_state(rng, cfg.grid, cfg.params, cfg.potential)
     op_dh = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, Variant.DH)
     op_dmr = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, Variant.DMR)
-    d_dh = op_dh.dissipative_tendency(state.rho)
-    d_dmr = op_dmr.dissipative_tendency(state.rho)
+    d_dh = G.face_div_p(cfg.grid, op_dh.dissipative_flux(state.rho))
+    d_dmr = G.face_div_p(cfg.grid, op_dmr.dissipative_flux(state.rho))
     assert float(np.abs(d_dh - d_dmr).max()) > 1e-6 * float(np.abs(d_dh).max())

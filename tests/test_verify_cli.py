@@ -193,6 +193,24 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert "checks passed" in proc.stdout
 
 
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_package_starts_blas_on_one_thread(preset):
+    # a fresh interpreter that imports the package sees both BLAS thread
+    # variables at 1 when they were unset, and keeps a value already set
+    src = str(Path(relgeneric.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    if preset is not None:
+        env["OMP_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, relgeneric; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", preset or "1"]
+
+
 def test_run_experiments_writes_timings(tmp_path):
     # each config run writes its exit code and wall time to <out-root>/timings.json
     script = CONFIGS.parent / "run_experiments.py"
