@@ -3,6 +3,9 @@
 
 Usage: python scripts/run_experiments.py [--out-root OUT] [--only NAME ...]
 
+The script runs the package of its own checkout: it puts that checkout's
+src/ first on sys.path, ahead of any installed copy and of PYTHONPATH.
+
 Each config in scripts/configs/ maps to one experiment; outputs land in
 OUT/<config-stem>/, and OUT/timings.json records each config's exit code and
 wall time in seconds.  Exits nonzero if any experiment reports a check failure.
@@ -20,7 +23,8 @@ import sys
 import time
 from pathlib import Path
 
-from relgeneric.cli import main as cli_main
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from relgeneric.cli import main as cli_main  # noqa: E402  (after the path)
 
 CONFIGS = Path(__file__).resolve().parent / "configs"
 

@@ -20,7 +20,6 @@ from . import heat as HT
 from . import kfp as KF
 from .config import EXPERIMENTS, ConfigError, RunConfig, load_config, parse_value
 from .errors import NonConvergenceError, PositivityError, StabilityError
-from .generic import DiagnosticsRecord
 from .io import dump_density, write_timeseries_csv
 from .limits import heat_initial, run_limit_study, write_limit_csv
 from .verify import run_verify
@@ -40,39 +39,24 @@ def _print_checks(checks) -> bool:
     return ok
 
 
-def _dump_cadence(cfg: RunConfig, out: Path, kind: str, grid):
-    """Returns a hook writing density_NNNN.txt every dump_every-th record."""
-    if cfg.dump_every <= 0:
-        return lambda rho, t, index: None
+def _stepped(cfg: RunConfig, out: Path, kind: str, driver, *args, **kwargs):
+    """A driver's result, with its timeseries.csv and density_final.txt (at the
+    last record's time) written; its on_record hook writes density_NNNN.txt
+    every dump_every-th record, and there is none when dump_every is 0."""
+    grid = cfg.heat_grid if kind == "heat" else cfg.phase_grid
 
-    def hook(rho, t, index):
+    def on_record(state, t, index):
         if index % cfg.dump_every == 0:
-            dump_density(kind, grid, rho, t, out / f"density_{index:04d}.txt")
-    return hook
+            dump_density(kind, grid, state.rho, t, out / f"density_{index:04d}.txt")
+    res = driver(*args, on_record=on_record if cfg.dump_every > 0 else None, **kwargs)
+    write_timeseries_csv(res.records, out / "timeseries.csv")
+    dump_density(kind, grid, res.state.rho, res.records[-1].t, out / "density_final.txt")
+    return res
 
 
 def _run_heat(cfg: RunConfig, out: Path) -> int:
-    grid, params = cfg.heat_grid, cfg.params
-    rho0 = heat_initial(cfg, grid)
-    dt = cfg.dt if cfg.dt is not None else HT.stable_dt(grid, params)
-    dump = _dump_cadence(cfg, out, "heat", grid)
-    counter = {"n": 0}
-
-    def on_record(state):
-        dump(state.rho, state.t, counter["n"])
-        counter["n"] += 1
-        return DiagnosticsRecord(
-            t=state.t, E=0.0, S=HT.boltzmann_entropy(state.rho, grid),
-            mass=float(np.sum(state.rho)) * grid.h,
-            dSdt=HT.entropy_rate(state.rho, grid, params,
-                                 HT.reached_faces(state, grid, params)),
-            degL=0.0, degM=0.0, relEnt=None, e=0.0)
-
-    result = HT.run_heat(grid, params, rho0, dt, cfg.t_final,
-                         cfg.record_every, on_record=on_record)
-    write_timeseries_csv(result.records, out / "timeseries.csv")
-    dump_density("heat", grid, result.state.rho, result.state.t,
-                 out / "density_final.txt")
+    result = _stepped(cfg, out, "heat", HT.run_heat, cfg.heat_grid, cfg.params,
+                      heat_initial(cfg, cfg.heat_grid), cfg.dt, cfg.t_final, cfg.record_every)
     drift = max(abs(r.mass - result.records[0].mass) for r in result.records)
     checks = [
         ("mass drift <= 1e-10", drift <= 1e-10, f"{drift:.3e}"),
@@ -88,14 +72,13 @@ def _run_heat(cfg: RunConfig, out: Path) -> int:
     return 0 if _print_checks(checks) else 1
 
 
-def _kfp_checks(cfg: RunConfig, res: KF.KfpRunResult):
-    records = res.records
+def _kfp_checks(cfg: RunConfig, records):
     e0 = records[0].E
     drift = max(abs(r.mass - records[0].mass) for r in records)
     energy = max(abs(r.E - e0) for r in records) / abs(e0)
     fall = min(np.diff([r.S for r in records]), default=0.0)
     rise = max(np.diff([r.relEnt for r in records]), default=0.0)
-    rate = max(a["dHrho_dt"] for a in res.aux)
+    rate = max(r.dHrho_dt for r in records)
     bound = cfg.params.gamma * cfg.params.theta * cfg.params.d / cfg.params.m
     return [
         ("mass drift <= 1e-10", drift <= 1e-10, f"{drift:.3e}"),
@@ -109,17 +92,6 @@ def _kfp_checks(cfg: RunConfig, res: KF.KfpRunResult):
     ]
 
 
-def _dump_kfp(cfg: RunConfig, res: KF.KfpRunResult, out: Path) -> None:
-    write_timeseries_csv(res.records, out / "timeseries.csv")
-    dump_density("kfp", cfg.phase_grid, res.state.rho, res.t_end,
-                 out / "density_final.txt")
-
-
-def _kfp_dump_hook(cfg: RunConfig, out: Path):
-    dump = _dump_cadence(cfg, out, "kfp", cfg.phase_grid)
-    return lambda state, t, index: dump(state.rho, t, index)
-
-
 def _kfp_config(cfg: RunConfig) -> KF.KfpConfig:
     return KF.KfpConfig(grid=cfg.phase_grid, params=cfg.params,
                         potential=cfg.potential, variant=cfg.variant,
@@ -128,22 +100,21 @@ def _kfp_config(cfg: RunConfig) -> KF.KfpConfig:
 
 
 def _run_kfp(cfg: RunConfig, out: Path) -> int:
-    res = KF.integrate(_kfp_config(cfg), on_record=_kfp_dump_hook(cfg, out))
-    _dump_kfp(cfg, res, out)
-    print(f"kfp run ({cfg.variant.value}) finished at t={res.t_end:g} "
+    res = _stepped(cfg, out, "kfp", KF.integrate, _kfp_config(cfg))
+    print(f"kfp run ({cfg.variant.value}) finished at t={res.records[-1].t:g} "
           f"({len(res.records)} records) -> {out}")
-    return 0 if _print_checks(_kfp_checks(cfg, res)) else 1
+    return 0 if _print_checks(_kfp_checks(cfg, res.records)) else 1
 
 
 def _run_stationary(cfg: RunConfig, out: Path) -> int:
-    res = KF.run_to_stationarity(_kfp_config(cfg), l1_target=cfg.l1_target,
-                                 on_record=_kfp_dump_hook(cfg, out))
-    _dump_kfp(cfg, res, out)
-    print(f"stationary run ({cfg.variant.value}) ended at t={res.t_end:g}, "
-          f"L1 distance {res.aux[-1]['l1']:.3e}, excess e_inf={res.e_inf:.6g} -> {out}")
-    checks = _kfp_checks(cfg, res) + [
+    res = _stepped(cfg, out, "kfp", KF.run_to_stationarity, _kfp_config(cfg),
+                   l1_target=cfg.l1_target)
+    last = res.records[-1]
+    print(f"stationary run ({cfg.variant.value}) ended at t={last.t:g}, "
+          f"L1 distance {last.l1:.3e}, excess e_inf={res.e_inf:.6g} -> {out}")
+    checks = _kfp_checks(cfg, res.records) + [
         (f"converged to L1 <= {cfg.l1_target:g}", res.converged,
-         f"final L1 {res.aux[-1]['l1']:.3e} at t={res.t_end:g}")]
+         f"final L1 {last.l1:.3e} at t={last.t:g}")]
     return 0 if _print_checks(checks) else 1
 
 

@@ -35,8 +35,6 @@ class VerifyOptions:
     fd_samples: int
     gradient_checks: int
     assembly_states: int
-    refinement: bool
-    jacobi: bool
 
 
 @dataclass
@@ -85,12 +83,6 @@ def _integer(text):
         return int(text)
     except ValueError:
         raise ValueError(f"expected an integer, got {text!r}") from None
-
-
-def _boolean(text):
-    if text.lower() in ("true", "yes", "1", "false", "no", "0"):
-        return text.lower() in ("true", "yes", "1")
-    raise ValueError(f"expected true/false, got {text!r}")
 
 
 def _choice(*options, cast=str):
@@ -199,8 +191,6 @@ KEYS = (
       for name, default in (("bracket_pairs", 200), ("psd_samples", 10000),
                             ("fd_samples", 10000), ("gradient_checks", 10),
                             ("assembly_states", 20))),
-    *(Key(f"verify.{name}", _boolean, True, field=f"verify.{name}",
-          experiments=("verify",)) for name in ("refinement", "jacobi")),
 )
 
 

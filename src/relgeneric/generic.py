@@ -62,6 +62,9 @@ class DiagnosticsRecord:
     degM: float
     relEnt: float | None
     e: float
+    # kinetic only, and no CSV columns: the L1 distance to the Maxwellian, d/dt int H rho
+    l1: float | None = None
+    dHrho_dt: float | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError, StabilityError
+from .generic import DiagnosticsRecord
 from .grid import LineGrid, time_steps
 from .model import ModelParams
 
@@ -56,6 +57,7 @@ NEGATIVE_TOL = -1e-14   # strictest allowed undershoot per explicit step
 _LOW_KAPPA_MARGIN = 1.0 - 2.0**-20   # stable_dt below h^2/(2 nu) where kappa < 4
 _BLOCK = 8              # states whose entropy and saturation are checked together
 _TINY = math.ulp(0.0)   # smallest positive double: moves no face mean above 1e-307
+_KAPPA_MAX = 1e150      # (kappa q)^2 stays below about 1e300 for |q| <= 1
 
 
 # the cone of a chain with no closed face: nothing to gate
@@ -126,8 +128,16 @@ def _gate(flux: np.ndarray, reached) -> np.ndarray:
 
 
 def _kappa(grid: LineGrid, params: ModelParams):
-    """kappa = 2 nu / (c h) of the ratio form (``_flux``); None at c = INFINITE."""
-    return None if params.classical else 2.0 * params.nu / (params.c * grid.h)
+    """kappa = 2 nu / (c h) of the ratio form (``_flux``); None at c = INFINITE.
+    A StabilityError names kappa above ``_KAPPA_MAX``, where (kappa q)^2 could
+    overflow for a face ratio |q| <= 1."""
+    if params.classical:
+        return None
+    kappa = 2.0 * params.nu / (params.c * grid.h) if params.c * grid.h > 0 else math.inf
+    if not kappa <= _KAPPA_MAX:
+        raise StabilityError(f"the flux ratio kappa = 2 nu / (c h) is {kappa:.3e}, above "
+                             f"{_KAPPA_MAX:.0e}; raise model.c or grid.length, or lower model.nu")
+    return kappa
 
 
 def _flux(cells: np.ndarray, kappa, *, out: np.ndarray | None = None,
@@ -228,7 +238,10 @@ def light_cone(rho: np.ndarray, t: float, grid: LineGrid,
     # whole cells between face i+1/2 and the support on either side
     cells_left = k[n:] - last[n:]
     cells_right = first[1:n + 1] - k[1:n + 1]
-    return t + np.minimum(cells_left, cells_right) * (grid.h / params.c)
+    gap, crossing = np.minimum(cells_left, cells_right), grid.h / params.c
+    if math.isinf(crossing):                # only the faces touching the support open
+        return np.where(gap > 0, math.inf, t)
+    return t + gap * crossing
 
 
 def _reached(cone: np.ndarray, t: float):
@@ -326,6 +339,9 @@ class _Workspace:
         n = grid.N
         self.grid, self.kappa = grid, _kappa(grid, params)
         self.lam = dt * (params.nu / grid.h**2)
+        if not math.isfinite(self.lam):     # nu / h^2 overflows
+            raise StabilityError(f"dt nu / h^2 is {self.lam!r}: nu / h^2 = "
+                                 f"{params.nu / grid.h**2!r}; raise grid.length or lower model.nu")
         self.rows = np.empty((block + 1, n + 1))
         self.rows[0, :-1], self.rows[0, -1] = rho, rho[0]
         self.flux, self.rbar = np.empty((2, block, n))
@@ -432,7 +448,8 @@ def entropy_rate(rho: np.ndarray, grid: LineGrid, params: ModelParams,
     """Instantaneous dS/dt = <dS/drho, rhs> of the tendency gated by
     ``reached`` (``reached_faces`` of the state); nonnegative face by face."""
     xi = -(np.log(np.maximum(rho, 1e-300)) + 1.0)
-    return float(np.sum(xi * heat_rhs(rho, grid, params, reached))) * grid.h
+    with np.errstate(over="ignore", invalid="ignore"):   # a rate beyond the float range
+        return float(np.sum(xi * heat_rhs(rho, grid, params, reached))) * grid.h
 
 
 def support_radius(rho: np.ndarray, grid: LineGrid, threshold: float = 1e-12) -> float:
@@ -502,29 +519,39 @@ def initial_profile(kind: str, grid: LineGrid, sigma: float = 0.0,
 
 @dataclass
 class HeatRunResult:
-    records: list                  # DiagnosticsRecord-compatible rows via runners
+    records: list[DiagnosticsRecord]
     state: HeatState
     max_saturation_excess: float   # over all steps
     min_step_entropy_delta: float  # most negative per-step entropy change
 
 
-def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
+def _record(state: HeatState, grid: LineGrid, params: ModelParams) -> DiagnosticsRecord:
+    """The diagnostics of a heat state: entropy, mass and the gated entropy rate."""
+    return DiagnosticsRecord(
+        t=state.t, E=0.0, S=boltzmann_entropy(state.rho, grid),
+        mass=float(np.sum(state.rho)) * grid.h,
+        dSdt=entropy_rate(state.rho, grid, params, reached_faces(state, grid, params)),
+        degL=0.0, degM=0.0, relEnt=None, e=0.0)
+
+
+def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | None,
              t_final: float, record_every: int, on_record=None) -> HeatRunResult:
     """Integrate to t_final with forward Euler, recording every record_every steps.
 
-    ``on_record(state)`` is called at t=0, at each cadence point, and at the
-    final time; per-step entropy monotonicity and flux saturation are tracked
-    over every state the run visits, the first and the last included.  The
-    step size is checked against ``stable_dt`` once.  The steps run in one
-    workspace through the kernel of ``step_heat``, bit for bit, and the
-    saturation and entropy of each block of ``_BLOCK`` states are computed
-    together from the flux the steps evaluated; states handed out are copies.
+    Records are taken at t=0, at each cadence point and at the final time,
+    each followed by ``on_record(state, t, index)``; per-step entropy
+    monotonicity and flux saturation are tracked over every state the run
+    visits, the first and the last included.  dt None is ``stable_dt``, and
+    a given dt is checked against it once.  The steps run in one workspace
+    through the kernel of ``step_heat``, bit for bit, and the saturation and
+    entropy of each block of ``_BLOCK`` states come together from the flux
+    the steps evaluated; states handed out are copies.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    n_steps, step_dt = time_steps(t_final, dt)
+    n_steps, step_dt = time_steps(t_final, stable_dt(grid, params) if dt is None else dt)
     _check_dt(step_dt, grid, params)
     rho0 = np.asarray(rho0, dtype=float).copy()
     cone = light_cone(rho0, 0.0, grid, params)
@@ -533,8 +560,9 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float,
     records = []
 
     def record(st):
+        records.append(_record(st, grid, params))
         if on_record is not None:
-            records.append(on_record(st))
+            on_record(st, st.t, len(records) - 1)
 
     record(state)
     max_sat = -math.inf

@@ -52,6 +52,7 @@ from .model import (ModelParams, Potential, Variant, grid_fields, hamiltonian,
 
 NEGATIVE_TOL = -1e-12   # allowed undershoot per time step
 TRBDF2_GAMMA = 2.0 - math.sqrt(2.0)   # the L-stable choice; its stages share one matrix
+_RATE_MAX = 1e140       # the fastest rate, per unit time, of a mass-1 density's tendency
 # numpy stays silent while the operator and its maps are built: each result is
 # checked, and a StabilityError names the one that is not finite
 _reported = partial(np.errstate, divide="ignore", over="ignore", invalid="ignore")
@@ -121,6 +122,14 @@ class KfpOperator:
         if not (math.isfinite(self._stable_dt) and self._stable_dt > 0):
             raise StabilityError(f"the stability bound on dt is {self._stable_dt!r}; "
                                  "the parameters leave no usable time step")
+        # a mass-1 density reaches 1 / cell volume; its tendencies (at most the fastest
+        # rate times that), their squares in the records and the energy the flux
+        # exchanges (at most the product of the two rates) must all stay finite
+        fastest = max(rate, 2.0 * float(np.abs(self._tridiag[1]).max()))
+        if not fastest < _RATE_MAX * min(1.0, grid.cell_volume):
+            raise StabilityError(f"the tendencies overflow: the transport or momentum diffusion "
+                                 f"rate {fastest:.3e} on cells of volume {grid.cell_volume:.3e} "
+                                 "is too fast; check model.m, model.gamma and the grid")
         self.q_rate = np.divide(gp_h, -2.0 * grid.hq, out=gp_h)
         self.p_rate = np.divide(gq_h, 2.0 * grid.hp, out=gq_h)
         self._transient_dt = min(0.4 * h / v for v, h in speeds if v > 0)
@@ -379,7 +388,7 @@ class RecordPass:
 
     Built once per run for an operator and the equilibrium rho_inf, whose
     mass and positivity it checks once.  Called on (state, t) it returns the
-    DiagnosticsRecord and the aux entry {"l1", "dHrho_dt"}.  Each value comes
+    DiagnosticsRecord, ``l1`` and ``dHrho_dt`` included.  Each value comes
     from the public function that defines it (``KfpOperator.rhs``'s kernel,
     ``generic``'s functionals and ``Brackets.degeneracy_residuals``,
     ``relative_entropy``, ``l1_distance``), called with buffers, so it is
@@ -408,7 +417,7 @@ class RecordPass:
         deg_l, deg_m = brackets.degeneracy_residuals()
         mass = float(np.sum(rho)) * grid.cell_volume
         _check_mass("rho", mass)
-        record = DiagnosticsRecord(
+        return DiagnosticsRecord(
             t=t,
             E=generic.energy_functional(state, grid, params, potential, work=work),
             S=entropy,
@@ -418,9 +427,9 @@ class RecordPass:
             degM=deg_m,
             relEnt=_relative_entropy(rho, self.rho_inf, self.gaps, grid, work=work),
             e=state.e,
+            l1=l1_distance(rho, self.rho_inf, grid, work=work),
+            dHrho_dt=-de,
         )
-        return record, {"l1": l1_distance(rho, self.rho_inf, grid, work=work),
-                        "dHrho_dt": -de}
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +522,9 @@ def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1) -> State:
 @dataclass
 class KfpRunResult:
     records: list[DiagnosticsRecord]
-    aux: list[dict]          # per-record extras: l1, dHrho_dt
     state: State
     rho_inf: np.ndarray
     e_inf: float
-    t_end: float
     converged: bool
 
 
@@ -528,8 +535,9 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     Each record interval (``record_every`` steps, the last one shorter) is
     one ``step_kfp`` call, so its interior dissipative half steps merge.
     Stops early once the L1 distance to the closed-form Maxwellian falls
-    below ``l1_stop``, when given.  ``on_record(state, t, index)`` fires
-    after each diagnostics record.  Each record is one ``RecordPass`` over
+    below ``l1_stop``, when given.  ``on_record(state, t, index)`` is called
+    after each record with its time and its index in ``records``, counted
+    from 0; its return value is ignored.  Each record is one ``RecordPass`` over
     the operator's workspace, free between step_kfp calls, so a record
     allocates no grid array.  Without ``cfg.dt`` a run with ``l1_stop``
     needs only its end state and steps at the stability bound; any other
@@ -549,20 +557,16 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     e0_total = generic.energy_functional(state, grid, params, potential)
     record_pass = RecordPass(op, rho_inf)
     records: list[DiagnosticsRecord] = []
-    aux: list[dict] = []
 
-    def record(st: State):
-        """Append the diagnostics of st; returns its L1 distance."""
-        rec, extra = record_pass(st, t_now)
-        records.append(rec)
-        aux.append(extra)
+    def record(st: State) -> bool:
+        """Append the diagnostics of st; whether its L1 distance meets l1_stop."""
+        records.append(rec := record_pass(st, t_now))
         if on_record is not None:
             on_record(st, t_now, len(records) - 1)
-        return extra["l1"]
+        return l1_stop is not None and rec.l1 <= l1_stop
 
     t_now = 0.0
-    l1 = record(state)
-    converged = l1_stop is not None and l1 <= l1_stop
+    converged = record(state)
     n_steps, step_dt = time_steps(cfg.t_final, dt)
     done = 0
     while not converged and done < n_steps:
@@ -574,11 +578,10 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
             raise type(exc)(msg) from None
         done += steps
         t_now = cfg.t_final if done == n_steps else done * step_dt
-        l1 = record(state)
-        converged = l1_stop is not None and l1 <= l1_stop
+        converged = record(state)
     e_inf = e0_total - inner(grid, op.h_cells, rho_inf)
-    return KfpRunResult(records=records, aux=aux, state=state, rho_inf=rho_inf,
-                        e_inf=e_inf, t_end=t_now, converged=converged)
+    return KfpRunResult(records=records, state=state, rho_inf=rho_inf,
+                        e_inf=e_inf, converged=converged)
 
 
 def run_to_stationarity(cfg: KfpConfig, l1_target: float = 1e-3,
@@ -589,8 +592,8 @@ def run_to_stationarity(cfg: KfpConfig, l1_target: float = 1e-3,
     above ten times the target.
     """
     result = integrate(cfg, state0=state0, l1_stop=l1_target, on_record=on_record)
-    if not result.converged and result.aux[-1]["l1"] > 10.0 * l1_target:
+    last = result.records[-1]
+    if not result.converged and last.l1 > 10.0 * l1_target:
         raise NonConvergenceError(
-            f"L1 distance {result.aux[-1]['l1']:.3e} still above 10 x "
-            f"{l1_target:g} at t={result.t_end:g}")
+            f"L1 distance {last.l1:.3e} still above 10 x {l1_target:g} at t={last.t:g}")
     return result

@@ -44,8 +44,7 @@ def run_limit_study(cfg: RunConfig) -> LimitResult:
         auto_dt = [HT.stable_dt(grid, p) for p in members]
 
         def final_density(params, dt):
-            res = HT.run_heat(grid, params, rho0, dt, cfg.t_final, record_every=10**9)
-            return res.state.rho
+            return HT.run_heat(grid, params, rho0, dt, cfg.t_final, record_every=10**9).state.rho
     else:
         grid = cfg.phase_grid
         # identical initial data: built once from the classical parameters

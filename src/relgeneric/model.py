@@ -50,8 +50,6 @@ class ModelParams:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if not self.c > 0:
             raise ValueError(f"c must be positive (or INFINITE), got {self.c}")
-        if math.isnan(self.c):
-            raise ValueError("c must not be NaN")
         if not (isinstance(self.d, int) and self.d >= 1):
             raise ValueError(f"d must be an integer >= 1, got {self.d}")
 
@@ -241,13 +239,18 @@ def grid_fields(grid: PhaseGrid, params: ModelParams, potential: Potential,
     the arrays are read-only because all callers share them.  With
     ``variant=None`` the variant-free fields are built and ``dface`` is None;
     a variant entry reuses those arrays and adds its face diffusion.  Raises
-    ValueError when H or its face gradient is not finite on the grid.
+    ValueError when H, its face gradient or the face diffusion is not finite
+    on the grid.
     """
     if variant is not None:
         base = grid_fields(grid, params, potential, None)
         mc = params.m * params.c
-        d = (np.sqrt(mc * mc + grid.p_faces**2) / mc
-             if variant is Variant.DH and not params.classical else 1.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # reported below
+            d = (np.sqrt(mc * mc + grid.p_faces**2) / mc
+                 if variant is Variant.DH and not params.classical else 1.0)
+        if not np.all(np.isfinite(d)):
+            raise ValueError("the DH diffusion sqrt(m^2 c^2 + p^2) / (m c) is not finite on "
+                             "the grid; check model.c and model.m against grid.pmax")
         return base._replace(dface=np.broadcast_to(d, base.gh_face.shape))
     with np.errstate(over="ignore", invalid="ignore"):     # an overflow is reported below
         h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],

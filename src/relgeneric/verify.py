@@ -327,16 +327,14 @@ def assembly_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
 
 def run_verify(grid: PhaseGrid, params: ModelParams, potential: Potential,
                seed: int, opts: VerifyOptions):
-    """Run all enabled check groups; returns (results, report_text, all_passed)."""
+    """Run every check group; returns (results, report_text, all_passed)."""
     rng = SplitMix64(seed)
     results: list[CheckResult] = []
     results += model_checks(rng, opts.fd_samples)
     results += operator_checks(rng, grid, params, potential, opts)
-    if opts.jacobi:
-        results += jacobi_checks(rng)
+    results += jacobi_checks(rng)
     results += gradient_checks(rng, grid, params, potential, opts.gradient_checks)
-    if opts.refinement:
-        results += refinement_checks()
+    results += refinement_checks()
     results += assembly_checks(rng, grid, params, potential, opts.assembly_states)
     return results, format_report(results, seed), all(r.passed for r in results)
 

@@ -84,7 +84,7 @@ def test_criterion_3_coupled_conservation():
     s_min_delta = float(np.diff([r.S for r in res.records]).min())
     mass_drift = max(abs(r.mass - res.records[0].mass) for r in res.records)
     bound = cfg.params.gamma * cfg.params.theta * cfg.params.d / cfg.params.m
-    h_rate_max = max(a["dHrho_dt"] for a in res.aux)
+    h_rate_max = max(r.dHrho_dt for r in res.records)
     ok = (e_drift <= 1e-6 and s_min_delta >= -1e-8 and mass_drift <= 1e-10
           and h_rate_max <= bound + 1e-10)
     report("criterion 3 coupled conservation", ok,
@@ -113,12 +113,12 @@ def test_criterion_4_shared_stationarity(variant):
     kernel = float(np.abs(tend).max())
 
     res = KF.run_to_stationarity(kcfg, l1_target=cfg.l1_target)
-    l1 = res.aux[-1]["l1"]
+    l1 = res.records[-1].l1
     rel_rise = max(float(np.diff([r.relEnt for r in res.records]).max()), 0.0)
     ok = (res.converged and l1 <= 1e-3 and rel_rise <= 1e-8
           and kernel <= 1e-14 * kernel_scale)
     report(f"criterion 4 stationarity ({variant})", ok,
-           f"L1={l1:.2e} at t={res.t_end:.1f}, relEnt rise={rel_rise:.1e}, "
+           f"L1={l1:.2e} at t={res.records[-1].t:.1f}, relEnt rise={rel_rise:.1e}, "
            f"kernel={kernel:.1e} vs {1e-14 * kernel_scale:.1e}", t0)
     assert kernel <= 1e-14 * kernel_scale
     assert res.converged and l1 <= 1e-3

@@ -334,7 +334,7 @@ KEY_RUNS = {
     "limit.kind = heat": {"limit-heat"}, "limit.c_values = 10, 100": {"limit-heat", "limit-kfp"},
     **{f"verify.{name} = {value}": {"verify"} for name, value in (
         ("bracket_pairs", 5), ("psd_samples", 5), ("fd_samples", 5), ("gradient_checks", 2),
-        ("assembly_states", 2), ("refinement", "false"), ("jacobi", "false"))},
+        ("assembly_states", 2))},
 }
 # a valid line of each key taken only under some values of a kind key:
 # (the runs that take it, the kind key, those values)
@@ -407,9 +407,8 @@ def test_stationary_config():
 
 
 def test_verify_options():
-    cfg = parse_config("verify.psd_samples = 50\nverify.refinement = false\n", "verify")
+    cfg = parse_config("verify.psd_samples = 50\n", "verify")
     assert cfg.verify.psd_samples == 50
-    assert cfg.verify.refinement is False
 
 
 # ---------------------------------------------------------------------------

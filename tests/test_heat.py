@@ -1,6 +1,7 @@
 import math
 import tracemalloc
-from dataclasses import replace
+import warnings
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relgeneric import heat as H
+from relgeneric import kfp as K
 from relgeneric.config import ConfigError, load_config, parse_config
 from relgeneric.errors import PositivityError, StabilityError
-from relgeneric.grid import LineGrid, time_steps
+from relgeneric.generic import DiagnosticsRecord
+from relgeneric.grid import LineGrid, PhaseGrid, time_steps
 from relgeneric.limits import heat_initial
-from relgeneric.model import INFINITE, ModelParams
+from relgeneric.model import INFINITE, CosinePotential, ModelParams, Variant
 from relgeneric.rng import SplitMix64
 from conftest import EXTREME, run_to_named_outcome
 
@@ -552,11 +555,65 @@ def test_run_heat_records_and_saturation(grid):
     rho0 = H.initial_profile("gaussian", grid, sigma=0.2)
     seen = []
     result = H.run_heat(grid, REL, rho0, H.stable_dt(grid, REL), 0.01, 50,
-                        on_record=lambda st: seen.append(st.t))
+                        on_record=lambda st, t, index: seen.append(t))
     assert seen[0] == 0.0
     assert result.state.t == pytest.approx(0.01, rel=1e-12)
     assert result.max_saturation_excess <= 1e-12
     assert result.min_step_entropy_delta >= -1e-10
+
+
+def _hex(record):
+    return [None if v is None else float(v).hex() for v in astuple(record)]
+
+
+@pytest.mark.parametrize("driver", ["heat", "kfp"])
+def test_drivers_call_on_record_with_state_time_and_index(grid, driver):
+    # both drivers call on_record(state, t, index) after each record: indices
+    # run 0, 1, ... over the records, t is the record's time and the state's,
+    # and the last state is the run's end state
+    seen = []
+
+    def on_record(state, t, index):
+        seen.append((state, t, index))
+        return "ignored"
+
+    if driver == "heat":
+        res = H.run_heat(grid, REL, two_bumps(grid), None, 11.5 * H.stable_dt(grid, REL),
+                         record_every=3, on_record=on_record)
+    else:
+        phase = PhaseGrid(Nq=16, Np=32, Lq=4 * math.pi, Pmax=34.0)
+        cfg = K.KfpConfig(grid=phase, params=ModelParams(m=1.0, c=1.0, gamma=0.5, theta=1.0),
+                          potential=CosinePotential(amplitude=1.0, period=phase.Lq),
+                          variant=Variant.DH, dt=None, t_final=3.0, record_every=3,
+                          init=K.InitSpec(kind="shifted-maxwellian", p0=0.5))
+        res = K.integrate(cfg, on_record=on_record)
+    assert len(res.records) >= 4
+    assert [index for _, _, index in seen] == list(range(len(res.records)))
+    for state, t, index in seen:
+        assert t == res.records[index].t
+        assert driver == "kfp" or t == state.t
+    assert seen[-1][0] is res.state
+
+
+def test_run_heat_records_are_the_per_state_public_calls(grid):
+    # each record holds the public calls on its state, bit for bit: entropy,
+    # mass and the entropy rate gated by reached_faces; dt None is stable_dt
+    params = ModelParams(m=1.0, c=2.0, gamma=1.0, theta=1.0, nu=1.0)
+    rho0, dt = two_bumps(grid), H.stable_dt(grid, params)
+    seen = []
+    res = H.run_heat(grid, params, rho0, None, 11.5 * dt, record_every=3,
+                     on_record=lambda state, t, index: seen.append(state))
+    assert len(seen) == 5 and any(H.reached_faces(st, grid, params) is not None
+                                  for st in seen)
+    for state, record in zip(seen, res.records, strict=True):
+        assert _hex(record) == _hex(DiagnosticsRecord(
+            t=state.t, E=0.0, S=H.boltzmann_entropy(state.rho, grid),
+            mass=float(np.sum(state.rho)) * grid.h,
+            dSdt=H.entropy_rate(state.rho, grid, params,
+                                H.reached_faces(state, grid, params)),
+            degL=0.0, degM=0.0, relEnt=None, e=0.0))
+    explicit = H.run_heat(grid, params, rho0, dt, 11.5 * dt, record_every=3)
+    assert [_hex(r) for r in explicit.records] == [_hex(r) for r in res.records]
 
 
 def reference_run(grid, params, rho0, dt, t_final):
@@ -629,17 +686,55 @@ def extreme_heat_configs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(text=extreme_heat_configs())
+# kappa = 2 nu / (c h) far above 1e150, 2 nu and nu / h^2 that overflow, a
+# cell the light cone cannot cross (h / c overflows), and an entropy rate
+# beyond the float range
+@example(text="model.nu = 7.02\nmodel.c = 1e-300\ngrid.length = 0.05\ngrid.n = 16\n"
+              "init.kind = bump\n")
+@example(text="model.nu = 1e308\nmodel.c = 20\ngrid.length = 0.05\ngrid.n = 16\n"
+              "init.kind = bump\n")
+@example(text="model.nu = 1e308\nmodel.c = inf\ngrid.length = 0.05\ngrid.n = 16\n"
+              "init.kind = gaussian\n")
+@example(text="model.nu = 1e-300\nmodel.c = 1e-300\ngrid.length = 1e12\ngrid.n = 16\n"
+              "init.kind = bump\n")
+@example(text="model.nu = 1e308\nmodel.c = inf\ngrid.length = 20\ngrid.n = 16\n"
+              "init.kind = bump\n")
 def test_fuzzed_heat_runs_end_in_named_outcomes(tmp_path_factory, text):
     # a run of four steps at the stability bound ends in a named outcome
-    # (run_to_named_outcome).  The heat kernels' numpy warnings at extreme
-    # nu and c are not gated here.
-    with np.errstate(all="ignore"):
+    # (run_to_named_outcome), and no floating-point warning comes before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             cfg = parse_config(text, "heat")
             text += f"solver.t_final = {4.0 * H.stable_dt(cfg.heat_grid, cfg.params)!r}\n"
         except (ConfigError, StabilityError):
             pass          # the run below ends in the same error
-        run_to_named_outcome("heat", text, tmp_path_factory.mktemp("fuzz"))
+        printed = run_to_named_outcome("heat", text, tmp_path_factory.mktemp("fuzz"))
+    assert not caught, (text, printed, [str(w.message) for w in caught])
+
+
+def test_heat_constants_beyond_the_float_range_are_named():
+    # kappa above 1e150 and an overflowing nu / h^2 raise StabilityError
+    # before any step; a cone that cannot cross a cell opens only the faces
+    # touching the support, without a warning
+    grid = LineGrid(N=16, L=0.05)
+    rho0 = H.initial_profile("bump", grid, width=0.02)
+    slow = ModelParams(m=1.0, c=1e-300, gamma=1.0, theta=1.0, nu=7.02)
+    with pytest.raises(StabilityError, match="kappa = 2 nu / \\(c h\\) is 4.493e\\+303"):
+        H.run_heat(grid, slow, rho0, None, 1.0, record_every=1)
+    with pytest.raises(StabilityError, match="kappa"):
+        H.step_heat(H.HeatState(rho=rho0, t=0.0), grid, slow, 0.0)
+    fast = ModelParams(m=1.0, c=INFINITE, gamma=1.0, theta=1.0, nu=1e308)
+    with pytest.raises(StabilityError, match="is inf: nu / h\\^2 = inf"):
+        H.run_heat(grid, fast, rho0, None, 4.0 * H.stable_dt(grid, fast), record_every=1)
+    with pytest.raises(StabilityError, match="is nan: nu / h\\^2 = inf"):
+        H.step_heat(H.HeatState(rho=rho0, t=0.0), grid, fast, 0.0)
+    wide = LineGrid(N=16, L=1e12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cone = H.light_cone(H.initial_profile("bump", wide, width=wide.L / 4), 2.0, wide,
+                            ModelParams(m=1.0, c=1e-300, gamma=1.0, theta=1.0, nu=1e-300))
+    assert set(cone.tolist()) == {2.0, math.inf}
 
 
 def test_run_heat_rejects_unstable_dt_and_undershoot(grid):
@@ -740,7 +835,7 @@ def test_run_heat_positivity_error_at_the_reference_step(grid):
     seen = []
     with pytest.raises(PositivityError) as caught:
         H.run_heat(grid, REL, rho0, dt, 100 * dt, record_every=1,
-                   on_record=lambda st: seen.append(st.rho.copy()))
+                   on_record=lambda st, t, index: seen.append(st.rho.copy()))
     assert str(caught.value) == str(expected.value)
     # the error names the lowest cell of the failed step and the time it stepped from
     last = states[-1]
@@ -754,9 +849,10 @@ def test_run_heat_positivity_error_at_the_reference_step(grid):
 def test_run_heat_states_never_alias_the_workspace(grid):
     params = ModelParams(m=1.0, c=2.0, gamma=1.0, theta=1.0, nu=1.0)
     dt = H.stable_dt(grid, params)
+    seen = []
     result = H.run_heat(grid, params, two_bumps(grid), dt, (3 * H._BLOCK + 5) * dt,
-                        record_every=1, on_record=lambda st: (st, st.rho.tobytes()))
-    seen = result.records
+                        record_every=1,
+                        on_record=lambda st, t, index: seen.append((st, st.rho.tobytes())))
     assert len(seen) == 3 * H._BLOCK + 6 and seen[-1][0] is result.state
     # later steps left every handed-out state as it was handed out
     assert all(st.rho.tobytes() == snapshot for st, snapshot in seen)
@@ -765,27 +861,32 @@ def test_run_heat_states_never_alias_the_workspace(grid):
         assert not any(np.shares_memory(a.rho, b.rho) for b, _ in seen[i + 1:])
 
 
-def test_run_heat_allocation_budget_at_512():
+def test_run_heat_allocation_budget_at_512(monkeypatch):
     # the workspace and the first state exist at the first record; the steps
     # after it allocate the final state and little else.  The allocating loop
-    # this replaced peaked at about eleven grid arrays above that point
+    # this replaced peaked at about eleven grid arrays above that point.  The
+    # records' own per-state calls are left out: the memory (current, peak)
+    # is read as each record starts, and the peak is reset after it
     grid = LineGrid(N=512, L=4.0)
     rho0 = H.initial_profile("bump", grid, width=1.0)
     dt = H.stable_dt(grid, REL)
     H.run_heat(grid, REL, rho0, dt, 64 * dt, record_every=10**9)
-    at_first_record = []
+    record, at_record = H._record, []
 
-    def on_record(st):
-        if not at_first_record:
-            at_first_record.append(tracemalloc.get_traced_memory()[0])
+    def measured(*args):
+        at_record.append(tracemalloc.get_traced_memory())
+        try:
+            return record(*args)
+        finally:
             tracemalloc.reset_peak()
 
+    monkeypatch.setattr(H, "_record", measured)
     tracemalloc.start()
     try:
-        H.run_heat(grid, REL, rho0, dt, 64 * dt, record_every=10**9, on_record=on_record)
-        peak = tracemalloc.get_traced_memory()[1]
+        H.run_heat(grid, REL, rho0, dt, 64 * dt, record_every=10**9)
     finally:
         tracemalloc.stop()
-    assert peak - at_first_record[0] <= 3 * rho0.nbytes
+    (at_first, first_peak), (_, steps_peak) = at_record
+    assert steps_peak - at_first <= 3 * rho0.nbytes
     # a small block: the whole run, workspace included, stays below 48 grid arrays
-    assert peak <= 48 * rho0.nbytes
+    assert max(first_peak, steps_peak) <= 48 * rho0.nbytes

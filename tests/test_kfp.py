@@ -275,7 +275,7 @@ def test_auto_step_is_the_bound_for_stationarity_and_transient_otherwise(monkeyp
     l1_0 = K.l1_distance(rho0, maxwellian(cfg.grid, cfg.params, cfg.potential)[0], cfg.grid)
     res = K.run_to_stationarity(cfg, l1_target=0.5 * l1_0)
     assert dts == [time_steps(cfg.t_final, op.stable_dt())[1]] * 4
-    assert res.t_end == cfg.t_final
+    assert res.records[-1].t == cfg.t_final
 
 
 def test_energy_conserved_to_roundoff():
@@ -311,7 +311,7 @@ def test_degeneracy_residuals_along_run():
 
 @pytest.mark.parametrize("variant,c", KINETIC_CASES)
 def test_integrate_records_match_public_functions(variant, c):
-    # every record and aux entry equals its recomputation from the public
+    # every record equals its recomputation from the public
     # functions, and the recorded states are those of a chain of step_kfp
     # calls, one per record interval; record_every=2 records after some
     # steps and not after others
@@ -325,7 +325,7 @@ def test_integrate_records_match_public_functions(variant, c):
     res = K.integrate(cfg, on_record=lambda st, t, index: seen.append((st, t)))
     rho_inf, _ = maxwellian(grid, params, pot)
     assert len(seen) == len(res.records) == 4
-    for rec, extra, (st, t) in zip(res.records, res.aux, seen):
+    for rec, (st, t) in zip(res.records, seen):
         drho, de = op.rhs(st)
         v_s = G.gradient_entropy(st, grid, params)
         deg_l, deg_m = G.Brackets(st, grid, params, pot, variant).degeneracy_residuals()
@@ -334,8 +334,8 @@ def test_integrate_records_match_public_functions(variant, c):
             S=G.entropy_functional(st, grid, params),
             mass=float(np.sum(st.rho)) * grid.cell_volume,
             dSdt=G.inner(grid, v_s.xi, drho) + v_s.r * de, degL=deg_l, degM=deg_m,
-            relEnt=K.relative_entropy(st.rho, rho_inf, grid), e=st.e)
-        assert extra == {"l1": K.l1_distance(st.rho, rho_inf, grid), "dHrho_dt": -de}
+            relEnt=K.relative_entropy(st.rho, rho_inf, grid), e=st.e,
+            l1=K.l1_distance(st.rho, rho_inf, grid), dHrho_dt=-de)
     n_steps = math.ceil(cfg.t_final / op.transient_dt() - 1e-12)
     dt = cfg.t_final / n_steps
     chain = [seen[0][0]]
@@ -369,7 +369,7 @@ def _record_shape_cfg(t_steps):
 
 
 def test_record_pass_bitwise_equal_to_public_functions_at_record_shape():
-    # every record and aux value of a run at the record-bound shape has the
+    # every record value of a run at the record-bound shape has the
     # bits of its recomputation from the public functions
     cfg, op = _record_shape_cfg(4)
     grid, params, pot, variant = cfg.grid, cfg.params, cfg.potential, cfg.variant
@@ -377,7 +377,7 @@ def test_record_pass_bitwise_equal_to_public_functions_at_record_shape():
     res = K.integrate(cfg, on_record=lambda st, t, index: seen.append((st, t)))
     rho_inf, _ = maxwellian(grid, params, pot)
     assert len(seen) == len(res.records) == 5
-    for rec, extra, (st, t) in zip(res.records, res.aux, seen):
+    for rec, (st, t) in zip(res.records, seen):
         drho, de = op.rhs(st)
         v_s = G.gradient_entropy(st, grid, params)
         deg_l, deg_m = G.Brackets(st, grid, params, pot, variant).degeneracy_residuals()
@@ -386,11 +386,9 @@ def test_record_pass_bitwise_equal_to_public_functions_at_record_shape():
             S=G.entropy_functional(st, grid, params),
             mass=float(np.sum(st.rho)) * grid.cell_volume,
             dSdt=G.inner(grid, v_s.xi, drho) + v_s.r * de, degL=deg_l, degM=deg_m,
-            relEnt=K.relative_entropy(st.rho, rho_inf, grid), e=st.e)
+            relEnt=K.relative_entropy(st.rho, rho_inf, grid), e=st.e,
+            l1=K.l1_distance(st.rho, rho_inf, grid), dHrho_dt=-de)
         assert np.array_equal(_bits(dataclasses.astuple(rec)), _bits(dataclasses.astuple(ref)))
-        assert list(extra) == ["l1", "dHrho_dt"]
-        assert np.array_equal(_bits(list(extra.values())),
-                              _bits([K.l1_distance(st.rho, rho_inf, grid), -de]))
 
 
 def test_record_pass_allocates_no_grid_array():
@@ -607,9 +605,6 @@ def test_integrate_bitwise_equal_to_allocating_reference(variant, c, record_ever
     for rec, ref_rec in zip(res.records, ref.records):
         assert np.array_equal(_bits(dataclasses.astuple(rec)),
                               _bits(dataclasses.astuple(ref_rec)))
-    for extra, ref_extra in zip(res.aux, ref.aux):
-        assert extra.keys() == ref_extra.keys()
-        assert np.array_equal(_bits(list(extra.values())), _bits(list(ref_extra.values())))
 
 
 def test_states_and_returned_arrays_never_alias_the_workspace():
@@ -1032,8 +1027,8 @@ def test_stationarity_immediate_convergence():
     res = K.run_to_stationarity(cfg, l1_target=1e-3,
                                 state0=G.State(rinf.copy(), 0.0))
     assert res.converged
-    assert res.t_end == 0.0
-    assert res.aux[0]["l1"] <= 1e-12
+    assert res.records[-1].t == 0.0
+    assert res.records[0].l1 <= 1e-12
 
 
 def test_stationarity_nonconvergence_signalled():
@@ -1058,8 +1053,8 @@ def test_shared_stationary_state_small():
                           dt=None, t_final=4.0, record_every=20,
                           init=K.InitSpec(kind="shifted-maxwellian", p0=0.5))
         res = K.integrate(cfg)
-        start[variant] = res.aux[0]["l1"]
-        final[variant] = res.aux[-1]["l1"]
+        start[variant] = res.records[0].l1
+        final[variant] = res.records[-1].l1
         rel = [r.relEnt for r in res.records]
         assert max(np.diff(rel).max(), 0.0) <= 1e-8
     for variant, l1 in final.items():
@@ -1153,11 +1148,9 @@ def test_variants_coincide_at_infinite_c():
                                   potential=pot)) for v in Variant]
     assert len(runs[0].records) > 2
     assert np.array_equal(_bits(runs[0].state.rho), _bits(runs[1].state.rho))
-    for rec_dh, rec_dmr, aux_dh, aux_dmr in zip(runs[0].records, runs[1].records,
-                                                runs[0].aux, runs[1].aux, strict=True):
+    for rec_dh, rec_dmr in zip(runs[0].records, runs[1].records, strict=True):
         assert np.array_equal(_bits(dataclasses.astuple(rec_dh)),
                               _bits(dataclasses.astuple(rec_dmr)))
-        assert np.array_equal(_bits(list(aux_dh.values())), _bits(list(aux_dmr.values())))
 
 
 def test_stationary_runs_at_infinite_c_with_the_default_variant(tmp_path):
@@ -1185,9 +1178,9 @@ def test_cli_runs_every_variant_from_mildly_relativistic_to_classical(variant, t
         assert code == 0 or c != "inf"
 
 
-# rest masses from 1 up, so that m c^2 also lies far above theta
-HEAVY = (st.sampled_from(["1", "1e6", "1e12", "1e100", "1e300"])
-         | st.floats(1.0, 1e12).map(repr))
+# rest masses from 1e-300 to 1e300, so that m c^2 also lies far above or below theta
+HEAVY = (st.sampled_from(["1e-300", "1e-100", "1e-12", "1", "1e6", "1e12", "1e100", "1e300"])
+         | st.floats(1e-12, 1e12).map(repr))
 
 
 @st.composite
@@ -1209,6 +1202,11 @@ def extreme_kfp_configs(draw):
               "grid.nq = 16\ngrid.np = 32\n")
 @example(text="model.variant = dh\npotential.kind = harmonic\nmodel.gamma = 1e308\n"
               "model.theta = 0.05\nmodel.c = inf\ngrid.nq = 16\ngrid.np = 32\n")
+# a tiny rest mass: tendencies that overflow, and a DH face diffusion that does
+@example(text="model.variant = dmr\npotential.kind = cosine\nmodel.m = 1e-300\nmodel.c = inf\n"
+              "model.theta = 1e12\nmodel.gamma = 1.6e-6\ngrid.nq = 16\ngrid.np = 32\n")
+@example(text="model.variant = dh\npotential.kind = cosine\nmodel.m = 1e-300\nmodel.c = 0.05\n"
+              "model.theta = 1e12\nmodel.gamma = 1e308\ngrid.nq = 16\ngrid.np = 32\n")
 def test_fuzzed_kfp_runs_end_in_named_outcomes(tmp_path_factory, text):
     # a run of a few steps ends in a named outcome (run_to_named_outcome),
     # and no floating-point warning comes before it.  t_final is four
@@ -1223,6 +1221,21 @@ def test_fuzzed_kfp_runs_end_in_named_outcomes(tmp_path_factory, text):
             pass          # the run below ends in the same error
         printed = run_to_named_outcome("kfp", text, tmp_path_factory.mktemp("fuzz"))
     assert not caught, (text, printed, [str(w.message) for w in caught])
+
+
+def test_tiny_rest_mass_is_named_at_the_build():
+    # m = 1e-300: the tendencies of a mass-1 density overflow (DMR), and so
+    # does the DH face diffusion; each is named before numpy can warn
+    cases = [("dmr", "c = inf\nmodel.gamma = 1.6e-6", StabilityError, "tendencies overflow"),
+             ("dh", "c = 0.05\nmodel.gamma = 1e308", ValueError, "DH diffusion")]
+    for variant, rest, error, match in cases:
+        cfg = parse_config(f"model.variant = {variant}\nmodel.m = 1e-300\nmodel.theta = 1e12\n"
+                           f"model.{rest}\npotential.kind = cosine\ngrid.nq = 16\n"
+                           "grid.np = 32\n", "kfp")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                K.KfpOperator(cfg.phase_grid, cfg.params, cfg.potential, cfg.variant)
 
 
 def test_stationary_run_preserves_energy_budget():

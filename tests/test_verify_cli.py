@@ -22,8 +22,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 def quick_opts():
     return VerifyOptions(bracket_pairs=10, psd_samples=50, fd_samples=500,
-                         gradient_checks=3, assembly_states=3,
-                         refinement=False, jacobi=True)
+                         gradient_checks=3, assembly_states=3)
 
 
 @pytest.fixture
@@ -111,13 +110,14 @@ def test_bracket_checks_pass_on_nearly_cancelling_pair(verify_cfg):
 def test_bracket_check_catches_nonantisymmetric_poisson(verify_cfg, monkeypatch):
     # sensitivity control: L' = (1 + 1e-8 w) L with a non-constant weight w
     # is no longer antisymmetric, and the scaled check must see it
+    # (on every grid the suite builds)
     grid = verify_cfg.phase_grid
-    weight = 1.0 + 1e-8 * np.cos(2 * np.pi * grid.q_mesh / grid.Lq) \
-        * np.tanh(grid.p_mesh)
     apply = G.Brackets.poisson
 
     def skewed(self, v):
         drho, de = apply(self, v)
+        g = self.grid
+        weight = 1.0 + 1e-8 * np.cos(2 * np.pi * g.q_mesh / g.Lq) * np.tanh(g.p_mesh)
         return weight * drho, de
 
     monkeypatch.setattr(G.Brackets, "poisson", skewed)
@@ -180,7 +180,6 @@ def test_cli_entry_point_subprocess(tmp_path):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("verify.psd_samples = 20\nverify.fd_samples = 100\n"
                    "verify.bracket_pairs = 5\nverify.assembly_states = 2\n"
-                   "verify.refinement = false\nverify.jacobi = false\n"
                    "grid.nq = 16\ngrid.np = 16\ngrid.lq = 16.0\ngrid.pmax = 34.0\n")
     # the child imports the package under test, installed or not
     src = str(Path(relgeneric.__file__).resolve().parents[1])
@@ -214,16 +213,31 @@ def test_package_starts_blas_on_one_thread(preset):
 def test_run_experiments_writes_timings(tmp_path):
     # each config run writes its exit code and wall time to <out-root>/timings.json
     script = CONFIGS.parent / "run_experiments.py"
-    src = str(Path(relgeneric.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = tmp_path / "out"
     proc = subprocess.run([sys.executable, str(script), "--out-root", str(out),
                            "--only", "heat_bump_classical", "kfp_conserve"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     timings = json.loads((out / "timings.json").read_text())
     assert sorted(timings) == ["heat_bump_classical", "kfp_conserve"]
     assert all(t["exit"] == 0 and 0.0 < t["wall_s"] < 60.0 for t in timings.values())
+
+
+@pytest.mark.parametrize("decoy", [False, True])
+def test_run_experiments_runs_its_own_checkout(tmp_path, decoy):
+    # without PYTHONPATH, and with PYTHONPATH naming another relgeneric,
+    # the script imports the package of its own checkout
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if decoy:
+        (tmp_path / "relgeneric").mkdir()
+        (tmp_path / "relgeneric" / "__init__.py").write_text("")
+        (tmp_path / "relgeneric" / "cli.py").write_text("raise ImportError('decoy')\n")
+        env["PYTHONPATH"] = str(tmp_path)
+    proc = subprocess.run([sys.executable, str(CONFIGS.parent / "run_experiments.py"),
+                           "--out-root", str(tmp_path / "out"), "--only", "heat_bump_classical"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "heat_bump_classical" / "timeseries.csv").is_file()
 
 
 def test_all_committed_configs_parse():
@@ -255,7 +269,6 @@ def test_console_script_installed(tmp_path):
     cfg = tmp_path / "v.cfg"
     cfg.write_text("verify.psd_samples = 10\nverify.fd_samples = 50\n"
                    "verify.bracket_pairs = 3\nverify.assembly_states = 1\n"
-                   "verify.refinement = false\nverify.jacobi = false\n"
                    "grid.nq = 16\ngrid.np = 16\ngrid.lq = 16.0\ngrid.pmax = 34.0\n")
     proc = subprocess.run(["relgeneric", "verify", "--config", str(cfg),
                            "--out", str(tmp_path / "o")],
