@@ -67,8 +67,9 @@ def _run_heat(cfg: RunConfig, out: Path) -> int:
          result.max_saturation_excess <= 1e-12,
          f"max relative excess {result.max_saturation_excess:.3e}"),
     ]
-    print(f"heat run finished at t={result.state.t:g} "
-          f"({len(result.records)} records) -> {out}")
+    print(f"heat run finished at t={result.state.t:g} ({len(result.records)} records; "
+          f"steps {result.steps}, stages per step {result.stages}, "
+          f"flux evaluations {result.evaluations}) -> {out}")
     return 0 if _print_checks(checks) else 1
 
 

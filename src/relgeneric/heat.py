@@ -28,17 +28,28 @@ keeps that face's entropy production nonnegative and never raises |F|
 above c rbar.  Vacuum-free data and c = INFINITE open every face from the
 start, so there the scheme is the ungated one, bit for bit.
 
-One private kernel, ``_step_into``, makes every Euler step, for
-``step_heat`` and ``run_heat`` alike, in a workspace (``_Workspace``) that
-binds lam and kappa once per chain and whose density rows end in a ghost
-copy of cell 0.  A step evaluates the ungated flux once (``_flux``, which
-also serves ``face_flux``, ``heat_rhs`` and ``saturation_excess``),
-multiplies it by the open faces and checks positivity and finiteness.
-``run_heat`` checks a block of ``_BLOCK`` states at once from their kept
-flux: saturation excess and Boltzmann entropy, bit for bit the values of
-the per-state calls.  A workspace serves one chain at a time, so it is not
-thread-safe; ``run_heat`` makes its own, and states it hands out never
-alias it.
+One private kernel, ``_step_into``, makes every Euler step and every
+stage of a superstep, for ``step_heat`` and ``run_heat`` alike, in a
+workspace (``_Workspace``) that binds lam and kappa once per chain and
+whose density rows end in a ghost copy of cell 0.  A stage evaluates the
+ungated flux once (``_flux``, which also serves ``face_flux``,
+``heat_rhs`` and ``saturation_excess``), multiplies it by the open faces,
+takes the divergence and checks positivity and finiteness.
+
+``run_heat`` takes supersteps: a step tau of s stages, s = 1 (forward
+Euler, as ``step_heat``) up to ``stable_dt``, else the fewest stages s >= 2
+of the second-order Runge-Kutta-Legendre scheme (RKL2; Meyer, Balsara &
+Aslam, MNRAS 422, 2102 (2012) and J. Comput. Phys. 257, 594 (2014)) whose
+reach (s^2 + s - 2) / 4 ``stable_dt`` covers tau, up to ``_S_MAX`` stages.
+The first stage is an Euler step at no more than ``stable_dt``, and each
+later one takes the recursion's weighted sum of earlier stages and their
+divergences, which has negative weights: for s > 1 positivity is checked
+on every stage, flux saturation on every stage's flux and the entropy on
+every superstep, not proved.  The light-cone
+gate is set at each superstep's start.  The checks of a block of states
+come together from the kept flux, bit for bit the values of the per-state
+calls.  A workspace serves one chain at a time, so it is not thread-safe;
+``run_heat`` makes its own, and states it hands out never alias it.
 """
 
 from __future__ import annotations
@@ -58,6 +69,8 @@ _LOW_KAPPA_MARGIN = 1.0 - 2.0**-20   # stable_dt below h^2/(2 nu) where kappa < 
 _BLOCK = 8              # states whose entropy and saturation are checked together
 _TINY = math.ulp(0.0)   # smallest positive double: moves no face mean above 1e-307
 _KAPPA_MAX = 1e150      # (kappa q)^2 stays below about 1e300 for |q| <= 1
+_S_MAX = 16             # most stages of a superstep: a reach of 67.5 stable_dt
+_SUPERSTEP_RHO_MAX = 1e306   # the RKL2 sums (weights up to about 2) stay finite below it
 
 
 # the cone of a chain with no closed face: nothing to gate
@@ -241,7 +254,8 @@ def light_cone(rho: np.ndarray, t: float, grid: LineGrid,
     gap, crossing = np.minimum(cells_left, cells_right), grid.h / params.c
     if math.isinf(crossing):                # only the faces touching the support open
         return np.where(gap > 0, math.inf, t)
-    return t + gap * crossing
+    with np.errstate(over="ignore"):        # a time beyond the float range: never reached
+        return t + gap * crossing
 
 
 def _reached(cone: np.ndarray, t: float):
@@ -320,48 +334,125 @@ def _check_dt(dt: float, grid: LineGrid, params: ModelParams) -> None:
         raise StabilityError(f"dt={dt:g} exceeds the stability bound {bound:g}")
 
 
+def _reach(stages: int, bound: float) -> float:
+    """The longest step that s >= 2 RKL2 stages take stably: (s^2 + s - 2) / 4
+    times the Euler bound."""
+    return (stages * stages + stages - 2) / 4 * bound
+
+
+def _stage_count(dt: float, bound: float) -> int:
+    """s(dt): 1 (forward Euler) up to the Euler bound, else the fewest RKL2
+    stages s >= 2 whose reach covers dt; a StabilityError beyond the reach of
+    ``_S_MAX`` stages."""
+    if dt <= bound * (1.0 + 1e-12):
+        return 1
+    for stages in range(2, _S_MAX + 1):
+        if dt <= _reach(stages, bound) * (1.0 + 1e-12):
+            return stages
+    raise StabilityError(f"dt={dt:g} exceeds the reach {_reach(_S_MAX, bound):g} of "
+                         f"{_S_MAX} RKL2 stages ({_reach(_S_MAX, 1.0):g} times the "
+                         f"stability bound {bound:g})")
+
+
+def _auto_step(grid: LineGrid, params: ModelParams, bound: float, cone: np.ndarray) -> float:
+    """The step of a run with dt None: max(stable_dt, min(reach of ``_S_MAX``
+    stages, h / (4 c))).  The front cap h / (4 c) applies only when the light
+    cone closes a face at the start, so the gate, set at each superstep's
+    start, lags the front by at most h / 4."""
+    cap = grid.h / (4.0 * params.c) if _reached(cone, 0.0) is not None else math.inf
+    return max(bound, min(_reach(_S_MAX, bound), cap))
+
+
+def _rkl2(stages: int) -> tuple:
+    """The RKL2 superstep of s >= 2 stages (Meyer, Balsara & Aslam 2014):
+    Y_1 = Y_0 + mt_1 tau L(Y_0), and for j = 2..s
+
+        Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1 - mu_j - nu_j) Y_0
+              + mt_j tau L(Y_{j-1}) + gt_j tau L(Y_0),
+
+    with b_0 = b_1 = b_2 = 1/3, b_j = (j^2 + j - 2) / (2 j (j + 1)),
+    w1 = 4 / (s^2 + s - 2), mt_1 = w1 b_1, mu_j = (2j - 1) b_j / (j b_{j-1}),
+    nu_j = -(j - 1) b_j / (j b_{j-2}), mt_j = w1 mu_j and gt_j = -(1 -
+    b_{j-1}) mt_j.  Returns mt_1 and, for each j >= 2, (mu_j, nu_j, mt_j,
+    gt_j)."""
+    w1 = 4.0 / (stages * stages + stages - 2)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1))
+                           for j in range(3, stages + 1)]
+    later = []
+    for j in range(2, stages + 1):
+        mu = (2 * j - 1) * b[j] / (j * b[j - 1])
+        later.append((mu, -(j - 1) * b[j] / (j * b[j - 2]), w1 * mu,
+                      -(1.0 - b[j - 1]) * w1 * mu))
+    return w1 * b[1], later
+
+
 # ---------------------------------------------------------------------------
 # the stepping kernel
 
 class _Workspace:
     """The buffers and constants of one chain of heat steps; not thread-safe.
 
-    ``rows[j]`` is a density followed by its ghost cell; row 0 starts as
-    ``rho``.  A step reads row j, writes row j + 1 and leaves the ungated
-    flux and face mean of row j in ``flux[j]`` and ``rbar[j]``; ``checks``
-    and ``check_mask`` are scratch of the block checks.  ``open`` is 1.0 on
-    the faces the last ``gate`` opened and 0.0 elsewhere (None: all open);
-    ``faces`` holds the flux through them, led by its ghost.
+    ``rows[b]`` is a density followed by its ghost cell; row 0 starts as
+    ``rho``.  Superstep b reads row b and writes row b + 1 in ``stages``
+    stages, and stage e of the block (``steps[e]``) leaves the ungated flux
+    and face mean of the state it steps from in ``flux[e]`` and
+    ``rbar[e]``; ``checks`` and ``check_mask`` are scratch of the block
+    checks.  ``stack`` holds a superstep's stage rows: Y_{j-1} and Y_{j-2}
+    in rows 0 and 1 by turns, Y_0 in row 2, and the face differences
+    G_{i+1/2} - G_{i-1/2} of Y_0 and of the latest stage in rows 3 and 4
+    (their ghost column stays 0); a chain of Euler steps has none.
+    ``open`` is 1.0 on the faces the last ``gate`` opened and 0.0 elsewhere
+    (None: all open); ``faces`` holds the flux through them, led by its
+    ghost.
     """
 
-    def __init__(self, grid: LineGrid, params: ModelParams, dt: float, block: int,
-                 rho: np.ndarray):
+    def __init__(self, grid: LineGrid, params: ModelParams, dt: float, stages: int,
+                 block: int, rho: np.ndarray):
         n = grid.N
-        self.grid, self.kappa = grid, _kappa(grid, params)
-        self.lam = dt * (params.nu / grid.h**2)
-        if not math.isfinite(self.lam):     # nu / h^2 overflows
-            raise StabilityError(f"dt nu / h^2 is {self.lam!r}: nu / h^2 = "
+        self.grid, self.kappa, self.stages = grid, _kappa(grid, params), stages
+        lam = dt * (params.nu / grid.h**2)
+        if not math.isfinite(lam):          # nu / h^2 overflows
+            raise StabilityError(f"dt nu / h^2 is {lam!r}: nu / h^2 = "
                                  f"{params.nu / grid.h**2!r}; raise grid.length or lower model.nu")
         self.rows = np.empty((block + 1, n + 1))
         self.rows[0, :-1], self.rows[0, -1] = rho, rho[0]
-        self.flux, self.rbar = np.empty((2, block, n))
+        self.flux, self.rbar = np.empty((2, block * stages, n))
         self.checks = np.empty((block, n + 1))
         self.check_mask = np.empty((block, n + 1), dtype=bool)
         self.faces = np.empty(n + 1)
         self.work = tuple(np.empty((2, n)))
-        # the views step j works on, made once: a step is bound by call overhead
-        self.steps = [(self.rows[j], self.rows[j + 1], self.flux[j], self.rbar[j])
-                      for j in range(block)]
+        if stages > 1:
+            self.stack, self.sum = np.zeros((5, n + 1)), np.empty(n + 1)
+            self.diff0, self.diff = self.stack[3, :-1], self.stack[4, :-1]
+        else:                               # an Euler chain keeps no difference
+            self.diff0 = self.work[0]
+        # the views each stage works on, made once: a stage is bound by call
+        # overhead.  A stage reads cells, writes new, keeps a copy of new in
+        # keep (None: no copy) and takes the Euler form (weights None) or
+        # the weighted sum of the stack rows
+        first, later = (1.0, []) if stages == 1 else _rkl2(stages)
+        self.lam = first * lam              # the Euler stage's; dt nu / h^2 at s = 1
+        self.steps = []
+        for b in range(block):
+            e = len(self.steps)
+            into = self.rows[b + 1] if stages == 1 else self.stack[1]
+            self.steps.append((self.rows[b], into, self.flux[e], self.rbar[e], None, None, ""))
+            for j, (mu, nu, mt, gt) in enumerate(later, start=2):
+                e, last = e + 1, j == stages
+                weights = np.zeros(5)
+                weights[(j - 1) % 2], weights[2] = mu, 1.0 - mu - nu
+                weights[j % 2 if j > 2 else 2] += nu      # Y_{j-2} is Y_0 at j = 2
+                weights[3:] = gt * lam, mt * lam
+                self.steps.append((self.stack[(j - 1) % 2],
+                                   self.rows[b + 1] if last else self.sum,
+                                   self.flux[e], self.rbar[e],
+                                   None if last else self.stack[j % 2], weights,
+                                   f"stage {j} of {stages} of "))
         self.gated, self.open = self.faces[1:], None
 
-    def flux_of(self, j: int) -> np.ndarray:
-        """``_flux`` of row j, into flux[j] and rbar[j]."""
-        cells, _, flux, rbar = self.steps[j]
-        return _flux(cells, self.kappa, out=flux, rbar=rbar, work=self.work)[0]
-
     def saturations(self, size: int) -> list:
-        """``saturation_excess`` of rows 0 to size - 1, from the flux left by
-        ``flux_of``; uses up that flux."""
+        """``saturation_excess`` of the states stages 0 to size - 1 stepped
+        from, from the flux they left; uses up that flux."""
         return _saturations(self.flux[:size], self.rbar[:size], self.kappa)
 
     def entropies(self, first: int, size: int) -> list:
@@ -370,35 +461,52 @@ class _Workspace:
                           self.checks[:size], self.check_mask[:size])
 
     def gate(self, reached) -> None:
-        """Let the steps pass flux only through the faces in the boolean mask
+        """Let the stages pass flux only through the faces in the boolean mask
         ``reached`` (None: every face)."""
         self.open = None if reached is None else np.where(reached, 1.0, 0.0)
 
 
-def _step_into(ws: _Workspace, j: int, t: float) -> None:
-    """Euler step rho + lam (G_{i+1/2} - G_{i-1/2}) from ws.rows[j], the
-    state at time t, into ws.rows[j + 1] through the faces of ``ws.gate``;
-    raises the errors ``step_heat`` names, with the lowest cell and t."""
-    flux = ws.flux_of(j)
-    cells, new = ws.steps[j][:2]
+def _step_into(ws: _Workspace, e: int, t: float) -> None:
+    """Stage e of the block through the faces of ``ws.gate``, in a superstep
+    from time t.  An Euler stage writes rho + lam (G_{i+1/2} - G_{i-1/2}) and
+    keeps the difference as that of Y_0; a later RKL2 stage writes the
+    recursion's weighted sum of the stack (``_rkl2``).  Raises the errors
+    ``step_heat`` names, with the lowest cell, the stage and t."""
+    cells, new, flux, rbar, keep, weights, stage = ws.steps[e]
+    flux = _flux(cells, ws.kappa, out=flux, rbar=rbar, work=ws.work)[0]
     faces, gated = ws.faces, ws.gated
     if ws.open is None:
         gated[...] = flux
     else:
         np.multiply(flux, ws.open, out=gated)
     faces[0] = faces[-1]
-    div = np.subtract(faces[1:], faces[:-1], out=ws.work[0])
-    div *= ws.lam
-    np.add(cells[:-1], div, out=new[:-1])
+    if weights is None:
+        div = np.subtract(faces[1:], faces[:-1], out=ws.diff0)
+        np.add(cells[:-1], np.multiply(div, ws.lam, out=ws.work[0]), out=new[:-1])
+    else:
+        np.subtract(faces[1:], faces[:-1], out=ws.diff)
+        np.dot(weights, ws.stack, out=new)
     new[-1] = new[0]
     low = np.minimum.reduce(new)            # nan if any cell is nan
     if not low >= NEGATIVE_TOL:
-        where = f"at cell {int(np.argmin(new[:-1]))} in the step from t = {float(t)!r}"
+        where = f"at cell {int(np.argmin(new[:-1]))} in {stage}the step from t = {float(t)!r}"
         if not math.isfinite(low):
             raise StabilityError(f"the heat step left a density that is not finite "
                                  f"({float(low)!r}) {where}; densities above about 9e307 "
                                  "can overflow it")
         raise PositivityError(f"density undershoot {low:.3e} below {NEGATIVE_TOL:g} {where}")
+    if keep is not None:
+        keep[...] = new
+
+
+def _superstep(ws: _Workspace, b: int, t: float) -> None:
+    """Superstep b of the block, from ws.rows[b] at time t into ws.rows[b + 1]:
+    ws.stages stages of ``_step_into``."""
+    if ws.stages > 1:
+        ws.stack[2] = ws.rows[b]
+    first = b * ws.stages
+    for e in range(first, first + ws.stages):
+        _step_into(ws, e, t)
 
 
 def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
@@ -416,7 +524,7 @@ def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
     """
     _check_dt(dt, grid, params)
     cone, reached = _cone_and_reached(state, grid, params)
-    ws = _Workspace(grid, params, dt, 1, state.rho)
+    ws = _Workspace(grid, params, dt, 1, 1, state.rho)
     ws.gate(reached)
     _step_into(ws, 0, state.t)
     return HeatState(rho=ws.rows[1, :-1].copy(), t=state.t + dt, cone=cone)
@@ -521,8 +629,11 @@ def initial_profile(kind: str, grid: LineGrid, sigma: float = 0.0,
 class HeatRunResult:
     records: list[DiagnosticsRecord]
     state: HeatState
-    max_saturation_excess: float   # over all steps
-    min_step_entropy_delta: float  # most negative per-step entropy change
+    max_saturation_excess: float   # over every stage's flux and the last state
+    min_step_entropy_delta: float  # most negative entropy change of a superstep
+    steps: int                     # supersteps
+    stages: int                    # per superstep: 1 is forward Euler
+    evaluations: int               # flux evaluations of the stepping: steps * stages
 
 
 def _record(state: HeatState, grid: LineGrid, params: ModelParams) -> DiagnosticsRecord:
@@ -536,31 +647,45 @@ def _record(state: HeatState, grid: LineGrid, params: ModelParams) -> Diagnostic
 
 def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | None,
              t_final: float, record_every: int, on_record=None) -> HeatRunResult:
-    """Integrate to t_final with forward Euler, recording every record_every steps.
+    """Integrate to t_final in supersteps, recording every record_every supersteps.
 
     Records are taken at t=0, at each cadence point and at the final time,
-    each followed by ``on_record(state, t, index)``; per-step entropy
-    monotonicity and flux saturation are tracked over every state the run
-    visits, the first and the last included.  dt None is ``stable_dt``, and
-    a given dt is checked against it once.  The steps run in one workspace
-    through the kernel of ``step_heat``, bit for bit, and the saturation and
-    entropy of each block of ``_BLOCK`` states come together from the flux
-    the steps evaluated; states handed out are copies.
+    each followed by ``on_record(state, t, index)``; a record of finite
+    entropy and mass whose entropy rate is not finite is a StabilityError.
+    dt None is ``_auto_step``; equal supersteps of at most dt land on
+    t_final, and each takes the stages ``_stage_count`` gives it: one, the
+    Euler step of ``step_heat`` bit for bit, up to ``stable_dt``.  Flux saturation is
+    tracked over every stage's flux and the last state, and entropy
+    monotonicity over every superstep.  The stages run in one workspace
+    through the kernel of ``step_heat``, and the checks of a block of states
+    come together from the flux the stages evaluated; states handed out are
+    copies.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    n_steps, step_dt = time_steps(t_final, stable_dt(grid, params) if dt is None else dt)
-    _check_dt(step_dt, grid, params)
+    bound = stable_dt(grid, params)
     rho0 = np.asarray(rho0, dtype=float).copy()
     cone = light_cone(rho0, 0.0, grid, params)
+    n_steps, step_dt = time_steps(
+        t_final, _auto_step(grid, params, bound, cone) if dt is None else dt)
+    stages = _stage_count(step_dt, bound)
+    if stages > 1 and (top := float(np.max(np.abs(rho0)))) > _SUPERSTEP_RHO_MAX:
+        raise StabilityError(f"the density reaches {top:.3e}, above {_SUPERSTEP_RHO_MAX:.0e}, "
+                             "where the sums of a superstep can overflow; take dt <= "
+                             f"stable_dt = {bound:g}")
     state = HeatState(rho=rho0, t=0.0, cone=cone)
-    ws = _Workspace(grid, params, step_dt, _BLOCK, rho0)
+    block = max(1, _BLOCK // stages)
+    ws = _Workspace(grid, params, step_dt, stages, block, rho0)
     records = []
 
     def record(st):
-        records.append(_record(st, grid, params))
+        rec = _record(st, grid, params)
+        if math.isfinite(rec.S) and math.isfinite(rec.mass) and not math.isfinite(rec.dSdt):
+            raise StabilityError(f"the entropy rate dS/dt is {rec.dSdt!r} at t = {st.t!r}, "
+                                 "beyond the float range; lower model.nu or raise grid.length")
+        records.append(rec)
         if on_record is not None:
             on_record(st, st.t, len(records) - 1)
 
@@ -569,27 +694,27 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | 
     min_ds = 0.0
     entropy = ws.entropies(0, 1)[0]
     t = opens_at = 0.0
-    for start in range(0, n_steps, _BLOCK):
-        size = min(_BLOCK, n_steps - start)
-        for j in range(size):
+    for start in range(0, n_steps, block):
+        size = min(block, n_steps - start)
+        for b in range(size):
             if t >= opens_at:               # the gate changes only here
                 reached = _reached(cone, t)
                 ws.gate(reached)
                 opens_at = _next_opening(cone, t)
-            _step_into(ws, j, t)
-            k = start + j + 1
+            _superstep(ws, b, t)
+            k = start + b + 1
             t = t_final if k == n_steps else t + step_dt
             if k % record_every == 0 or k == n_steps:
-                state = HeatState(rho=ws.rows[j + 1, :-1].copy(), t=t,
+                state = HeatState(rho=ws.rows[b + 1, :-1].copy(), t=t,
                                   cone=ALL_OPEN if reached is None else cone)
                 record(state)
-        for sat, new_entropy in zip(ws.saturations(size), ws.entropies(1, size)):
-            max_sat = max(max_sat, sat)
+        max_sat = max(max_sat, *ws.saturations(size * stages))
+        for new_entropy in ws.entropies(1, size):
             min_ds = min(min_ds, new_entropy - entropy)
             entropy = new_entropy
         ws.rows[0] = ws.rows[size]
-    ws.flux_of(0)                           # the last state, now in row 0
-    max_sat = max(max_sat, ws.saturations(1)[0])
+    max_sat = max(max_sat, saturation_excess(state.rho, grid, params))
     return HeatRunResult(records=records, state=state,
                          max_saturation_excess=max_sat,
-                         min_step_entropy_delta=min_ds)
+                         min_step_entropy_delta=min_ds, steps=n_steps, stages=stages,
+                         evaluations=n_steps * stages)

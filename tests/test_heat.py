@@ -489,17 +489,22 @@ def test_step_at_stable_dt_is_doubly_stochastic(case):
 
 
 def test_heat_bump_auto_step_matches_quarter_step_run():
-    # the auto step halves heat_bump's step count; its error against the
-    # same scheme at a quarter of the step stays within ROADMAP item 3's
-    # 1e-3 L1 gate
+    # the auto step takes 256 supersteps of 16 stages on heat_bump, in place
+    # of 16384 Euler steps at stable_dt; at init.width 0.95, 1 and 1.05 its
+    # L1 error against Euler at a quarter of stable_dt is no worse than the
+    # Euler run's own, which stays within ROADMAP item 3's 1e-3 L1 gate
     cfg = load_config(CONFIGS / "heat_bump.cfg", "heat")
     grid, params = cfg.heat_grid, cfg.params
-    rho0 = heat_initial(cfg, grid)
     dt = H.stable_dt(grid, params)
     assert time_steps(cfg.t_final, dt) == (16384, 2.0 ** -15)
-    coarse, fine = (H.run_heat(grid, params, rho0, step, cfg.t_final, 10**9).state.rho
-                    for step in (dt, 0.25 * dt))
-    assert float(np.sum(np.abs(coarse - fine))) * grid.h <= 1e-3
+    for width in (0.95, 1.0, 1.05):
+        rho0 = heat_initial(replace(cfg, heat_width=width), grid)
+        auto, euler, fine = (H.run_heat(grid, params, rho0, step, cfg.t_final, 10**9)
+                             for step in (None, dt, 0.25 * dt))
+        assert (auto.steps, auto.stages) == (256, 16)
+        errors = [float(np.sum(np.abs(res.state.rho - fine.state.rho))) * grid.h
+                  for res in (auto, euler)]
+        assert errors[0] <= errors[1] <= 1e-3, (width, errors)
 
 
 def test_stable_dt_is_the_diffusion_bound_for_every_c():
@@ -578,7 +583,8 @@ def test_drivers_call_on_record_with_state_time_and_index(grid, driver):
         return "ignored"
 
     if driver == "heat":
-        res = H.run_heat(grid, REL, two_bumps(grid), None, 11.5 * H.stable_dt(grid, REL),
+        # 11.5 supersteps of the front cap h / (4 c) = 16 stable_dt
+        res = H.run_heat(grid, REL, two_bumps(grid), None, 184 * H.stable_dt(grid, REL),
                          record_every=3, on_record=on_record)
     else:
         phase = PhaseGrid(Nq=16, Np=32, Lq=4 * math.pi, Pmax=34.0)
@@ -597,12 +603,16 @@ def test_drivers_call_on_record_with_state_time_and_index(grid, driver):
 
 def test_run_heat_records_are_the_per_state_public_calls(grid):
     # each record holds the public calls on its state, bit for bit: entropy,
-    # mass and the entropy rate gated by reached_faces; dt None is stable_dt
+    # mass and the entropy rate gated by reached_faces; dt None is the front
+    # cap h / (4 c) = 8 stable_dt here, and the run takes 12 supersteps of 6
+    # stages
     params = ModelParams(m=1.0, c=2.0, gamma=1.0, theta=1.0, nu=1.0)
-    rho0, dt = two_bumps(grid), H.stable_dt(grid, params)
+    rho0, dt = two_bumps(grid), grid.h / (4.0 * params.c)
+    assert dt == 8 * H.stable_dt(grid, params)
     seen = []
     res = H.run_heat(grid, params, rho0, None, 11.5 * dt, record_every=3,
                      on_record=lambda state, t, index: seen.append(state))
+    assert (res.steps, res.stages, res.evaluations) == (12, 6, 72)
     assert len(seen) == 5 and any(H.reached_faces(st, grid, params) is not None
                                   for st in seen)
     for state, record in zip(seen, res.records, strict=True):
@@ -738,10 +748,13 @@ def test_heat_constants_beyond_the_float_range_are_named():
 
 
 def test_run_heat_rejects_unstable_dt_and_undershoot(grid):
+    # a step beyond the reach of _S_MAX = 16 stages, 67.5 stable_dt
     rho0 = H.initial_profile("gaussian", grid, sigma=0.2)
-    dt = 10.0 * H.stable_dt(grid, REL)
-    with pytest.raises(StabilityError):
+    dt = 68.0 * H.stable_dt(grid, REL)
+    with pytest.raises(StabilityError, match="exceeds the reach .* of 16 RKL2 stages"):
         H.run_heat(grid, REL, rho0, dt, dt, record_every=1)
+    reach = 67.5 * H.stable_dt(grid, REL)
+    assert H.run_heat(grid, REL, rho0, reach, reach, record_every=1).stages == 16
     # a state prepared below the floor trips the guard on the first step
     with pytest.raises(PositivityError):
         H.run_heat(grid, REL, np.full(grid.N, -1e-10), H.stable_dt(grid, REL),
@@ -890,3 +903,127 @@ def test_run_heat_allocation_budget_at_512(monkeypatch):
     assert steps_peak - at_first <= 3 * rho0.nbytes
     # a small block: the whole run, workspace included, stays below 48 grid arrays
     assert max(first_peak, steps_peak) <= 48 * rho0.nbytes
+
+
+# ---------------------------------------------------------------------------
+# supersteps: RKL2 stages over the Euler kernel
+
+def one_superstep(grid, params, rho, tau, stages):
+    """One superstep of ``stages`` stages from rho through every face."""
+    ws = H._Workspace(grid, params, tau, stages, 1, rho)
+    ws.gate(None)
+    H._superstep(ws, 0, 0.0)
+    return ws.rows[1, :-1].copy()
+
+
+def test_superstep_matrix_is_stable_at_its_reach():
+    # at c = inf the operator is linear: the superstep's matrix, built column
+    # by column from unit vectors, has spectral radius <= 1 at the reach
+    # (s^2 + s - 2) / 4 stable_dt of its s stages
+    grid, n = LineGrid(N=32, L=1.0), 32
+    bound = H.stable_dt(grid, CLASSICAL)
+    for stages in range(2, H._S_MAX + 1):
+        tau = H._reach(stages, bound)
+        assert tau == (stages**2 + stages - 2) / 4 * bound
+        p = np.column_stack([one_superstep(grid, CLASSICAL, np.eye(n)[i], tau, stages)
+                             for i in range(n)])
+        assert np.abs(p.sum(axis=0) - 1.0).max() <= 64 * EPS
+        assert np.abs(np.linalg.eigvals(p)).max() <= 1.0 + 1e-12, stages
+
+
+def rkl2_rebuild(grid, params, state, tau, stages):
+    """The RKL2 recursion of Meyer, Balsara & Aslam (J. Comput. Phys. 257,
+    594 (2014)) from public heat_rhs calls, gated as at state."""
+    reached = H.reached_faces(state, grid, params)
+
+    def lt(y):
+        return tau * H.heat_rhs(y, grid, params, reached)
+
+    w1 = 4.0 / (stages**2 + stages - 2)
+    b = [1 / 3, 1 / 3, 1 / 3] + [(j**2 + j - 2) / (2 * j * (j + 1))
+                                 for j in range(3, stages + 1)]
+    y0, l0 = state.rho, lt(state.rho)
+    older, old = y0, y0 + b[1] * w1 * l0
+    for j in range(2, stages + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        new = (mu * old + nu * older + (1 - mu - nu) * y0 + mu * w1 * lt(old)
+               - (1 - b[j - 1]) * mu * w1 * l0)
+        older, old = old, new
+    return old
+
+
+@pytest.mark.parametrize("params, kind, ratio, stages", [
+    (ModelParams(m=1.0, c=2.0, gamma=1.0, theta=1.0, nu=1.0), "bumps", 8.0, 6),
+    (REL, "gaussian", 40.0, 13),
+    (CLASSICAL, "bump", 67.5, 16),
+])
+def test_superstep_equals_rebuild_from_public_calls(grid, params, kind, ratio, stages):
+    # one superstep of run_heat is the RKL2 recursion rebuilt from heat_rhs,
+    # to a few ulps of the density, closed faces and all
+    rho0 = two_bumps(grid) if kind == "bumps" else run_data(kind, grid)
+    tau = ratio * H.stable_dt(grid, params)
+    res = H.run_heat(grid, params, rho0, tau, tau, record_every=1)
+    assert (res.steps, res.stages, res.evaluations) == (1, stages, stages)
+    state = H.HeatState(rho=rho0, t=0.0)
+    assert (kind == "bumps") == (H.reached_faces(state, grid, params) is not None)
+    rebuilt = rkl2_rebuild(grid, params, state, tau, stages)
+    assert np.abs(res.state.rho - rebuilt).max() <= 16 * EPS * rho0.max()
+
+
+def test_run_heat_counts_its_flux_evaluations(monkeypatch):
+    # heat_bump's auto step: 256 supersteps of 16 stages, 4096 evaluations of
+    # _flux in the stepping; each record evaluates it once more (its entropy
+    # rate), and so does the saturation check of the last state
+    cfg = load_config(CONFIGS / "heat_bump.cfg", "heat")
+    flux, calls = H._flux, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flux(*args, **kwargs)
+
+    monkeypatch.setattr(H, "_flux", counted)
+    res = H.run_heat(cfg.heat_grid, cfg.params, heat_initial(cfg, cfg.heat_grid), None,
+                     cfg.t_final, record_every=10**9)
+    assert (res.steps, res.stages, res.evaluations) == (256, 16, 4096)
+    assert len(calls) == res.evaluations + len(res.records) + 1
+
+
+def test_entropy_rate_beyond_the_float_range_is_named_before_any_step(
+        tmp_path, monkeypatch):
+    # nu = 1e308 at c = inf: the first record's entropy rate is inf; the run
+    # names it, and the parameters to change, before it takes a step
+    text = ("model.nu = 1e308\nmodel.c = inf\ngrid.length = 20\ngrid.n = 16\n"
+            "init.kind = bump\nsolver.t_final = 1.2e-307\n")
+    cfg = parse_config(text, "heat")
+    supersteps = []
+    monkeypatch.setattr(H, "_superstep", lambda *args: supersteps.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StabilityError, match="dS/dt is inf at t = 0.0") as caught:
+            H.run_heat(cfg.heat_grid, cfg.params, heat_initial(cfg, cfg.heat_grid), None,
+                       cfg.t_final, record_every=1)
+        printed = run_to_named_outcome("heat", text, tmp_path)
+    assert "model.nu" in str(caught.value) and "grid.length" in str(caught.value)
+    assert not supersteps
+    assert printed == f"run failed: {caught.value}\n"
+
+
+@pytest.mark.parametrize("params", [REL, CLASSICAL])
+def test_superstep_of_densities_near_the_largest_double_is_named(grid, params):
+    # the RKL2 sums weigh stages by up to about 2: above 1e306 a superstep is
+    # refused before the first record and without a floating-point warning;
+    # at 1e306 it steps, though the records' entropy -sum rho log rho h
+    # overflows from about 2.5e305 on, as it does for Euler steps
+    rho0 = np.zeros(grid.N)
+    rho0[10] = 1e307
+    dt = H.stable_dt(grid, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StabilityError, match="reaches 1.000e\\+307, above 1e\\+306"):
+            H.run_heat(grid, params, rho0, None, 4 * dt, record_every=1)
+    rho0[10] = 1e306
+    with np.errstate(over="ignore"):
+        res = H.run_heat(grid, params, rho0, None, 4 * dt, record_every=1)
+    assert res.stages > 1 and np.all(np.isfinite(res.state.rho))
+    assert float(np.sum(res.state.rho)) == pytest.approx(1e306, rel=1e-14)
