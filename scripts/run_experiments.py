@@ -13,8 +13,9 @@ The package starts BLAS on one thread unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS says otherwise: the grids are small, and with two BLAS
 threads stationary_dh took 1.08 s in one full run against 0.13 s in
 another.  On a 2-CPU x86-64
-VM the configs take 1.7 to 2.2 seconds together: verify about 1 second,
-heat_bump about 0.3 seconds and every other config 0.15 seconds or less.
+VM the configs take 1.3 to 1.8 seconds together: verify about 0.8 seconds,
+stationary_dh about 0.13 seconds, heat_bump about 0.07 seconds and every
+other config 0.11 seconds or less.
 """
 
 import argparse

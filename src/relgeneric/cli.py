@@ -103,7 +103,8 @@ def _kfp_config(cfg: RunConfig) -> KF.KfpConfig:
 def _run_kfp(cfg: RunConfig, out: Path) -> int:
     res = _stepped(cfg, out, "kfp", KF.integrate, _kfp_config(cfg))
     print(f"kfp run ({cfg.variant.value}) finished at t={res.records[-1].t:g} "
-          f"({len(res.records)} records) -> {out}")
+          f"({len(res.records)} records; steps {res.steps}, "
+          f"transport evaluations {res.evaluations}) -> {out}")
     return 0 if _print_checks(_kfp_checks(cfg, res.records)) else 1
 
 
@@ -112,7 +113,9 @@ def _run_stationary(cfg: RunConfig, out: Path) -> int:
                    l1_target=cfg.l1_target)
     last = res.records[-1]
     print(f"stationary run ({cfg.variant.value}) ended at t={last.t:g}, "
-          f"L1 distance {last.l1:.3e}, excess e_inf={res.e_inf:.6g} -> {out}")
+          f"L1 distance {last.l1:.3e}, excess e_inf={res.e_inf:.6g} "
+          f"({len(res.records)} records; steps {res.steps}, "
+          f"transport evaluations {res.evaluations}) -> {out}")
     checks = _kfp_checks(cfg, res.records) + [
         (f"converged to L1 <= {cfg.l1_target:g}", res.converged,
          f"final L1 {last.l1:.3e} at t={last.t:g}")]

@@ -12,18 +12,21 @@ the dissipative flux exchanges, so the coupled total energy is a linear
 invariant of the semi-discretization.
 
 A time step follows the GENERIC split dz/dt = L dE + M dS (Strang): half a
-step of the dissipative part, one RK4 step of the transport alone (in
-Horner form), and another dissipative half step.  The dissipative half step
+step of the dissipative part, one step of the transport alone, and another
+dissipative half step.  The transport step is a polynomial in the linear
+transport operator, in Horner form: classical RK4 up to RK4's bound, and
+beyond it a 6-stage fourth-order polynomial that damps the imaginary axis
+and reaches LONG_REACH = 1.5 times that bound.  The dissipative half step
 is TR-BDF2 in flux form, its face flux one matmul with a precomputed flux
 map, so mass telescopes, the total energy stays a linear invariant and the
 Maxwellian stays a fixed point, each to round-off.
 
 Only transport limits the step, and two steps derive from its velocities:
-the split step's stability bound ``KfpOperator.stable_dt``, and the
-smaller ``KfpOperator.transient_dt``, which bounds the Strang splitting
-error.  ``integrate`` steps at the stability bound when it stops at
-stationarity (``run_to_stationarity``), where only the end state counts,
-and at the transient step otherwise.
+the split step's stability bound ``KfpOperator.stable_dt``, a 6-stage
+step, and the smaller ``KfpOperator.transient_dt``, an RK4 step that bounds
+the Strang splitting error.  ``integrate`` steps at the stability
+bound when it stops at stationarity (``run_to_stationarity``), where only
+the end state counts, and at the transient step otherwise.
 
 Between two records the trailing half step of one step and the leading half
 step of the next run back to back, so ``step_kfp(..., steps=n)`` merges each
@@ -53,6 +56,10 @@ from .model import (ModelParams, Potential, Variant, grid_fields, hamiltonian,
 NEGATIVE_TOL = -1e-12   # allowed undershoot per time step
 TRBDF2_GAMMA = 2.0 - math.sqrt(2.0)   # the L-stable choice; its stages share one matrix
 _RATE_MAX = 1e140       # the fastest rate, per unit time, of a mass-1 density's tendency
+# past RK4's bound the transport step is RK4 + A5 z^5 + A6 z^6: of the pairs that
+# reach about 3.2 on the imaginary axis, the one damping Im z in [1.5, 2] most;
+# the split step's bound is LONG_REACH times RK4's (KfpOperator.stable_dt)
+A5, A6, LONG_REACH = 0.00375, 0.00026, 1.5
 # numpy stays silent while the operator and its maps are built: each result is
 # checked, and a StabilityError names the one that is not finite
 _reported = partial(np.errstate, divide="ignore", over="ignore", invalid="ignore")
@@ -118,7 +125,8 @@ class KfpOperator:
             self.diff_face = params.gamma * params.theta * self.dface * self.rhat_face
             self._tridiag = self._dissipative_matrix()
         rate = sum(v / h for v, h in speeds)
-        self._stable_dt = 2.0 / rate if rate > 0 else math.inf
+        self._rk4_dt = 2.0 / rate if rate > 0 else math.inf
+        self._stable_dt = LONG_REACH * self._rk4_dt
         if not (math.isfinite(self._stable_dt) and self._stable_dt > 0):
             raise StabilityError(f"the stability bound on dt is {self._stable_dt!r}; "
                                  "the parameters leave no usable time step")
@@ -142,32 +150,40 @@ class KfpOperator:
             np.empty((5,) + grid.shape)
 
     def stable_dt(self) -> float:
-        """Largest stable split step, 2 / (max|v_q|/h_q + max|F_p|/h_p).
+        """Largest stable split step: LONG_REACH times RK4's bound
+        2 / (max|v_q|/h_q + max|F_p|/h_p).
 
-        v_q = dH/dp and F_p = -dH/dq are the transport velocities.  RK4 is
-        stable on the imaginary axis up to 2 sqrt(2); the centred transport's
-        spectral radius lies below the sum of the two directional rates
-        (13.23 against 13.54 on the 64x256 stationary_dmr grid); its
+        v_q = dH/dp and F_p = -dH/dq are the transport velocities.  The
+        centred transport's spectral radius lies below the sum of the two
+        directional rates (13.23 against 13.54 on the 64x256 stationary_dmr
+        grid), so |dt lambda| <= 3 at this step, inside the 6-stage
+        polynomial's imaginary reach of 3.19 (RK4's is 2 sqrt(2)).  Its
         one-sided momentum edges make it slightly non-skew (max Re lambda
-        0.08 there), which the dissipative half steps damp.  On that grid the
-        split step's largest eigenvalue moduli are 1, 1 and 0.961 at this
-        step and stay <= 1 up to 1.75x it.  On small grids its spectral
-        radius is at most 1 + 2e-14 for every variant, cosine and harmonic
-        potentials and gamma from 0.05 to 20, and reaches 4.5 at twice the
-        step (12x24, DMR, cosine, gamma = 0.05).  Momentum diffusion sets no
-        bound; its half steps are L-stable.  ``step_kfp`` checks dt against
-        this bound.
+        0.08 there), which the dissipative half steps and the polynomial's
+        damping hold down; A5 and A6 are fitted for that damping, not for
+        reach (|p(1.7i)| = 0.94, RK4's 0.89): the pair of longest reach,
+        4.9, is unstable at 1.001x RK4's bound (1 + 1.4e-3; 12x24, DMR,
+        harmonic, gamma = 0.05).  On the 64x256 stationary_dmr grid the
+        split step's largest eigenvalue moduli are 1, 1 and 0.942 at this
+        step (0.961 at RK4's bound) and stay <= 1 up to 1.75x RK4's bound.
+        On the small grids of the stability tests its spectral radius is at
+        most 1 + 2e-14 from RK4's bound to this step for every variant,
+        cosine and harmonic potentials and gamma from 0.05 to 20, and
+        reaches 15 at twice the step (12x24, DMR, cosine, gamma = 0.05).
+        Momentum diffusion sets no bound; its half steps are L-stable.
+        ``step_kfp`` checks dt against this bound.
         """
         return self._stable_dt
 
     def transient_dt(self) -> float:
         """The step of transient runs, 0.4 min(h_q / max|v_q|, h_p / max|F_p|).
 
-        It lies between 0.2x and 0.4x the stability bound and holds the
-        Strang splitting error, not stability: on kfp_conserve the final L1
-        distance to RK4 on the full right-hand side at a far smaller step is
-        3.2e-5 at this step, 8.9e-5 at 1.6x it and 3.6e-4 at 3.3x (the
-        stability bound there), against that test's bound of 1e-4.
+        It lies between 0.2x and 0.4x RK4's bound, so its steps are RK4's,
+        and holds the Strang splitting error, not stability: on kfp_conserve
+        the final L1 distance to RK4 on the full right-hand side at a far
+        smaller step is 3.2e-5 at this step, 8.9e-5 at 1.6x it, 3.6e-4 at
+        3.3x (RK4's bound there) and 8.0e-4 at 4.9x (the stability bound),
+        against that test's bound of 1e-4.
         """
         return self._transient_dt
 
@@ -458,17 +474,27 @@ def make_initial_state(init: InitSpec, grid: PhaseGrid, params: ModelParams,
 # ---------------------------------------------------------------------------
 # time stepping
 
-def _transport_rk4(r0: np.ndarray, op: KfpOperator, dt: float, rho: np.ndarray) -> None:
-    """Classical RK4 on the transport alone, from r0 into rho (a distinct array).
+def _horner_scales(op: KfpOperator, dt: float) -> tuple:
+    """The inner Horner scales of the transport step dt: RK4's dt/4, dt/3, dt/2,
+    and above RK4's bound (A6/A5) dt and 24 A5 dt in front of them."""
+    scales = (0.25 * dt, dt / 3.0, 0.5 * dt)
+    return scales if dt <= op._rk4_dt else (A6 / A5 * dt, 24.0 * A5 * dt) + scales
 
-    The transport T is linear and autonomous, so the RK4 step is the Taylor
+
+def _transport_step(r0: np.ndarray, op: KfpOperator, dt: float, rho: np.ndarray) -> None:
+    """One step of the transport alone, from r0 into rho (a distinct array).
+
+    The transport T is linear and autonomous, so classical RK4 is the Taylor
     polynomial r0 + dt T(r0 + dt/2 T(r0 + dt/3 T(r0 + dt/4 T r0))), in
     Horner form: the stages run in the operator's _stage, and rho holds each
-    slope.  Transport leaves e unchanged.
+    slope.  A step beyond RK4's bound takes the 6-stage fourth-order
+    polynomial RK4 + A5 z^5 + A6 z^6 (Kinnmark & Gray 1984), the same loop
+    with two more scales (``_horner_scales``).  Any polynomial in T keeps
+    mass and energy, as 1^T T = H^T T = 0.  Transport leaves e unchanged.
     """
     stage = op._stage
     op._transport_into(r0, rho)
-    for scale in (0.25 * dt, dt / 3.0, 0.5 * dt):
+    for scale in _horner_scales(op, dt):
         rho *= scale
         np.add(r0, rho, out=stage)
         op._transport_into(stage, rho)
@@ -491,7 +517,8 @@ def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1) -> State:
     """``steps`` GENERIC-split steps of the coupled (rho, e) system, positivity-guarded.
 
     One step is D(h) T D(h) with h = dt/2: a dissipative half step through
-    the flux map, RK4 on the transport in Horner form, another half step.
+    the flux map, the transport step (``_transport_step``: RK4, or above
+    RK4's bound the 6-stage polynomial), another half step.
     Adjacent half steps are merged, so the call makes D(h) [T D2]^(steps-1)
     T D(h), D2 through the pair map: steps + 1 dissipative updates.  The
     result equals that of ``steps`` single calls up to round-off, and with
@@ -510,10 +537,10 @@ def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1) -> State:
     e = state.e + op._dissipate_into(state.rho, h, op._mid)
     rho = np.empty(op.grid.shape)
     for update in range(2, steps + 1):
-        _transport_rk4(op._mid, op, dt, rho)
+        _transport_step(op._mid, op, dt, rho)
         e += op._dissipate_into(rho, h, op._mid, pair=True)
         _check_positive(op._mid, update, steps)
-    _transport_rk4(op._mid, op, dt, rho)
+    _transport_step(op._mid, op, dt, rho)
     e += op._dissipate_into(rho, h, rho)
     _check_positive(rho, steps + 1, steps)
     return State(rho=rho, e=e)
@@ -526,6 +553,8 @@ class KfpRunResult:
     rho_inf: np.ndarray
     e_inf: float
     converged: bool
+    steps: int                  # split steps
+    evaluations: int            # transport evaluations of the stepping: 4 or 6 per step
 
 
 def integrate(cfg: KfpConfig, state0: State | None = None,
@@ -542,7 +571,8 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     allocates no grid array.  Without ``cfg.dt`` a run with ``l1_stop``
     needs only its end state and steps at the stability bound; any other
     run steps at the transient step.  A PositivityError or StabilityError
-    from a step adds the time its record interval started from.
+    from a step adds the time its record interval started from.  The result
+    counts the split steps taken and their transport evaluations.
     """
     grid, params, potential, variant = cfg.grid, cfg.params, cfg.potential, cfg.variant
     op = KfpOperator(grid, params, potential, variant)
@@ -580,8 +610,9 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
         t_now = cfg.t_final if done == n_steps else done * step_dt
         converged = record(state)
     e_inf = e0_total - inner(grid, op.h_cells, rho_inf)
-    return KfpRunResult(records=records, state=state, rho_inf=rho_inf,
-                        e_inf=e_inf, converged=converged)
+    evaluations = done * (len(_horner_scales(op, step_dt)) + 1)
+    return KfpRunResult(records=records, state=state, rho_inf=rho_inf, e_inf=e_inf,
+                        converged=converged, steps=done, evaluations=evaluations)
 
 
 def run_to_stationarity(cfg: KfpConfig, l1_target: float = 1e-3,

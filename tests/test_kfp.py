@@ -203,7 +203,7 @@ def _split_step_matrix(op, dt):
     for k in range(n):
         unit.flat[k] = 1.0
         op._dissipate_into(unit, 0.5 * dt, op._mid)
-        K._transport_rk4(op._mid, op, dt, out)
+        K._transport_step(op._mid, op, dt, out)
         op._dissipate_into(out, 0.5 * dt, out)
         matrix[:, k] = out.ravel()
         unit.flat[k] = 0.0
@@ -254,9 +254,60 @@ def test_split_step_is_stable_at_stable_dt(shape, variant, c, potential, gamma):
 
 
 def test_split_step_is_unstable_at_twice_stable_dt():
-    # the stability test above detects a bound set too high
+    # the stability test above detects a bound set too high: twice the
+    # 6-stage step's bound, three times RK4's
     op = _stability_op(12, 24, Variant.DMR, 1.0, "cosine", 0.05)
     assert _radius(_split_step_matrix(op, 2.0 * op.stable_dt())) > 1.5
+
+
+def _transport_matrix(op):
+    n = op.grid.Nq * op.grid.Np
+    matrix, unit = np.empty((n, n)), np.zeros(op.grid.shape)
+    for k in range(n):
+        unit.flat[k] = 1.0
+        matrix[:, k] = op.transport_tendency(unit).ravel()
+        unit.flat[k] = 0.0
+    return matrix
+
+
+def _swept_split_step(op, transport, dt):
+    """The split step D(dt/2) p(dt T) D(dt/2), p(dt T) by matrix Horner over the
+    stepper's scales and D from one q-row's update (every row has the same)."""
+    eye = np.eye(transport.shape[0])
+    poly = transport
+    for scale in K._horner_scales(op, dt):
+        poly = transport @ (eye + scale * poly)
+    poly = eye + dt * poly
+    row, unit, out = np.empty((op.grid.Np,) * 2), np.zeros(op.grid.shape), np.empty(op.grid.shape)
+    for k in range(op.grid.Np):
+        unit[0, k] = 1.0
+        op._dissipate_into(unit, 0.5 * dt, out)
+        row[:, k] = out[0]
+        unit[0, k] = 0.0
+    half = np.kron(np.eye(op.grid.Nq), row)
+    return half @ poly @ half
+
+
+# the sweep's steps in units of RK4's bound, up to the 6-stage step's bound of
+# 1.5 (test_split_step_is_stable_at_stable_dt): dense next to RK4's bound, where
+# the one-sided momentum edges give modes of Re(lambda dt) up to 0.03 at
+# Im(lambda dt) ~ 1.7 that RK4 damps by 8% a step and the 6-stage step by less
+SWEEP = (1.0001, 1.0005, 1.001, 1.005, 1.02, 1.05, 1.1, 1.2, 1.3, 1.4)
+
+
+# the weakly damped entries, whose dissipative half steps damp the edge modes least
+@pytest.mark.parametrize("shape,variant,c,potential,gamma",
+                         [case for case in STABILITY_CASES
+                          if case.values[0] == (12, 24) and case.values[4] < 1.0])
+def test_split_step_is_stable_from_the_rk4_bound_to_stable_dt(shape, variant, c,
+                                                                 potential, gamma):
+    op = _stability_op(*shape, variant, c, potential, gamma)
+    assert op.stable_dt() == K.LONG_REACH * op._rk4_dt
+    transport = _transport_matrix(op)
+    for factor in SWEEP:
+        dt = factor * op._rk4_dt
+        assert len(K._horner_scales(op, dt)) == 5
+        assert _radius(_swept_split_step(op, transport, dt)) <= 1.0 + 1e-12, factor
 
 
 def test_auto_step_is_the_bound_for_stationarity_and_transient_otherwise(monkeypatch):
@@ -268,13 +319,15 @@ def test_auto_step_is_the_bound_for_stationarity_and_transient_otherwise(monkeyp
     monkeypatch.setattr(K, "step_kfp", lambda st, op, dt, steps=1:
                         dts.append(dt) or step(st, op, dt, steps=steps))
     K.integrate(cfg)
-    assert dts == [time_steps(cfg.t_final, op.transient_dt())[1]] * 15
+    n_steps, step_dt = time_steps(cfg.t_final, op.transient_dt())
+    assert n_steps == 23 and dts == [step_dt] * n_steps
     dts.clear()
-    # half the initial L1: not met before the last of the four steps
+    # 0.42 of the initial L1: not met before the last of the four steps
     rho0 = K.make_initial_state(cfg.init, cfg.grid, cfg.params, cfg.potential).rho
     l1_0 = K.l1_distance(rho0, maxwellian(cfg.grid, cfg.params, cfg.potential)[0], cfg.grid)
-    res = K.run_to_stationarity(cfg, l1_target=0.5 * l1_0)
+    res = K.run_to_stationarity(cfg, l1_target=0.42 * l1_0)
     assert dts == [time_steps(cfg.t_final, op.stable_dt())[1]] * 4
+    assert len(K._horner_scales(op, dts[0])) == 5       # the 6-stage step
     assert res.records[-1].t == cfg.t_final
 
 
@@ -549,7 +602,8 @@ def test_transport_matches_the_generic_stencils(variant, c, rng):
         got = op.transport_tendency(rho)
         assert float(np.abs(got - (q_part + p_part)).max()) <= 1e-13 * scale
     vq, vp = float(np.abs(G.grad_p(grid, h)).max()), float(np.abs(G.grad_q(grid, h)).max())
-    assert op.stable_dt() == 2.0 / (vq / grid.hq + vp / grid.hp)
+    assert op._rk4_dt == 2.0 / (vq / grid.hq + vp / grid.hp)
+    assert op.stable_dt() == K.LONG_REACH * op._rk4_dt
     assert op.transient_dt() == min(0.4 * grid.hq / vq, 0.4 * grid.hp / vp)
 
 
@@ -558,7 +612,8 @@ def test_horner_rk4_matches_the_stage_form(variant, c, rng):
     # the transport is linear and autonomous, so classical RK4's four stages
     # give the degree-4 Taylor polynomial the Horner form evaluates
     cfg, op = _variant_cfg(variant, record_every=1, steps=1, c=c)
-    transport, dt = op.transport_tendency, op.stable_dt()
+    transport, dt = op.transport_tendency, op._rk4_dt
+    assert len(K._horner_scales(op, dt)) == 3
     for _ in range(3):
         r0 = make_state(rng, cfg.grid, cfg.params, cfg.potential).rho
         k1 = transport(r0)
@@ -567,8 +622,70 @@ def test_horner_rk4_matches_the_stage_form(variant, c, rng):
         k4 = transport(r0 + dt * k3)
         stages = r0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         horner = np.empty(cfg.grid.shape)
-        K._transport_rk4(r0, op, dt, horner)
+        K._transport_step(r0, op, dt, horner)
         assert float(np.abs(horner - stages).max()) <= 1e-14 * float(np.abs(r0).max())
+
+
+def _taylor(transport, r0, dt, coefficients):
+    """r0 + sum_k coefficients[k-1] (dt T)^k r0, one power of T at a time."""
+    total, power = r0.copy(), r0
+    for coefficient in coefficients:
+        power = dt * transport(power)
+        total += coefficient * power
+    return total
+
+
+SIX_STAGE = (1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0, K.A5, K.A6)
+
+
+@pytest.mark.parametrize("variant,c", KINETIC_CASES)
+def test_six_stage_step_matches_its_stage_form(variant, c, rng):
+    # above RK4's bound the Horner loop evaluates RK4 + A5 z^5 + A6 z^6
+    cfg, op = _variant_cfg(variant, record_every=1, steps=1, c=c)
+    for dt in (1.001 * op._rk4_dt, op.stable_dt()):
+        assert len(K._horner_scales(op, dt)) == 5
+        r0 = make_state(rng, cfg.grid, cfg.params, cfg.potential).rho
+        horner = np.empty(cfg.grid.shape)
+        K._transport_step(r0, op, dt, horner)
+        expected = _taylor(op.transport_tendency, r0, dt, SIX_STAGE)
+        assert float(np.abs(horner - expected).max()) <= 1e-14 * float(np.abs(r0).max())
+
+
+def test_six_stage_step_is_fourth_order(rng):
+    # the local error against exp(dt T) r0 (its Taylor series to z^30) falls
+    # 2^5-fold with each halving of dt; RK4's bound is set to 0 so that every
+    # step takes the 6-stage polynomial
+    cfg, op = _variant_cfg(Variant.DMR, record_every=1, steps=1)
+    r0 = make_state(rng, cfg.grid, cfg.params, cfg.potential).rho
+    base, op._rk4_dt = op._rk4_dt, 0.0
+    errors = []
+    for dt in (base / 4.0, base / 8.0, base / 16.0):
+        step = np.empty(cfg.grid.shape)
+        K._transport_step(r0, op, dt, step)
+        exact = _taylor(op.transport_tendency, r0, dt, 1.0 / np.cumprod(np.arange(1.0, 31.0)))
+        errors.append(float(np.abs(step - exact).max()))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 31.0 <= coarse / fine <= 33.0
+
+
+@pytest.mark.parametrize("l1_stop, stages", [(None, 4), (0.0, 6)])
+def test_integrate_counts_its_transport_evaluations(l1_stop, stages, monkeypatch):
+    # a transient run takes RK4 steps and a stationary one 6-stage steps;
+    # each record evaluates the transport once more (its rhs)
+    cfg = small_cfg(t_final=4.0, record_every=3)
+    transport, calls = K.KfpOperator._transport_into, []
+
+    def counted(op, *args):
+        calls.append(1)
+        return transport(op, *args)
+
+    monkeypatch.setattr(K.KfpOperator, "_transport_into", counted)
+    res = K.integrate(cfg, l1_stop=l1_stop)
+    op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, cfg.variant)
+    dt = op.stable_dt() if l1_stop is not None else op.transient_dt()
+    assert res.steps == time_steps(cfg.t_final, dt)[0] > 3
+    assert res.evaluations == stages * res.steps
+    assert len(calls) == res.evaluations + len(res.records)
 
 
 @pytest.mark.parametrize("variant,c", KINETIC_CASES)
@@ -816,14 +933,15 @@ def test_pair_map_keeps_maxwellian():
 
 
 def test_merged_steps_match_single_steps_and_conserve():
-    # step_kfp(steps=50) against 50 single steps; mass and total energy of
-    # the merged run hold to round-off
+    # step_kfp(steps=50) against 50 single steps at the bound, 6-stage steps;
+    # mass and total energy of the merged run hold to round-off
     cfg = small_cfg()
     grid, params, pot = cfg.grid, cfg.params, cfg.potential
     for variant in (Variant.DH, Variant.DMR):
         op = K.KfpOperator(grid, params, pot, variant)
         state0 = K.make_initial_state(cfg.init, grid, params, pot)
         dt = op.stable_dt()
+        assert len(K._horner_scales(op, dt)) == 5
         merged = K.step_kfp(state0, op, dt, steps=50)
         single = state0
         for _ in range(50):
@@ -1153,13 +1271,17 @@ def test_variants_coincide_at_infinite_c():
                               _bits(dataclasses.astuple(rec_dmr)))
 
 
-def test_stationary_runs_at_infinite_c_with_the_default_variant(tmp_path):
+def test_stationary_runs_at_infinite_c_with_the_default_variant(tmp_path, capsys):
+    # the summary line counts the run's split steps, 6-stage ones at the bound
     path = tmp_path / "kramers.cfg"
     path.write_text("experiment = stationary\nmodel.c = inf\npotential.kind = cosine\n"
                     "grid.nq = 16\ngrid.np = 32\nsolver.t_final = 20\ninit.p0 = 0.5\n"
                     "stationary.l1_target = 0.05\n")
     assert main(["stationary", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "timeseries.csv").exists()
+    steps, evaluations = map(int, re.search(r"steps (\d+), transport evaluations (\d+)\)",
+                                            capsys.readouterr().out).groups())
+    assert steps > 0 and evaluations == 6 * steps
 
 
 @pytest.mark.parametrize("variant", ["dh", "dmr"])
@@ -1181,45 +1303,56 @@ def test_cli_runs_every_variant_from_mildly_relativistic_to_classical(variant, t
 # rest masses from 1e-300 to 1e300, so that m c^2 also lies far above or below theta
 HEAVY = (st.sampled_from(["1e-300", "1e-100", "1e-12", "1", "1e6", "1e12", "1e100", "1e300"])
          | st.floats(1e-12, 1e12).map(repr))
+# values near 1, where a run mostly completes
+MILD = st.floats(0.25, 4.0).map(repr)
 
 
 @st.composite
-def extreme_kfp_configs(draw):
-    """A 16x32 kfp config with extreme gamma, theta, c and m, either variant and
-    either potential; the grid extents are auto."""
-    c = draw(EXTREME | st.just("inf"))
+def fuzzed_kfp_configs(draw):
+    """A 16x32 kinetic config from a shifted Maxwellian, either variant and
+    either potential, the grid extents auto; half of the draws take gamma,
+    theta, c and m near 1, the others extreme."""
+    value, mass = (MILD, MILD) if draw(st.booleans()) else (EXTREME, HEAVY)
     return (f"model.variant = {draw(st.sampled_from(['dh', 'dmr']))}\n"
             f"potential.kind = {draw(st.sampled_from(['cosine', 'harmonic']))}\n"
-            f"model.gamma = {draw(EXTREME)}\nmodel.theta = {draw(EXTREME)}\n"
-            f"model.c = {c}\nmodel.m = {draw(HEAVY)}\n"
-            "grid.nq = 16\ngrid.np = 32\nsolver.record_every = 2\n")
+            f"model.gamma = {draw(value)}\nmodel.theta = {draw(value)}\n"
+            f"model.c = {draw(value | st.just('inf'))}\nmodel.m = {draw(mass)}\n"
+            "grid.nq = 16\ngrid.np = 32\nsolver.record_every = 2\ninit.p0 = 0.5\n")
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=extreme_kfp_configs())
+@given(experiment=st.sampled_from(["kfp", "stationary"]), text=fuzzed_kfp_configs())
 # an underflowed Boltzmann weight, and dissipative coefficients that overflow
-@example(text="model.variant = dh\npotential.kind = cosine\nmodel.theta = 1e-6\n"
-              "grid.nq = 16\ngrid.np = 32\n")
-@example(text="model.variant = dh\npotential.kind = harmonic\nmodel.gamma = 1e308\n"
-              "model.theta = 0.05\nmodel.c = inf\ngrid.nq = 16\ngrid.np = 32\n")
+@example(experiment="kfp", text="model.variant = dh\npotential.kind = cosine\n"
+                                "model.theta = 1e-6\ngrid.nq = 16\ngrid.np = 32\n")
+@example(experiment="kfp", text="model.variant = dh\npotential.kind = harmonic\n"
+                                "model.gamma = 1e308\nmodel.theta = 0.05\nmodel.c = inf\n"
+                                "grid.nq = 16\ngrid.np = 32\n")
 # a tiny rest mass: tendencies that overflow, and a DH face diffusion that does
-@example(text="model.variant = dmr\npotential.kind = cosine\nmodel.m = 1e-300\nmodel.c = inf\n"
-              "model.theta = 1e12\nmodel.gamma = 1.6e-6\ngrid.nq = 16\ngrid.np = 32\n")
-@example(text="model.variant = dh\npotential.kind = cosine\nmodel.m = 1e-300\nmodel.c = 0.05\n"
-              "model.theta = 1e12\nmodel.gamma = 1e308\ngrid.nq = 16\ngrid.np = 32\n")
-def test_fuzzed_kfp_runs_end_in_named_outcomes(tmp_path_factory, text):
-    # a run of a few steps ends in a named outcome (run_to_named_outcome),
-    # and no floating-point warning comes before it.  t_final is four
-    # transient steps of the operator the run builds.
+@example(experiment="kfp", text="model.variant = dmr\npotential.kind = cosine\nmodel.m = 1e-300\n"
+                                "model.c = inf\nmodel.theta = 1e12\nmodel.gamma = 1.6e-6\n"
+                                "grid.nq = 16\ngrid.np = 32\n")
+@example(experiment="kfp", text="model.variant = dh\npotential.kind = cosine\nmodel.m = 1e-300\n"
+                                "model.c = 0.05\nmodel.theta = 1e12\nmodel.gamma = 1e308\n"
+                                "grid.nq = 16\ngrid.np = 32\n")
+def test_fuzzed_kfp_runs_end_in_named_outcomes(tmp_path_factory, experiment, text):
+    # a run ends in a named outcome (run_to_named_outcome), and no
+    # floating-point warning comes before it.  A kfp run is four transient
+    # steps of the operator it builds; a stationary run relaxes to L1 <= 0.05
+    # in at most 40 6-stage steps at stable_dt.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            cfg = parse_config(text, "kfp")
+            cfg = parse_config(text, experiment)
             op = K.KfpOperator(cfg.phase_grid, cfg.params, cfg.potential, cfg.variant)
-            text += f"solver.t_final = {4.0 * op.transient_dt()!r}\n"
+            if experiment == "kfp":
+                text += f"solver.t_final = {4.0 * op.transient_dt()!r}\n"
+            else:
+                text += (f"solver.t_final = {40.0 * op.stable_dt()!r}\n"
+                         "stationary.l1_target = 0.05\n")
         except (ConfigError, StabilityError, ValueError):
             pass          # the run below ends in the same error
-        printed = run_to_named_outcome("kfp", text, tmp_path_factory.mktemp("fuzz"))
+        printed = run_to_named_outcome(experiment, text, tmp_path_factory.mktemp("fuzz"))
     assert not caught, (text, printed, [str(w.message) for w in caught])
 
 
