@@ -13,9 +13,11 @@ The package starts BLAS on one thread unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS says otherwise: the grids are small, and with two BLAS
 threads stationary_dh took 1.08 s in one full run against 0.13 s in
 another.  On a 2-CPU x86-64
-VM the configs take 1.3 to 1.8 seconds together: verify about 0.8 seconds,
-stationary_dh about 0.13 seconds, heat_bump about 0.07 seconds and every
-other config 0.11 seconds or less.
+VM the configs take 1.4 to 1.9 seconds together, depending on its load:
+verify 0.8 to 1.2 seconds, limit_heat 0.12 to 0.16 seconds, stationary_dh
+0.09 to 0.13 seconds (81 split steps), stationary_dmr about 0.09 seconds
+(78), heat_bump 0.08 to 0.12 seconds and every other config 0.11 seconds
+or less.
 """
 
 import argparse

@@ -67,7 +67,9 @@ def _run_heat(cfg: RunConfig, out: Path) -> int:
          result.max_saturation_excess <= 1e-12,
          f"max relative excess {result.max_saturation_excess:.3e}"),
     ]
+    cap = "binds" if result.front_capped else "does not bind"
     print(f"heat run finished at t={result.state.t:g} ({len(result.records)} records; "
+          f"superstep {result.dt:.6g}, front cap h/(4c) {cap}; "
           f"steps {result.steps}, stages per step {result.stages}, "
           f"flux evaluations {result.evaluations}) -> {out}")
     return 0 if _print_checks(checks) else 1
@@ -100,10 +102,16 @@ def _kfp_config(cfg: RunConfig) -> KF.KfpConfig:
                         record_every=cfg.record_every, init=cfg.init)
 
 
+def _step_of(cfg: RunConfig, res, auto: str) -> str:
+    """The split step of a kinetic run and the bound that gave it."""
+    return f"dt {res.dt:.6g} from {'solver.dt' if cfg.dt is not None else auto}"
+
+
 def _run_kfp(cfg: RunConfig, out: Path) -> int:
     res = _stepped(cfg, out, "kfp", KF.integrate, _kfp_config(cfg))
     print(f"kfp run ({cfg.variant.value}) finished at t={res.records[-1].t:g} "
-          f"({len(res.records)} records; steps {res.steps}, "
+          f"({len(res.records)} records; {_step_of(cfg, res, 'transient_dt')}; "
+          f"steps {res.steps}, "
           f"transport evaluations {res.evaluations}) -> {out}")
     return 0 if _print_checks(_kfp_checks(cfg, res.records)) else 1
 
@@ -114,8 +122,8 @@ def _run_stationary(cfg: RunConfig, out: Path) -> int:
     last = res.records[-1]
     print(f"stationary run ({cfg.variant.value}) ended at t={last.t:g}, "
           f"L1 distance {last.l1:.3e}, excess e_inf={res.e_inf:.6g} "
-          f"({len(res.records)} records; steps {res.steps}, "
-          f"transport evaluations {res.evaluations}) -> {out}")
+          f"({len(res.records)} records; {_step_of(cfg, res, 'stable_dt')}; "
+          f"steps {res.steps}, transport evaluations {res.evaluations}) -> {out}")
     checks = _kfp_checks(cfg, res.records) + [
         (f"converged to L1 <= {cfg.l1_target:g}", res.converged,
          f"final L1 {last.l1:.3e} at t={last.t:g}")]

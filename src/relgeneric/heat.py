@@ -354,13 +354,15 @@ def _stage_count(dt: float, bound: float) -> int:
                          f"stability bound {bound:g})")
 
 
-def _auto_step(grid: LineGrid, params: ModelParams, bound: float, cone: np.ndarray) -> float:
-    """The step of a run with dt None: max(stable_dt, min(reach of ``_S_MAX``
-    stages, h / (4 c))).  The front cap h / (4 c) applies only when the light
-    cone closes a face at the start, so the gate, set at each superstep's
-    start, lags the front by at most h / 4."""
+def _auto_step(grid: LineGrid, params: ModelParams, bound: float,
+               cone: np.ndarray) -> tuple[float, bool]:
+    """The step of a run with dt None, max(stable_dt, min(reach of ``_S_MAX``
+    stages, h / (4 c))), and whether the front cap h / (4 c) set it.  The cap
+    applies only when the light cone closes a face at the start, so the gate,
+    set at each superstep's start, lags the front by at most h / 4."""
     cap = grid.h / (4.0 * params.c) if _reached(cone, 0.0) is not None else math.inf
-    return max(bound, min(_reach(_S_MAX, bound), cap))
+    step = max(bound, min(_reach(_S_MAX, bound), cap))
+    return step, step == cap
 
 
 def _rkl2(stages: int) -> tuple:
@@ -536,14 +538,17 @@ def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
 def _entropies(rows: np.ndarray, grid: LineGrid, work: np.ndarray | None = None,
                mask: np.ndarray | None = None) -> list:
     """``boltzmann_entropy`` of the first grid.N cells of each row of ``rows``,
-    with scratch of its shape; a row may end in a ghost cell."""
+    with scratch of its shape; a row may end in a ghost cell.  rho log rho
+    overflows from about 2.5e305 on: such an entropy is -inf, silently, and
+    ``run_heat`` names it."""
     contrib = np.maximum(rows, 1e-300, out=work)
     np.log(contrib, out=contrib)
-    contrib *= rows
-    vacuum = np.greater(rows, 0.0, out=mask)
-    np.logical_not(vacuum, out=vacuum)
-    np.copyto(contrib, 0.0, where=vacuum)
-    return (-contrib[:, :grid.N].sum(axis=1) * grid.h).tolist()
+    with np.errstate(over="ignore"):
+        contrib *= rows
+        vacuum = np.greater(rows, 0.0, out=mask)
+        np.logical_not(vacuum, out=vacuum)
+        np.copyto(contrib, 0.0, where=vacuum)
+        return (-contrib[:, :grid.N].sum(axis=1) * grid.h).tolist()
 
 
 def boltzmann_entropy(rho: np.ndarray, grid: LineGrid) -> float:
@@ -634,6 +639,8 @@ class HeatRunResult:
     steps: int                     # supersteps
     stages: int                    # per superstep: 1 is forward Euler
     evaluations: int               # flux evaluations of the stepping: steps * stages
+    dt: float                      # the superstep
+    front_capped: bool             # whether the front cap h/(4c) set the auto step
 
 
 def _record(state: HeatState, grid: LineGrid, params: ModelParams) -> DiagnosticsRecord:
@@ -651,7 +658,10 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | 
 
     Records are taken at t=0, at each cadence point and at the final time,
     each followed by ``on_record(state, t, index)``; a record of finite
-    entropy and mass whose entropy rate is not finite is a StabilityError.
+    entropy and mass whose entropy rate is not finite is a StabilityError,
+    and so, once the block of supersteps it falls in has stepped (a step
+    that is not finite is named first), is the first record of finite mass
+    whose entropy is not finite.
     dt None is ``_auto_step``; equal supersteps of at most dt land on
     t_final, and each takes the stages ``_stage_count`` gives it: one, the
     Euler step of ``step_heat`` bit for bit, up to ``stable_dt``.  Flux saturation is
@@ -668,8 +678,8 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | 
     bound = stable_dt(grid, params)
     rho0 = np.asarray(rho0, dtype=float).copy()
     cone = light_cone(rho0, 0.0, grid, params)
-    n_steps, step_dt = time_steps(
-        t_final, _auto_step(grid, params, bound, cone) if dt is None else dt)
+    auto, front_capped = _auto_step(grid, params, bound, cone) if dt is None else (dt, False)
+    n_steps, step_dt = time_steps(t_final, auto)
     stages = _stage_count(step_dt, bound)
     if stages > 1 and (top := float(np.max(np.abs(rho0)))) > _SUPERSTEP_RHO_MAX:
         raise StabilityError(f"the density reaches {top:.3e}, above {_SUPERSTEP_RHO_MAX:.0e}, "
@@ -679,9 +689,13 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | 
     block = max(1, _BLOCK // stages)
     ws = _Workspace(grid, params, step_dt, stages, block, rho0)
     records = []
+    overflow = []                           # the first record of finite mass and S not finite
 
     def record(st):
         rec = _record(st, grid, params)
+        if math.isfinite(rec.mass) and not (math.isfinite(rec.S) or overflow):
+            overflow.append(f"the entropy S is {rec.S!r} at t = {st.t!r}: -rho log rho "
+                            "overflows the float range; rescale the density")
         if math.isfinite(rec.S) and math.isfinite(rec.mass) and not math.isfinite(rec.dSdt):
             raise StabilityError(f"the entropy rate dS/dt is {rec.dSdt!r} at t = {st.t!r}, "
                                  "beyond the float range; lower model.nu or raise grid.length")
@@ -708,6 +722,8 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | 
                 state = HeatState(rho=ws.rows[b + 1, :-1].copy(), t=t,
                                   cone=ALL_OPEN if reached is None else cone)
                 record(state)
+        if overflow:                        # after the block, whose step may fail first
+            raise StabilityError(overflow[0])
         max_sat = max(max_sat, *ws.saturations(size * stages))
         for new_entropy in ws.entropies(1, size):
             min_ds = min(min_ds, new_entropy - entropy)
@@ -717,4 +733,4 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | 
     return HeatRunResult(records=records, state=state,
                          max_saturation_excess=max_sat,
                          min_step_entropy_delta=min_ds, steps=n_steps, stages=stages,
-                         evaluations=n_steps * stages)
+                         evaluations=n_steps * stages, dt=step_dt, front_capped=front_capped)

@@ -4,7 +4,10 @@ Floats are written with 17 significant digits so every file round-trips
 bitwise; regression baselines can therefore be compared exactly.  A density
 dump's rows come from cached per-row templates that hold the formatted
 indices and coordinates, so each dump formats only the density values; the
-bytes are the same as formatting every cell with ``format(x, ".17g")``.
+bytes are the same as formatting every cell with ``format(x, ".17g")``.  The
+templates of a phase grid are built in one pass: one q-row's text, its
+momentum columns formatted once, with two sentinels that two ``str.replace``
+calls per row turn into the row's index and position.
 """
 
 from __future__ import annotations
@@ -73,9 +76,11 @@ def _row_templates(grid) -> tuple[str, ...]:
     """The rows of a dump of ``grid``, one template per q-row (one in all for
     a line grid), with the density left as ``%.17g``."""
     if isinstance(grid, PhaseGrid):
-        p = [_fmt(v) for v in grid.p]
-        return tuple("".join(f"{i},{j},{q},{pj},%.17g\n" for j, pj in enumerate(p))
-                     for i, q in enumerate(map(_fmt, grid.q)))
+        # one q-row's text with the sentinels \0 for qIndex and \1 for q, which
+        # no formatted number holds; each row is two replaces of it
+        row = "".join(f"\0,{j},\1,{_fmt(p)},%.17g\n" for j, p in enumerate(grid.p))
+        return tuple(row.replace("\0", str(i)).replace("\1", _fmt(q))
+                     for i, q in enumerate(grid.q))
     return ("".join(f"{i},{_fmt(x)},%.17g\n" for i, x in enumerate(grid.x)),)
 
 

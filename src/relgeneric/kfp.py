@@ -26,7 +26,9 @@ the split step's stability bound ``KfpOperator.stable_dt``, a 6-stage
 step, and the smaller ``KfpOperator.transient_dt``, an RK4 step that bounds
 the Strang splitting error.  ``integrate`` steps at the stability
 bound when it stops at stationarity (``run_to_stationarity``), where only
-the end state counts, and at the transient step otherwise.
+the end state counts, and at the transient step otherwise.  A stationary
+run ends at the first split step whose end state meets its L1 target,
+between records as well as at them.
 
 Between two records the trailing half step of one step and the leading half
 step of the next run back to back, so ``step_kfp(..., steps=n)`` merges each
@@ -513,7 +515,8 @@ def _check_positive(rho: np.ndarray, update: int, steps: int) -> None:
             f"of a {steps}-step call")
 
 
-def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1) -> State:
+def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1,
+             stop: tuple[np.ndarray, float] | None = None):
     """``steps`` GENERIC-split steps of the coupled (rho, e) system, positivity-guarded.
 
     One step is D(h) T D(h) with h = dt/2: a dissipative half step through
@@ -526,6 +529,18 @@ def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1) -> State:
     each merged update and at the end; a PositivityError names the lowest
     cell and the update it followed.  All but the new density runs in the
     operator's workspace.
+
+    With ``stop = (rho_inf, l1_stop)`` the call returns (state, k), k the
+    first step whose end state E is within l1_stop of rho_inf in L1.  After
+    each interior merged update it probes the L1 distance of the merged
+    state D(h) E (into the free _slope); only when that is within l1_stop
+    does it form E, in place of the transported density, by the update that
+    ends a k-step call, so the stop state is that call's bit for bit and a
+    call that does not stop keeps its bits.  D(h) contracts the L1 distance
+    to its fixed point, the Maxwellian, where its map is positive, so the
+    probe misses no stop there: L1(D(h) E) / L1(E) is 0.65-0.97 on the small
+    test grids and 0.91-0.99 on both committed stationary configs.  Where it
+    does not, the run stops at a later step or record.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -538,12 +553,19 @@ def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1) -> State:
     rho = np.empty(op.grid.shape)
     for update in range(2, steps + 1):
         _transport_step(op._mid, op, dt, rho)
-        e += op._dissipate_into(rho, h, op._mid, pair=True)
+        de = op._dissipate_into(rho, h, op._mid, pair=True)
+        if stop is not None and l1_distance(op._mid, stop[0], op.grid,
+                                            work=op._slope) <= stop[1]:
+            end = e + op._dissipate_into(rho, h, rho)   # step update - 1's end state
+            if l1_distance(rho, stop[0], op.grid, work=op._slope) <= stop[1]:
+                _check_positive(rho, update, steps)
+                return State(rho=rho, e=end), update - 1
         _check_positive(op._mid, update, steps)
+        e += de
     _transport_step(op._mid, op, dt, rho)
     e += op._dissipate_into(rho, h, rho)
     _check_positive(rho, steps + 1, steps)
-    return State(rho=rho, e=e)
+    return State(rho=rho, e=e) if stop is None else (State(rho=rho, e=e), steps)
 
 
 @dataclass
@@ -555,6 +577,7 @@ class KfpRunResult:
     converged: bool
     steps: int                  # split steps
     evaluations: int            # transport evaluations of the stepping: 4 or 6 per step
+    dt: float                   # the split step taken
 
 
 def integrate(cfg: KfpConfig, state0: State | None = None,
@@ -563,8 +586,11 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
 
     Each record interval (``record_every`` steps, the last one shorter) is
     one ``step_kfp`` call, so its interior dissipative half steps merge.
-    Stops early once the L1 distance to the closed-form Maxwellian falls
-    below ``l1_stop``, when given.  ``on_record(state, t, index)`` is called
+    With ``l1_stop`` the run stops at the first step whose state is within
+    l1_stop of the closed-form Maxwellian in L1, whatever the cadence: the
+    interval's ``step_kfp`` call tests each of its steps and ends at that
+    one, and the stop state is recorded at its own time, (done + k) dt, as
+    any record is.  ``on_record(state, t, index)`` is called
     after each record with its time and its index in ``records``, counted
     from 0; its return value is ignored.  Each record is one ``RecordPass`` over
     the operator's workspace, free between step_kfp calls, so a record
@@ -572,7 +598,8 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     needs only its end state and steps at the stability bound; any other
     run steps at the transient step.  A PositivityError or StabilityError
     from a step adds the time its record interval started from.  The result
-    counts the split steps taken and their transport evaluations.
+    counts the split steps taken and their transport evaluations, and holds
+    the split step.
     """
     grid, params, potential, variant = cfg.grid, cfg.params, cfg.potential, cfg.variant
     op = KfpOperator(grid, params, potential, variant)
@@ -602,7 +629,11 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     while not converged and done < n_steps:
         steps = min(cfg.record_every, n_steps - done)
         try:
-            state = step_kfp(state, op, step_dt, steps=steps)
+            if l1_stop is None:
+                state = step_kfp(state, op, step_dt, steps=steps)
+            else:
+                state, steps = step_kfp(state, op, step_dt, steps=steps,
+                                        stop=(rho_inf, l1_stop))
         except (PositivityError, StabilityError) as exc:
             msg = f"{exc}, in the record interval from t = {t_now!r}"
             raise type(exc)(msg) from None
@@ -612,15 +643,17 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     e_inf = e0_total - inner(grid, op.h_cells, rho_inf)
     evaluations = done * (len(_horner_scales(op, step_dt)) + 1)
     return KfpRunResult(records=records, state=state, rho_inf=rho_inf, e_inf=e_inf,
-                        converged=converged, steps=done, evaluations=evaluations)
+                        converged=converged, steps=done, evaluations=evaluations,
+                        dt=step_dt)
 
 
 def run_to_stationarity(cfg: KfpConfig, l1_target: float = 1e-3,
                         state0: State | None = None, on_record=None) -> KfpRunResult:
     """Integrate until the density is within l1_target of the Maxwellian.
 
-    Raises NonConvergenceError when t_final is reached with an L1 distance
-    above ten times the target.
+    The run ends at the first split step within the target, not at the next
+    record (``integrate`` with ``l1_stop``).  Raises NonConvergenceError
+    when t_final is reached with an L1 distance above ten times the target.
     """
     result = integrate(cfg, state0=state0, l1_stop=l1_target, on_record=on_record)
     last = result.records[-1]

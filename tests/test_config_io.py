@@ -524,13 +524,16 @@ def _per_cell_dump_text(kind, grid, rho, t):
 def test_dump_bytes_match_per_cell_formatter(tmp_path):
     special = [0.0, -0.0, 5e-324, 1e-300, math.nan, math.inf, -math.inf, 1.0 / 3.0]
     # two grids of each kind with equal shapes but different coordinates, and
-    # the first dumped again last: rows cached under a wrong key would show
+    # the first dumped again last: rows cached under a wrong key would show;
+    # two more phase grids take the row templates to 3-digit indices
     cases = [("kfp", PhaseGrid(Nq=8, Np=10, Lq=3.0, Pmax=2.0)),
              ("kfp", PhaseGrid(Nq=8, Np=10, Lq=5.0, Pmax=2.5)),
              ("heat", LineGrid(N=12, L=2.0)),
              ("heat", LineGrid(N=12, L=3.0))]
+    wide = [("kfp", PhaseGrid(Nq=102, Np=8, Lq=3.0, Pmax=2.0)),
+            ("kfp", PhaseGrid(Nq=8, Np=130, Lq=3.0, Pmax=2.0))]
     rng = SplitMix64(9)
-    for n, (kind, grid) in enumerate(cases + cases[:1] + cases[2:3]):
+    for n, (kind, grid) in enumerate(cases + cases[:1] + cases[2:3] + wide):
         shape = grid.shape if kind == "kfp" else (grid.N,)
         rho = rng.uniforms(int(np.prod(shape))).reshape(shape)
         rho.flat[n:n + len(special)] = special

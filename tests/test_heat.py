@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from relgeneric import heat as H
 from relgeneric import kfp as K
+from relgeneric.cli import main
 from relgeneric.config import ConfigError, load_config, parse_config
 from relgeneric.errors import PositivityError, StabilityError
 from relgeneric.generic import DiagnosticsRecord
@@ -1013,17 +1014,44 @@ def test_entropy_rate_beyond_the_float_range_is_named_before_any_step(
 def test_superstep_of_densities_near_the_largest_double_is_named(grid, params):
     # the RKL2 sums weigh stages by up to about 2: above 1e306 a superstep is
     # refused before the first record and without a floating-point warning;
-    # at 1e306 it steps, though the records' entropy -sum rho log rho h
-    # overflows from about 2.5e305 on, as it does for Euler steps
+    # at 1e306 it steps, but the records' entropy -sum rho log rho h
+    # overflows from about 2.5e305 on, as it does for Euler steps, and the
+    # run names the first such record once its block has stepped, again
+    # without a warning
     rho0 = np.zeros(grid.N)
     rho0[10] = 1e307
     dt = H.stable_dt(grid, params)
+    seen = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StabilityError, match="reaches 1.000e\\+307, above 1e\\+306"):
             H.run_heat(grid, params, rho0, None, 4 * dt, record_every=1)
-    rho0[10] = 1e306
-    with np.errstate(over="ignore"):
-        res = H.run_heat(grid, params, rho0, None, 4 * dt, record_every=1)
-    assert res.stages > 1 and np.all(np.isfinite(res.state.rho))
-    assert float(np.sum(res.state.rho)) == pytest.approx(1e306, rel=1e-14)
+        rho0[10] = 1e306
+        assert H.boltzmann_entropy(rho0, grid) == -math.inf
+        with pytest.raises(StabilityError, match="the entropy S is -inf at t = 0.0: "):
+            H.run_heat(grid, params, rho0, None, 4 * dt, record_every=1,
+                       on_record=lambda st, t, index: seen.append(st))
+    assert H._stage_count(4 * dt, dt) > 1 and len(seen) == 2
+    assert np.all(np.isfinite(seen[-1].rho))
+    assert float(np.sum(seen[-1].rho)) == pytest.approx(1e306, rel=1e-14)
+
+
+@pytest.mark.parametrize("c, dt, capped", [("1.0", "auto", True), ("inf", "auto", False),
+                                           ("1.0", "1e-4", False)])
+def test_summary_line_names_the_superstep_and_the_front_cap(c, dt, capped, tmp_path, capsys):
+    # heat_bump data on 128 cells: at c = 1 the front cap h/(4c) sets the auto
+    # superstep, at c = inf and at an explicit dt it does not
+    path = tmp_path / "bump.cfg"
+    path.write_text(f"experiment = heat\nmodel.c = {c}\nmodel.nu = 1.0\ngrid.n = 128\n"
+                    f"grid.length = 4.0\nsolver.dt = {dt}\nsolver.t_final = 0.05\n"
+                    "init.kind = bump\ninit.width = 1.0\n")
+    cfg = load_config(path, "heat")
+    res = H.run_heat(cfg.heat_grid, cfg.params, heat_initial(cfg, cfg.heat_grid), cfg.dt,
+                     cfg.t_final, cfg.record_every)
+    assert res.front_capped == capped and res.dt * res.steps == pytest.approx(0.05)
+    if capped:
+        assert res.dt == 0.05 / time_steps(0.05, cfg.heat_grid.h / 4.0)[0]
+    assert main(["heat", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    cap = "binds" if capped else "does not bind"
+    assert f"; superstep {res.dt:.6g}, front cap h/(4c) {cap}; steps {res.steps}," \
+        in capsys.readouterr().out

@@ -316,8 +316,8 @@ def test_auto_step_is_the_bound_for_stationarity_and_transient_otherwise(monkeyp
     cfg = dataclasses.replace(cfg, t_final=3.5 * op.stable_dt())
     dts = []
     step = K.step_kfp
-    monkeypatch.setattr(K, "step_kfp", lambda st, op, dt, steps=1:
-                        dts.append(dt) or step(st, op, dt, steps=steps))
+    monkeypatch.setattr(K, "step_kfp", lambda st, op, dt, steps=1, stop=None:
+                        dts.append(dt) or step(st, op, dt, steps=steps, stop=stop))
     K.integrate(cfg)
     n_steps, step_dt = time_steps(cfg.t_final, op.transient_dt())
     assert n_steps == 23 and dts == [step_dt] * n_steps
@@ -686,6 +686,97 @@ def test_integrate_counts_its_transport_evaluations(l1_stop, stages, monkeypatch
     assert res.steps == time_steps(cfg.t_final, dt)[0] > 3
     assert res.evaluations == stages * res.steps
     assert len(calls) == res.evaluations + len(res.records)
+
+
+def _stop_case(variant):
+    """A single-interval stationary run on the small grid at the stability
+    bound, its operator, rho_inf, initial state and step."""
+    cfg = small_cfg(variant, t_final=40.0, record_every=1000)
+    op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, variant)
+    rho_inf, _ = maxwellian(cfg.grid, cfg.params, cfg.potential)
+    state0 = K.make_initial_state(cfg.init, cfg.grid, cfg.params, cfg.potential)
+    return cfg, op, rho_inf, state0, time_steps(cfg.t_final, op.stable_dt())[1]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_stationary_stop_is_the_first_step_within_the_target(variant):
+    # against an independent loop of k-step calls without a stop: the run
+    # ends at the first k whose end state meets the target, inside its one
+    # record interval, with the k-step call's state bit for bit, recorded at
+    # k dt; a run with a record every k steps ends in the same bits
+    cfg, op, rho_inf, state0, dt = _stop_case(variant)
+    for target in (0.15, 0.07, 0.03):
+        k, ref = next((k, ref) for k in range(1, 40)
+                      if K.l1_distance((ref := K.step_kfp(state0, op, dt, steps=k)).rho,
+                                       rho_inf, cfg.grid) <= target)
+        res = K.integrate(cfg, l1_stop=target)
+        assert res.converged and res.steps == k and 1 < k < cfg.record_every
+        assert len(res.records) == 2 and res.records[-1].t == k * dt
+        assert res.records[-1].l1 <= target
+        assert np.array_equal(_bits(res.state.rho), _bits(ref.rho))
+        assert _bits(res.state.e) == _bits(ref.e)
+        cadence = K.integrate(dataclasses.replace(cfg, record_every=k), l1_stop=target)
+        assert cadence.steps == k and np.array_equal(_bits(cadence.state.rho),
+                                                     _bits(res.state.rho))
+        assert np.array_equal(_bits(dataclasses.astuple(cadence.records[-1])),
+                              _bits(dataclasses.astuple(res.records[-1])))
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 5, 1000])
+def test_stationary_stop_state_always_meets_the_target(record_every):
+    # whatever the cadence, the run ends at the same first step within the
+    # target and its last record meets it
+    cfg, *_ = _stop_case(Variant.DMR)
+    cfg = dataclasses.replace(cfg, record_every=record_every)
+    for target in (0.2, 0.1, 0.05, 0.03):
+        res = K.integrate(cfg, l1_stop=target)
+        assert res.converged and res.records[-1].l1 <= target
+        rho_inf = maxwellian(cfg.grid, cfg.params, cfg.potential)[0]
+        assert K.l1_distance(res.state.rho, rho_inf, cfg.grid) == res.records[-1].l1
+        assert res.steps == {0.2: 2, 0.1: 8, 0.05: 12, 0.03: 16}[target]
+
+
+def test_stationary_stop_counts_its_probe_updates(monkeypatch):
+    # steps + 1 dissipative updates plus one per probe; a probe (a single
+    # update) follows exactly the merged updates whose state is within the
+    # target, and the last probe is the stop: at 0.03 the merged states of
+    # steps 14, 15 and 16 are within it, the end states of 14 and 15 not
+    cfg, op, rho_inf, state0, dt = _stop_case(Variant.DMR)
+    calls, dissipate = [], K.KfpOperator._dissipate_into
+
+    def counted(op, rho, h, out, pair=False):
+        de = dissipate(op, rho, h, out, pair)
+        calls.append((pair, K.l1_distance(out, rho_inf, op.grid)))
+        return de
+
+    monkeypatch.setattr(K.KfpOperator, "_dissipate_into", counted)
+    res = K.integrate(cfg, l1_stop=0.03)
+    merged = [l1 for pair, l1 in calls if pair]
+    probes = [l1 for pair, l1 in calls[1:] if not pair]
+    assert res.steps == 16 and len(merged) == res.steps
+    assert len(probes) == sum(l1 <= 0.03 for l1 in merged) == 3
+    assert len(calls) == res.steps + 1 + len(probes)
+    assert [l1 <= 0.03 for l1 in probes] == [False, False, True]
+    for (pair, l1), after in zip(calls, calls[1:]):
+        assert (not after[0]) == (pair and l1 <= 0.03)
+    assert probes[-1] == res.records[-1].l1
+
+
+def test_stationary_probes_leave_the_steps_unchanged():
+    # a call whose probes find no end state within the target, and a run
+    # that ends at t_final first, are those without a stop bit for bit; the
+    # DMR merged state of step 14 is within 0.03, its end state not
+    cfg, op, rho_inf, state0, dt = _stop_case(Variant.DMR)
+    state, taken = K.step_kfp(state0, op, dt, steps=15, stop=(rho_inf, 0.03))
+    ref = K.step_kfp(state0, op, dt, steps=15)
+    assert taken == 15
+    assert np.array_equal(_bits(state.rho), _bits(ref.rho)) and _bits(state.e) == _bits(ref.e)
+    cfg = dataclasses.replace(cfg, dt=dt, t_final=15 * dt, record_every=4)
+    stopping, plain = K.integrate(cfg, l1_stop=0.03), K.integrate(cfg)
+    assert not stopping.converged and stopping.steps == plain.steps == 15
+    assert np.array_equal(_bits(stopping.state.rho), _bits(plain.state.rho))
+    assert [dataclasses.astuple(r) for r in stopping.records] == \
+        [dataclasses.astuple(r) for r in plain.records]
 
 
 @pytest.mark.parametrize("variant,c", KINETIC_CASES)
@@ -1282,6 +1373,25 @@ def test_stationary_runs_at_infinite_c_with_the_default_variant(tmp_path, capsys
     steps, evaluations = map(int, re.search(r"steps (\d+), transport evaluations (\d+)\)",
                                             capsys.readouterr().out).groups())
     assert steps > 0 and evaluations == 6 * steps
+
+
+def test_summary_lines_name_the_step_and_its_bound(tmp_path, capsys):
+    # stationary runs step at stable_dt, kfp runs at transient_dt, and an
+    # explicit solver.dt is named as such; the result holds the step taken
+    base = ("model.c = 2\npotential.kind = cosine\ngrid.nq = 16\ngrid.np = 32\n"
+            "solver.t_final = 2\ninit.p0 = 0.5\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(base)
+    cfg = load_config(path, "kfp")
+    op = K.KfpOperator(cfg.phase_grid, cfg.params, cfg.potential, cfg.variant)
+    for experiment, extra, source, dt in (
+            ("stationary", "stationary.l1_target = 0.15\n", "stable_dt", op.stable_dt()),
+            ("kfp", "", "transient_dt", op.transient_dt()),
+            ("kfp", "solver.dt = 0.05\n", "solver.dt", 0.05)):
+        path.write_text(f"experiment = {experiment}\n" + base + extra)
+        assert main([experiment, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        step = time_steps(2.0, dt)[1]
+        assert f"; dt {step:.6g} from {source}; steps " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("variant", ["dh", "dmr"])
