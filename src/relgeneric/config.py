@@ -155,8 +155,6 @@ KEYS = (
     *(Key(f"model.{name}", _number, 1.0, _POSITIVE, field=f"params.{name}", solver="kfp")
       for name in ("m", "gamma", "theta")),
     Key("model.nu", _number, 1.0, _POSITIVE, field="params.nu", solver="heat"),
-    Key("model.d", _integer, 1, (lambda v: v == 1, "solvers support d = 1 only"),
-        field="params.d", experiments=("kfp", "stationary")),
     Key("model.variant", _choice("dh", "dmr", cast=Variant), Variant.DH,
         field="variant", experiments=_STEPPED, solver="kfp"),
     Key("potential.kind", _choice("zero", "harmonic", "cosine"), "zero", solver="kfp"),
@@ -299,6 +297,6 @@ def load_config(path: str, experiment: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config(text, experiment)

@@ -7,7 +7,3 @@ class StabilityError(RuntimeError):
 
 class PositivityError(RuntimeError):
     """A density went below the allowed negative excursion."""
-
-
-class NonConvergenceError(RuntimeError):
-    """A stationarity run ended far from the equilibrium target."""

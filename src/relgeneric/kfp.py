@@ -25,10 +25,10 @@ Only transport limits the step, and two steps derive from its velocities:
 the split step's stability bound ``KfpOperator.stable_dt``, a 6-stage
 step, and the smaller ``KfpOperator.transient_dt``, an RK4 step that bounds
 the Strang splitting error.  ``integrate`` steps at the stability
-bound when it stops at stationarity (``run_to_stationarity``), where only
-the end state counts, and at the transient step otherwise.  A stationary
-run ends at the first split step whose end state meets its L1 target,
-between records as well as at them.
+bound when it stops at stationarity (``l1_stop``), where only the end
+state counts, and at the transient step otherwise.  A stationary run ends
+at the first split step whose end state meets its L1 target, between
+records as well as at them, or at t_final with ``converged`` false.
 
 Between two records the trailing half step of one step and the leading half
 step of the next run back to back, so ``step_kfp(..., steps=n)`` merges each
@@ -48,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from . import generic
-from .errors import NonConvergenceError, PositivityError, StabilityError
+from .errors import PositivityError, StabilityError
 from .generic import (DiagnosticsRecord, State, face_div_p, face_grad_p, faces_of,
                       grad_p, grad_q, inner)
 from .grid import PhaseGrid, time_steps
@@ -590,7 +590,8 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     l1_stop of the closed-form Maxwellian in L1, whatever the cadence: the
     interval's ``step_kfp`` call tests each of its steps and ends at that
     one, and the stop state is recorded at its own time, (done + k) dt, as
-    any record is.  ``on_record(state, t, index)`` is called
+    any record is.  A run that reaches t_final outside l1_stop returns as
+    well, with ``converged`` false.  ``on_record(state, t, index)`` is called
     after each record with its time and its index in ``records``, counted
     from 0; its return value is ignored.  Each record is one ``RecordPass`` over
     the operator's workspace, free between step_kfp calls, so a record
@@ -645,19 +646,3 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     return KfpRunResult(records=records, state=state, rho_inf=rho_inf, e_inf=e_inf,
                         converged=converged, steps=done, evaluations=evaluations,
                         dt=step_dt)
-
-
-def run_to_stationarity(cfg: KfpConfig, l1_target: float = 1e-3,
-                        state0: State | None = None, on_record=None) -> KfpRunResult:
-    """Integrate until the density is within l1_target of the Maxwellian.
-
-    The run ends at the first split step within the target, not at the next
-    record (``integrate`` with ``l1_stop``).  Raises NonConvergenceError
-    when t_final is reached with an L1 distance above ten times the target.
-    """
-    result = integrate(cfg, state0=state0, l1_stop=l1_target, on_record=on_record)
-    last = result.records[-1]
-    if not result.converged and last.l1 > 10.0 * l1_target:
-        raise NonConvergenceError(
-            f"L1 distance {last.l1:.3e} still above 10 x {l1_target:g} at t={last.t:g}")
-    return result

@@ -11,7 +11,7 @@ kinetic sweep at the transient step, each member running the configured
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,21 +22,14 @@ from .kfp import KfpOperator, make_initial_state, step_kfp
 from .model import INFINITE
 
 
-@dataclass
-class LimitResult:
-    kind: str
-    deviations: list          # (c, max-norm deviation from classical) pairs
-    monotone: bool
-
-
 def heat_initial(cfg: RunConfig, grid: LineGrid) -> np.ndarray:
     sigma = cfg.heat_sigma if cfg.heat_sigma is not None else grid.L / 10.0
     width = cfg.heat_width if cfg.heat_width is not None else grid.L / 4.0
     return HT.initial_profile(cfg.heat_init_kind, grid, sigma=sigma, width=width)
 
 
-def run_limit_study(cfg: RunConfig) -> LimitResult:
-    """Each swept c's max-norm deviation from the c = INFINITE member at t_final."""
+def run_limit_study(cfg: RunConfig) -> list[tuple[float, float]]:
+    """(c, max-norm deviation from the c = INFINITE member at t_final) for each swept c."""
     members = [replace(cfg.params, c=c) for c in cfg.limit_cs + (INFINITE,)]
     if cfg.limit_kind == "heat":
         grid, runs = cfg.heat_grid, members
@@ -59,16 +52,13 @@ def run_limit_study(cfg: RunConfig) -> LimitResult:
     dt = min(auto_dt + ([] if cfg.dt is None else [cfg.dt]))
     rho_classical = final_density(runs[-1], dt)
     # zip stops before the classical member
-    deviations = [(c, float(np.abs(final_density(run, dt) - rho_classical).max()))
-                  for c, run in zip(cfg.limit_cs, runs)]
-    devs = [d for _, d in deviations]
-    monotone = all(b < a for a, b in zip(devs, devs[1:]))
-    return LimitResult(kind=cfg.limit_kind, deviations=deviations, monotone=monotone)
+    return [(c, float(np.abs(final_density(run, dt) - rho_classical).max()))
+            for c, run in zip(cfg.limit_cs, runs)]
 
 
-def write_limit_csv(result: LimitResult, path) -> None:
+def write_limit_csv(deviations, path) -> None:
     lines = ["c,deviation"]
-    for c, dev in result.deviations:
+    for c, dev in deviations:
         lines.append(f"{format(c, '.17g')},{format(dev, '.17g')}")
     try:
         with open(path, "w", encoding="utf-8") as fh:

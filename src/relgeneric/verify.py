@@ -40,7 +40,8 @@ class CheckResult:
     note: str = ""
 
 
-def _check(name, measured, tolerance, op="<=", note="") -> CheckResult:
+def check(name, measured, tolerance, op="<=", note="") -> CheckResult:
+    """The check that passes when ``measured op tolerance`` holds."""
     ok = measured <= tolerance if op == "<=" else measured >= tolerance
     return CheckResult(name=name, measured=float(measured), tolerance=float(tolerance),
                        op=op, passed=bool(ok), note=note)
@@ -84,20 +85,20 @@ def model_checks(rng: SplitMix64, n_samples: int) -> list[CheckResult]:
     drift = mobility_drift(p, Variant.DH, params)
     resid = np.linalg.norm(drift - p / params.m, axis=-1)
     allowance = 1.0 + np.linalg.norm(p, axis=-1) / params.m
-    out.append(_check("fluctuation-dissipation |D grad_p H - p/m| (DH)",
+    out.append(check("fluctuation-dissipation |D grad_p H - p/m| (DH)",
                       float((resid / allowance).max()), 1e-12,
                       note=f"{n_samples} momenta, d=3"))
 
     xi = rng.uniforms(n_samples * 3, -1.0, 1.0).reshape(-1, 3)
     dm = diffusion_matrix(p, Variant.DH, params)
     quad = np.einsum("ni,nij,nj->n", xi, dm, xi)
-    out.append(_check("diffusion matrix PSD: min xi^T D xi / |xi|^2",
+    out.append(check("diffusion matrix PSD: min xi^T D xi / |xi|^2",
                       float((quad / np.sum(xi * xi, axis=-1)).min()), -1e-14,
                       op=">=", note=f"{n_samples} (p, xi) pairs"))
 
     speed = np.linalg.norm(velocity(p, params), axis=-1)
     big = np.linalg.norm(velocity(np.array([[1e6, 0.0, 0.0]]), params), axis=-1)
-    out.append(_check("bounded velocity: max |grad_p H| / c",
+    out.append(check("bounded velocity: max |grad_p H| / c",
                       float(max(speed.max(), big.max()) / params.c), 1.0 - 1e-15))
 
     fast = ModelParams(m=1.0, c=1e6, gamma=1.0, theta=1.0, d=3)
@@ -105,11 +106,11 @@ def model_checks(rng: SplitMix64, n_samples: int) -> list[CheckResult]:
     vel_dev = np.linalg.norm(velocity(pf, fast) - pf / fast.m, axis=-1) \
         / np.linalg.norm(pf / fast.m, axis=-1)
     dm_dev = np.abs(diffusion_matrix(pf, Variant.DH, fast) - np.eye(3)).max()
-    out.append(_check("classical limit c=1e6: velocity vs p/m", float(vel_dev.max()), 1e-6))
-    out.append(_check("classical limit c=1e6: D(p) vs identity", float(dm_dev), 1e-6))
+    out.append(check("classical limit c=1e6: velocity vs p/m", float(vel_dev.max()), 1e-6))
+    out.append(check("classical limit c=1e6: D(p) vs identity", float(dm_dev), 1e-6))
 
     div = mobility_drift_divergence(p, Variant.DMR, params)
-    out.append(_check("DMR divergence bound: max(div - d/m)",
+    out.append(check("DMR divergence bound: max(div - d/m)",
                       float((div - params.d / params.m).max()), 1e-14))
     return out
 
@@ -149,9 +150,9 @@ def operator_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
         for variant in variants:
             m12, m21, scale = _bracket_pair(at[variant].dissipative, v1, v2, grid)
             worst_m = max(worst_m, abs(m12 - m21) / scale)
-    out.append(_check("Poisson bracket antisymmetry (relative)", worst_l, 1e-12,
+    out.append(check("Poisson bracket antisymmetry (relative)", worst_l, 1e-12,
                       note=f"{opts.bracket_pairs} pairs"))
-    out.append(_check("dissipative bracket symmetry (relative)", worst_m, 1e-12,
+    out.append(check("dissipative bracket symmetry (relative)", worst_m, 1e-12,
                       note=f"{opts.bracket_pairs} pairs, both variants"))
 
     worst_psd = np.inf
@@ -164,7 +165,7 @@ def operator_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
             br.face_weight * (np.abs(gxi) + abs(v.r) * np.abs(br.fields.gh_face)) ** 2)) \
             * grid.cell_volume + 1e-300
         worst_psd = min(worst_psd, quad / scale)
-    out.append(_check("dissipative bracket positivity: min [v,v]/scale",
+    out.append(check("dissipative bracket positivity: min [v,v]/scale",
                       worst_psd, -1e-14, op=">=", note=f"{opts.psd_samples} vectors"))
 
     worst_deg = 0.0
@@ -185,9 +186,9 @@ def operator_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
             scale = float(np.sum(np.abs(tend))) * grid.cell_volume + 1e-300
             worst_mass = max(worst_mass,
                              abs(float(np.sum(tend)) * grid.cell_volume) / scale)
-    out.append(_check("degeneracy |M dE| / |M (H,0)|", worst_deg, 1e-12,
+    out.append(check("degeneracy |M dE| / |M (H,0)|", worst_deg, 1e-12,
                       note="20 states, both variants"))
-    out.append(_check("operator mass conservation (relative)", worst_mass, 1e-12))
+    out.append(check("operator mass conservation (relative)", worst_mass, 1e-12))
     return out
 
 
@@ -203,7 +204,7 @@ def jacobi_checks(rng: SplitMix64) -> list[CheckResult]:
     fns = [quad_fn(a, random_field(rng, (2,)), rng.uniform()) for a in (a1, a2, a3)]
     z = random_field(rng, (2,))
     resid, _ = G.jacobi_residual_fd(j2, *fns, z=z)
-    out.append(_check("Jacobi residual: quadratic observables, canonical J",
+    out.append(check("Jacobi residual: quadratic observables, canonical J",
                       resid, 1e-10))
 
     n = 4
@@ -218,13 +219,13 @@ def jacobi_checks(rng: SplitMix64) -> list[CheckResult]:
     fns = [cubic_fn(c) for c in coeffs]
     z = random_field(rng, (n,))
     resid, scale = G.jacobi_residual_fd(lmat, *fns, z=z)
-    out.append(_check("Jacobi residual: cubic observables, random antisymmetric L",
+    out.append(check("Jacobi residual: cubic observables, random antisymmetric L",
                       resid / scale, 1e-4, note="n=4"))
 
     resid, _ = G.jacobi_residual_fd(j2, quad_fn(a1, random_field(rng, (2,)), 0.0),
                                     quad_fn(a2, random_field(rng, (2,)), 0.0), lambda z: 1.5,
                                     z=random_field(rng, (2,)))
-    out.append(_check("Jacobi residual: constant observable", resid, 1e-12))
+    out.append(check("Jacobi residual: constant observable", resid, 1e-12))
     return out
 
 
@@ -247,7 +248,7 @@ def gradient_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
                   - functional(minus, grid, params, *more)) / (2 * eps)
             predicted = G.inner(grid, v.xi, delta) + v.r * de
             worst[k] = max(worst[k], abs(fd - predicted) / (abs(fd) + 1e-300))
-    return [_check(f"{name} gradient vs directional finite difference", w, 1e-6,
+    return [check(f"{name} gradient vs directional finite difference", w, 1e-6,
                    note=f"{n_checks} perturbations") for (name, *_), w in zip(pairs, worst)]
 
 
@@ -278,11 +279,11 @@ def refinement_checks() -> list[CheckResult]:
         l_rho, _ = G.Brackets(state, grid, rel, hpot, Variant.DH).poisson(v_e)
         transport.append(G.grid_norm(grid, l_rho))
     slope, note = _refinement_order(l_ds)
-    out = [_check("L dS refinement order in [1.7, 2.3] (32/64/128)", slope, 1.7, op=">=",
+    out = [check("L dS refinement order in [1.7, 2.3] (32/64/128)", slope, 1.7, op=">=",
                   note=note),
-           _check("L dS refinement order upper bound", slope, 2.3)]
+           check("L dS refinement order upper bound", slope, 2.3)]
     slope, note = _refinement_order(transport)
-    out.append(_check("transport residual at Maxwellian: refinement order",
+    out.append(check("transport residual at Maxwellian: refinement order",
                       slope, 1.7, op=">=", note=note))
     return out
 
@@ -305,7 +306,7 @@ def assembly_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
                         abs(de1), abs(de2), 1e-300)
             worst = max(worst, float(np.abs(drho1 - drho2).max()) / scale,
                         abs(de1 - de2) / scale)
-    out.append(_check("kinetic dual assembly: rhs vs L dE + M dS", worst, 1e-10,
+    out.append(check("kinetic dual assembly: rhs vs L dE + M dS", worst, 1e-10,
                       note=f"{n_states} states, both variants"))
 
     hgrid = LineGrid(N=64, L=2.0)
@@ -317,7 +318,7 @@ def assembly_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
         r2 = HT.heat_rhs_via_potential(rho, hgrid, hparams)
         scale = float(np.abs(r1).max()) + 1e-300
         worst = max(worst, float(np.abs(r1 - r2).max()) / scale)
-    out.append(_check("heat dual assembly: flux form vs dissipation potential",
+    out.append(check("heat dual assembly: flux form vs dissipation potential",
                       worst, 1e-12, note=f"{n_states} positive states"))
     return out
 

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,17 @@ from relgeneric.rng import SplitMix64
 # everything between
 EXTREME = (st.sampled_from(["1e-300", "1e-12", "0.05", "1", "20", "1e12", "1e308"])
            | st.floats(1e-6, 1e6).map(repr))
+
+
+# a check line the CLI prints: its verdict, name, measured value, op and tolerance
+CHECK_LINE = re.compile(r"^  \[(PASS|FAIL)\] (.+): (\S+) (<=|>=) (\S+)$", re.MULTILINE)
+
+
+def printed_checks(printed: str) -> list[tuple]:
+    """(passed, name, measured, op, tolerance) of each check line in ``printed``;
+    a measured value or tolerance that is not a number fails the caller."""
+    return [(verdict == "PASS", name, float(measured), op, float(tolerance))
+            for verdict, name, measured, op, tolerance in CHECK_LINE.findall(printed)]
 
 
 @pytest.fixture
@@ -60,7 +72,8 @@ def run_to_named_outcome(experiment: str, text: str, base) -> str:
     """Run the config ``text`` through the CLI in ``base``; returns what it printed.
 
     The run must exit 0 with a finite timeseries.csv, 1 with a named solver
-    error or failed check, or 2 with a config error; never a traceback.
+    error or a failed check that prints its measured value and tolerance, or
+    2 with a config error; never a traceback.
     """
     path = base / "fuzzed.cfg"
     path.write_text(text, encoding="utf-8")
@@ -72,7 +85,8 @@ def run_to_named_outcome(experiment: str, text: str, base) -> str:
     if code == 2:
         assert printed.startswith("configuration error: "), (text, printed)
     elif code == 1:
-        assert printed.startswith("run failed: ") or "[FAIL] " in printed, (text, printed)
+        assert (printed.startswith("run failed: ")
+                or any(not passed for passed, *_ in printed_checks(printed))), (text, printed)
     else:
         records = read_timeseries_csv(base / "out" / "timeseries.csv")
         values = [v for rec in records for v in dataclasses.astuple(rec) if v is not None]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +16,7 @@ from relgeneric.config import VerifyOptions, load_config, parse_config
 from relgeneric.rng import SplitMix64
 from relgeneric.verify import operator_checks, run_verify
 
-from conftest import perturb_drift
+from conftest import perturb_drift, printed_checks
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -176,11 +177,72 @@ def test_cli_kfp_run_deterministic(tmp_path):
         == (out2 / "density_final.txt").read_bytes()
 
 
+# a line of the verify report: name, measured value, op, tolerance and verdict
+REPORT_LINE = re.compile(r"^(.+?) +(\S+) (<=|>=) +(\S+)  (PASS|FAIL)", re.MULTILINE)
+VERIFY_SMALL = ("verify.psd_samples = 20\nverify.fd_samples = 100\n"
+                "verify.bracket_pairs = 5\nverify.assembly_states = 2\n"
+                "grid.nq = 16\ngrid.np = 16\ngrid.lq = 16.0\ngrid.pmax = 34.0\n")
+STATIONARY_CHECKS = ["mass drift", "relative energy drift", "entropy change per sample",
+                     "relative entropy change per sample",
+                     "d/dt int H rho vs gamma theta d/m", "L1 distance to the Maxwellian"]
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("heat", "heat_bump"), ("kfp", "kfp_conserve"), ("stationary", "stationary_dmr"),
+    ("limit-study", "limit_kfp"), ("verify", None)])
+def test_printed_verdicts_are_their_comparisons(tmp_path, capsys, experiment, config):
+    # every verdict the CLI prints is its measured value compared with its tolerance
+    if config is None:
+        (path := tmp_path / "verify.cfg").write_text(VERIFY_SMALL)
+    else:
+        path = CONFIGS / f"{config}.cfg"
+    code = run_cli(experiment, "--config", str(path), "--out", str(tmp_path / "o"))
+    printed = capsys.readouterr().out
+    if experiment == "verify":
+        checks = [(verdict == "PASS", name, float(measured), op, float(tolerance))
+                  for name, measured, op, tolerance, verdict in REPORT_LINE.findall(printed)]
+    else:
+        checks = printed_checks(printed)
+    # each printed verdict is on a parsed check line
+    assert len(checks) == len(re.findall(r"\b(?:PASS|FAIL)\b", printed)) > 0, printed
+    for passed, _, measured, op, tolerance in checks:
+        assert passed == (measured <= tolerance if op == "<=" else measured >= tolerance)
+    assert code == (0 if all(passed for passed, *_ in checks) else 1)
+
+
+def test_stationary_run_that_misses_its_target_writes_and_fails_its_l1_check(tmp_path,
+                                                                                capsys):
+    # stationary_dmr stopped at t = 2, far from its 1e-3 target: the outputs are
+    # written and every check printed, and only the L1 check fails
+    text = (CONFIGS / "stationary_dmr.cfg").read_text()
+    (path := tmp_path / "short.cfg").write_text(
+        text.replace("solver.t_final = 40.0", "solver.t_final = 2"))
+    out = tmp_path / "o"
+    assert run_cli("stationary", "--config", str(path), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (out / "timeseries.csv").is_file() and (out / "density_final.txt").is_file()
+    checks = printed_checks(captured.out)
+    assert [name for _, name, *_ in checks] == STATIONARY_CHECKS
+    assert [passed for passed, *_ in checks] == [True] * 5 + [False]
+    assert checks[-1][2] > 0.1 and checks[-1][4] == 1e-3
+
+
+def test_limit_check_counts_a_non_falling_pair(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("relgeneric.cli.run_limit_study",
+                        lambda cfg: [(10.0, 1e-2), (100.0, 1e-2), (1000.0, 1e-4)])
+    out = tmp_path / "o"
+    assert run_cli("limit-study", "--config", str(CONFIGS / "limit_heat.cfg"),
+                   "--out", str(out)) == 1
+    assert printed_checks(capsys.readouterr().out) == [
+        (False, "c pairs whose deviation does not fall", 1.0, "<=", 0.0)]
+    assert (out / "limit_study.csv").read_text().splitlines()[1:] == [
+        "10,0.01", "100,0.01", "1000,0.0001"]
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     cfg = tmp_path / "v.cfg"
-    cfg.write_text("verify.psd_samples = 20\nverify.fd_samples = 100\n"
-                   "verify.bracket_pairs = 5\nverify.assembly_states = 2\n"
-                   "grid.nq = 16\ngrid.np = 16\ngrid.lq = 16.0\ngrid.pmax = 34.0\n")
+    cfg.write_text(VERIFY_SMALL)
     # the child imports the package under test, installed or not
     src = str(Path(relgeneric.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
