@@ -73,53 +73,30 @@ def _run_heat(cfg: RunConfig, out: Path) -> int:
     return 0 if _print_checks(checks) else 1
 
 
-def _kfp_checks(cfg: RunConfig, records):
-    e0 = records[0].E
-    drift = max(abs(r.mass - records[0].mass) for r in records)
-    energy = max(abs(r.E - e0) for r in records) / abs(e0)
+def _run_kfp(cfg: RunConfig, out: Path) -> int:
+    """A kfp run, or with the experiment's L1 target a stationary one."""
+    target = cfg.l1_target if cfg.experiment == "stationary" else None
+    res = _stepped(cfg, out, "kfp", KF.integrate, KF.KfpConfig(
+        grid=cfg.phase_grid, params=cfg.params, potential=cfg.potential, variant=cfg.variant,
+        dt=cfg.dt, t_final=cfg.t_final, record_every=cfg.record_every, init=cfg.init),
+        l1_stop=target)
+    records, last = res.records, res.records[-1]
+    print(f"{cfg.experiment} run ({cfg.variant.value}) ended at t={last.t:g}, "
+          f"L1 distance {last.l1:.3e}, excess e_inf={res.e_inf:.6g} "
+          f"({len(records)} records; dt {res.dt:.6g} from {res.dt_from}; "
+          f"steps {res.steps}, transport evaluations {res.evaluations}) -> {out}")
+    energy = max(abs(r.E - records[0].E) for r in records) / abs(records[0].E)
     fall = min(np.diff([r.S for r in records]), default=0.0)
     rise = max(np.diff([r.relEnt for r in records]), default=0.0)
-    rate = max(r.dHrho_dt for r in records)
     bound = cfg.params.gamma * cfg.params.theta * cfg.params.d / cfg.params.m
-    return [
-        check("mass drift", drift, 1e-10),
+    checks = [
+        check("mass drift", max(abs(r.mass - records[0].mass) for r in records), 1e-10),
         check("relative energy drift", energy, 1e-6),
         check("entropy change per sample", fall, -1e-8, ">="),
         check("relative entropy change per sample", rise, 1e-8),
-        check("d/dt int H rho vs gamma theta d/m", rate, bound + 1e-10),
-    ]
-
-
-def _kfp_config(cfg: RunConfig) -> KF.KfpConfig:
-    return KF.KfpConfig(grid=cfg.phase_grid, params=cfg.params,
-                        potential=cfg.potential, variant=cfg.variant,
-                        dt=cfg.dt, t_final=cfg.t_final,
-                        record_every=cfg.record_every, init=cfg.init)
-
-
-def _step_of(cfg: RunConfig, res, auto: str) -> str:
-    """The split step of a kinetic run and the bound that gave it."""
-    return f"dt {res.dt:.6g} from {'solver.dt' if cfg.dt is not None else auto}"
-
-
-def _run_kfp(cfg: RunConfig, out: Path) -> int:
-    res = _stepped(cfg, out, "kfp", KF.integrate, _kfp_config(cfg))
-    print(f"kfp run ({cfg.variant.value}) finished at t={res.records[-1].t:g} "
-          f"({len(res.records)} records; {_step_of(cfg, res, 'transient_dt')}; "
-          f"steps {res.steps}, "
-          f"transport evaluations {res.evaluations}) -> {out}")
-    return 0 if _print_checks(_kfp_checks(cfg, res.records)) else 1
-
-
-def _run_stationary(cfg: RunConfig, out: Path) -> int:
-    res = _stepped(cfg, out, "kfp", KF.integrate, _kfp_config(cfg), l1_stop=cfg.l1_target)
-    last = res.records[-1]
-    print(f"stationary run ({cfg.variant.value}) ended at t={last.t:g}, "
-          f"L1 distance {last.l1:.3e}, excess e_inf={res.e_inf:.6g} "
-          f"({len(res.records)} records; {_step_of(cfg, res, 'stable_dt')}; "
-          f"steps {res.steps}, transport evaluations {res.evaluations}) -> {out}")
-    checks = _kfp_checks(cfg, res.records) + [
-        check("L1 distance to the Maxwellian", last.l1, cfg.l1_target)]
+        check("d/dt int H rho vs gamma theta d/m", max(r.dHrho_dt for r in records),
+              bound + 1e-10),
+    ] + ([] if target is None else [check("L1 distance to the Maxwellian", last.l1, target)])
     return 0 if _print_checks(checks) else 1
 
 
@@ -141,7 +118,7 @@ def _run_limit(cfg: RunConfig, out: Path) -> int:
     return 0 if _print_checks([check("c pairs whose deviation does not fall", stalls, 0)]) else 1
 
 
-_RUNNERS = {"heat": _run_heat, "kfp": _run_kfp, "stationary": _run_stationary,
+_RUNNERS = {"heat": _run_heat, "kfp": _run_kfp, "stationary": _run_kfp,
             "verify": _run_verify, "limit-study": _run_limit}
 
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError, StabilityError
-from .generic import DiagnosticsRecord
+from .generic import DiagnosticsRecord, log_density
 from .grid import LineGrid, time_steps
 from .model import ModelParams
 
@@ -326,14 +326,6 @@ def stable_dt(grid: LineGrid, params: ModelParams) -> float:
     return dt
 
 
-def _check_dt(dt: float, grid: LineGrid, params: ModelParams) -> None:
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    bound = stable_dt(grid, params)
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityError(f"dt={dt:g} exceeds the stability bound {bound:g}")
-
-
 def _reach(stages: int, bound: float) -> float:
     """The longest step that s >= 2 RKL2 stages take stably: (s^2 + s - 2) / 4
     times the Euler bound."""
@@ -452,16 +444,6 @@ class _Workspace:
                                    f"stage {j} of {stages} of "))
         self.gated, self.open = self.faces[1:], None
 
-    def saturations(self, size: int) -> list:
-        """``saturation_excess`` of the states stages 0 to size - 1 stepped
-        from, from the flux they left; uses up that flux."""
-        return _saturations(self.flux[:size], self.rbar[:size], self.kappa)
-
-    def entropies(self, first: int, size: int) -> list:
-        """``boltzmann_entropy`` of rows first to first + size - 1."""
-        return _entropies(self.rows[first:first + size], self.grid,
-                          self.checks[:size], self.check_mask[:size])
-
     def gate(self, reached) -> None:
         """Let the stages pass flux only through the faces in the boolean mask
         ``reached`` (None: every face)."""
@@ -524,7 +506,10 @@ def step_heat(state: HeatState, grid: LineGrid, params: ModelParams,
     or a result that is not finite, and PositivityError on an undershoot
     below NEGATIVE_TOL; the errors of the step name its lowest cell and state.t.
     """
-    _check_dt(dt, grid, params)
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    if dt > (bound := stable_dt(grid, params)) * (1.0 + 1e-12):
+        raise StabilityError(f"dt={dt:g} exceeds the stability bound {bound:g}")
     cone, reached = _cone_and_reached(state, grid, params)
     ws = _Workspace(grid, params, dt, 1, 1, state.rho)
     ws.gate(reached)
@@ -541,8 +526,7 @@ def _entropies(rows: np.ndarray, grid: LineGrid, work: np.ndarray | None = None,
     with scratch of its shape; a row may end in a ghost cell.  rho log rho
     overflows from about 2.5e305 on: such an entropy is -inf, silently, and
     ``run_heat`` names it."""
-    contrib = np.maximum(rows, 1e-300, out=work)
-    np.log(contrib, out=contrib)
+    contrib = log_density(rows, out=work)
     with np.errstate(over="ignore"):
         contrib *= rows
         vacuum = np.greater(rows, 0.0, out=mask)
@@ -560,7 +544,7 @@ def entropy_rate(rho: np.ndarray, grid: LineGrid, params: ModelParams,
                  reached=None) -> float:
     """Instantaneous dS/dt = <dS/drho, rhs> of the tendency gated by
     ``reached`` (``reached_faces`` of the state); nonnegative face by face."""
-    xi = -(np.log(np.maximum(rho, 1e-300)) + 1.0)
+    xi = -(log_density(rho) + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):   # a rate beyond the float range
         return float(np.sum(xi * heat_rhs(rho, grid, params, reached))) * grid.h
 
@@ -706,7 +690,7 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | 
     record(state)
     max_sat = -math.inf
     min_ds = 0.0
-    entropy = ws.entropies(0, 1)[0]
+    entropy = records[0].S
     t = opens_at = 0.0
     for start in range(0, n_steps, block):
         size = min(block, n_steps - start)
@@ -724,8 +708,11 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | 
                 record(state)
         if overflow:                        # after the block, whose step may fail first
             raise StabilityError(overflow[0])
-        max_sat = max(max_sat, *ws.saturations(size * stages))
-        for new_entropy in ws.entropies(1, size):
+        # the block's checks, from the flux its stages left and the states they made
+        evaluated = size * stages
+        max_sat = max(max_sat, *_saturations(ws.flux[:evaluated], ws.rbar[:evaluated], ws.kappa))
+        for new_entropy in _entropies(ws.rows[1:size + 1], grid, ws.checks[:size],
+                                      ws.check_mask[:size]):
             min_ds = min(min_ds, new_entropy - entropy)
             entropy = new_entropy
         ws.rows[0] = ws.rows[size]

@@ -362,7 +362,7 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def _check_mass(name: str, mass: float) -> None:
-    if abs(mass - 1.0) > 1e-6:
+    if not abs(mass - 1.0) <= 1e-6:                 # NaN fails too
         raise ValueError(f"{name} must have discrete mass 1, got {mass!r}")
 
 
@@ -455,22 +455,28 @@ class RecordPass:
 
 def make_initial_state(init: InitSpec, grid: PhaseGrid, params: ModelParams,
                        potential: Potential) -> State:
+    """``init``'s density on the cells at discrete mass 1 (an overflowing exponent takes
+    the limit 0); ValueError when it has no finite positive mass on the grid."""
     qv = grid.q_mesh[..., np.newaxis]
     pv = grid.p_mesh[..., np.newaxis]
-    if init.kind == "shifted-maxwellian":
-        h = hamiltonian(qv, pv - init.p0, params, potential)
-        rho = np.exp(-(h - h.min()) / params.theta)
-    elif init.kind == "gaussian":
-        if init.sigma_q <= 0 or init.sigma_p <= 0:
-            raise ValueError("gaussian init needs sigma_q > 0 and sigma_p > 0")
-        rho = (np.exp(-0.5 * ((grid.q_mesh - init.q0) / init.sigma_q) ** 2)
-               * np.exp(-0.5 * ((grid.p_mesh - init.p0) / init.sigma_p) ** 2))
-    elif init.kind == "uniform":
-        rho = np.ones(grid.shape)
-    else:
-        raise ValueError(f"unknown kfp initial condition kind '{init.kind}'")
-    rho = rho / (float(np.sum(rho)) * grid.cell_volume)
-    return State(rho=rho, e=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):     # the mass below names a NaN
+        if init.kind == "shifted-maxwellian":
+            h = hamiltonian(qv, pv - init.p0, params, potential)
+            rho = np.exp(-(h - h.min()) / params.theta)
+        elif init.kind == "gaussian":
+            if init.sigma_q <= 0 or init.sigma_p <= 0:
+                raise ValueError("gaussian init needs sigma_q > 0 and sigma_p > 0")
+            rho = (np.exp(-0.5 * ((grid.q_mesh - init.q0) / init.sigma_q) ** 2)
+                   * np.exp(-0.5 * ((grid.p_mesh - init.p0) / init.sigma_p) ** 2))
+        elif init.kind == "uniform":
+            rho = np.ones(grid.shape)
+        else:
+            raise ValueError(f"unknown kfp initial condition kind '{init.kind}'")
+        mass = float(np.sum(rho)) * grid.cell_volume
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"the {init.kind} initial density has mass {mass!r} on the grid, not "
+                         "a finite positive number; check the init keys, grid.lq and grid.pmax")
+    return State(rho=rho / mass, e=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +584,7 @@ class KfpRunResult:
     steps: int                  # split steps
     evaluations: int            # transport evaluations of the stepping: 4 or 6 per step
     dt: float                   # the split step taken
+    dt_from: str                # what set it: solver.dt, stable_dt or transient_dt
 
 
 def integrate(cfg: KfpConfig, state0: State | None = None,
@@ -599,20 +606,18 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
     needs only its end state and steps at the stability bound; any other
     run steps at the transient step.  A PositivityError or StabilityError
     from a step adds the time its record interval started from.  The result
-    counts the split steps taken and their transport evaluations, and holds
-    the split step.
+    counts the split steps taken and their transport evaluations; it holds the
+    split step, what set it (``dt_from``: ``solver.dt``, ``stable_dt`` or
+    ``transient_dt``), and ``e_inf``, the first record's E less int H rho_inf.
     """
     grid, params, potential, variant = cfg.grid, cfg.params, cfg.potential, cfg.variant
     op = KfpOperator(grid, params, potential, variant)
     rho_inf, _ = maxwellian(grid, params, potential)
     state = state0 if state0 is not None else make_initial_state(
         cfg.init, grid, params, potential)
-    if cfg.dt is not None:
-        dt = cfg.dt
-    else:
-        dt = op.stable_dt() if l1_stop is not None else op.transient_dt()
-
-    e0_total = generic.energy_functional(state, grid, params, potential)
+    dt, dt_from = ((cfg.dt, "solver.dt") if cfg.dt is not None else
+                   (op.stable_dt(), "stable_dt") if l1_stop is not None else
+                   (op.transient_dt(), "transient_dt"))
     record_pass = RecordPass(op, rho_inf)
     records: list[DiagnosticsRecord] = []
 
@@ -641,8 +646,8 @@ def integrate(cfg: KfpConfig, state0: State | None = None,
         done += steps
         t_now = cfg.t_final if done == n_steps else done * step_dt
         converged = record(state)
-    e_inf = e0_total - inner(grid, op.h_cells, rho_inf)
+    e_inf = records[0].E - inner(grid, op.h_cells, rho_inf)
     evaluations = done * (len(_horner_scales(op, step_dt)) + 1)
     return KfpRunResult(records=records, state=state, rho_inf=rho_inf, e_inf=e_inf,
                         converged=converged, steps=done, evaluations=evaluations,
-                        dt=step_dt)
+                        dt=step_dt, dt_from=dt_from)

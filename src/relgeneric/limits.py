@@ -29,7 +29,8 @@ def heat_initial(cfg: RunConfig, grid: LineGrid) -> np.ndarray:
 
 
 def run_limit_study(cfg: RunConfig) -> list[tuple[float, float]]:
-    """(c, max-norm deviation from the c = INFINITE member at t_final) for each swept c."""
+    """(c, max-norm deviation from the c = INFINITE member at t_final) for each swept c;
+    a kinetic sweep builds its operators, which name a bad model, before its initial state."""
     members = [replace(cfg.params, c=c) for c in cfg.limit_cs + (INFINITE,)]
     if cfg.limit_kind == "heat":
         grid, runs = cfg.heat_grid, members
@@ -41,8 +42,8 @@ def run_limit_study(cfg: RunConfig) -> list[tuple[float, float]]:
     else:
         grid = cfg.phase_grid
         # identical initial data: built once from the classical parameters
-        state0 = make_initial_state(cfg.init, grid, members[-1], cfg.potential)
         runs = [KfpOperator(grid, p, cfg.potential, cfg.variant) for p in members]
+        state0 = make_initial_state(cfg.init, grid, members[-1], cfg.potential)
         auto_dt = [op.transient_dt() for op in runs]
 
         def final_density(op, dt):

@@ -261,8 +261,10 @@ def grid_fields(grid: PhaseGrid, params: ModelParams, potential: Potential,
         raise ValueError("the Hamiltonian or its momentum gradient is not finite on the grid; "
                          "check model.c, model.m and the potential parameters against it")
     # the gauge min H keeps the weight representable even when the rest energy
-    # m c^2 is huge; all consumers use ratios, which are gauge-independent
-    rhat = np.exp(-(h - float(h.min())) / params.theta)
+    # m c^2 is huge; all consumers use ratios, which are gauge-independent.  An
+    # exponent that overflows has the weight's limit, 0, which the operator names
+    with np.errstate(over="ignore"):
+        rhat = np.exp(-(h - float(h.min())) / params.theta)
     fields = GridFields(h_cells=h, rhat=rhat, rhat_face=np.sqrt(rhat[:, :-1] * rhat[:, 1:]),
                         gh_face=gh_face, dface=None)
     for a in (h, rhat, fields.rhat_face, fields.gh_face):

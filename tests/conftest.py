@@ -23,6 +23,8 @@ EXTREME = (st.sampled_from(["1e-300", "1e-12", "0.05", "1", "20", "1e12", "1e308
 
 # a check line the CLI prints: its verdict, name, measured value, op and tolerance
 CHECK_LINE = re.compile(r"^  \[(PASS|FAIL)\] (.+): (\S+) (<=|>=) (\S+)$", re.MULTILINE)
+# a line of the verify report: name, measured value, op, tolerance and verdict
+REPORT_LINE = re.compile(r"^(.+?) +(\S+) (<=|>=) +(\S+)  (PASS|FAIL)", re.MULTILINE)
 
 
 def printed_checks(printed: str) -> list[tuple]:
@@ -30,6 +32,12 @@ def printed_checks(printed: str) -> list[tuple]:
     a measured value or tolerance that is not a number fails the caller."""
     return [(verdict == "PASS", name, float(measured), op, float(tolerance))
             for verdict, name, measured, op, tolerance in CHECK_LINE.findall(printed)]
+
+
+def reported_checks(printed: str) -> list[tuple]:
+    """``printed_checks`` of the lines of a printed verify report."""
+    return [(verdict == "PASS", name, float(measured), op, float(tolerance))
+            for name, measured, op, tolerance, verdict in REPORT_LINE.findall(printed)]
 
 
 @pytest.fixture
@@ -71,9 +79,10 @@ def state(rng, grid, params, potential):
 def run_to_named_outcome(experiment: str, text: str, base) -> str:
     """Run the config ``text`` through the CLI in ``base``; returns what it printed.
 
-    The run must exit 0 with a finite timeseries.csv, 1 with a named solver
-    error or a failed check that prints its measured value and tolerance, or
-    2 with a config error; never a traceback.
+    The run must exit 0 with finite outputs (timeseries.csv; limit_study.csv;
+    a verify report of finite measured values), 1 with a named solver error
+    or a failed check that prints its measured value and tolerance, or 2
+    with a config error; never a traceback.
     """
     path = base / "fuzzed.cfg"
     path.write_text(text, encoding="utf-8")
@@ -82,15 +91,22 @@ def run_to_named_outcome(experiment: str, text: str, base) -> str:
         code = main([experiment, "--config", str(path), "--out", str(base / "out")])
     printed = out.getvalue()
     assert code in (0, 1, 2), text
+    checks = (reported_checks if experiment == "verify" else printed_checks)(printed)
     if code == 2:
         assert printed.startswith("configuration error: "), (text, printed)
     elif code == 1:
         assert (printed.startswith("run failed: ")
-                or any(not passed for passed, *_ in printed_checks(printed))), (text, printed)
+                or any(not passed for passed, *_ in checks)), (text, printed)
     else:
-        records = read_timeseries_csv(base / "out" / "timeseries.csv")
-        values = [v for rec in records for v in dataclasses.astuple(rec) if v is not None]
-        assert all(math.isfinite(v) for v in values), (text, printed)
+        if experiment == "verify":
+            values = [measured for _, _, measured, *_ in checks]
+        elif experiment == "limit-study":
+            rows = (base / "out" / "limit_study.csv").read_text().splitlines()[1:]
+            values = [float(v) for row in rows for v in row.split(",")]
+        else:
+            records = read_timeseries_csv(base / "out" / "timeseries.csv")
+            values = [v for rec in records for v in dataclasses.astuple(rec) if v is not None]
+        assert values and all(math.isfinite(v) for v in values), (text, printed)
     return printed
 
 

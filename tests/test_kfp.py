@@ -1420,15 +1420,25 @@ MILD = st.floats(0.25, 4.0).map(repr)
 
 @st.composite
 def fuzzed_kfp_configs(draw):
-    """A 16x32 kinetic config from a shifted Maxwellian, either variant and
-    either potential, the grid extents auto; half of the draws take gamma,
-    theta, c and m near 1, the others extreme."""
+    """A 16x32 kinetic config, either variant and either potential; half of
+    the draws take gamma, theta, c and m near 1, the others extreme.  Most
+    start from a Maxwellian shifted by p0 = 0.5 with the potential at its
+    default strength and the grid extents auto; the others draw the initial
+    density (gaussian, uniform), the potential's strength or either extent."""
     value, mass = (MILD, MILD) if draw(st.booleans()) else (EXTREME, HEAVY)
-    return (f"model.variant = {draw(st.sampled_from(['dh', 'dmr']))}\n"
-            f"potential.kind = {draw(st.sampled_from(['cosine', 'harmonic']))}\n"
+    kind = draw(st.sampled_from(['cosine', 'harmonic']))
+    strength = "amplitude" if kind == "cosine" else "stiffness"
+    init = draw(st.sampled_from(["shifted-maxwellian"] * 4 + ["gaussian", "uniform"]))
+    text = (f"model.variant = {draw(st.sampled_from(['dh', 'dmr']))}\n"
+            f"potential.kind = {kind}\n"
             f"model.gamma = {draw(value)}\nmodel.theta = {draw(value)}\n"
             f"model.c = {draw(value | st.just('inf'))}\nmodel.m = {draw(mass)}\n"
-            "grid.nq = 16\ngrid.np = 32\nsolver.record_every = 2\ninit.p0 = 0.5\n")
+            f"grid.nq = 16\ngrid.np = 32\nsolver.record_every = 2\ninit.kind = {init}\n"
+            + ("" if init == "uniform" else "init.p0 = 0.5\n"))
+    for key in (f"potential.{strength}", "grid.pmax", "grid.lq"):
+        if draw(st.integers(0, 3)) == 0:
+            text += f"{key} = {draw(value)}\n"
+    return text
 
 
 @settings(max_examples=100, deadline=None)
@@ -1446,6 +1456,13 @@ def fuzzed_kfp_configs(draw):
 @example(experiment="kfp", text="model.variant = dh\npotential.kind = cosine\nmodel.m = 1e-300\n"
                                 "model.c = 0.05\nmodel.theta = 1e12\nmodel.gamma = 1e308\n"
                                 "grid.nq = 16\ngrid.np = 32\n")
+# an exponent of the Boltzmann weight that overflows, and a gaussian the cells
+# do not resolve
+@example(experiment="stationary", text="model.theta = 1e-300\npotential.kind = cosine\n"
+                                       "potential.amplitude = 1e150\ngrid.nq = 16\n"
+                                       "grid.np = 32\n")
+@example(experiment="kfp", text="model.theta = 1e20\ninit.kind = gaussian\ngrid.nq = 16\n"
+                                "grid.np = 32\n")
 def test_fuzzed_kfp_runs_end_in_named_outcomes(tmp_path_factory, experiment, text):
     # a run ends in a named outcome (run_to_named_outcome), and no
     # floating-point warning comes before it.  A kfp run is four transient
@@ -1465,6 +1482,37 @@ def test_fuzzed_kfp_runs_end_in_named_outcomes(tmp_path_factory, experiment, tex
             pass          # the run below ends in the same error
         printed = run_to_named_outcome(experiment, text, tmp_path_factory.mktemp("fuzz"))
     assert not caught, (text, printed, [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("experiment", ["kfp", "stationary"])
+def test_boltzmann_weight_that_underflows_is_named_without_a_warning(tmp_path, experiment):
+    # theta = 1e-300 under a cosine of amplitude 1e150: (H - min H) / theta
+    # overflows, and the weight takes its limit 0, which the build names
+    text = ("model.theta = 1e-300\npotential.kind = cosine\npotential.amplitude = 1e150\n"
+            "grid.nq = 8\ngrid.np = 16\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        printed = run_to_named_outcome(experiment, text, tmp_path)
+    assert printed.startswith("run failed: the dissipative flux overflows: the Boltzmann "
+                              "weight falls to 0.000e+00"), printed
+
+
+def test_initial_density_without_finite_positive_mass_is_named(tmp_path):
+    # theta = 1e20 makes the auto cells so wide that a unit gaussian is 0 on
+    # every one: the initial density is named, not divided 0 / 0 into NaN;
+    # and a NaN density fails the mass check it used to pass
+    text = "model.theta = 1e20\ninit.kind = gaussian\ngrid.nq = 8\ngrid.np = 16\n"
+    cfg = parse_config(text, "kfp")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gaussian initial density has mass 0.0") as caught:
+            K.make_initial_state(cfg.init, cfg.phase_grid, cfg.params, cfg.potential)
+        printed = run_to_named_outcome("kfp", text, tmp_path)
+        assert printed == f"run failed: {caught.value}\n"
+        grid = cfg.phase_grid
+        rho_inf, _ = maxwellian(grid, cfg.params, cfg.potential)
+        with pytest.raises(ValueError, match="rho must have discrete mass 1, got nan"):
+            K.relative_entropy(np.full(grid.shape, np.nan), rho_inf, grid)
 
 
 def test_tiny_rest_mass_is_named_at_the_build():

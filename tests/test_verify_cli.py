@@ -3,20 +3,29 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import relgeneric
 from relgeneric import generic as G
-from relgeneric.cli import main
-from relgeneric.config import VerifyOptions, load_config, parse_config
+from relgeneric import heat as H
+from relgeneric import kfp as K
+from relgeneric.cli import _RUNNERS, main
+from relgeneric.config import ConfigError, VerifyOptions, load_config, parse_config
+from relgeneric.errors import StabilityError
+from relgeneric import verify as V
+from relgeneric.model import INFINITE, Variant
 from relgeneric.rng import SplitMix64
-from relgeneric.verify import operator_checks, run_verify
+from relgeneric.verify import check, operator_checks, run_verify
 
-from conftest import perturb_drift, printed_checks
+from conftest import (EXTREME, perturb_drift, printed_checks, reported_checks,
+                      run_to_named_outcome)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -177,8 +186,6 @@ def test_cli_kfp_run_deterministic(tmp_path):
         == (out2 / "density_final.txt").read_bytes()
 
 
-# a line of the verify report: name, measured value, op, tolerance and verdict
-REPORT_LINE = re.compile(r"^(.+?) +(\S+) (<=|>=) +(\S+)  (PASS|FAIL)", re.MULTILINE)
 VERIFY_SMALL = ("verify.psd_samples = 20\nverify.fd_samples = 100\n"
                 "verify.bracket_pairs = 5\nverify.assembly_states = 2\n"
                 "grid.nq = 16\ngrid.np = 16\ngrid.lq = 16.0\ngrid.pmax = 34.0\n")
@@ -198,11 +205,7 @@ def test_printed_verdicts_are_their_comparisons(tmp_path, capsys, experiment, co
         path = CONFIGS / f"{config}.cfg"
     code = run_cli(experiment, "--config", str(path), "--out", str(tmp_path / "o"))
     printed = capsys.readouterr().out
-    if experiment == "verify":
-        checks = [(verdict == "PASS", name, float(measured), op, float(tolerance))
-                  for name, measured, op, tolerance, verdict in REPORT_LINE.findall(printed)]
-    else:
-        checks = printed_checks(printed)
+    checks = (reported_checks if experiment == "verify" else printed_checks)(printed)
     # each printed verdict is on a parsed check line
     assert len(checks) == len(re.findall(r"\b(?:PASS|FAIL)\b", printed)) > 0, printed
     for passed, _, measured, op, tolerance in checks:
@@ -238,6 +241,247 @@ def test_limit_check_counts_a_non_falling_pair(tmp_path, capsys, monkeypatch):
         (False, "c pairs whose deviation does not fall", 1.0, "<=", 0.0)]
     assert (out / "limit_study.csv").read_text().splitlines()[1:] == [
         "10,0.01", "100,0.01", "1000,0.0001"]
+
+
+HEAT_CHECKS = ["mass drift", "entropy change per step",
+               "face-flux excess over c rbar (relative)"]
+
+
+def _spoil_mass(res):
+    res.records[-1] = replace(res.records[-1], mass=res.records[-1].mass + 1e-6)
+
+
+@pytest.mark.parametrize("failing, spoil, line", [
+    (0, _spoil_mass, "  [FAIL] mass drift: 1.000e-06 <= 1e-10"),
+    (1, lambda res: setattr(res, "min_step_entropy_delta", -1e-6),
+     "  [FAIL] entropy change per step: -1.000e-06 >= -1e-10"),
+    (2, lambda res: setattr(res, "max_saturation_excess", 1e-6),
+     "  [FAIL] face-flux excess over c rbar (relative): 1.000e-06 <= 1e-12")],
+    ids=["mass-drift", "entropy-change", "flux-excess"])
+def test_heat_check_that_fails_is_printed_and_exits_1(tmp_path, capsys, monkeypatch,
+                                                      failing, spoil, line):
+    # the real run with one check's input made worse: that check prints its
+    # FAIL line, the other two pass, the outputs are written and the exit is 1
+    run_heat = H.run_heat
+
+    def worse(*args, **kwargs):
+        res = run_heat(*args, **kwargs)
+        spoil(res)
+        return res
+    monkeypatch.setattr("relgeneric.heat.run_heat", worse)
+    (path := tmp_path / "heat.cfg").write_text(
+        "grid.n = 64\nsolver.t_final = 0.01\ninit.kind = gaussian\ninit.sigma = 0.2\n")
+    out = tmp_path / "o"
+    assert run_cli("heat", "--config", str(path), "--out", str(out)) == 1
+    printed = capsys.readouterr().out
+    assert line in printed.splitlines()
+    checks = printed_checks(printed)
+    assert [name for _, name, *_ in checks] == HEAT_CHECKS
+    assert [passed for passed, *_ in checks] == [k != failing for k in range(3)]
+    assert (out / "timeseries.csv").is_file() and (out / "density_final.txt").is_file()
+
+
+# a kinetic summary line: experiment, variant, end time, L1 distance, e_inf, records, step
+SUMMARY = re.compile(r"^(kfp|stationary) run \((dh|dmr)\) ended at t=(\S+), L1 distance "
+                     r"(\S+), excess e_inf=(\S+) \((\d+) records; dt (\S+) from (\S+); "
+                     r"steps (\d+), transport evaluations (\d+)\) -> (.+)$", re.MULTILINE)
+
+
+@pytest.mark.parametrize("experiment, dt, dt_from", [
+    ("kfp", "auto", "transient_dt"), ("stationary", "auto", "stable_dt"),
+    ("kfp", "0.01", "solver.dt"), ("stationary", "0.01", "solver.dt")])
+def test_kinetic_runs_share_one_runner_and_summary_line(tmp_path, capsys, experiment, dt,
+                                                        dt_from):
+    # kfp and stationary are one runner; its line names the step integrate
+    # took and what set it, and only a stationary run adds the L1 check
+    assert _RUNNERS["stationary"] is _RUNNERS["kfp"]
+    (path := tmp_path / "k.cfg").write_text(
+        "potential.kind = cosine\ngrid.nq = 16\ngrid.np = 32\ninit.p0 = 0.5\n"
+        f"solver.dt = {dt}\nsolver.t_final = 0.1\nsolver.record_every = 2\n"
+        + ("stationary.l1_target = 0.05\n" if experiment == "stationary" else ""))
+    cfg = load_config(path, experiment)
+    res = K.integrate(K.KfpConfig(grid=cfg.phase_grid, params=cfg.params,
+                                  potential=cfg.potential, variant=cfg.variant, dt=cfg.dt,
+                                  t_final=cfg.t_final, record_every=cfg.record_every,
+                                  init=cfg.init),
+                      l1_stop=cfg.l1_target if experiment == "stationary" else None)
+    assert res.dt_from == dt_from
+    # e_inf is the initial state's energy functional less int H rho_inf, bit for bit
+    grid, params, potential = cfg.phase_grid, cfg.params, cfg.potential
+    state0 = K.make_initial_state(cfg.init, grid, params, potential)
+    h_cells = K.KfpOperator(grid, params, potential, cfg.variant).h_cells
+    assert res.e_inf == (G.energy_functional(state0, grid, params, potential)
+                         - G.inner(grid, h_cells, res.rho_inf))
+    out = tmp_path / "o"
+    code = run_cli(experiment, "--config", str(path), "--out", str(out))
+    printed = capsys.readouterr().out
+    [line] = SUMMARY.findall(printed)
+    last = res.records[-1]
+    assert line == (experiment, "dh", f"{last.t:g}", f"{last.l1:.3e}", f"{res.e_inf:.6g}",
+                    str(len(res.records)), f"{res.dt:.6g}", dt_from, str(res.steps),
+                    str(res.evaluations), str(out))
+    checks = printed_checks(printed)
+    assert len(checks) == (6 if experiment == "stationary" else 5)
+    assert code == (0 if all(passed for passed, *_ in checks) else 1)
+
+
+@pytest.mark.parametrize("measured, op", [(np.inf, ">="), (-np.inf, "<="), (np.nan, "<=")])
+def test_check_fails_a_measurement_that_is_not_finite(measured, op):
+    assert not check("x", measured, 0.0, op).passed
+
+
+VERIFY_TINY = ("grid.nq = 8\ngrid.np = 8\nverify.bracket_pairs = 1\nverify.psd_samples = 1\n"
+               "verify.fd_samples = 1\nverify.gradient_checks = 1\nverify.assembly_states = 1\n")
+LIMIT_KFP = "limit.kind = kfp\ngrid.nq = 8\ngrid.np = 16\n"
+
+
+@pytest.mark.parametrize("experiment, text, named", [
+    ("verify", VERIFY_TINY + "model.gamma = 1e150\nmodel.theta = 1e20\n",
+     "the tendencies overflow: "),
+    ("verify", VERIFY_TINY + "model.gamma = 1e308\n",
+     "the dissipative operator's coefficients are not finite"),
+    ("verify", VERIFY_TINY + "potential.kind = cosine\npotential.amplitude = 1e300\n",
+     "the dissipative flux overflows: the Boltzmann weight falls to 0.000e+00"),
+    ("limit-study", LIMIT_KFP + "model.theta = 1e300\nsolver.t_final = 0.01\n",
+     "the Hamiltonian or its momentum gradient is not finite")],
+    ids=["verify-tendencies", "verify-coefficients", "verify-weight", "limit-hamiltonian"])
+def test_bad_kinetic_model_is_named_by_the_operator_build_first(tmp_path, monkeypatch,
+                                                                experiment, text, named):
+    # verify builds its DH and DMR operators before any check group, and a
+    # kinetic limit study its members' before their initial state, so the
+    # build names the model, with no traceback and no warning before it
+    ran = []
+    for name in ("model_checks", "operator_checks"):
+        monkeypatch.setattr(f"relgeneric.verify.{name}", lambda *args: ran.append(args))
+    monkeypatch.setattr("relgeneric.limits.make_initial_state", lambda *args: ran.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        printed = run_to_named_outcome(experiment, text, tmp_path)
+    assert printed.startswith(f"run failed: {named}"), printed
+    assert not ran
+
+
+# kinetic model values: the ends of the float range, and between
+KINETIC = st.sampled_from(["1e-300", "1e-150", "1e-20", "0.25", "1", "4", "1e20", "1e150",
+                           "1e300", "1e308"]) | EXTREME
+
+
+@st.composite
+def kinetic_models(draw):
+    """m, gamma, theta, c and the grid extents each at its default or drawn,
+    and a zero, harmonic or cosine potential at its default or a drawn strength."""
+    text = ""
+    for key in ("model.m", "model.gamma", "model.theta", "model.c", "grid.pmax", "grid.lq"):
+        if draw(st.booleans()):
+            text += f"{key} = {draw(KINETIC | st.just('inf') if key == 'model.c' else KINETIC)}\n"
+    kind = draw(st.sampled_from(["zero", "harmonic", "cosine"]))
+    text += f"potential.kind = {kind}\nmodel.variant = {draw(st.sampled_from(['dh', 'dmr']))}\n"
+    if kind != "zero" and draw(st.booleans()):
+        strength = "stiffness" if kind == "harmonic" else "amplitude"
+        text += f"potential.{strength} = {draw(KINETIC | st.just('0'))}\n"
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=kinetic_models())
+@example(text="model.gamma = 1e150\nmodel.theta = 1e20\n")
+@example(text="model.gamma = 1e308\n")
+@example(text="potential.kind = cosine\npotential.amplitude = 1e300\n")
+# the bracket of a unit cotangent overflows before gamma scales it
+@example(text="model.m = 1e-300\nmodel.gamma = 1e-300\ngrid.pmax = 1e-20\n")
+# a degeneracy norm beyond sqrt of the float range
+@example(text="model.gamma = 106101.0\nmodel.theta = 1e150\n")
+# random states of no finite mass; an entropy gradient that overflows
+@example(text="grid.lq = 1e308\n")
+@example(text="model.gamma = 1e-300\nmodel.theta = 1e308\ngrid.pmax = 4\n"
+              "potential.kind = cosine\npotential.amplitude = 0\n")
+def test_fuzzed_verify_runs_end_in_named_outcomes(tmp_path_factory, text):
+    # an 8x8 suite at its smallest sizes ends in a named outcome
+    # (run_to_named_outcome), and no floating-point warning comes before it
+    text = VERIFY_TINY + text.replace("model.variant", "# model.variant")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        printed = run_to_named_outcome("verify", text, tmp_path_factory.mktemp("fuzz"))
+    assert not caught, (text, printed, [str(w.message) for w in caught])
+    # the suite once more, each group with numpy's warnings on: a group that
+    # warns has failed a check, so run_verify's quiet groups hide no overflow
+    try:
+        cfg = parse_config(text, "verify")
+        ops = {variant: K.KfpOperator(cfg.phase_grid, cfg.params, cfg.potential, variant)
+               for variant in (Variant.DH, Variant.DMR)}
+    except (ConfigError, StabilityError, ValueError):
+        return                      # the run above ended in the same error
+    grid, params, potential, opts = cfg.phase_grid, cfg.params, cfg.potential, cfg.verify
+    rng = SplitMix64(cfg.seed)
+    for group in (lambda: V.model_checks(rng, opts.fd_samples),
+                  lambda: V.operator_checks(rng, grid, params, potential, opts),
+                  lambda: V.jacobi_checks(rng),
+                  lambda: V.gradient_checks(rng, grid, params, potential, opts.gradient_checks),
+                  lambda: V.assembly_checks(rng, grid, params, potential, ops,
+                                            opts.assembly_states)):
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="warn", invalid="warn", divide="warn"):
+            warnings.simplefilter("always")
+            try:
+                results = group()
+            except ValueError:      # a degenerate random state, which the run named
+                return
+        assert not caught or not all(r.passed for r in results), (text, results)
+
+
+def test_a_bracket_that_overflows_fails_every_check_that_reads_it(tmp_path, capsys):
+    # at m = gamma = 1e-300 on |p| <= 1e-20 the dissipative bracket of a unit
+    # cotangent overflows before gamma scales it: each check that evaluates
+    # it measures NaN and fails; the degeneracy's too, whose residual M dE is
+    # exactly 0 but whose reference |M (H,0)| overflowed
+    (path := tmp_path / "v.cfg").write_text(
+        VERIFY_TINY + "model.m = 1e-300\nmodel.gamma = 1e-300\ngrid.pmax = 1e-20\n")
+    assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "o")) == 1
+    failed = {name: measured for passed, name, measured, *_
+              in reported_checks(capsys.readouterr().out) if not passed}
+    assert sorted(failed) == ["degeneracy |M dE| / |M (H,0)|",
+                              "dissipative bracket positivity: min [v,v]/scale",
+                              "dissipative bracket symmetry (relative)",
+                              "kinetic dual assembly: rhs vs L dE + M dS",
+                              "operator mass conservation (relative)"]
+    assert all(np.isnan(v) for v in failed.values())
+
+
+def test_random_state_without_finite_positive_mass_is_named(tmp_path, capsys):
+    # on grid.lq = 1e308 the suite's random factor sin(2 pi q / Lq) overflows
+    # to NaN, a state on which the dissipative checks would measure 0 (its
+    # face weight is 0): the run names it instead of checking it
+    (path := tmp_path / "v.cfg").write_text(VERIFY_TINY + "grid.lq = 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == ("run failed: the suite's random state has mass nan on "
+                                       "the grid; check grid.lq and grid.pmax\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=kinetic_models())
+@example(text="model.theta = 1e300\n")
+@example(text="model.gamma = 1e150\nmodel.theta = 1e20\ngrid.pmax = 1e300\ngrid.lq = 1\n"
+              "potential.kind = harmonic\npotential.stiffness = 1e300\n")
+@example(text="potential.kind = cosine\npotential.amplitude = 1e308\n")
+def test_fuzzed_kinetic_limit_studies_end_in_named_outcomes(tmp_path_factory, text):
+    # an 8x16 kinetic sweep of four of its members' transient steps ends in a
+    # named outcome (run_to_named_outcome), and no floating-point warning
+    # comes before it
+    text = LIMIT_KFP + text
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cfg = parse_config(text, "limit-study")
+            dt = min(K.KfpOperator(cfg.phase_grid, replace(cfg.params, c=c), cfg.potential,
+                                   cfg.variant).transient_dt()
+                     for c in cfg.limit_cs + (INFINITE,))
+            text += f"solver.t_final = {4.0 * dt!r}\n"
+        except (ConfigError, StabilityError, ValueError):
+            pass          # the run below ends in the same error
+        printed = run_to_named_outcome("limit-study", text, tmp_path_factory.mktemp("fuzz"))
+    assert not caught, (text, printed, [str(w.message) for w in caught])
 
 
 def test_cli_entry_point_subprocess(tmp_path):
