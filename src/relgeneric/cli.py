@@ -20,8 +20,8 @@ from . import heat as HT
 from . import kfp as KF
 from .config import EXPERIMENTS, ConfigError, RunConfig, load_config, parse_value
 from .errors import PositivityError, StabilityError
-from .io import dump_density, write_timeseries_csv
-from .limits import heat_initial, run_limit_study, write_limit_csv
+from .io import dump_density, write_limit_csv, write_text, write_timeseries_csv
+from .limits import heat_initial, run_limit_study
 from .verify import check, run_verify
 
 
@@ -65,9 +65,8 @@ def _run_heat(cfg: RunConfig, out: Path) -> int:
         check("entropy change per step", result.min_step_entropy_delta, -1e-10, ">="),
         check("face-flux excess over c rbar (relative)", result.max_saturation_excess, 1e-12),
     ]
-    cap = "binds" if result.front_capped else "does not bind"
     print(f"heat run finished at t={result.state.t:g} ({len(result.records)} records; "
-          f"superstep {result.dt:.6g}, front cap h/(4c) {cap}; "
+          f"superstep {result.dt:.6g} from {result.dt_from}; "
           f"steps {result.steps}, stages per step {result.stages}, "
           f"flux evaluations {result.evaluations}) -> {out}")
     return 0 if _print_checks(checks) else 1
@@ -88,7 +87,7 @@ def _run_kfp(cfg: RunConfig, out: Path) -> int:
     energy = max(abs(r.E - records[0].E) for r in records) / abs(records[0].E)
     fall = min(np.diff([r.S for r in records]), default=0.0)
     rise = max(np.diff([r.relEnt for r in records]), default=0.0)
-    bound = cfg.params.gamma * cfg.params.theta * cfg.params.d / cfg.params.m
+    bound = cfg.params.gamma * cfg.params.theta / cfg.params.m     # d = 1
     checks = [
         check("mass drift", max(abs(r.mass - records[0].mass) for r in records), 1e-10),
         check("relative energy drift", energy, 1e-6),
@@ -103,7 +102,7 @@ def _run_kfp(cfg: RunConfig, out: Path) -> int:
 def _run_verify(cfg: RunConfig, out: Path) -> int:
     results, report, ok = run_verify(cfg.phase_grid, cfg.params, cfg.potential,
                                      cfg.seed, cfg.verify)
-    (out / "verify_report.txt").write_text(report, encoding="utf-8")
+    write_text(out / "verify_report.txt", "verify report", (report,))
     print(report, end="")
     return 0 if ok else 1
 

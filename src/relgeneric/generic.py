@@ -9,9 +9,10 @@ Jacobi-identity checker.
 Discrete calculus convention: the cell-centered gradient uses centered
 differences (periodic in q, one-sided at the momentum edges) and every
 divergence is the exact negative adjoint of the matching gradient under the
-plain midpoint inner product.  That single choice makes the antisymmetry of
-the Poisson operator and the symmetry of the dissipative operator hold to
-round-off instead of to discretization error.
+plain midpoint inner product (in q grad_q itself, being skew-adjoint).  That
+single choice makes the antisymmetry of the Poisson operator and the symmetry
+of the dissipative operator hold to round-off instead of to discretization
+error.  M's face pair lives in ``grid``, which H's face gradient also uses.
 
 The calculus, ``inner``, ``grid_norm``, ``log_mean``, the functionals and
 ``Brackets`` write into caller-given buffers (``out=``, ``work=``) when
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import PhaseGrid
+from .grid import PhaseGrid, face_div_p, face_grad_p
 from .model import ModelParams, Potential, Variant, grid_fields
 
 # cells below MASK_FLOOR are excluded from entropy-gradient consumption;
@@ -87,11 +88,6 @@ def grad_q(grid: PhaseGrid, a: np.ndarray, *, out: np.ndarray | None = None) -> 
     return out
 
 
-def div_q(grid: PhaseGrid, f: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    # periodic centered difference is skew-adjoint, so -grad_q^T = grad_q
-    return grad_q(grid, f, out=out)
-
-
 def grad_p(grid: PhaseGrid, a: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Centered difference along momentum, one-sided at the truncated edges."""
     hp = grid.hp
@@ -120,29 +116,6 @@ def div_p(grid: PhaseGrid, f: np.ndarray, *, out: np.ndarray | None = None) -> n
     out[:, 1] = -f[:, 0] / hp + f[:, 2] / (2.0 * hp)
     out[:, -2] = -f[:, -3] / (2.0 * hp) + f[:, -1] / hp
     out[:, -1] = -f[:, -2] / (2.0 * hp) - f[:, -1] / hp
-    return out
-
-
-def face_grad_p(grid: PhaseGrid, a: np.ndarray, *,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Two-point gradient on interior momentum faces, shape (Nq, Np-1)."""
-    if out is None:
-        out = np.empty((a.shape[0], a.shape[1] - 1), np.result_type(a, 1.0))
-    np.subtract(a[:, 1:], a[:, :-1], out=out)
-    out /= grid.hp
-    return out
-
-
-def face_div_p(grid: PhaseGrid, f: np.ndarray, *,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Flux divergence from interior momentum faces; zero flux at +-Pmax."""
-    if out is None:
-        out = np.empty((f.shape[0], f.shape[1] + 1), np.result_type(f, 1.0))
-    # f - 0 and 0 - f as written out, so that signed zeros come out the same
-    np.subtract(f[:, 0], 0.0, out=out[:, 0])
-    np.subtract(f[:, 1:], f[:, :-1], out=out[:, 1:-1])
-    np.subtract(0.0, f[:, -1], out=out[:, -1])
-    out /= grid.hp
     return out
 
 
@@ -179,8 +152,8 @@ def log_mean(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None,
     the broadcast shape), when given, and otherwise allocates them; out must
     not overlap a, b or work.  Every face takes one branch: the exact form
     where f = (a-b)/(a+b) has |f| >= 0.01 (so f != 0), the series elsewhere
-    (NaN included); faces outside a, b > 0 are then set to zero.  Each face
-    is computed alone, so buffers change no bit of the result.
+    (NaN included); faces with min(a, b) <= 0 are then zeroed, NaN not.  Each
+    face is computed alone, so buffers change no bit of the result.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -207,11 +180,10 @@ def log_mean(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None,
         np.subtract(log_a, out, out=log_a, where=mask)
         np.multiply(f, 2.0, out=f, where=mask)
         np.divide(log_a, f, out=out, where=mask)
-        # (a + b) / (2 val), and zero unless a, b > 0 (NaN not)
+        # (a + b) / (2 val), and zero where min(a, b) <= 0; a NaN stays NaN
         out *= 2.0
         np.divide(np.add(a, b, out=t), out, out=out)
-    np.logical_not(np.greater(np.minimum(a, b, out=t), 0.0, out=mask), out=mask)
-    np.copyto(out, 0.0, where=mask)
+    np.copyto(out, 0.0, where=np.less_equal(np.minimum(a, b, out=t), 0.0, out=mask))
     return out
 
 
@@ -322,13 +294,14 @@ class Brackets:
     def poisson(self, v: CotangentVector):
         """L(z)(xi, r) = (div(rho J grad xi), 0) with J the canonical symplectic matrix.
 
-        drho = div_p(rho grad_q xi) - div_q(rho grad_p xi)."""
+        drho = div_p(rho grad_q xi) - grad_q(rho grad_p xi): div_q is grad_q,
+        as the periodic centred difference is skew-adjoint."""
         rho, grid = self.state.rho, self.grid
         drho, gq, gp = self._scratch(3)
         grad_q(grid, v.xi, out=gq)
         grad_p(grid, v.xi, out=gp)
         div_p(grid, np.multiply(rho, gq, out=gq), out=drho)
-        drho -= div_q(grid, np.multiply(rho, gp, out=gp), out=gq)
+        drho -= grad_q(grid, np.multiply(rho, gp, out=gp), out=gq)
         return drho, 0.0
 
     def dissipative(self, v: CotangentVector, *, face_grad: np.ndarray | None = None):

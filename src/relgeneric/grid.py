@@ -1,4 +1,9 @@
-"""Uniform tensor grids: periodic position axis, truncated momentum axis."""
+"""Uniform tensor grids: periodic position axis, truncated momentum axis.
+
+Also the rules every consumer of a grid shares: M's momentum face pair
+``face_grad_p``/``face_div_p``, which ``model.grid_fields`` applies to H as
+well, so that M dE = 0 by construction; ``unit_mass``; and ``time_steps``.
+"""
 
 from __future__ import annotations
 
@@ -77,6 +82,27 @@ class PhaseGrid:
         return (self.Nq, self.Np)
 
 
+def face_grad_p(grid: PhaseGrid, a: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Two-point gradient on interior momentum faces, shape (Nq, Np-1)."""
+    if out is None:
+        out = np.empty((a.shape[0], a.shape[1] - 1), np.result_type(a, 1.0))
+    np.subtract(a[:, 1:], a[:, :-1], out=out)
+    out /= grid.hp
+    return out
+
+
+def face_div_p(grid: PhaseGrid, f: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Flux divergence from interior momentum faces; zero flux at +-Pmax."""
+    if out is None:
+        out = np.empty((f.shape[0], f.shape[1] + 1), np.result_type(f, 1.0))
+    # f - 0 and 0 - f as written out, so that signed zeros come out the same
+    np.subtract(f[:, 0], 0.0, out=out[:, 0])
+    np.subtract(f[:, 1:], f[:, :-1], out=out[:, 1:-1])
+    np.subtract(0.0, f[:, -1], out=out[:, -1])
+    out /= grid.hp
+    return out
+
+
 @dataclass(frozen=True)
 class LineGrid:
     """Periodic 1-D grid for the heat solver: N cells on [0, L)."""
@@ -97,6 +123,16 @@ class LineGrid:
     @property
     def x(self) -> np.ndarray:
         return (np.arange(self.N) + 0.5) * self.h
+
+
+def unit_mass(rho: np.ndarray, cell: float, what: str, keys: str) -> np.ndarray:
+    """rho at discrete mass 1 on cells of size ``cell``; a ValueError naming
+    ``what`` and the ``keys`` to check when its mass is not finite and positive."""
+    mass = float(np.sum(rho)) * cell
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"{what} has mass {mass!r} on the grid, not a finite positive "
+                         f"number; check {keys}")
+    return rho / mass
 
 
 def time_steps(t_final: float, dt: float) -> tuple[int, float]:

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import PositivityError, StabilityError
 from .generic import DiagnosticsRecord, log_density
-from .grid import LineGrid, time_steps
+from .grid import LineGrid, time_steps, unit_mass
 from .model import ModelParams
 
 NEGATIVE_TOL = -1e-14   # strictest allowed undershoot per explicit step
@@ -321,8 +321,9 @@ def stable_dt(grid: LineGrid, params: ModelParams) -> float:
     if 2.0 * params.c * grid.h > params.nu:
         dt *= _LOW_KAPPA_MARGIN
     if not (math.isfinite(dt) and dt > 0):
-        raise StabilityError(f"the stability bound on dt is {dt!r}; "
-                             "the parameters leave no usable time step")
+        raise StabilityError(f"the stability bound on dt is {dt!r}: h^2 / (2 nu) with h = "
+                             f"{grid.h:.3e} and nu = {params.nu:.3e} leaves the float range; "
+                             "check grid.length, grid.n and model.nu")
     return dt
 
 
@@ -347,14 +348,15 @@ def _stage_count(dt: float, bound: float) -> int:
 
 
 def _auto_step(grid: LineGrid, params: ModelParams, bound: float,
-               cone: np.ndarray) -> tuple[float, bool]:
-    """The step of a run with dt None, max(stable_dt, min(reach of ``_S_MAX``
-    stages, h / (4 c))), and whether the front cap h / (4 c) set it.  The cap
-    applies only when the light cone closes a face at the start, so the gate,
-    set at each superstep's start, lags the front by at most h / 4."""
+               cone: np.ndarray) -> tuple[float, str]:
+    """max(stable_dt, min(reach of ``_S_MAX`` stages, h / (4 c))) and what set it,
+    for dt None.  The cap applies only when the light cone closes a face at the
+    start, so the gate, set at each superstep's start, lags the front by <= h/4."""
     cap = grid.h / (4.0 * params.c) if _reached(cone, 0.0) is not None else math.inf
-    step = max(bound, min(_reach(_S_MAX, bound), cap))
-    return step, step == cap
+    reach = _reach(_S_MAX, bound)
+    if bound >= min(reach, cap):
+        return bound, "stable_dt"
+    return (cap, "front cap h/(4c)") if cap <= reach else (reach, f"reach of {_S_MAX} RKL2 stages")
 
 
 def _rkl2(stages: int) -> tuple:
@@ -591,24 +593,28 @@ def saturation_excess(rho: np.ndarray, grid: LineGrid, params: ModelParams) -> f
 
 def initial_profile(kind: str, grid: LineGrid, sigma: float = 0.0,
                     width: float = 0.0) -> np.ndarray:
+    """``kind``'s profile at discrete mass 1 (an overflowing exponent takes the
+    limit 0); a ValueError when the cells miss it, as ``unit_mass`` names."""
     x = grid.x
     mid = 0.5 * grid.L
-    if kind == "uniform":
-        rho = np.ones(grid.N)
-    elif kind == "gaussian":
-        if sigma <= 0:
-            raise ValueError("gaussian profile needs sigma > 0")
-        rho = np.exp(-0.5 * ((x - mid) / sigma) ** 2)
-    elif kind == "bump":
-        if width <= 0:
-            raise ValueError("bump profile needs width > 0")
-        s = (x - mid) / (0.5 * width)
-        rho = np.zeros(grid.N)
-        core = np.abs(s) < 1.0
-        rho[core] = np.exp(-1.0 / (1.0 - s[core] ** 2))
-    else:
-        raise ValueError(f"unknown heat initial profile kind '{kind}'")
-    return rho / (float(np.sum(rho)) * grid.h)
+    with np.errstate(over="ignore"):        # unit_mass names a profile the cells miss
+        if kind == "uniform":
+            rho = np.ones(grid.N)
+        elif kind == "gaussian":
+            if sigma <= 0:
+                raise ValueError("gaussian profile needs sigma > 0")
+            rho = np.exp(-0.5 * ((x - mid) / sigma) ** 2)
+        elif kind == "bump":
+            if width <= 0:
+                raise ValueError("bump profile needs width > 0")
+            s = (x - mid) / (0.5 * width)
+            rho = np.zeros(grid.N)
+            core = np.abs(s) < 1.0
+            rho[core] = np.exp(-1.0 / (1.0 - s[core] ** 2))
+        else:
+            raise ValueError(f"unknown heat initial profile kind '{kind}'")
+    keys = {"gaussian": "init.sigma, ", "bump": "init.width, "}.get(kind, "")
+    return unit_mass(rho, grid.h, f"the {kind} initial profile", keys + "grid.length and grid.n")
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +630,7 @@ class HeatRunResult:
     stages: int                    # per superstep: 1 is forward Euler
     evaluations: int               # flux evaluations of the stepping: steps * stages
     dt: float                      # the superstep
-    front_capped: bool             # whether the front cap h/(4c) set the auto step
+    dt_from: str                   # solver.dt, stable_dt, or what capped _auto_step
 
 
 def _record(state: HeatState, grid: LineGrid, params: ModelParams) -> DiagnosticsRecord:
@@ -662,7 +668,7 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | 
     bound = stable_dt(grid, params)
     rho0 = np.asarray(rho0, dtype=float).copy()
     cone = light_cone(rho0, 0.0, grid, params)
-    auto, front_capped = _auto_step(grid, params, bound, cone) if dt is None else (dt, False)
+    auto, dt_from = _auto_step(grid, params, bound, cone) if dt is None else (dt, "solver.dt")
     n_steps, step_dt = time_steps(t_final, auto)
     stages = _stage_count(step_dt, bound)
     if stages > 1 and (top := float(np.max(np.abs(rho0)))) > _SUPERSTEP_RHO_MAX:
@@ -720,4 +726,4 @@ def run_heat(grid: LineGrid, params: ModelParams, rho0: np.ndarray, dt: float | 
     return HeatRunResult(records=records, state=state,
                          max_saturation_excess=max_sat,
                          min_step_entropy_delta=min_ds, steps=n_steps, stages=stages,
-                         evaluations=n_steps * stages, dt=step_dt, front_capped=front_capped)
+                         evaluations=n_steps * stages, dt=step_dt, dt_from=dt_from)

@@ -1,4 +1,4 @@
-"""Serialization: diagnostics CSV and plain-text density dumps.
+"""Serialization, through one writer and one reader: CSVs and density dumps.
 
 Floats are written with 17 significant digits so every file round-trips
 bitwise; regression baselines can therefore be compared exactly.  A density
@@ -12,6 +12,7 @@ calls per row turn into the row's index and position.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -26,6 +27,29 @@ _COLUMNS = CSV_HEADER.split(",")
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def write_text(path, what: str, chunks) -> None:
+    """Write the strings ``chunks`` to ``path`` in turn; an OSError names ``what``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise OSError(f"failed to write {what} to {path}: {exc}") from exc
+
+
+def _read_lines(path, what: str) -> list[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except OSError as exc:
+        raise OSError(f"failed to read {what} from {path}: {exc}") from exc
+
+
+def write_limit_csv(deviations, path) -> None:
+    write_text(path, "limit study",
+               ["c,deviation\n"] + [f"{_fmt(c)},{_fmt(dev)}\n" for c, dev in deviations])
 
 
 def write_timeseries_csv(records, path) -> None:
@@ -44,19 +68,11 @@ def write_timeseries_csv(records, path) -> None:
                    if v is not None and not math.isfinite(v)]:
             raise ValueError(f"refusing to write a time series with {', '.join(bad)}")
         lines.append(",".join("" if v is None else _fmt(v) for v in values))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write time series to {path}: {exc}") from exc
+    write_text(path, "time series", ("\n".join(lines) + "\n",))
 
 
 def read_timeseries_csv(path) -> list[DiagnosticsRecord]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise OSError(f"failed to read time series from {path}: {exc}") from exc
+    lines = _read_lines(path, "time series")
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: not a diagnostics CSV (bad header)")
     out = []
@@ -105,23 +121,14 @@ def dump_density(kind: str, grid, rho: np.ndarray, t: float, path) -> None:
         raise ValueError(f"density of shape {rho.shape} does not fit the grid {shape}")
     templates = _row_templates(grid)
     rows = rho.reshape(len(templates), -1)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header)
-            for tmpl, row in zip(templates, rows):
-                fh.write(tmpl % tuple(row.tolist()))
-    except OSError as exc:
-        raise OSError(f"failed to write density dump to {path}: {exc}") from exc
+    write_text(path, "density dump", itertools.chain(
+        (header,), (tmpl % tuple(row.tolist()) for tmpl, row in zip(templates, rows))))
 
 
 def load_density(path):
     """Load a dump written by dump_density: (kind, meta dict, rho array).
     A body that does not hold every cell exactly once is a ValueError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise OSError(f"failed to read density dump from {path}: {exc}") from exc
+    lines = _read_lines(path, "density dump")
     if len(lines) < 3 or not lines[0].startswith("# kind="):
         raise ValueError(f"{path}: not a density dump")
     kind = lines[0].split("=", 1)[1]

@@ -49,9 +49,8 @@ import numpy as np
 
 from . import generic
 from .errors import PositivityError, StabilityError
-from .generic import (DiagnosticsRecord, State, face_div_p, face_grad_p, faces_of,
-                      grad_p, grad_q, inner)
-from .grid import PhaseGrid, time_steps
+from .generic import DiagnosticsRecord, State, faces_of, grad_p, grad_q, inner
+from .grid import PhaseGrid, face_div_p, face_grad_p, time_steps, unit_mass
 from .model import (ModelParams, Potential, Variant, grid_fields, hamiltonian,
                     maxwellian)
 
@@ -127,11 +126,12 @@ class KfpOperator:
             self.diff_face = params.gamma * params.theta * self.dface * self.rhat_face
             self._tridiag = self._dissipative_matrix()
         rate = sum(v / h for v, h in speeds)
-        self._rk4_dt = 2.0 / rate if rate > 0 else math.inf
+        if not rate > 0:
+            raise StabilityError("the transport rate on the grid is 0, so nothing moves: H "
+                                 "takes one value on every cell, as when m c^2 swamps |p|^2 / "
+                                 "2m; check model.m, model.c and the potential")
+        self._rk4_dt = 2.0 / rate
         self._stable_dt = LONG_REACH * self._rk4_dt
-        if not (math.isfinite(self._stable_dt) and self._stable_dt > 0):
-            raise StabilityError(f"the stability bound on dt is {self._stable_dt!r}; "
-                                 "the parameters leave no usable time step")
         # a mass-1 density reaches 1 / cell volume; its tendencies (at most the fastest
         # rate times that), their squares in the records and the energy the flux
         # exchanges (at most the product of the two rates) must all stay finite
@@ -366,21 +366,10 @@ def _check_mass(name: str, mass: float) -> None:
         raise ValueError(f"{name} must have discrete mass 1, got {mass!r}")
 
 
-def _support_gaps(rho_inf: np.ndarray, grid: PhaseGrid):
-    """Check the mass of rho_inf; the mask of cells where it is not positive,
-    or None when it is positive everywhere."""
-    _check_mass("rho_inf", float(np.sum(rho_inf)) * grid.cell_volume)
-    gaps = ~(rho_inf > 0.0)
-    return gaps if gaps.any() else None
-
-
-def _relative_entropy(rho: np.ndarray, rho_inf: np.ndarray, gaps, grid: PhaseGrid, *,
+def _relative_entropy(rho: np.ndarray, rho_inf: np.ndarray, grid: PhaseGrid, *,
                       work: np.ndarray | None = None) -> float:
-    """relative_entropy after the mass checks, with ``gaps`` from _support_gaps;
-    its terms go into ``work`` when given."""
+    """relative_entropy after its checks; its terms go into ``work`` when given."""
     pos = rho > 0.0
-    if gaps is not None and np.any(pos & gaps):
-        raise ValueError("rho_inf must be positive wherever rho is")
     # rho log(rho / rho_inf) where rho > 0, and 0 elsewhere
     contrib = np.divide(rho, rho_inf, out=work, where=pos)
     np.log(contrib, out=contrib, where=pos)
@@ -392,7 +381,10 @@ def _relative_entropy(rho: np.ndarray, rho_inf: np.ndarray, gaps, grid: PhaseGri
 def relative_entropy(rho: np.ndarray, rho_inf: np.ndarray, grid: PhaseGrid) -> float:
     """sum rho log(rho/rho_inf) * cell volume, with 0 log 0 = 0; nonnegative."""
     _check_mass("rho", float(np.sum(rho)) * grid.cell_volume)
-    return _relative_entropy(rho, rho_inf, _support_gaps(rho_inf, grid), grid)
+    _check_mass("rho_inf", float(np.sum(rho_inf)) * grid.cell_volume)
+    if np.any((rho > 0.0) & ~(rho_inf > 0.0)):
+        raise ValueError("rho_inf must be positive wherever rho is")
+    return _relative_entropy(rho, rho_inf, grid)
 
 
 def l1_distance(rho_a: np.ndarray, rho_b: np.ndarray, grid: PhaseGrid, *,
@@ -417,8 +409,10 @@ class RecordPass:
     """
 
     def __init__(self, op: KfpOperator, rho_inf: np.ndarray):
+        _check_mass("rho_inf", float(np.sum(rho_inf)) * op.grid.cell_volume)
+        if not np.all(rho_inf > 0.0):
+            raise ValueError("rho_inf must be positive on every cell")
         self.op, self.rho_inf = op, rho_inf
-        self.gaps = _support_gaps(rho_inf, op.grid)
 
     def __call__(self, state: State, t: float):
         op, rho = self.op, state.rho
@@ -443,7 +437,7 @@ class RecordPass:
             dSdt=dsdt,
             degL=deg_l,
             degM=deg_m,
-            relEnt=_relative_entropy(rho, self.rho_inf, self.gaps, grid, work=work),
+            relEnt=_relative_entropy(rho, self.rho_inf, grid, work=work),
             e=state.e,
             l1=l1_distance(rho, self.rho_inf, grid, work=work),
             dHrho_dt=-de,
@@ -472,11 +466,8 @@ def make_initial_state(init: InitSpec, grid: PhaseGrid, params: ModelParams,
             rho = np.ones(grid.shape)
         else:
             raise ValueError(f"unknown kfp initial condition kind '{init.kind}'")
-        mass = float(np.sum(rho)) * grid.cell_volume
-    if not 0.0 < mass < math.inf:
-        raise ValueError(f"the {init.kind} initial density has mass {mass!r} on the grid, not "
-                         "a finite positive number; check the init keys, grid.lq and grid.pmax")
-    return State(rho=rho / mass, e=0.0)
+        return State(rho=unit_mass(rho, grid.cell_volume, f"the {init.kind} initial density",
+                                   "the init keys, grid.lq and grid.pmax"), e=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,3 @@ def run_limit_study(cfg: RunConfig) -> list[tuple[float, float]]:
     return [(c, float(np.abs(final_density(run, dt) - rho_classical).max()))
             for c, run in zip(cfg.limit_cs, runs)]
 
-
-def write_limit_csv(deviations, path) -> None:
-    lines = ["c,deviation"]
-    for c, dev in deviations:
-        lines.append(f"{format(c, '.17g')},{format(dev, '.17g')}")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write limit study to {path}: {exc}") from exc

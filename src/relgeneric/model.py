@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import PhaseGrid
+from .grid import PhaseGrid, face_grad_p
 
 #: Distinguished speed-of-light value selecting the classical (Newtonian) mode.
 INFINITE = math.inf
@@ -41,7 +41,6 @@ class ModelParams:
     gamma: float = 1.0   # friction coefficient
     theta: float = 1.0   # temperature kT
     nu: float = 1.0      # thermal diffusivity (heat equation only)
-    d: int = 1           # spatial dimension
 
     def __post_init__(self):
         for name in ("m", "gamma", "theta", "nu"):
@@ -50,8 +49,6 @@ class ModelParams:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if not self.c > 0:
             raise ValueError(f"c must be positive (or INFINITE), got {self.c}")
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise ValueError(f"d must be an integer >= 1, got {self.d}")
 
     @property
     def classical(self) -> bool:
@@ -226,7 +223,7 @@ class GridFields(NamedTuple):
     h_cells: np.ndarray    # H at cell centers
     rhat: np.ndarray       # Boltzmann weight exp(-(H - min H)/theta) at cells
     rhat_face: np.ndarray  # geometric mean of rhat on interior momentum faces
-    gh_face: np.ndarray    # two-point momentum gradient of h_cells on faces
+    gh_face: np.ndarray    # face_grad_p of h_cells
     dface: np.ndarray | None   # diffusion coefficient on faces; None without a variant
 
 
@@ -255,8 +252,7 @@ def grid_fields(grid: PhaseGrid, params: ModelParams, potential: Potential,
     with np.errstate(over="ignore", invalid="ignore"):     # an overflow is reported below
         h = hamiltonian(grid.q_mesh[..., np.newaxis], grid.p_mesh[..., np.newaxis],
                         params, potential)
-        # the face gradient is generic.face_grad_p's; M dE = 0 relies on the two agreeing
-        gh_face = (h[:, 1:] - h[:, :-1]) / grid.hp
+        gh_face = face_grad_p(grid, h)      # the one M applies, so M dE = 0 exactly
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(gh_face))):
         raise ValueError("the Hamiltonian or its momentum gradient is not finite on the grid; "
                          "check model.c, model.m and the potential parameters against it")

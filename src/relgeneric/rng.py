@@ -38,11 +38,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = (self.next_u64() >> 11) * 2.0**-53
-        return lo + (hi - lo) * u
+        return float(self.uniforms(1, lo, hi)[0])
 
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """Vectorized draw of ``n`` uniforms, identical to n calls of uniform()."""
+        """The next ``n`` outputs as uniforms in [lo, hi), by the mapping above."""
         steps = np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
         states = np.uint64(self._state) + steps
         self._state = int(states[-1]) if n > 0 else self._state

@@ -21,7 +21,7 @@ import numpy as np
 from . import generic as G
 from . import heat as HT
 from .config import VerifyOptions
-from .grid import LineGrid, PhaseGrid
+from .grid import LineGrid, PhaseGrid, unit_mass
 from .kfp import KfpOperator
 from .model import (HarmonicPotential, ModelParams, Potential, Variant,
                     ZeroPotential, auto_lq, auto_pmax, diffusion_matrix,
@@ -56,7 +56,9 @@ def random_field(rng: SplitMix64, shape) -> np.ndarray:
 
 
 def random_cotangent(rng: SplitMix64, grid: PhaseGrid) -> G.CotangentVector:
-    return G.CotangentVector(xi=random_field(rng, grid.shape), r=rng.uniform(-1.0, 1.0))
+    """xi, then r, from one draw of the stream."""
+    u = rng.uniforms(grid.Nq * grid.Np + 1, -1.0, 1.0)
+    return G.CotangentVector(xi=u[:-1].reshape(grid.shape), r=float(u[-1]))
 
 
 def random_state(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
@@ -69,11 +71,8 @@ def random_state(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
          + rng.uniform(-0.5, 0.5) * np.cos(4 * np.pi * grid.q_mesh / grid.Lq
                                            + rng.uniform(0, 2 * np.pi))
          * np.exp(-0.25 * (grid.p_mesh - rng.uniform(-1, 1)) ** 2))
-    rho = rhat * np.exp(w)
-    if not 0.0 < (mass := float(np.sum(rho)) * grid.cell_volume) < math.inf:
-        raise ValueError(f"the suite's random state has mass {mass!r} on the grid; "
-                         "check grid.lq and grid.pmax")
-    return G.State(rho=rho / mass, e=rng.uniform(-1.0, 1.0))
+    return G.State(rho=unit_mass(rhat * np.exp(w), grid.cell_volume, "the suite's random state",
+                                 "grid.lq and grid.pmax"), e=rng.uniform(-1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +85,7 @@ def _ratio(x, scale):
 
 def model_checks(rng: SplitMix64, n_samples: int) -> list[CheckResult]:
     out = []
-    params = ModelParams(m=1.3, c=0.9, gamma=1.0, theta=1.0, d=3)
+    params = ModelParams(m=1.3, c=0.9, gamma=1.0, theta=1.0)
     mc = params.m * params.c
 
     p = rng.uniforms(n_samples * 3, -10.0 * mc, 10.0 * mc).reshape(-1, 3)
@@ -109,7 +108,7 @@ def model_checks(rng: SplitMix64, n_samples: int) -> list[CheckResult]:
     out.append(check("bounded velocity: max |grad_p H| / c",
                       float(max(speed.max(), big.max()) / params.c), 1.0 - 1e-15))
 
-    fast = ModelParams(m=1.0, c=1e6, gamma=1.0, theta=1.0, d=3)
+    fast = ModelParams(m=1.0, c=1e6, gamma=1.0, theta=1.0)
     pf = rng.uniforms(64 * 3, -5.0, 5.0).reshape(-1, 3)
     vel_dev = np.linalg.norm(velocity(pf, fast) - pf / fast.m, axis=-1) \
         / np.linalg.norm(pf / fast.m, axis=-1)
@@ -119,7 +118,7 @@ def model_checks(rng: SplitMix64, n_samples: int) -> list[CheckResult]:
 
     div = mobility_drift_divergence(p, Variant.DMR, params)
     out.append(check("DMR divergence bound: max(div - d/m)",
-                      float((div - params.d / params.m).max()), 1e-14))
+                      float((div - p.shape[-1] / params.m).max()), 1e-14))
     return out
 
 

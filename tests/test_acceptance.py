@@ -83,7 +83,7 @@ def test_criterion_3_coupled_conservation():
     e_drift = max(abs(e - energies[0]) for e in energies) / abs(energies[0])
     s_min_delta = float(np.diff([r.S for r in res.records]).min())
     mass_drift = max(abs(r.mass - res.records[0].mass) for r in res.records)
-    bound = cfg.params.gamma * cfg.params.theta * cfg.params.d / cfg.params.m
+    bound = cfg.params.gamma * cfg.params.theta / cfg.params.m
     h_rate_max = max(r.dHrho_dt for r in res.records)
     ok = (e_drift <= 1e-6 and s_min_delta >= -1e-8 and mass_drift <= 1e-10
           and h_rate_max <= bound + 1e-10)

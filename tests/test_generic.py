@@ -21,7 +21,8 @@ def test_grad_div_exact_adjointness(grid, rng):
     a = rng.uniforms(grid.Nq * grid.Np, -1, 1).reshape(grid.shape)
     b = rng.uniforms(grid.Nq * grid.Np, -1, 1).reshape(grid.shape)
     scale = G.grid_norm(grid, a) * G.grid_norm(grid, b)
-    assert abs(G.inner(grid, a, G.div_q(grid, b))
+    # the periodic centred difference is skew-adjoint: div_q is grad_q itself
+    assert abs(G.inner(grid, a, G.grad_q(grid, b))
                + G.inner(grid, G.grad_q(grid, a), b)) <= 1e-13 * scale
     assert abs(G.inner(grid, a, G.div_p(grid, b))
                + G.inner(grid, G.grad_p(grid, a), b)) <= 1e-13 * scale
@@ -88,6 +89,19 @@ def _log_mean_cases():
         and np.any(f2 >= 1e-4)
     return [(a, b), (b, a), (a[:, None], b[None, :60]), (a[:7, None, None], b[None, :5, None]),
             (np.float64(3.0), b), (2.0, 2.0 * (1 + 1e-3)), (0.0, 1.0)]
+
+
+def test_log_mean_keeps_a_nan_face_nan(state, grid, params, potential):
+    # only faces where min(a, b) <= 0 are zeroed: a NaN cell leaves its two
+    # faces NaN, so a bracket on such a density is not a silent 0
+    assert math.isnan(G.log_mean(np.array(np.nan), np.array(1.0)))
+    assert G.log_mean(np.array(0.0), np.array(1.0)) == 0.0
+    rho = state.rho.copy()
+    rho[3, 5] = np.nan
+    weight = G.Brackets(G.State(rho, 0.0), grid, params, potential, Variant.DH).face_weight
+    nan = np.zeros(weight.shape, dtype=bool)
+    nan[3, 4:6] = True
+    assert np.array_equal(np.isnan(weight), nan)
 
 
 def test_log_mean_bitwise_equal_to_both_branch_form():

@@ -689,10 +689,15 @@ def test_run_heat_rejects_record_every_below_one(grid, record_every):
 
 @st.composite
 def extreme_heat_configs(draw):
-    """A 16-cell heat config with extreme nu, c and length, and any initial profile."""
-    return (f"model.nu = {draw(EXTREME)}\nmodel.c = {draw(EXTREME | st.just('inf'))}\n"
+    """A 16-cell heat config with extreme nu, c and length, and any initial
+    profile, whose sigma or width is its default or extreme too."""
+    kind = draw(st.sampled_from(["uniform", "gaussian", "bump"]))
+    text = (f"model.nu = {draw(EXTREME)}\nmodel.c = {draw(EXTREME | st.just('inf'))}\n"
             f"grid.length = {draw(EXTREME)}\ngrid.n = 16\nsolver.record_every = 2\n"
-            f"init.kind = {draw(st.sampled_from(['uniform', 'gaussian', 'bump']))}\n")
+            f"init.kind = {kind}\n")
+    if kind != "uniform" and draw(st.booleans()):
+        text += f"init.{'sigma' if kind == 'gaussian' else 'width'} = {draw(EXTREME)}\n"
+    return text
 
 
 @settings(max_examples=100, deadline=None)
@@ -710,6 +715,13 @@ def extreme_heat_configs(draw):
               "init.kind = bump\n")
 @example(text="model.nu = 1e308\nmodel.c = inf\ngrid.length = 20\ngrid.n = 16\n"
               "init.kind = bump\n")
+# profiles the cells miss, and an h^2 beyond the float range
+@example(text="model.nu = 1\nmodel.c = 1\ngrid.length = 2\ngrid.n = 16\n"
+              "init.kind = gaussian\ninit.sigma = 1e-300\n")
+@example(text="model.nu = 1\nmodel.c = 1\ngrid.length = 2\ngrid.n = 16\n"
+              "init.kind = bump\ninit.width = 1e-300\n")
+@example(text="model.nu = 1\nmodel.c = 1\ngrid.length = 1e300\ngrid.n = 16\n"
+              "init.kind = gaussian\n")
 def test_fuzzed_heat_runs_end_in_named_outcomes(tmp_path_factory, text):
     # a run of four steps at the stability bound ends in a named outcome
     # (run_to_named_outcome), and no floating-point warning comes before it
@@ -722,6 +734,19 @@ def test_fuzzed_heat_runs_end_in_named_outcomes(tmp_path_factory, text):
             pass          # the run below ends in the same error
         printed = run_to_named_outcome("heat", text, tmp_path_factory.mktemp("fuzz"))
     assert not caught, (text, printed, [str(w.message) for w in caught])
+
+
+def test_a_step_bound_beyond_the_float_range_is_named(tmp_path, capsys):
+    # on grid.length = 1e300, h^2 overflows: the run names the keys that set
+    # the bound h^2 / (2 nu), with no traceback and no warning
+    (path := tmp_path / "h.cfg").write_text("grid.n = 16\ngrid.length = 1e300\n"
+                                           "solver.t_final = 1e-3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["heat", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "run failed: the stability bound on dt is inf: h^2 / (2 nu) with h = 6.250e+298 and "
+        "nu = 1.000e+00 leaves the float range; check grid.length, grid.n and model.nu\n")
 
 
 def test_heat_constants_beyond_the_float_range_are_named():
@@ -1040,7 +1065,8 @@ def test_superstep_of_densities_near_the_largest_double_is_named(grid, params):
                                            ("1.0", "1e-4", False)])
 def test_summary_line_names_the_superstep_and_the_front_cap(c, dt, capped, tmp_path, capsys):
     # heat_bump data on 128 cells: at c = 1 the front cap h/(4c) sets the auto
-    # superstep, at c = inf and at an explicit dt it does not
+    # superstep, at c = inf the reach of 16 RKL2 stages and at an explicit dt
+    # solver.dt; the summary line names which
     path = tmp_path / "bump.cfg"
     path.write_text(f"experiment = heat\nmodel.c = {c}\nmodel.nu = 1.0\ngrid.n = 128\n"
                     f"grid.length = 4.0\nsolver.dt = {dt}\nsolver.t_final = 0.05\n"
@@ -1048,10 +1074,11 @@ def test_summary_line_names_the_superstep_and_the_front_cap(c, dt, capped, tmp_p
     cfg = load_config(path, "heat")
     res = H.run_heat(cfg.heat_grid, cfg.params, heat_initial(cfg, cfg.heat_grid), cfg.dt,
                      cfg.t_final, cfg.record_every)
-    assert res.front_capped == capped and res.dt * res.steps == pytest.approx(0.05)
+    source = ("front cap h/(4c)" if capped else "solver.dt" if dt != "auto"
+              else "reach of 16 RKL2 stages")
+    assert res.dt_from == source and res.dt * res.steps == pytest.approx(0.05)
     if capped:
         assert res.dt == 0.05 / time_steps(0.05, cfg.heat_grid.h / 4.0)[0]
     assert main(["heat", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    cap = "binds" if capped else "does not bind"
-    assert f"; superstep {res.dt:.6g}, front cap h/(4c) {cap}; steps {res.steps}," \
+    assert f"; superstep {res.dt:.6g} from {source}; steps {res.steps}," \
         in capsys.readouterr().out

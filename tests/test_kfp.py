@@ -137,7 +137,7 @@ def test_excess_quadrature_delta_state():
     drift_term = params.gamma * (params.c * grid.p[j0] ** 2
                                  / (params.m * math.sqrt((params.m * params.c) ** 2
                                                          + grid.p[j0] ** 2)))
-    expected = drift_term - params.gamma * params.theta * params.d / params.m
+    expected = drift_term - params.gamma * params.theta / params.m
     assert rate == pytest.approx(expected, rel=1e-13)
 
 
@@ -150,7 +150,7 @@ def test_excess_quadrature_universal_bound(rng):
             rho /= float(np.sum(rho)) * cfg.grid.cell_volume
             rate = excess_energy_rate_quadrature(G.State(rho, 0.0), cfg.grid,
                                                  cfg.params, variant)
-            bound = cfg.params.gamma * cfg.params.theta * cfg.params.d / cfg.params.m
+            bound = cfg.params.gamma * cfg.params.theta / cfg.params.m
             assert -rate <= bound + 1e-12
 
 
@@ -590,13 +590,14 @@ def test_calculus_bitwise_equal_to_allocating_reference():
 
 @pytest.mark.parametrize("variant,c", KINETIC_CASES)
 def test_transport_matches_the_generic_stencils(variant, c, rng):
-    # the pre-scaled kernel against generic.div_q and div_p on the unscaled
-    # velocities; the step bounds still come from the unscaled speeds
+    # the pre-scaled kernel against generic.grad_q (the skew-adjoint div_q)
+    # and div_p on the unscaled velocities; the step bounds still come from
+    # the unscaled speeds
     cfg, op = _variant_cfg(variant, record_every=1, steps=1, c=c)
     grid, h = cfg.grid, op.h_cells
     for _ in range(3):
         rho = make_state(rng, grid, cfg.params, cfg.potential).rho
-        q_part = G.div_q(grid, rho * -G.grad_p(grid, h))
+        q_part = G.grad_q(grid, rho * -G.grad_p(grid, h))
         p_part = G.div_p(grid, rho * G.grad_q(grid, h))
         scale = max(float(np.abs(q_part).max()), float(np.abs(p_part).max()))
         got = op.transport_tendency(rho)
@@ -1216,6 +1217,24 @@ def test_relative_entropy_zero_cells(rng):
     rho[0, 0] = 0.0
     rho /= float(np.sum(rho)) * grid.cell_volume
     assert math.isfinite(K.relative_entropy(rho, rinf, grid))
+
+
+def test_the_maxwellian_is_checked_once_per_run():
+    # RecordPass checks its rho_inf's mass and positivity when it is built,
+    # not at every record; the public relative_entropy keeps its own checks
+    cfg = small_cfg()
+    grid = cfg.grid
+    op = K.KfpOperator(grid, cfg.params, cfg.potential, cfg.variant)
+    rinf, _ = maxwellian(grid, cfg.params, cfg.potential)
+    with pytest.raises(ValueError, match="rho_inf must have discrete mass 1"):
+        K.RecordPass(op, 2.0 * rinf)
+    gap = rinf.copy()
+    gap[0, 0] = 0.0
+    gap /= float(np.sum(gap)) * grid.cell_volume
+    with pytest.raises(ValueError, match="rho_inf must be positive on every cell"):
+        K.RecordPass(op, gap)
+    with pytest.raises(ValueError, match="rho_inf must be positive wherever rho is"):
+        K.relative_entropy(rinf, gap, grid)
 
 
 def test_initial_states_normalized():

@@ -23,8 +23,8 @@ def test_params_validation():
         ModelParams(theta=0.0)
     with pytest.raises(ValueError):
         ModelParams(c=-2.0)
-    with pytest.raises(ValueError):
-        ModelParams(d=0)
+    with pytest.raises(TypeError):          # the dimension is the momenta's last axis
+        ModelParams(d=1)
     assert ModelParams(c=INFINITE).classical
 
 
@@ -35,14 +35,14 @@ def test_hamiltonian_rest_energy():
 
 
 def test_hamiltonian_two_dimensional_momentum():
-    p = ModelParams(m=1.0, c=1.0, d=2)
+    p = ModelParams(m=1.0, c=1.0)
     val = hamiltonian(np.zeros(2), np.array([3.0, 4.0]), p, ZERO)
     # scalar one-liner oracle: c*sqrt(m^2 c^2 + 9 + 16)
     assert val == pytest.approx(math.sqrt(26.0), rel=1e-15)
 
 
 def test_hamiltonian_classical():
-    p = ModelParams(m=2.0, c=INFINITE, d=2)
+    p = ModelParams(m=2.0, c=INFINITE)
     val = hamiltonian(np.zeros(2), np.array([2.0, 0.0]), p, ZERO)
     assert val == pytest.approx(1.0)
 
@@ -81,7 +81,7 @@ def test_diffusion_matrix_cases():
 
 def test_diffusion_matrix_eigenvalues_d3():
     # along p the eigenvalue is s/(mc); orthogonal to p it is mc/s
-    p = ModelParams(m=1.3, c=0.8, d=3)
+    p = ModelParams(m=1.3, c=0.8)
     pv = np.array([0.4, -1.1, 0.7])
     dm = diffusion_matrix(pv, Variant.DH, p)
     s = math.sqrt((p.m * p.c) ** 2 + pv @ pv)
@@ -103,7 +103,7 @@ def test_variants_are_kramers_at_infinite_c():
 
 
 def test_mobility_drift():
-    p = ModelParams(m=2.0, c=5.0, d=2)
+    p = ModelParams(m=2.0, c=5.0)
     drift = mobility_drift(np.array([4.0, 0.0]), Variant.DH, p)
     assert np.allclose(drift, [2.0, 0.0], rtol=1e-13)
     assert np.allclose(mobility_drift(np.zeros(2), Variant.DMR, p), 0.0)
@@ -127,7 +127,7 @@ def test_mobility_drift_divergence():
 
 
 def test_fluctuation_dissipation_bulk():
-    p = ModelParams(m=1.3, c=0.9, d=3)
+    p = ModelParams(m=1.3, c=0.9)
     rng = SplitMix64(5)
     pv = rng.uniforms(10000 * 3, -10 * p.m * p.c, 10 * p.m * p.c).reshape(-1, 3)
     drift = mobility_drift(pv, Variant.DH, p)
@@ -139,7 +139,7 @@ def test_fluctuation_dissipation_bulk():
 @given(px=st.floats(-20, 20), py=st.floats(-20, 20),
        x1=st.floats(-1, 1), x2=st.floats(-1, 1))
 def test_diffusion_matrix_psd_property(px, py, x1, x2):
-    p = ModelParams(m=1.0, c=1.0, d=2)
+    p = ModelParams(m=1.0, c=1.0)
     dm = diffusion_matrix(np.array([px, py]), Variant.DH, p)
     xi = np.array([x1, x2])
     assert xi @ dm @ xi >= -1e-14 * (xi @ xi)
@@ -150,7 +150,7 @@ def test_diffusion_matrix_psd_property(px, py, x1, x2):
 def test_dmr_divergence_bound_property(pval):
     p = ModelParams(m=1.0, c=1.0)
     assert mobility_drift_divergence(np.array([pval]), Variant.DMR, p) \
-        <= p.d / p.m + 1e-14
+        <= 1 / p.m + 1e-14                 # d = 1: one momentum component
 
 
 def test_classical_limit_pointwise():

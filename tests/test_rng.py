@@ -32,5 +32,13 @@ def test_vectorized_matches_scalar():
     assert a.next_u64() == b.next_u64()
 
 
+def test_uniforms_map_the_scalar_reference_outputs():
+    # the top 53 bits of each next_u64 output, scaled to [lo, hi)
+    a, b = SplitMix64(7), SplitMix64(7)
+    ref = [-2.0 + 7.0 * ((b.next_u64() >> 11) * 2.0**-53) for _ in range(257)]
+    assert a.uniforms(257, -2.0, 5.0).tolist() == ref
+    assert a.uniform(-2.0, 5.0) == -2.0 + 7.0 * ((b.next_u64() >> 11) * 2.0**-53)
+
+
 def test_seed_wraps_to_64_bits():
     assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()

@@ -343,8 +343,13 @@ LIMIT_KFP = "limit.kind = kfp\ngrid.nq = 8\ngrid.np = 16\n"
     ("verify", VERIFY_TINY + "potential.kind = cosine\npotential.amplitude = 1e300\n",
      "the dissipative flux overflows: the Boltzmann weight falls to 0.000e+00"),
     ("limit-study", LIMIT_KFP + "model.theta = 1e300\nsolver.t_final = 0.01\n",
-     "the Hamiltonian or its momentum gradient is not finite")],
-    ids=["verify-tendencies", "verify-coefficients", "verify-weight", "limit-hamiltonian"])
+     "the Hamiltonian or its momentum gradient is not finite"),
+    # m c^2 = 1e20 swamps |p|^2 / 2m up to Pmax = 4.1e10: H is the same on every cell
+    ("verify", VERIFY_TINY + "model.m = 1e20\nmodel.theta = 0.25\n",
+     "the transport rate on the grid is 0, so nothing moves: H takes one value on every "
+     "cell, as when m c^2 swamps |p|^2 / 2m; check model.m, model.c and the potential\n")],
+    ids=["verify-tendencies", "verify-coefficients", "verify-weight", "limit-hamiltonian",
+         "verify-still"])
 def test_bad_kinetic_model_is_named_by_the_operator_build_first(tmp_path, monkeypatch,
                                                                 experiment, text, named):
     # verify builds its DH and DMR operators before any check group, and a
@@ -447,6 +452,28 @@ def test_a_bracket_that_overflows_fails_every_check_that_reads_it(tmp_path, caps
     assert all(np.isnan(v) for v in failed.values())
 
 
+HEAT_TINY = "grid.n = 16\nsolver.t_final = 1e-3\n"
+MISSED = "initial profile has mass 0.0 on the grid, not a finite positive number; check "
+
+
+@pytest.mark.parametrize("experiment, text, message", [
+    ("heat", "init.kind = gaussian\ninit.sigma = 1e-300\n",
+     f"the gaussian {MISSED}init.sigma, grid.length and grid.n"),
+    ("heat", "init.kind = bump\ninit.width = 1e-300\n",
+     f"the bump {MISSED}init.width, grid.length and grid.n"),
+    ("limit-study", "limit.kind = heat\ninit.kind = bump\ninit.width = 1e-300\n",
+     f"the bump {MISSED}init.width, grid.length and grid.n")],
+    ids=["heat-gaussian", "heat-bump", "limit-heat-bump"])
+def test_heat_initial_data_the_cells_miss_is_named(tmp_path, capsys, experiment, text, message):
+    # a profile narrower than a cell samples to 0 on every cell, with no
+    # floating-point warning: the run names it before any step
+    (path := tmp_path / "h.cfg").write_text(HEAT_TINY + text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(experiment, "--config", str(path), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"run failed: {message}\n"
+
+
 def test_random_state_without_finite_positive_mass_is_named(tmp_path, capsys):
     # on grid.lq = 1e308 the suite's random factor sin(2 pi q / Lq) overflows
     # to NaN, a state on which the dissipative checks would measure 0 (its
@@ -456,7 +483,8 @@ def test_random_state_without_finite_positive_mass_is_named(tmp_path, capsys):
         warnings.simplefilter("error")
         assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == ("run failed: the suite's random state has mass nan on "
-                                       "the grid; check grid.lq and grid.pmax\n")
+                                       "the grid, not a finite positive number; check "
+                                       "grid.lq and grid.pmax\n")
 
 
 @settings(max_examples=100, deadline=None)
