@@ -304,7 +304,7 @@ class Brackets:
         drho -= grad_q(grid, np.multiply(rho, gp, out=gp), out=gq)
         return drho, 0.0
 
-    def dissipative(self, v: CotangentVector, *, face_grad: np.ndarray | None = None):
+    def dissipative(self, v: CotangentVector):
         """M(z)(xi, r): friction-diffusion block of the GENERIC evolution.
 
         Returns (drho, de) with
@@ -312,16 +312,13 @@ class Brackets:
             de   = gamma * sum D grad_p H (r grad_p H - grad_p xi) rho_f * vol
         assembled from one shared face gradient of the cell-sampled H, which
         feeds every occurrence of grad_p H, so that symmetry and the
-        degeneracy M dE = 0 are exact.  ``face_grad`` is face_grad_p of xi
-        when the caller has it.
+        degeneracy M dE = 0 are exact.
         """
         gh, gamma, grid = self.fields.gh_face, self.params.gamma, self.grid
         drho, combo, prod = self._scratch(3)
         combo, prod = faces_of(combo), faces_of(prod)
-        if face_grad is None:
-            face_grad = face_grad_p(grid, v.xi, out=prod)
         np.multiply(gh, v.r, out=combo)
-        combo -= face_grad
+        combo -= face_grad_p(grid, v.xi, out=prod)
         combo *= self.face_weight
         face_div_p(grid, combo, out=drho)
         drho *= gamma
@@ -332,9 +329,8 @@ class Brackets:
         drho, de = self.poisson(v2)
         return inner(self.grid, v1.xi, drho) + v1.r * de
 
-    def dissipative_bracket(self, v1: CotangentVector, v2: CotangentVector, *,
-                            face_grad: np.ndarray | None = None) -> float:
-        drho, de = self.dissipative(v2, face_grad=face_grad)
+    def dissipative_bracket(self, v1: CotangentVector, v2: CotangentVector) -> float:
+        drho, de = self.dissipative(v2)
         return inner(self.grid, v1.xi, drho) + v1.r * de
 
     def degeneracy_residuals(self):

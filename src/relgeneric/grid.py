@@ -127,12 +127,18 @@ class LineGrid:
 
 def unit_mass(rho: np.ndarray, cell: float, what: str, keys: str) -> np.ndarray:
     """rho at discrete mass 1 on cells of size ``cell``; a ValueError naming
-    ``what`` and the ``keys`` to check when its mass is not finite and positive."""
+    ``what`` and the ``keys`` to check when its mass is not finite and positive,
+    or too small to scale rho to mass 1 within the float range."""
     mass = float(np.sum(rho)) * cell
     if not 0.0 < mass < math.inf:
         raise ValueError(f"{what} has mass {mass!r} on the grid, not a finite positive "
                          f"number; check {keys}")
-    return rho / mass
+    with np.errstate(over="ignore"):
+        scaled = rho / mass
+    if not np.isfinite(scaled).all():
+        raise ValueError(f"{what} has mass {mass!r} on the grid, too small to scale it to "
+                         f"mass 1 within the float range; check {keys}")
+    return scaled
 
 
 def time_steps(t_final: float, dt: float) -> tuple[int, float]:

@@ -362,8 +362,7 @@ KEY_RUNS = {
     "stationary.l1_target = 1e-2": {"stationary"},
     "limit.kind = heat": {"limit-heat"}, "limit.c_values = 10, 100": {"limit-heat", "limit-kfp"},
     **{f"verify.{name} = {value}": {"verify"} for name, value in (
-        ("bracket_pairs", 5), ("psd_samples", 5), ("fd_samples", 5), ("gradient_checks", 2),
-        ("assembly_states", 2))},
+        ("fd_samples", 5), ("gradient_checks", 2), ("assembly_states", 2))},
 }
 # a valid line of each key taken only under some values of a kind key:
 # (the runs that take it, the kind key, those values)
@@ -436,8 +435,31 @@ def test_stationary_config():
 
 
 def test_verify_options():
-    cfg = parse_config("verify.psd_samples = 50\n", "verify")
-    assert cfg.verify.psd_samples == 50
+    cfg = parse_config("verify.fd_samples = 50\n", "verify")
+    assert cfg.verify.fd_samples == 50
+
+
+def test_verify_grid_is_bounded_by_its_dense_operator_checks(tmp_path, capsys):
+    # verify defaults to the largest grid it takes, and names one above it
+    cfg = parse_config("", "verify")
+    assert (cfg.phase_grid.Nq, cfg.phase_grid.Np) == (32, 32)
+    assert parse_config("grid.nq = 16\ngrid.np = 64\n", "verify").phase_grid.Np == 64
+    assert parse_config("model.c = 2.0\n", "kfp").phase_grid.Nq == 64
+    (path := tmp_path / "verify.cfg").write_text("grid.np = 34\n")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: key 'grid.nq': 32 x 34 (grid.np) cells, more than the 1024 "
+        "that verify's dense operator checks take\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["verify.bracket_pairs", "verify.psd_samples"])
+def test_retired_verify_sizes_are_unknown_keys(tmp_path, capsys, key):
+    # the operator checks read whole matrices and sample nothing
+    (path := tmp_path / "verify.cfg").write_text(f"{key} = 5\n")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: line 1: unknown key '{key}' for experiment 'verify'\n")
 
 
 # ---------------------------------------------------------------------------

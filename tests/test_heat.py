@@ -722,6 +722,9 @@ def extreme_heat_configs(draw):
               "init.kind = bump\ninit.width = 1e-300\n")
 @example(text="model.nu = 1\nmodel.c = 1\ngrid.length = 1e300\ngrid.n = 16\n"
               "init.kind = gaussian\n")
+# a mass too small to scale to 1
+@example(text="model.nu = 1\nmodel.c = 1\ngrid.length = 1e-320\ngrid.n = 16\n"
+              "init.kind = uniform\n")
 def test_fuzzed_heat_runs_end_in_named_outcomes(tmp_path_factory, text):
     # a run of four steps at the stability bound ends in a named outcome
     # (run_to_named_outcome), and no floating-point warning comes before it

@@ -31,8 +31,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def quick_opts():
-    return VerifyOptions(bracket_pairs=10, psd_samples=50, fd_samples=500,
-                         gradient_checks=3, assembly_states=3)
+    return VerifyOptions(fd_samples=500, gradient_checks=3, assembly_states=3)
 
 
 @pytest.fixture
@@ -75,42 +74,25 @@ def test_drift_perturbation_fails_degeneracy(verify_cfg, monkeypatch):
 
 def test_operator_checks_take_one_face_density_per_state_and_variant(verify_cfg,
                                                                       monkeypatch):
-    # M(z) is built once per (state, variant), 5 states x 2 variants, however
-    # many cotangent vectors the checks apply it to
+    # the checks read one random state: M(z) is built once per variant, and
+    # its face density taken once, for all 1,025 unit cotangents it is applied to
     calls = []
     log_mean = G.log_mean
     monkeypatch.setattr(G, "log_mean",
                         lambda *args, **kw: calls.append(1) or log_mean(*args, **kw))
     results = operator_checks(SplitMix64(1), verify_cfg.phase_grid, verify_cfg.params,
-                              verify_cfg.potential, quick_opts())
+                              verify_cfg.potential)
     assert all(r.passed for r in results)
-    assert 0 < len(calls) <= 10
-
-
-def test_positivity_samples_take_one_face_gradient_each(verify_cfg, monkeypatch):
-    # the positivity loop reuses the face gradient of each sampled covector
-    # for its scale: 50 more samples cost 50 more face gradients, not 100
-    calls = []
-    face_grad_p = G.face_grad_p
-    monkeypatch.setattr(G, "face_grad_p",
-                        lambda *args, **kw: calls.append(1) or face_grad_p(*args, **kw))
-    counts = []
-    for samples in (50, 100):
-        calls.clear()
-        results = operator_checks(SplitMix64(1), verify_cfg.phase_grid, verify_cfg.params,
-                                  verify_cfg.potential, replace(quick_opts(), psd_samples=samples))
-        assert all(r.passed for r in results)
-        counts.append(len(calls))
-    assert counts[1] - counts[0] == 50
+    assert len(calls) == 2
 
 
 def test_bracket_checks_pass_on_nearly_cancelling_pair(verify_cfg):
-    # seed 1901025285 draws a pair whose Poisson bracket nearly vanishes;
-    # normalized by |b12| + |b21| its round-off read 1.4e-12.  The pairs come
-    # before the positivity samples, so fewer samples leave them as they are.
-    opts = replace(verify_cfg.verify, psd_samples=50)
+    # seed 1901025285 once drew a pair whose Poisson bracket nearly vanished,
+    # where a pairwise residual read 1.4e-12; the whole matrices hold every
+    # such pair, and their residuals stay at round-off relative to max|B|
     results, report, ok = run_verify(verify_cfg.phase_grid, verify_cfg.params,
-                                     verify_cfg.potential, seed=1901025285, opts=opts)
+                                     verify_cfg.potential, seed=1901025285,
+                                     opts=verify_cfg.verify)
     assert ok, report
     assert "21/21 checks passed" in report
     brackets = [r for r in results if "bracket" in r.name and "symmetry" in r.name]
@@ -136,6 +118,29 @@ def test_bracket_check_catches_nonantisymmetric_poisson(verify_cfg, monkeypatch)
     check = next(r for r in results if r.name.startswith("Poisson bracket antisymmetry"))
     assert not check.passed, report
     assert not ok
+
+
+@pytest.mark.parametrize("name, weight", [
+    # (1 + 1e-8 w) M with a non-constant w is no longer symmetric
+    ("dissipative bracket symmetry (relative)",
+     lambda g: 1.0 + 1e-8 * np.cos(2 * np.pi * g.q_mesh / g.Lq) * np.tanh(g.p_mesh)),
+    # -M on the densities is indefinite
+    ("dissipative bracket positivity: min [v,v]/scale", lambda g: -1.0)],
+    ids=["symmetry", "positivity"])
+def test_bracket_checks_catch_a_spoiled_dissipative_operator(verify_cfg, monkeypatch, name,
+                                                             weight):
+    # sensitivity controls: M with its rho-part times weight(grid) fails the
+    # whole-matrix check named
+    apply = G.Brackets.dissipative
+
+    def spoiled(self, v):
+        drho, de = apply(self, v)
+        return weight(self.grid) * drho, de
+    monkeypatch.setattr(G.Brackets, "dissipative", spoiled)
+    results = operator_checks(SplitMix64(1), verify_cfg.phase_grid, verify_cfg.params,
+                              verify_cfg.potential)
+    check = next(r for r in results if r.name == name)
+    assert not check.passed, results
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +191,7 @@ def test_cli_kfp_run_deterministic(tmp_path):
         == (out2 / "density_final.txt").read_bytes()
 
 
-VERIFY_SMALL = ("verify.psd_samples = 20\nverify.fd_samples = 100\n"
-                "verify.bracket_pairs = 5\nverify.assembly_states = 2\n"
+VERIFY_SMALL = ("verify.fd_samples = 100\nverify.assembly_states = 2\n"
                 "grid.nq = 16\ngrid.np = 16\ngrid.lq = 16.0\ngrid.pmax = 34.0\n")
 STATIONARY_CHECKS = ["mass drift", "relative energy drift", "entropy change per sample",
                      "relative entropy change per sample",
@@ -330,8 +334,8 @@ def test_check_fails_a_measurement_that_is_not_finite(measured, op):
     assert not check("x", measured, 0.0, op).passed
 
 
-VERIFY_TINY = ("grid.nq = 8\ngrid.np = 8\nverify.bracket_pairs = 1\nverify.psd_samples = 1\n"
-               "verify.fd_samples = 1\nverify.gradient_checks = 1\nverify.assembly_states = 1\n")
+VERIFY_TINY = ("grid.nq = 8\ngrid.np = 8\nverify.fd_samples = 1\nverify.gradient_checks = 1\n"
+               "verify.assembly_states = 1\n")
 LIMIT_KFP = "limit.kind = kfp\ngrid.nq = 8\ngrid.np = 16\n"
 
 
@@ -419,7 +423,7 @@ def test_fuzzed_verify_runs_end_in_named_outcomes(tmp_path_factory, text):
     grid, params, potential, opts = cfg.phase_grid, cfg.params, cfg.potential, cfg.verify
     rng = SplitMix64(cfg.seed)
     for group in (lambda: V.model_checks(rng, opts.fd_samples),
-                  lambda: V.operator_checks(rng, grid, params, potential, opts),
+                  lambda: V.operator_checks(rng, grid, params, potential),
                   lambda: V.jacobi_checks(rng),
                   lambda: V.gradient_checks(rng, grid, params, potential, opts.gradient_checks),
                   lambda: V.assembly_checks(rng, grid, params, potential, ops,
@@ -462,11 +466,16 @@ MISSED = "initial profile has mass 0.0 on the grid, not a finite positive number
     ("heat", "init.kind = bump\ninit.width = 1e-300\n",
      f"the bump {MISSED}init.width, grid.length and grid.n"),
     ("limit-study", "limit.kind = heat\ninit.kind = bump\ninit.width = 1e-300\n",
-     f"the bump {MISSED}init.width, grid.length and grid.n")],
-    ids=["heat-gaussian", "heat-bump", "limit-heat-bump"])
+     f"the bump {MISSED}init.width, grid.length and grid.n"),
+    # mass 1e-320: rho / mass would leave the float range
+    ("heat", "init.kind = uniform\ngrid.length = 1e-320\n",
+     "the uniform initial profile has mass 9.96e-321 on the grid, too small to scale it to "
+     "mass 1 within the float range; check grid.length and grid.n")],
+    ids=["heat-gaussian", "heat-bump", "limit-heat-bump", "heat-mass-too-small"])
 def test_heat_initial_data_the_cells_miss_is_named(tmp_path, capsys, experiment, text, message):
-    # a profile narrower than a cell samples to 0 on every cell, with no
-    # floating-point warning: the run names it before any step
+    # a profile narrower than a cell samples to 0 on every cell, and one of
+    # mass 1e-320 cannot be scaled to 1; with no floating-point warning, the
+    # run names it before any step
     (path := tmp_path / "h.cfg").write_text(HEAT_TINY + text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -601,8 +610,7 @@ def test_cli_dump_cadence(tmp_path):
 
 def test_console_script_installed(tmp_path):
     cfg = tmp_path / "v.cfg"
-    cfg.write_text("verify.psd_samples = 10\nverify.fd_samples = 50\n"
-                   "verify.bracket_pairs = 3\nverify.assembly_states = 1\n"
+    cfg.write_text("verify.fd_samples = 50\nverify.assembly_states = 1\n"
                    "grid.nq = 16\ngrid.np = 16\ngrid.lq = 16.0\ngrid.pmax = 34.0\n")
     proc = subprocess.run(["relgeneric", "verify", "--config", str(cfg),
                            "--out", str(tmp_path / "o")],
