@@ -23,7 +23,7 @@ from .model import (EDGE_MARGIN, INFINITE, TAIL_CUTOFF, CosinePotential,
 
 EXPERIMENTS = ("heat", "kfp", "verify", "stationary", "limit-study")
 # verify's operator checks take eigenvalues of dense (cells + 1)^2 matrices: the
-# suite takes 0.6 s at 32x32 on a 2-CPU x86-64 VM, and would take 16 s at 64x64
+# suite takes 0.6 s at 32x32 on a 2-CPU x86-64 VM, and 17.5 s and 690 MB at 64x64
 VERIFY_MAX_CELLS = 32 * 32
 
 

@@ -3,8 +3,7 @@
 State, energy/entropy functionals and their derivatives, the antisymmetric
 (Poisson) operator L(z) and the symmetric positive-semidefinite
 (dissipative) operator M(z) frozen at a state in one ``Brackets`` object,
-with their brackets and degeneracy residuals, and a finite-dimensional
-Jacobi-identity checker.
+with their brackets and degeneracy residuals.
 
 Discrete calculus convention: the cell-centered gradient uses centered
 differences (periodic in q, one-sided at the momentum edges) and every
@@ -343,44 +342,3 @@ class Brackets:
         res_m = float(np.sqrt(grid_norm(grid, m_rho, work=spare) ** 2 + m_e**2))
         return res_l, res_m
 
-
-# ---------------------------------------------------------------------------
-# finite-dimensional Jacobi check
-
-def jacobi_residual_fd(lmat: np.ndarray, f1, f2, f3, z: np.ndarray,
-                       step: float = 1e-4):
-    """Jacobi residual {{f1,f2},f3} + cyclic at z, by nested central differences.
-
-    The bracket is {f,g}(z) = grad f(z)^T L grad g(z) for a constant
-    antisymmetric matrix L, for which the analytic residual vanishes.
-    Returns (residual, scale) where scale collects the magnitudes of the
-    three triple brackets.
-    """
-    lmat = np.asarray(lmat, dtype=float)
-    n = lmat.shape[0]
-    if lmat.shape != (n, n) or n > 8:
-        raise ValueError("L must be a square matrix of size at most 8")
-    if not np.allclose(lmat, -lmat.T, atol=1e-14 * (1.0 + np.abs(lmat).max())):
-        raise ValueError("L must be antisymmetric")
-    z = np.asarray(z, dtype=float)
-
-    def fd_grad(f, x):
-        g = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = step
-            fp, fm = f(x + e), f(x - e)
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise ValueError("finite-difference stencil left the evaluable region")
-            g[i] = (fp - fm) / (2.0 * step)
-        return g
-
-    def bracket(f, g):
-        return lambda x: float(fd_grad(f, x) @ lmat @ fd_grad(g, x))
-
-    terms = [bracket(bracket(f1, f2), f3)(z),
-             bracket(bracket(f2, f3), f1)(z),
-             bracket(bracket(f3, f1), f2)(z)]
-    residual = abs(sum(terms))
-    scale = max(1.0, sum(abs(t) for t in terms))
-    return residual, scale

@@ -4,16 +4,16 @@ Runs the seeded checks behind the `verify` experiment: pointwise model
 identities (fluctuation-dissipation, positive semidefiniteness, bounded
 velocity, classical limits), operator structure on a grid (antisymmetry,
 symmetry, positivity, degeneracy, mass conservation) read from the whole
-bracket matrices of L(z) and M(z) at one random state, the finite-dimensional
-Jacobi identity, functional-derivative consistency, refinement orders, and
-the dual-assembly identities of both solvers.  Every check reports a
-measured value against its tolerance; the suite is deterministic in the
-seed, so two runs produce byte-identical reports.
+bracket matrices of L(z) and M(z) at one random state, functional-derivative
+consistency, refinement orders (L dS, the transport at the Maxwellian and the
+Jacobi residual of L(z), exact on linear functionals), and the dual-assembly
+identities of both solvers.  Every check reports a measured value against
+its tolerance; the suite is deterministic in the seed, so two runs produce
+byte-identical reports.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -117,19 +117,25 @@ def model_checks(rng: SplitMix64, n_samples: int) -> list[CheckResult]:
     return out
 
 
+def dense_matrix(apply, n: int) -> np.ndarray:
+    """The n x n matrix whose column k is ``apply(e_k)``, e_k the flat unit
+    vectors: one array, set and reset in place, which ``apply`` must not keep."""
+    out, unit = np.empty((n, n)), np.zeros(n)
+    for k in range(n):
+        unit[k] = 1.0
+        out[:, k] = apply(unit)
+        unit[k] = 0.0
+    return out
+
+
 def _bracket_matrix(apply, grid: PhaseGrid) -> np.ndarray:
     """The matrix B of the bracket of the operator ``apply`` on the unit
     cotangents, the cells in row-major order and then e: B[a, b] = [e_a, e_b],
     so column b is ``apply(e_b)``, its rho-part times the cell volume."""
-    n = grid.Nq * grid.Np
-    out, unit = np.empty((n + 1, n + 1)), np.zeros(n + 1)     # unit[n] is r
-    for b in range(n + 1):
-        unit[b] = 1.0
+    def column(unit):                                         # unit[-1] is r
         drho, de = apply(G.CotangentVector(xi=unit[:-1].reshape(grid.shape), r=unit[-1]))
-        unit[b] = 0.0
-        out[:-1, b] = drho.reshape(-1) * grid.cell_volume
-        out[-1, b] = de
-    return out
+        return np.append(drho.reshape(-1) * grid.cell_volume, de)
+    return dense_matrix(column, grid.Nq * grid.Np + 1)
 
 
 def _least_eigenvalue(b: np.ndarray) -> float:
@@ -184,43 +190,6 @@ def operator_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
               note="every column of L and both M")]
 
 
-def jacobi_checks(rng: SplitMix64) -> list[CheckResult]:
-    out = []
-    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-    def quad_fn(a, b, cvec):                # z a z + b z + cvec, a symmetrized
-        a = 0.5 * (a + a.T)
-        return lambda z: float(z @ a @ z + b @ z + cvec)
-
-    a1 = random_field(rng, (2, 2)); a2 = random_field(rng, (2, 2)); a3 = random_field(rng, (2, 2))
-    fns = [quad_fn(a, random_field(rng, (2,)), rng.uniform()) for a in (a1, a2, a3)]
-    z = random_field(rng, (2,))
-    resid, _ = G.jacobi_residual_fd(j2, *fns, z=z)
-    out.append(check("Jacobi residual: quadratic observables, canonical J",
-                      resid, 1e-10))
-
-    n = 4
-    lraw = random_field(rng, (n, n))
-    lmat = lraw - lraw.T
-    coeffs = [random_field(rng, (n, n, n)) for _ in range(3)]
-
-    def cubic_fn(c3):
-        sym = sum(np.transpose(c3, p) for p in itertools.permutations(range(3))) / 6.0
-        return lambda z: float(np.einsum("ijk,i,j,k->", sym, z, z, z))
-
-    fns = [cubic_fn(c) for c in coeffs]
-    z = random_field(rng, (n,))
-    resid, scale = G.jacobi_residual_fd(lmat, *fns, z=z)
-    out.append(check("Jacobi residual: cubic observables, random antisymmetric L",
-                      resid / scale, 1e-4, note="n=4"))
-
-    resid, _ = G.jacobi_residual_fd(j2, quad_fn(a1, random_field(rng, (2,)), 0.0),
-                                    quad_fn(a2, random_field(rng, (2,)), 0.0), lambda z: 1.5,
-                                    z=random_field(rng, (2,)))
-    out.append(check("Jacobi residual: constant observable", resid, 1e-12))
-    return out
-
-
 def gradient_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
                     potential: Potential, n_checks: int) -> list[CheckResult]:
     # (name, functional, its gradient, the arguments both take after params)
@@ -251,20 +220,40 @@ def _refinement_order(resid) -> tuple[float, str]:
     return slope, "residuals " + " ".join(f"{r:.3e}" for r in resid)
 
 
+def _lie(grid: PhaseGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] = grad_q a grad_p b - grad_p a grad_q b on generic's stencils, so
+    that <a, L(rho) b> = <rho, [a, b]>, as div_p = -grad_p^T and grad_q^T = -grad_q."""
+    return G.grad_q(grid, a) * G.grad_p(grid, b) - G.grad_p(grid, a) * G.grad_q(grid, b)
+
+
 def refinement_checks() -> list[CheckResult]:
-    """L dS and transport-at-Maxwellian residuals under grid refinement."""
+    """L dS, transport-at-Maxwellian and Jacobi residuals under grid refinement.
+
+    The Jacobi residual of L(z) is exact on the linear functionals A = <a, rho>:
+    {A, B} = <rho, [a, b]> is linear again, so {{A, B}, C} = <rho, [[a, b], c]>.
+    """
     params = ModelParams(m=1.0, c=1.0, gamma=0.5, theta=1.0)
     rel = ModelParams(m=1.0, c=4.0, gamma=0.5, theta=1.0)
     hpot = HarmonicPotential(stiffness=1.0)
-    l_ds, transport = [], []
+    l_ds, transport, jacobi, identity = [], [], [], []
     for n in (32, 64, 128):
         grid = PhaseGrid(Nq=n, Np=n, Lq=16.0, Pmax=10.0)
-        w = 0.4 * np.sin(2 * np.pi * grid.q_mesh / grid.Lq) \
-            * np.exp(-0.125 * grid.p_mesh**2)
-        rho = np.exp(-0.5 * grid.p_mesh**2) * np.exp(w)
+        kq, p = 2 * np.pi * grid.q_mesh / grid.Lq, grid.p_mesh
+        env = np.exp(-0.125 * p**2)
+        rho = np.exp(-0.5 * p**2) * np.exp(0.4 * np.sin(kq) * env)
         rho /= float(np.sum(rho)) * grid.cell_volume
-        l_ds.append(G.Brackets(G.State(rho, 0.0), grid, params, ZeroPotential(),
-                               Variant.DH).degeneracy_residuals()[0])
+        br = G.Brackets(G.State(rho, 0.0), grid, params, ZeroPotential(), Variant.DH)
+        l_ds.append(br.degeneracy_residuals()[0])
+        a, b = np.sin(kq) * p * env, np.cos(kq + 0.7) * (p - 0.5) ** 2 * env
+        c = np.sin(2 * kq + 1.1) * (0.3 + p) * env
+        pairs = ((a, b), (b, c), (c, a))
+        lies = [_lie(grid, x, y) for x, y in pairs]
+        terms = [G.inner(grid, rho, _lie(grid, xy, z)) for xy, z in zip(lies, (c, a, b))]
+        jacobi.append(abs(sum(terms)) / max(abs(t) for t in terms))
+        for (x, y), xy in zip(pairs, lies):
+            closed = G.inner(grid, rho, xy)
+            bracket = br.poisson_bracket(G.CotangentVector(x, 0.0), G.CotangentVector(y, 0.0))
+            identity.append(abs(bracket - closed) / abs(closed))
         grid = PhaseGrid(Nq=n, Np=n, Lq=auto_lq(rel, hpot.stiffness), Pmax=auto_pmax(rel))
         state = G.State(maxwellian(grid, rel, hpot)[0], 0.0)
         v_e = G.gradient_energy(state, grid, rel, hpot)
@@ -277,6 +266,10 @@ def refinement_checks() -> list[CheckResult]:
     slope, note = _refinement_order(transport)
     out.append(check("transport residual at Maxwellian: refinement order",
                       slope, 1.7, op=">=", note=note))
+    slope, note = _refinement_order(jacobi)
+    out += [check("Jacobi residual of L(z): refinement order", slope, 1.7, op=">=", note=note),
+            check("L(z) bracket vs closed form <rho, [a, b]> (relative)", max(identity), 1e-12,
+                  note="(a, b), (b, c), (c, a) on 32/64/128")]
     return out
 
 
@@ -330,8 +323,6 @@ def run_verify(grid: PhaseGrid, params: ModelParams, potential: Potential,
     results = model_checks(rng, opts.fd_samples)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         results += operator_checks(rng, grid, params, potential)
-    results += jacobi_checks(rng)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         results += gradient_checks(rng, grid, params, potential, opts.gradient_checks)
     results += refinement_checks()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -348,93 +348,6 @@ def test_degeneracy_refinement_order():
     assert 1.7 <= slope <= 2.3
 
 
-# ---------------------------------------------------------------------------
-# finite-dimensional Jacobi identity
-
-def canonical_j2():
-    return np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def test_jacobi_quadratic_exact():
-    rng = SplitMix64(11)
-
-    def quad(seed_mat, vec, const):
-        sym = 0.5 * (seed_mat + seed_mat.T)
-        return lambda z: float(z @ sym @ z + vec @ z + const)
-
-    fns = [quad(rng.uniforms(4).reshape(2, 2), rng.uniforms(2), rng.uniform())
-           for _ in range(3)]
-    resid, _ = G.jacobi_residual_fd(canonical_j2(), *fns, z=np.array([0.3, -0.7]))
-    assert resid <= 1e-10
-
-
-def test_jacobi_constant_observable():
-    f1 = lambda z: 1.0
-    f2 = lambda z: float(z[0] ** 2 + z[1])
-    f3 = lambda z: float(z[0] * z[1])
-    resid, _ = G.jacobi_residual_fd(canonical_j2(), f1, f2, f3, z=np.array([0.2, 0.4]))
-    assert resid <= 1e-12
-
-
-def test_jacobi_cubic_with_symbolic_oracle():
-    sympy = pytest.importorskip("sympy")
-    n = 4
-    rng = SplitMix64(2024)
-    lraw = rng.uniforms(n * n, -1, 1).reshape(n, n)
-    lmat = lraw - lraw.T
-    zs = sympy.symbols(f"z0:{n}")
-    # exact rational coefficients so the symbolic cancellation is exact
-    lsym = sympy.Matrix([[sympy.Rational(int(v * 10**6), 10**6) for v in row]
-                         for row in lmat])
-
-    def make_cubic():
-        coeffs = rng.uniforms(n * n * n, -1, 1).reshape(n, n, n)
-        expr = sympy.Integer(0)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    expr += sympy.Rational(int(coeffs[i, j, k] * 10**6), 10**6) \
-                        * zs[i] * zs[j] * zs[k]
-        return expr
-
-    exprs = [make_cubic() for _ in range(3)]
-
-    def bracket(f, g):
-        gf = sympy.Matrix([sympy.diff(f, z) for z in zs])
-        gg = sympy.Matrix([sympy.diff(g, z) for z in zs])
-        return sympy.expand((gf.T * lsym * gg)[0, 0])
-
-    jac = sympy.expand(bracket(bracket(exprs[0], exprs[1]), exprs[2])
-                       + bracket(bracket(exprs[1], exprs[2]), exprs[0])
-                       + bracket(bracket(exprs[2], exprs[0]), exprs[1]))
-    assert jac == 0   # symbolic oracle: constant L implies a vanishing residual
-
-    fns = [sympy.lambdify(zs, e, "numpy") for e in exprs]
-    wrapped = [lambda z, f=f: float(f(*z)) for f in fns]
-    z0 = rng.uniforms(n, -1, 1)
-    resid, scale = G.jacobi_residual_fd(lmat, *wrapped, z=z0)
-    assert resid <= 1e-4 * scale
-
-
-def test_jacobi_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        G.jacobi_residual_fd(np.ones((2, 2)), lambda z: 0.0, lambda z: 0.0,
-                             lambda z: 0.0, z=np.zeros(2))
-    with pytest.raises(ValueError):
-        G.jacobi_residual_fd(np.zeros((9, 9)), lambda z: 0.0, lambda z: 0.0,
-                             lambda z: 0.0, z=np.zeros(9))
-
-    def partial(z):
-        if z[0] > 0.3:
-            return float("nan")
-        return float(z[0])
-
-    with pytest.raises(ValueError):
-        G.jacobi_residual_fd(canonical_j2(), partial, lambda z: float(z[1]),
-                             lambda z: float(z[0] + z[1]),
-                             z=np.array([0.3, 0.0]))
-
-
 def test_entropy_production_vanishes_at_equilibrium(grid, params, potential):
     # at the sampled Maxwellian the entropy gradient differs from the energy
     # gradient by a constant, so the dissipative production [dS, dS] collapses

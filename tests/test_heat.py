@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from relgeneric import heat as H
 from relgeneric import kfp as K
+from relgeneric import verify as V
 from relgeneric.cli import main
 from relgeneric.config import ConfigError, load_config, parse_config
 from relgeneric.errors import PositivityError, StabilityError
@@ -954,8 +955,7 @@ def test_superstep_matrix_is_stable_at_its_reach():
     for stages in range(2, H._S_MAX + 1):
         tau = H._reach(stages, bound)
         assert tau == (stages**2 + stages - 2) / 4 * bound
-        p = np.column_stack([one_superstep(grid, CLASSICAL, np.eye(n)[i], tau, stages)
-                             for i in range(n)])
+        p = V.dense_matrix(lambda unit: one_superstep(grid, CLASSICAL, unit, tau, stages), n)
         assert np.abs(p.sum(axis=0) - 1.0).max() <= 64 * EPS
         assert np.abs(np.linalg.eigvals(p)).max() <= 1.0 + 1e-12, stages
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from relgeneric import generic as G
 from relgeneric import kfp as K
 from relgeneric import limits as L
+from relgeneric import verify as V
 from relgeneric.cli import main
 from relgeneric.config import ConfigError, load_config, parse_config
 from relgeneric.errors import PositivityError, StabilityError
@@ -197,17 +198,14 @@ def test_step_rejects_unstable_dt(rng):
 def _split_step_matrix(op, dt):
     """The dense matrix of one split step D(dt/2) T D(dt/2) on the density,
     assembled column by column from the stepper's kernels (no dt check)."""
-    n = op.grid.Nq * op.grid.Np
-    matrix = np.empty((n, n))
-    unit, out = np.zeros(op.grid.shape), np.empty(op.grid.shape)
-    for k in range(n):
-        unit.flat[k] = 1.0
-        op._dissipate_into(unit, 0.5 * dt, op._mid)
+    out = np.empty(op.grid.shape)
+
+    def column(unit):
+        op._dissipate_into(unit.reshape(op.grid.shape), 0.5 * dt, op._mid)
         K._transport_step(op._mid, op, dt, out)
         op._dissipate_into(out, 0.5 * dt, out)
-        matrix[:, k] = out.ravel()
-        unit.flat[k] = 0.0
-    return matrix
+        return out.ravel()
+    return V.dense_matrix(column, op.grid.Nq * op.grid.Np)
 
 
 def _radius(matrix):
@@ -261,13 +259,8 @@ def test_split_step_is_unstable_at_twice_stable_dt():
 
 
 def _transport_matrix(op):
-    n = op.grid.Nq * op.grid.Np
-    matrix, unit = np.empty((n, n)), np.zeros(op.grid.shape)
-    for k in range(n):
-        unit.flat[k] = 1.0
-        matrix[:, k] = op.transport_tendency(unit).ravel()
-        unit.flat[k] = 0.0
-    return matrix
+    return V.dense_matrix(lambda unit: op.transport_tendency(unit.reshape(op.grid.shape)).ravel(),
+                          op.grid.Nq * op.grid.Np)
 
 
 def _swept_split_step(op, transport, dt):
@@ -278,13 +271,13 @@ def _swept_split_step(op, transport, dt):
     for scale in K._horner_scales(op, dt):
         poly = transport @ (eye + scale * poly)
     poly = eye + dt * poly
-    row, unit, out = np.empty((op.grid.Np,) * 2), np.zeros(op.grid.shape), np.empty(op.grid.shape)
-    for k in range(op.grid.Np):
-        unit[0, k] = 1.0
-        op._dissipate_into(unit, 0.5 * dt, out)
-        row[:, k] = out[0]
-        unit[0, k] = 0.0
-    half = np.kron(np.eye(op.grid.Nq), row)
+    cells, out = np.zeros(op.grid.shape), np.empty(op.grid.shape)
+
+    def row_column(unit):           # a unit vector in q-row 0
+        cells[0] = unit
+        op._dissipate_into(cells, 0.5 * dt, out)
+        return out[0]
+    half = np.kron(np.eye(op.grid.Nq), V.dense_matrix(row_column, op.grid.Np))
     return half @ poly @ half
 
 

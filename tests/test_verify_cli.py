@@ -94,15 +94,18 @@ def test_bracket_checks_pass_on_nearly_cancelling_pair(verify_cfg):
                                      verify_cfg.potential, seed=1901025285,
                                      opts=verify_cfg.verify)
     assert ok, report
-    assert "21/21 checks passed" in report
+    assert "20/20 checks passed" in report
     brackets = [r for r in results if "bracket" in r.name and "symmetry" in r.name]
     assert len(brackets) == 2 and all(r.measured <= 1e-15 for r in brackets)
 
 
+IDENTITY = "L(z) bracket vs closed form <rho, [a, b]> (relative)"
+
+
 def test_bracket_check_catches_nonantisymmetric_poisson(verify_cfg, monkeypatch):
     # sensitivity control: L' = (1 + 1e-8 w) L with a non-constant weight w
-    # is no longer antisymmetric, and the scaled check must see it
-    # (on every grid the suite builds)
+    # is no longer antisymmetric, and the scaled check must see it; nor is it
+    # the closed form's L on the refinement grids (on every grid the suite builds)
     grid = verify_cfg.phase_grid
     apply = G.Brackets.poisson
 
@@ -115,9 +118,38 @@ def test_bracket_check_catches_nonantisymmetric_poisson(verify_cfg, monkeypatch)
     monkeypatch.setattr(G.Brackets, "poisson", skewed)
     results, report, ok = run_verify(grid, verify_cfg.params, verify_cfg.potential,
                                      seed=1, opts=quick_opts())
-    check = next(r for r in results if r.name.startswith("Poisson bracket antisymmetry"))
-    assert not check.passed, report
+    failing = [r.name for r in results if not r.passed]
+    assert "Poisson bracket antisymmetry (relative)" in failing, report
+    assert IDENTITY in failing, report
     assert not ok
+
+
+def test_jacobi_identity_check_catches_a_poisson_off_its_closed_form(verify_cfg, monkeypatch):
+    # sensitivity control: L(z) y + 1e-3 rho moves <x, L(z) y> off <rho, [x, y]>
+    # by 1e-3 <x, rho>, and the identity check must see it (a pair led by the
+    # check's a, odd in p against an even rho, is blind to it; its other two are not)
+    apply = G.Brackets.poisson
+
+    def shifted(self, v):
+        drho, de = apply(self, v)
+        return drho + 1e-3 * self.state.rho, de
+
+    monkeypatch.setattr(G.Brackets, "poisson", shifted)
+    results, report, ok = run_verify(verify_cfg.phase_grid, verify_cfg.params,
+                                     verify_cfg.potential, seed=1, opts=quick_opts())
+    check = next(r for r in results if r.name == IDENTITY)
+    assert not check.passed and check.measured >= 1e-4, report
+    assert not ok
+
+
+def test_jacobi_residual_of_l_falls_at_second_order():
+    # centred Lie-Poisson brackets keep antisymmetry but not Jacobi: the
+    # residual is no round-off, and it falls at the order the check asserts
+    jacobi = next(r for r in V.refinement_checks()
+                  if r.name == "Jacobi residual of L(z): refinement order")
+    assert jacobi.passed and 1.9 <= jacobi.measured <= 2.2, jacobi
+    residuals = [float(x) for x in jacobi.note.split()[1:]]
+    assert residuals[-1] >= 1e-3 and residuals == sorted(residuals, reverse=True)
 
 
 @pytest.mark.parametrize("name, weight", [
@@ -424,7 +456,6 @@ def test_fuzzed_verify_runs_end_in_named_outcomes(tmp_path_factory, text):
     rng = SplitMix64(cfg.seed)
     for group in (lambda: V.model_checks(rng, opts.fd_samples),
                   lambda: V.operator_checks(rng, grid, params, potential),
-                  lambda: V.jacobi_checks(rng),
                   lambda: V.gradient_checks(rng, grid, params, potential, opts.gradient_checks),
                   lambda: V.assembly_checks(rng, grid, params, potential, ops,
                                             opts.assembly_states)):
