@@ -12,11 +12,11 @@ wall time in seconds.  Exits nonzero if any experiment reports a check failure.
 The package starts BLAS on one thread unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS says otherwise: the grids are small, and with two BLAS
 threads stationary_dh took 1.08 s in one full run against 0.13 s in
-another.  On a 2-CPU x86-64 VM the configs take 0.96 to 1.55 seconds
-together in nine runs, depending on its load: verify 0.42 to 0.66 seconds,
-limit_heat 0.09 to 0.19 seconds, stationary_dh 0.09 to 0.16 seconds (81
-split steps), stationary_dmr 0.09 to 0.14 seconds (78), heat_bump 0.07 to
-0.15 seconds and every other config 0.13 seconds or less.
+another.  On a 2-CPU x86-64 VM the configs take 1.02 to 1.19 seconds
+together in nine runs, depending on its load: verify 0.52 to 0.63 seconds,
+limit_heat 0.08 to 0.12 seconds, stationary_dh 0.07 to 0.10 seconds (61
+split steps), stationary_dmr 0.07 to 0.08 seconds (59), heat_bump 0.07 to
+0.13 seconds and every other config 0.10 seconds or less.
 """
 
 import argparse

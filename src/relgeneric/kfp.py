@@ -15,11 +15,11 @@ A time step follows the GENERIC split dz/dt = L dE + M dS (Strang): half a
 step of the dissipative part, one step of the transport alone, and another
 dissipative half step.  The transport step is a polynomial in the linear
 transport operator, in Horner form: classical RK4 up to RK4's bound, and
-beyond it a 6-stage fourth-order polynomial that damps the imaginary axis
-and reaches LONG_REACH = 1.5 times that bound.  The dissipative half step
-is TR-BDF2 in flux form, its face flux one matmul with a precomputed flux
-map, so mass telescopes, the total energy stays a linear invariant and the
-Maxwellian stays a fixed point, each to round-off.
+beyond it a 6-stage second-order polynomial of imaginary reach 4.07 that
+damps the axis below it and steps at up to LONG_REACH = 2 times that bound.
+The dissipative half step is TR-BDF2 in flux form, its face flux one matmul
+with a precomputed flux map, so mass telescopes, the total energy stays a
+linear invariant and the Maxwellian stays a fixed point, each to round-off.
 
 Only transport limits the step, and two steps derive from its velocities:
 the split step's stability bound ``KfpOperator.stable_dt``, a 6-stage
@@ -57,10 +57,15 @@ from .model import (ModelParams, Potential, Variant, grid_fields, hamiltonian,
 NEGATIVE_TOL = -1e-12   # allowed undershoot per time step
 TRBDF2_GAMMA = 2.0 - math.sqrt(2.0)   # the L-stable choice; its stages share one matrix
 _RATE_MAX = 1e140       # the fastest rate, per unit time, of a mass-1 density's tendency
-# past RK4's bound the transport step is RK4 + A5 z^5 + A6 z^6: of the pairs that
-# reach about 3.2 on the imaginary axis, the one damping Im z in [1.5, 2] most;
-# the split step's bound is LONG_REACH times RK4's (KfpOperator.stable_dt)
-A5, A6, LONG_REACH = 0.00375, 0.00026, 1.5
+# past RK4's bound the transport step is the second-order polynomial 1 + z + z^2/2
+# + a3 z^3 + ... + a6 z^6 with these a1 to a6, from a small minimax design:
+# |p(iy)| <= 1 for |y| <= 4.07, and a3 > 1/6 damps Im z in [1.2, 2], where the
+# momentum edges' modes sit; the split step's bound is LONG_REACH times RK4's
+# (KfpOperator.stable_dt)
+LONG_COEFFICIENTS = (1.0, 0.5, 0.2331753901, 0.06043648118, 0.01130754793, 0.002074479269)
+LONG_REACH = 2.0
+# its Horner ratios a_k / a_(k-1), k = 6 down to 2
+_LONG_RATIOS = tuple(hi / lo for lo, hi in zip(LONG_COEFFICIENTS, LONG_COEFFICIENTS[1:]))[::-1]
 # numpy stays silent while the operator and its maps are built: each result is
 # checked, and a StabilityError names the one that is not finite
 _reported = partial(np.errstate, divide="ignore", over="ignore", invalid="ignore")
@@ -157,21 +162,25 @@ class KfpOperator:
 
         v_q = dH/dp and F_p = -dH/dq are the transport velocities.  The
         centred transport's spectral radius lies below the sum of the two
-        directional rates (13.23 against 13.54 on the 64x256 stationary_dmr
-        grid), so |dt lambda| <= 3 at this step, inside the 6-stage
-        polynomial's imaginary reach of 3.19 (RK4's is 2 sqrt(2)).  Its
-        one-sided momentum edges make it slightly non-skew (max Re lambda
-        0.08 there), which the dissipative half steps and the polynomial's
-        damping hold down; A5 and A6 are fitted for that damping, not for
-        reach (|p(1.7i)| = 0.94, RK4's 0.89): the pair of longest reach,
-        4.9, is unstable at 1.001x RK4's bound (1 + 1.4e-3; 12x24, DMR,
-        harmonic, gamma = 0.05).  On the 64x256 stationary_dmr grid the
-        split step's largest eigenvalue moduli are 1, 1 and 0.942 at this
-        step (0.961 at RK4's bound) and stay <= 1 up to 1.75x RK4's bound.
-        On the small grids of the stability tests its spectral radius is at
-        most 1 + 2e-14 from RK4's bound to this step for every variant,
+        directional rates (13.23 against 13.54 on the 64x256 stationary
+        grids, which DMR and DH share), so |dt lambda| <= 3.91 at this step,
+        inside the 6-stage polynomial's imaginary reach of 4.07 (RK4's is
+        2 sqrt(2)).  Its one-sided momentum edges make it slightly non-skew
+        (max Re lambda 0.08 there), which the dissipative half steps and the
+        polynomial's damping hold down (|p(1.7i)| = 0.72, RK4's 0.89).  The
+        polynomial is second order, as the Strang split is: every third- and
+        fourth-order design of 6 to 10 stages tried, of reach 3.4 to 8, was
+        unstable on the small grids below, the longer ones just above RK4's
+        bound.  On the 64x256 stationary_dmr grid the split step's largest
+        eigenvalue moduli are 1, 1 and 0.923 at this step (0.961 at RK4's
+        bound); they stay <= 1 up to 2.6x RK4's bound and reach 1.37 at
+        2.8x.  On the small grids of the stability tests its spectral radius
+        is at most 1 + 2e-14 from RK4's bound to this step for every variant,
         cosine and harmonic potentials and gamma from 0.05 to 20, and
-        reaches 15 at twice the step (12x24, DMR, cosine, gamma = 0.05).
+        reaches 195 at twice the step (12x24, DMR, cosine, gamma = 0.05).
+        The bound is no higher because positivity, not stability, gives out
+        first: on the under-resolved 16x32 DH grid with Pmax = 34 a step of
+        2.17x RK4's bound ends in a PositivityError, and 2x passes.
         Momentum diffusion sets no bound; its half steps are L-stable.
         ``step_kfp`` checks dt against this bound.
         """
@@ -184,8 +193,9 @@ class KfpOperator:
         and holds the Strang splitting error, not stability: on kfp_conserve
         the final L1 distance to RK4 on the full right-hand side at a far
         smaller step is 3.2e-5 at this step, 8.9e-5 at 1.6x it, 3.6e-4 at
-        3.3x (RK4's bound there) and 8.0e-4 at 4.9x (the stability bound),
-        against that test's bound of 1e-4.
+        3.3x (RK4's bound there) and 1.1e-3 at 6.5x (the stability bound,
+        which t_final = 1 cuts to two 6-stage steps of 4.5x), against that
+        test's bound of 1e-4.
         """
         return self._transient_dt
 
@@ -475,9 +485,10 @@ def make_initial_state(init: InitSpec, grid: PhaseGrid, params: ModelParams,
 
 def _horner_scales(op: KfpOperator, dt: float) -> tuple:
     """The inner Horner scales of the transport step dt: RK4's dt/4, dt/3, dt/2,
-    and above RK4's bound (A6/A5) dt and 24 A5 dt in front of them."""
-    scales = (0.25 * dt, dt / 3.0, 0.5 * dt)
-    return scales if dt <= op._rk4_dt else (A6 / A5 * dt, 24.0 * A5 * dt) + scales
+    and above RK4's bound the long step's (a_k / a_(k-1)) dt, k = 6 down to 2."""
+    if dt <= op._rk4_dt:
+        return (0.25 * dt, dt / 3.0, 0.5 * dt)
+    return tuple(ratio * dt for ratio in _LONG_RATIOS)
 
 
 def _transport_step(r0: np.ndarray, op: KfpOperator, dt: float, rho: np.ndarray) -> None:
@@ -486,9 +497,10 @@ def _transport_step(r0: np.ndarray, op: KfpOperator, dt: float, rho: np.ndarray)
     The transport T is linear and autonomous, so classical RK4 is the Taylor
     polynomial r0 + dt T(r0 + dt/2 T(r0 + dt/3 T(r0 + dt/4 T r0))), in
     Horner form: the stages run in the operator's _stage, and rho holds each
-    slope.  A step beyond RK4's bound takes the 6-stage fourth-order
-    polynomial RK4 + A5 z^5 + A6 z^6 (Kinnmark & Gray 1984), the same loop
-    with two more scales (``_horner_scales``).  Any polynomial in T keeps
+    slope.  A step beyond RK4's bound takes the 6-stage second-order
+    polynomial of LONG_COEFFICIENTS, of imaginary reach 4.07 (Kinnmark &
+    Gray 1984; Ketcheson & Ahmadia 2012), the same loop with five scales
+    (``_horner_scales``) and six evaluations.  Any polynomial in T keeps
     mass and energy, as 1^T T = H^T T = 0.  Transport leaves e unchanged.
     """
     stage = op._stage
@@ -535,9 +547,9 @@ def step_kfp(state: State, op: KfpOperator, dt: float, steps: int = 1,
     ends a k-step call, so the stop state is that call's bit for bit and a
     call that does not stop keeps its bits.  D(h) contracts the L1 distance
     to its fixed point, the Maxwellian, where its map is positive, so the
-    probe misses no stop there: L1(D(h) E) / L1(E) is 0.65-0.97 on the small
-    test grids and 0.91-0.99 on both committed stationary configs.  Where it
-    does not, the run stops at a later step or record.
+    probe misses no stop there: L1(D(h) E) / L1(E) is 0.60-0.97 on the 32x64
+    grids of the stop tests and 0.88-0.99 on both committed stationary
+    configs.  Where it does not, the run stops at a later step or record.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -573,7 +585,7 @@ class KfpRunResult:
     e_inf: float
     converged: bool
     steps: int                  # split steps
-    evaluations: int            # transport evaluations of the stepping: 4 or 6 per step
+    evaluations: int            # transport evaluations of the stepping: 4 per RK4 step, 6 above
     dt: float                   # the split step taken
     dt_from: str                # what set it: solver.dt, stable_dt or transient_dt
 

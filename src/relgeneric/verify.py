@@ -6,8 +6,9 @@ velocity, classical limits), operator structure on a grid (antisymmetry,
 symmetry, positivity, degeneracy, mass conservation) read from the whole
 bracket matrices of L(z) and M(z) at one random state, functional-derivative
 consistency, refinement orders (L dS, the transport at the Maxwellian and the
-Jacobi residual of L(z), exact on linear functionals), and the dual-assembly
-identities of both solvers.  Every check reports a measured value against
+Jacobi residual of L(z), exact on linear functionals), the dual-assembly
+identities of both solvers, and the stability of the kinetic split step at
+the step stationary runs take.  Every check reports a measured value against
 its tolerance; the suite is deterministic in the seed, so two runs produce
 byte-identical reports.
 """
@@ -22,8 +23,9 @@ import numpy as np
 from . import generic as G
 from . import heat as HT
 from .config import VerifyOptions
+from .errors import StabilityError
 from .grid import LineGrid, PhaseGrid, unit_mass
-from .kfp import KfpOperator
+from .kfp import KfpOperator, _transport_step
 from .model import (HarmonicPotential, ModelParams, Potential, Variant,
                     ZeroPotential, auto_lq, auto_pmax, diffusion_matrix,
                     grid_fields, maxwellian, mobility_drift,
@@ -306,6 +308,42 @@ def assembly_checks(rng: SplitMix64, grid: PhaseGrid, params: ModelParams,
     return out
 
 
+def split_step_matrix(op: KfpOperator, dt: float) -> np.ndarray:
+    """The matrix of one split step D(dt/2) T D(dt/2) on the density, built
+    column by column from the stepper's kernels; dt is not checked against
+    the stability bound, and no positivity check runs."""
+    out = np.empty(op.grid.shape)
+
+    def column(unit):
+        op._dissipate_into(unit.reshape(op.grid.shape), 0.5 * dt, op._mid)
+        _transport_step(op._mid, op, dt, out)
+        op._dissipate_into(out, 0.5 * dt, out)
+        return out.ravel()
+    return dense_matrix(column, op.grid.Nq * op.grid.Np)
+
+
+def step_checks(grid: PhaseGrid, params: ModelParams,
+                potential: Potential) -> list[CheckResult]:
+    """The spectral radius less 1 of the split step at ``stable_dt``, the step
+    of stationary runs, for the worse of DH and DMR: on 12 x 24 cells of the
+    suite's domain and model, as the suite's own grid may be too coarse to show
+    the momentum edges or too fine for a dense eigensolve.  NaN, which fails,
+    when a matrix is not finite or a dissipative map cannot be built."""
+    small = PhaseGrid(Nq=12, Np=24, Lq=grid.Lq, Pmax=grid.Pmax)
+    excess = []
+    for variant in (Variant.DH, Variant.DMR):
+        try:
+            op = KfpOperator(small, params, potential, variant)
+            step = split_step_matrix(op, op.stable_dt())
+            finite = np.isfinite(step).all()
+            radius = float(np.abs(np.linalg.eigvals(step)).max()) if finite else math.nan
+        except StabilityError:
+            radius = math.nan
+        excess.append(radius - 1.0)
+    return [check("split step at stable_dt: spectral radius - 1", float(np.max(excess)), 1e-12,
+                  note="12 x 24 cells, worse of DH and DMR")]
+
+
 # ---------------------------------------------------------------------------
 # suite driver
 
@@ -327,6 +365,7 @@ def run_verify(grid: PhaseGrid, params: ModelParams, potential: Potential,
     results += refinement_checks()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         results += assembly_checks(rng, grid, params, potential, ops, opts.assembly_states)
+        results += step_checks(grid, params, potential)
     return results, format_report(results, seed), all(r.passed for r in results)
 
 

@@ -94,7 +94,7 @@ def test_bracket_checks_pass_on_nearly_cancelling_pair(verify_cfg):
                                      verify_cfg.potential, seed=1901025285,
                                      opts=verify_cfg.verify)
     assert ok, report
-    assert "20/20 checks passed" in report
+    assert "21/21 checks passed" in report
     brackets = [r for r in results if "bracket" in r.name and "symmetry" in r.name]
     assert len(brackets) == 2 and all(r.measured <= 1e-15 for r in brackets)
 
@@ -150,6 +150,17 @@ def test_jacobi_residual_of_l_falls_at_second_order():
     assert jacobi.passed and 1.9 <= jacobi.measured <= 2.2, jacobi
     residuals = [float(x) for x in jacobi.note.split()[1:]]
     assert residuals[-1] >= 1e-3 and residuals == sorted(residuals, reverse=True)
+
+
+STEP = "split step at stable_dt: spectral radius - 1"
+
+
+def test_step_check_catches_a_step_past_the_polynomial_reach(verify_cfg, monkeypatch):
+    # sensitivity control: stable_dt at 4x RK4's bound, past the 6-stage
+    # polynomial's reach on the imaginary axis, fails the check
+    monkeypatch.setattr(K, "LONG_REACH", 4.0)
+    [step] = V.step_checks(verify_cfg.phase_grid, verify_cfg.params, verify_cfg.potential)
+    assert not step.passed and step.measured > 1e-12, step
 
 
 @pytest.mark.parametrize("name, weight", [
@@ -458,7 +469,8 @@ def test_fuzzed_verify_runs_end_in_named_outcomes(tmp_path_factory, text):
                   lambda: V.operator_checks(rng, grid, params, potential),
                   lambda: V.gradient_checks(rng, grid, params, potential, opts.gradient_checks),
                   lambda: V.assembly_checks(rng, grid, params, potential, ops,
-                                            opts.assembly_states)):
+                                            opts.assembly_states),
+                  lambda: V.step_checks(grid, params, potential)):
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(over="warn", invalid="warn", divide="warn"):
             warnings.simplefilter("always")
@@ -473,7 +485,10 @@ def test_a_bracket_that_overflows_fails_every_check_that_reads_it(tmp_path, caps
     # at m = gamma = 1e-300 on |p| <= 1e-20 the dissipative bracket of a unit
     # cotangent overflows before gamma scales it: each check that evaluates
     # it measures NaN and fails; the degeneracy's too, whose residual M dE is
-    # exactly 0 but whose reference |M (H,0)| overflowed
+    # exactly 0 but whose reference |M (H,0)| overflowed.  The split step's
+    # check fails there too, on a finite radius (16.3 for DH on its 12 x 24
+    # cells): the dissipative half step at h |A| ~ 1e22 is no contraction
+    # in round-off
     (path := tmp_path / "v.cfg").write_text(
         VERIFY_TINY + "model.m = 1e-300\nmodel.gamma = 1e-300\ngrid.pmax = 1e-20\n")
     assert run_cli("verify", "--config", str(path), "--out", str(tmp_path / "o")) == 1
@@ -483,8 +498,9 @@ def test_a_bracket_that_overflows_fails_every_check_that_reads_it(tmp_path, caps
                               "dissipative bracket positivity: min [v,v]/scale",
                               "dissipative bracket symmetry (relative)",
                               "kinetic dual assembly: rhs vs L dE + M dS",
-                              "operator mass conservation (relative)"]
-    assert all(np.isnan(v) for v in failed.values())
+                              "operator mass conservation (relative)", STEP]
+    assert all(np.isnan(v) for name, v in failed.items() if name != STEP)
+    assert failed[STEP] > 1.0
 
 
 HEAT_TINY = "grid.n = 16\nsolver.t_final = 1e-3\n"
