@@ -17,9 +17,10 @@ dissipative half step.  The transport step is a polynomial in the linear
 transport operator, in Horner form: classical RK4 up to RK4's bound, and
 beyond it a 6-stage second-order polynomial of imaginary reach 4.07 that
 damps the axis below it and steps at up to LONG_REACH = 2 times that bound.
-The dissipative half step is TR-BDF2 in flux form, its face flux one matmul
-with a precomputed flux map, so mass telescopes, the total energy stays a
-linear invariant and the Maxwellian stays a fixed point, each to round-off.
+The dissipative half step is TR-BDF2, W = K (d I + 2b K) with the resolvent
+K = (I - d h A)^-1, in flux form: its face flux is one matmul with a
+precomputed flux map, so mass telescopes, the total energy stays a linear
+invariant and the Maxwellian stays a fixed point, each to round-off.
 
 Only transport limits the step, and two steps derive from its velocities:
 the split step's stability bound ``KfpOperator.stable_dt``, a 6-stage
@@ -219,34 +220,23 @@ class KfpOperator:
     def _map(self, h: float) -> np.ndarray:
         """The TR-BDF2 map W of a dissipative substep of length h, as a fresh array.
 
-        With the matrix A of _dissipative_matrix and the stage weights
-        d = gamma/2 and b = (1 - d)/2 of TR-BDF2 written as a stiffly
-        accurate ESDIRK, the stages are Y2 = (I - d h A)^-1 (I + d h A) and
-        Y3 = (I - d h A)^-1 (I + b h A (I + Y2)), and the substep is
-        rho' = rho + h A W rho with W = b (I + Y2) + d Y3.  A r = 0 gives
-        W r = r for a Maxwellian row r.  Built by Thomas sweeps over the
-        columns of the identity; raises StabilityError when W is not finite.
+        With A of _dissipative_matrix, the resolvent K = (I - d h A)^-1 and
+        TR-BDF2's weights d = gamma/2, b = (1 - d)/2 as a stiffly accurate
+        ESDIRK, the stages are Y2 = K (I + d h A) and Y3 = K (I + b h A (I + Y2)),
+        and the substep is rho' = rho + h A W rho, W = b (I + Y2) + d Y3.  As
+        I + Y2 = 2K, h A K = (K - I)/d and 2b + d = 1, W = K (d I + 2b K)
+        (Bank et al. 1985): two Thomas sweeps, with no I + Y2 formed from
+        Y2 ~ -I, a cancellation that h |A| amplifies.  A r = 0 gives K r = r,
+        so W r = r for a Maxwellian row r.  Raises StabilityError when W is
+        not finite.
         """
         lower, main, upper = self._tridiag
         d = 0.5 * TRBDF2_GAMMA
-        b = 0.5 * (1.0 - d)
-        n = self.grid.Np
-        diag = np.arange(n)
-        y2 = np.zeros((n, n))                       # I + d h A
-        y2[diag, diag] = 1.0 + d * h * main
-        y2[diag[1:], diag[:-1]] = d * h * lower[1:]
-        y2[diag[:-1], diag[1:]] = d * h * upper[:-1]
         solve = (-d * h * lower, 1.0 - d * h * main, -d * h * upper)
-        _thomas_inplace(*solve, y2)
-        y2[diag, diag] += 1.0                       # I + Y2
-        w_map = main[:, np.newaxis] * y2            # A (I + Y2)
-        w_map[1:] += lower[1:, np.newaxis] * y2[:-1]
-        w_map[:-1] += upper[:-1, np.newaxis] * y2[1:]
-        w_map *= b * h
-        w_map[diag, diag] += 1.0                    # I + b h A (I + Y2)
-        _thomas_inplace(*solve, w_map)              # Y3
-        w_map *= d
-        w_map += np.multiply(y2, b, out=y2)
+        w_map = np.diag(np.full(self.grid.Np, 1.0 - d))   # 2b I, one n x n array
+        _thomas_inplace(*solve, w_map)                    # 2b K
+        w_map.flat[::self.grid.Np + 1] += d               # d I + 2b K
+        _thomas_inplace(*solve, w_map)                    # K (d I + 2b K)
         return _finite(w_map, f"map of a substep of {h:g} is")
 
     def _flux_map(self, h: float, pair: bool = False) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Deterministic SplitMix64 generator for the randomized verification suites.
 
 The generator is pinned so that identical seeds reproduce identical check
-suites (and therefore byte-identical reports) across runs and platforms.
+suites across runs and platforms, and byte-identical reports at one BLAS
+thread count (the package's default is one).
 
 State update and output function (all arithmetic modulo 2**64):
 

@@ -9,8 +9,9 @@ consistency, refinement orders (L dS, the transport at the Maxwellian and the
 Jacobi residual of L(z), exact on linear functionals), the dual-assembly
 identities of both solvers, and the stability of the kinetic split step at
 the step stationary runs take.  Every check reports a measured value against
-its tolerance; the suite is deterministic in the seed, so two runs produce
-byte-identical reports.
+its tolerance; the suite is deterministic in the seed, so two runs on one
+BLAS thread count (the package's default is one) produce byte-identical
+reports: the LAPACK eigensolvers round differently on two threads.
 """
 
 from __future__ import annotations

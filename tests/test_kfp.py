@@ -1071,6 +1071,22 @@ def test_dissipative_map_is_dense_trbdf2():
         assert float(np.abs(op._map(h) - (b * (eye + y2) + d * y3)).max()) <= 1e-13
 
 
+def test_dissipative_half_step_contracts_at_huge_h_times_a():
+    # the model of verify's overflow test, where h |A| is about 2.6e22 at
+    # RK4's bound: the half step stays a contraction to round-off, which a
+    # map that adds I to Y2 ~ -I cannot (its radius reads 4.04 here)
+    grid = PhaseGrid(Nq=12, Np=24, Lq=4 * math.pi, Pmax=1e-20)
+    op = K.KfpOperator(grid, ModelParams(m=1e-300, gamma=1e-300), ZeroPotential(), Variant.DH)
+    h = 0.5 * op._rk4_dt
+    assert h * float(np.abs(op._tridiag[1]).max()) > 1e22
+    out = np.empty(grid.shape)
+
+    def half_step(unit):
+        op._dissipate_into(unit.reshape(grid.shape), h, out)
+        return out.ravel()
+    assert _radius(V.dense_matrix(half_step, grid.Nq * grid.Np)) <= 1.0 + 1e-6
+
+
 def test_dissipative_substep_converges_at_second_order():
     cfg = small_cfg()
     grid = cfg.grid
