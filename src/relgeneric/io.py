@@ -76,14 +76,13 @@ def read_timeseries_csv(path) -> list[DiagnosticsRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: not a diagnostics CSV (bad header)")
     out = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(_COLUMNS):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        out.append(DiagnosticsRecord(**{name: None if name == "relEnt" and v == "" else float(v)
-                                        for name, v in zip(_COLUMNS, parts)}))
+    for line in filter(None, lines[1:]):
+        try:   # a row of another length, or a value that is not a number
+            values = {name: None if name == "relEnt" and v == "" else float(v)
+                      for name, v in zip(_COLUMNS, line.split(","), strict=True)}
+        except ValueError:
+            raise ValueError(f"{path}: malformed row {line!r}") from None
+        out.append(DiagnosticsRecord(**values))
     return out
 
 
@@ -127,17 +126,23 @@ def dump_density(kind: str, grid, rho: np.ndarray, t: float, path) -> None:
 
 def load_density(path):
     """Load a dump written by dump_density: (kind, meta dict, rho array).
-    A body that does not hold every cell exactly once is a ValueError."""
+    A header without its key=number tokens, or a body that does not hold
+    every cell exactly once, is a ValueError that starts with the path."""
     lines = _read_lines(path, "density dump")
     if len(lines) < 3 or not lines[0].startswith("# kind="):
         raise ValueError(f"{path}: not a density dump")
     kind = lines[0].split("=", 1)[1]
-    meta = {key: float(value)
-            for key, value in (token.split("=") for token in lines[1].lstrip("# ").split())}
     if kind not in ("kfp", "heat"):
         raise ValueError(f"{path}: unknown dump kind '{kind}'")
     # rows qIndex,pIndex,q,p,rho on a phase grid, qIndex,q,rho on a line
-    shape = (int(meta["Nq"]), int(meta["Np"])) if kind == "kfp" else (int(meta["Nq"]),)
+    keys = ("Nq", "Np") if kind == "kfp" else ("Nq",)
+    try:
+        meta = {key: float(value)
+                for key, value in (token.split("=") for token in lines[1].lstrip("# ").split())}
+        shape = tuple(int(meta[key]) for key in keys)
+    except (KeyError, ValueError, OverflowError):
+        raise ValueError(f"{path}: the header {lines[1]!r} does not give "
+                         f"{' and '.join(keys)} as numbers") from None
     rows = [line for line in lines[3:] if line]
     try:
         body = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 0))

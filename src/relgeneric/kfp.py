@@ -17,10 +17,11 @@ dissipative half step.  The transport step is a polynomial in the linear
 transport operator, in Horner form: classical RK4 up to RK4's bound, and
 beyond it a 6-stage second-order polynomial of imaginary reach 4.07 that
 damps the axis below it and steps at up to LONG_REACH = 2 times that bound.
-The dissipative half step is TR-BDF2, W = K (d I + 2b K) with the resolvent
-K = (I - d h A)^-1, in flux form: its face flux is one matmul with a
-precomputed flux map, so mass telescopes, the total energy stays a linear
-invariant and the Maxwellian stays a fixed point, each to round-off.
+The dissipative half step is TR-BDF2, W = K (d I + 2b K), its resolvent K =
+R (R + d h Lap)^-1 from R = diag(rhat) and the flux's own face couplings, in
+flux form: its face flux is one matmul with a precomputed flux map, so mass
+telescopes, the total energy stays a linear invariant and the Maxwellian
+stays a fixed point, each to round-off, at any h.
 
 Only transport limits the step, and two steps derive from its velocities:
 the split step's stability bound ``KfpOperator.stable_dt``, a 6-stage
@@ -125,12 +126,16 @@ class KfpOperator:
                                  f"to {rhat_min:.3e} on cells of volume {grid.cell_volume:.3e}; "
                                  "raise model.theta or rescale the grid")
         self._row = int(np.argmin(self.h_cells[:, 0]))   # the row of least V
-        with _reported():                   # checked by the matrix and the step bound
+        with _reported():                   # checked by the couplings and the rate gates
             gq_h, gp_h = grad_q(grid, self.h_cells), grad_p(grid, self.h_cells)
             speeds = [(float(np.abs(gp_h).max()), grid.hq), (float(np.abs(gq_h).max()), grid.hp)]
             # gamma theta D rhat on faces: one multiply per rhs evaluation
             self.diff_face = params.gamma * params.theta * self.dface * self.rhat_face
-            self._tridiag = self._dissipative_matrix()
+            # the face couplings of _map's row, and its fastest rate (c_j-1 + c_j) / rhat_j
+            self._coupling = _finite(self.diff_face[self._row] / grid.hp**2,
+                                     "operator's coefficients are")
+            c = np.pad(self._coupling, 1)
+            diffusion = float(np.max((c[:-1] + c[1:]) / self.rhat[self._row]))
         rate = sum(v / h for v, h in speeds)
         if not rate > 0:
             raise StabilityError("the transport rate on the grid is 0, so nothing moves: H "
@@ -141,7 +146,7 @@ class KfpOperator:
         # a mass-1 density reaches 1 / cell volume; its tendencies (at most the fastest
         # rate times that), their squares in the records and the energy the flux
         # exchanges (at most the product of the two rates) must all stay finite
-        fastest = max(rate, 2.0 * float(np.abs(self._tridiag[1]).max()))
+        fastest = max(rate, 2.0 * diffusion)
         if not fastest < _RATE_MAX * min(1.0, grid.cell_volume):
             raise StabilityError(f"the tendencies overflow: the transport or momentum diffusion "
                                  f"rate {fastest:.3e} on cells of volume {grid.cell_volume:.3e} "
@@ -200,54 +205,42 @@ class KfpOperator:
         """
         return self._transient_dt
 
-    def _dissipative_matrix(self):
-        """Diagonals (lower, main, upper) of the dissipative operator on one q-row.
-
-        d rho_j/dt = (F_j - F_j-1) / hp with F_j = diff_face_j (u_j+1 - u_j) / hp
-        and u = rho / rhat.  Every q-row has the same matrix: D depends on p
-        alone and the factor exp(-V(q)/theta) cancels from rhat_face / rhat.
-        The row of least V is used.  lower[0] and upper[-1] are 0.
-        """
-        c = self.diff_face[self._row] / self.grid.hp**2
-        r = self.rhat[self._row]
-        tridiag = lower, main, upper = np.zeros((3, self.grid.Np))
-        upper[:-1] = c / r[1:]
-        lower[1:] = c / r[:-1]
-        main[:-1] -= c / r[:-1]
-        main[1:] -= c / r[1:]
-        return tuple(_finite(tridiag, "operator's coefficients are"))
-
     def _map(self, h: float) -> np.ndarray:
         """The TR-BDF2 map W of a dissipative substep of length h, as a fresh array.
 
-        With A of _dissipative_matrix, the resolvent K = (I - d h A)^-1 and
-        TR-BDF2's weights d = gamma/2, b = (1 - d)/2 as a stiffly accurate
-        ESDIRK, the stages are Y2 = K (I + d h A) and Y3 = K (I + b h A (I + Y2)),
-        and the substep is rho' = rho + h A W rho, W = b (I + Y2) + d Y3.  As
-        I + Y2 = 2K, h A K = (K - I)/d and 2b + d = 1, W = K (d I + 2b K)
-        (Bank et al. 1985): two Thomas sweeps, with no I + Y2 formed from
-        Y2 ~ -I, a cancellation that h |A| amplifies.  A r = 0 gives K r = r,
-        so W r = r for a Maxwellian row r.  Raises StabilityError when W is
-        not finite.
+        On a q-row, d rho_j/dt = (F_j - F_j-1) / hp with F_j = diff_face_j
+        (u_j+1 - u_j) / hp and u = rho / rhat: A = -Lap R^-1, R = diag(rhat)
+        and Lap the Laplacian of the couplings c = diff_face / hp^2.  Every
+        q-row has the same A (D depends on p alone and exp(-V/theta) cancels
+        from rhat_face / rhat); the row of least V is used.  With TR-BDF2's
+        weights d = gamma/2, b = (1 - d)/2 as a stiffly accurate ESDIRK and K =
+        (I - d h A)^-1, the stages are Y2 = K (I + d h A) and Y3 = K (I + b h A
+        (I + Y2)), and rho' = rho + h A W rho with W = b (I + Y2) + d Y3 = K (d I
+        + 2b K), as I + Y2 = 2K, h A K = (K - I)/d and 2b + d = 1 (Bank et al.
+        1985).  K = R (R + d h Lap)^-1, and the symmetric R + d h Lap maps 1 to
+        rhat exactly, as Lap 1 = 0 by its form: no rounded diagonal of A enters,
+        so K r = r and W r = r for a Maxwellian row r at any h.  Raises
+        StabilityError when W is not finite.
         """
-        lower, main, upper = self._tridiag
+        r = self.rhat[self._row]
         d = 0.5 * TRBDF2_GAMMA
-        solve = (-d * h * lower, 1.0 - d * h * main, -d * h * upper)
+        tc = (d * h) * self._coupling
         w_map = np.diag(np.full(self.grid.Np, 1.0 - d))   # 2b I, one n x n array
-        _thomas_inplace(*solve, w_map)                    # 2b K
-        w_map.flat[::self.grid.Np + 1] += d               # d I + 2b K
-        _thomas_inplace(*solve, w_map)                    # K (d I + 2b K)
+        for shift in (0.0, d):            # K (2b I) = 2b K, then K (d I + 2b K)
+            w_map.flat[::self.grid.Np + 1] += shift
+            _solve_inplace(r, tc, w_map)
+            w_map *= r[:, np.newaxis]
         return _finite(w_map, f"map of a substep of {h:g} is")
 
     def _flux_map(self, h: float, pair: bool = False) -> np.ndarray:
         """The flux map of a dissipative update, kept until h changes.
 
         A = Dv S, with S = diag(diff_face) face_grad_p diag(1/rhat) on the row
-        of _dissipative_matrix and Dv face_div_p's matrix, so a substep is
-        rho + face_div_p(B rho) with B = h S W; with ``pair`` two merged
-        substeps, through B2 = 2h S W2 = 2B + (B Dv) B, as W2 = W + (h/2) W A W
-        gives (I + h A W)^2 = I + 2h A W2.  B r = B2 r = 0 for a Maxwellian
-        row r.  Raises StabilityError when the map is not finite.
+        of _map and Dv face_div_p's matrix, so a substep is rho + face_div_p(B
+        rho) with B = h S W; with ``pair`` two merged substeps, through B2 =
+        2h S W2 = 2B + (B Dv) B, as W2 = W + (h/2) W A W gives (I + h A W)^2 =
+        I + 2h A W2.  B r = B2 r = 0 for a Maxwellian row r.  Raises
+        StabilityError when the map is not finite.
         """
         if h != self._map_h:
             with _reported():
@@ -334,24 +327,25 @@ class KfpOperator:
         return drho, self._rhs_into(state.rho, drho)
 
 
-def _thomas_inplace(lower, main, upper, b: np.ndarray) -> None:
-    """Solve the tridiagonal system for every column of b at once, in place.
+def _solve_inplace(r: np.ndarray, tc: np.ndarray, b: np.ndarray) -> None:
+    """Solve (diag(r) + Lap) x = b for every column of b at once, in place.
 
-    No pivoting: the matrices here are I - d h A with A's off-diagonals
-    nonnegative and its columns summing to zero, so they are column
-    diagonally dominant.
+    Lap is the Laplacian of the face couplings tc, so row j sums to r_j > 0,
+    and elimination keeps such row sums (Grassmann, Taksar & Heyman 1985):
+    the pivots are p_j = e_j + tc_j with e_j = r_j + (tc_j-1 / p_j-1) e_j-1,
+    sums of positive terms, so no diagonal is formed and no pivot cancels
+    however far tc exceeds r; both sweeps scale by tc_j / p_j in [0, 1].
     """
-    n = main.size
-    ratio = np.empty(n)
-    den = main[0]
-    for j in range(n):
-        if j:
-            den = main[j] - lower[j] * ratio[j - 1]
-            b[j] -= lower[j] * b[j - 1]
-        b[j] /= den
-        ratio[j] = upper[j] / den
-    for j in range(n - 2, -1, -1):
-        b[j] -= ratio[j] * b[j + 1]
+    pivot, ratio, e = np.empty(r.size), np.empty(tc.size), r[0]
+    for j, t in enumerate(tc):
+        pivot[j] = e + t
+        ratio[j] = t / pivot[j]
+        e = r[j + 1] + ratio[j] * e
+        b[j + 1] += ratio[j] * b[j]
+    pivot[-1] = e
+    b /= pivot[:, np.newaxis]
+    for j in range(tc.size - 1, -1, -1):
+        b[j] += ratio[j] * b[j + 1]
 
 
 def _finite(a: np.ndarray, what: str) -> np.ndarray:

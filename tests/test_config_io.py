@@ -610,6 +610,31 @@ def test_load_density_takes_each_cell_exactly_once(tmp_path, cut):
         load_density(path)
 
 
+@pytest.mark.parametrize("header", [
+    "# Np=8 Lq=3 Pmax=2 t=0",               # no Nq
+    "# Nq=8 Np=8 Lq=3 Pmax=2 t",            # a token without '='
+    "# Nq=abc Np=8 Lq=3 Pmax=2 t=0"])       # a value that is not a number
+def test_load_density_names_the_file_on_a_bad_header(tmp_path, header):
+    path = tmp_path / "density.txt"
+    dump_density("kfp", PhaseGrid(Nq=8, Np=8, Lq=3.0, Pmax=2.0), np.ones((8, 8)), 0.0, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], header] + lines[2:]) + "\n")
+    with pytest.raises(ValueError) as raised:
+        load_density(path)
+    assert str(raised.value).startswith(f"{path}: the header {header!r} does not give Nq and Np")
+
+
+def test_csv_reader_names_the_file_on_a_value_that_is_not_a_number(tmp_path):
+    path = tmp_path / "ts.csv"
+    write_timeseries_csv(_records(2), path)
+    lines = path.read_text().splitlines()
+    lines[2] = "abc" + lines[2][lines[2].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as raised:
+        read_timeseries_csv(path)
+    assert str(raised.value).startswith(f"{path}: malformed row 'abc,")
+
+
 def test_dump_rejects_mismatched_density(tmp_path):
     grid = PhaseGrid(Nq=8, Np=10, Lq=3.0, Pmax=2.0)
     for rho in (np.ones((10, 8)), np.ones((8, 12)), np.ones(80)):

@@ -921,6 +921,17 @@ def _half_step(op, rho, h):
     return out, de
 
 
+def _row_operator(op):
+    """The dissipative operator A on the maps' q-row, column by column from
+    the right-hand side's own flux: face_div_p(dissipative_flux(rho))."""
+    cells = np.zeros(op.grid.shape)
+
+    def column(unit):
+        cells[op._row] = unit
+        return G.face_div_p(op.grid, op.dissipative_flux(cells))[op._row]
+    return V.dense_matrix(column, op.grid.Np)
+
+
 def _assert_maxwellian_flux_vanishes(b_map, rinf):
     # the face flux of the Maxwellian through a flux map, within a few ulps
     # of the flux scale: the largest sum of |B_jk rho_k| over a face
@@ -980,8 +991,7 @@ def test_flux_map_update_matches_the_per_row_flux(rng):
     grid = cfg.grid
     for variant in (Variant.DH, Variant.DMR):
         op = K.KfpOperator(grid, cfg.params, cfg.potential, variant)
-        lower, main, upper = op._tridiag
-        a = np.diag(main) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        a = _row_operator(op)
         for h in (0.5 * op.stable_dt(), 10.0 * op.stable_dt()):
             w = op._map(h)
             for pair, w_map, k in ((False, w, h), (True, w + (0.5 * h) * w @ a @ w, 2.0 * h)):
@@ -1057,11 +1067,11 @@ def test_dissipative_update_count(record_every, intervals, monkeypatch):
 
 
 def test_dissipative_map_is_dense_trbdf2():
-    # the Thomas-built map against dense solves of the same TR-BDF2 stages
+    # the map of two symmetric solves against dense solves of the TR-BDF2
+    # stages on the rhs flux's own operator
     cfg = small_cfg()
     op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, Variant.DMR)
-    lower, main, upper = op._tridiag
-    a = np.diag(main) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    a = _row_operator(op)
     d = 0.5 * K.TRBDF2_GAMMA
     b = 0.5 * (1.0 - d)
     eye = np.eye(cfg.grid.Np)
@@ -1071,20 +1081,39 @@ def test_dissipative_map_is_dense_trbdf2():
         assert float(np.abs(op._map(h) - (b * (eye + y2) + d * y3)).max()) <= 1e-13
 
 
+def _overflow_op(lq=4 * math.pi):
+    """The model of verify's overflow test on 12 x 24 cells (DH), where h |A| is
+    about 2.6e22 at RK4's bound."""
+    grid = PhaseGrid(Nq=12, Np=24, Lq=lq, Pmax=1e-20)
+    return K.KfpOperator(grid, ModelParams(m=1e-300, gamma=1e-300), ZeroPotential(), Variant.DH)
+
+
 def test_dissipative_half_step_contracts_at_huge_h_times_a():
-    # the model of verify's overflow test, where h |A| is about 2.6e22 at
-    # RK4's bound: the half step stays a contraction to round-off, which a
-    # map that adds I to Y2 ~ -I cannot (its radius reads 4.04 here)
-    grid = PhaseGrid(Nq=12, Np=24, Lq=4 * math.pi, Pmax=1e-20)
-    op = K.KfpOperator(grid, ModelParams(m=1e-300, gamma=1e-300), ZeroPotential(), Variant.DH)
-    h = 0.5 * op._rk4_dt
-    assert h * float(np.abs(op._tridiag[1]).max()) > 1e22
+    # the half step stays a contraction to round-off, which a map that adds I
+    # to Y2 ~ -I cannot (its radius reads 4.04 here), nor one whose A has a
+    # rounded diagonal (1 + 1.7e-7)
+    op = _overflow_op()
+    grid, h = op.grid, 0.5 * op._rk4_dt
+    assert h * float(np.abs(np.diag(_row_operator(op))).max()) > 1e22
     out = np.empty(grid.shape)
 
     def half_step(unit):
         op._dissipate_into(unit.reshape(grid.shape), h, out)
         return out.ravel()
-    assert _radius(V.dense_matrix(half_step, grid.Nq * grid.Np)) <= 1.0 + 1e-6
+    assert _radius(V.dense_matrix(half_step, grid.Nq * grid.Np)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("lq", [4 * math.pi, 12.566])
+def test_dissipative_map_keeps_maxwellian_at_huge_h_times_a(lq):
+    # W r = r for the Maxwellian row r at h |A| ~ 2.6e22, with no floating-point
+    # exception: a map from A's rounded diagonal took r to about -3e-5 of itself
+    # (4 pi), and its pivots cancelled to exactly 0 (12.566)
+    op = _overflow_op(lq)
+    r = op.rhat[op._row]
+    with np.errstate(all="raise"):
+        w = op._map(0.5 * op._rk4_dt)
+    assert np.all(np.isfinite(w))
+    assert float(np.abs(w @ r - r).max()) <= 1e-15 * float(r.max())
 
 
 def test_dissipative_substep_converges_at_second_order():
@@ -1140,12 +1169,18 @@ def test_dissipative_overflow_is_a_stability_error():
         K.KfpOperator(cfg.grid, params, cfg.potential, Variant.DH)
     op = K.KfpOperator(cfg.grid, cfg.params, cfg.potential, Variant.DH)
     with np.errstate(all="ignore"), pytest.raises(StabilityError, match="not finite"):
-        op._map(1e308)
+        op._map(math.inf)
+    # at h = 1e308 the map is the L-stable limit: finite, and it keeps the
+    # Maxwellian row and the mass
+    r = op.rhat[op._row]
+    w = op._map(1e308)
+    assert float(np.abs(w @ r - r).max()) <= 2e-15 * float(r.max())
+    assert float(np.abs(w.sum(axis=0) - 1.0).max()) <= 7e-16
 
 
 def test_split_step_loads_no_scipy_and_no_lapack(tmp_path):
-    # the map is built by Thomas sweeps: no scipy import and no call into
-    # numpy.linalg's LAPACK gufuncs, checked in a fresh interpreter
+    # the map is built by tridiagonal solves in numpy: no scipy import and no
+    # call into numpy.linalg's LAPACK gufuncs, checked in a fresh interpreter
     script = tmp_path / "guard.py"
     script.write_text(textwrap.dedent("""
         import sys
